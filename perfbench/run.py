@@ -7,9 +7,11 @@ directory and from nowhere else. One process, one thread, a closed loop
 that verifies one schedule at a time.
 
 --trace 0 repeats whole untraced passes over the workload for about
---seconds and prints the end-to-end metrics. --trace 1 makes one
-untraced and one traced pass, then times the fixed scale ladder, prints
-the per-layer metrics and writes the spans to perfbench/out/. The last
+--seconds and prints the end-to-end metrics, with the timings rescaled to
+a nominal host speed by a reference loop timed all through the run.
+--trace 1 makes one untraced and one traced pass, then times the fixed
+scale ladder, prints the per-layer metrics and writes the spans to
+perfbench/out/. The last
 line of standard output is the result object; the line before it is the
 full report, with units, the environment and the correctness details.
 """
@@ -111,6 +113,8 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
         t_traced = perf_counter()
         traced = V.run_pass(schedules, tracer)
         passes = [untraced, traced]
+        reference_s, scale = V.speed_scale(untraced.reference + traced.reference)
+        report.update(reference_ms=reference_s * 1e3, speed_scale=scale)
         metrics.update(layer_metrics(setup_tracer, tracer, traced, untraced))
         report["scaling"] = scale_ladder(ladder or V.LADDER, metrics)
         spans_path = HERE / "out" / f"spans-{workload_name}-offset{offset}-seed{seed}.jsonl"
@@ -133,13 +137,25 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
         t0 = perf_counter()
         while not passes or perf_counter() - t0 + passes[-1].verify_s <= seconds:
             passes.append(V.run_pass(schedules))
-        lat = sorted(x for p in passes for x in p.latencies)
-        metrics["verify_s"] = statistics.median(p.verify_s for p in passes)
+        # Timings at nominal host speed (see verify.reference_work), and
+        # as wall time in the report.
+        reference_s, scale = V.speed_scale([x for p in passes for x in p.reference])
+        lat = sorted(x for p in passes for x in p.scaled)
+        wall_lat = sorted(x for p in passes for x in p.latencies)
+        metrics["verify_s"] = statistics.median(p.scaled_verify_s for p in passes)
         metrics["verify_ms_p50"] = statistics.median(lat) * 1e3
         metrics["verify_ms_p90"] = p90(lat) * 1e3
-        metrics["setup_s"] = import_s + statistics.median(gens)
+        metrics["setup_s"] = (import_s + statistics.median(gens)) * scale
+        wall = {
+            "verify_s": statistics.median(p.verify_s for p in passes),
+            "verify_ms_p50": statistics.median(wall_lat) * 1e3,
+            "verify_ms_p90": p90(wall_lat) * 1e3,
+            "setup_s": import_s + statistics.median(gens),
+        }
         report.update(import_s=import_s, generate_s=gens, samples=len(lat),
-                      pass_verify_s=[p.verify_s for p in passes])
+                      pass_verify_s=[p.verify_s for p in passes], wall=wall,
+                      reference_ms=reference_s * 1e3, speed_scale=scale,
+                      reference_samples=sum(len(p.reference) for p in passes))
     metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     # Correctness gate: no pass and no ladder rung may fail a schedule,
