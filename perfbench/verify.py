@@ -213,7 +213,8 @@ def add_counts(total: dict, counts: dict) -> None:
 # loop, timed all through a run, slows down with it, so the run's timings
 # are rescaled to the host speed at which the loop takes
 # REFERENCE_NOMINAL_S. The loop is not otwb code and never changes, so a
-# change to otwb moves the rescaled times exactly as it moves wall time.
+# change to otwb moves the rescaled times by the same factor as it moves
+# wall time measured at one host speed.
 
 REFERENCE_EVERY_S = 0.1
 REFERENCE_NOMINAL_S = 0.0015
