@@ -26,31 +26,37 @@ import platform
 import resource
 import statistics
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
+from typing import Optional
+
+from hostspeed import Clock, speed_scale
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+SETUP_REFERENCE_EVERY_S = 0.02
 WORKLOADS = ("corpus", "wide", "observe")
 
 
-def import_library() -> float:
-    """Import otwb from this checkout only and return the import time."""
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-    t0 = perf_counter()
-    try:
-        import otwb
-    except ImportError as exc:
-        raise SystemExit(f"perfbench: cannot import otwb from {SRC}: {exc}")
-    elapsed = perf_counter() - t0
-    if not Path(otwb.__file__).resolve().is_relative_to(SRC):
-        raise SystemExit(f"perfbench: otwb came from {otwb.__file__}, not from {SRC}")
-    if str(HERE) not in sys.path:
-        sys.path.insert(0, str(HERE))
-    return elapsed
+def import_library(clock: Optional[Clock] = None, repeats: int = 1) -> None:
+    """Import otwb from this checkout only. Each of the `repeats` imports
+    executes every otwb module afresh and is one item of `clock`."""
+    for path in (SRC, HERE):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    for _ in range(repeats):
+        for name in [m for m in sys.modules if m.split(".")[0] == "otwb"]:
+            del sys.modules[name]
+        try:
+            with clock.item() if clock is not None else nullcontext():
+                import otwb
+        except ImportError as exc:
+            raise SystemExit(f"perfbench: cannot import otwb from {SRC}: {exc}")
+        if not Path(otwb.__file__).resolve().is_relative_to(SRC):
+            raise SystemExit(f"perfbench: otwb came from {otwb.__file__}, not from {SRC}")
 
 
 def git_commit() -> str:
@@ -96,7 +102,8 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
     `limit` caps the generated schedules per workload, for the smoke test;
     the recorded digest is then not checked. `ladder` replaces the scale
     ladder of the traced run."""
-    import_s = import_library()
+    imports = Clock(every=0)
+    import_library(imports, repeats=1 if trace else SETUP_REPEATS)
     import verify as V
     from spans import Tracer
 
@@ -113,7 +120,7 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
         t_traced = perf_counter()
         traced = V.run_pass(schedules, tracer)
         passes = [untraced, traced]
-        reference_s, scale = V.speed_scale(untraced.reference + traced.reference)
+        reference_s, scale = speed_scale(untraced.reference + traced.reference)
         report.update(reference_ms=reference_s * 1e3, speed_scale=scale)
         metrics.update(layer_metrics(setup_tracer, tracer, traced, untraced))
         report["scaling"] = scale_ladder(ladder or V.LADDER, metrics)
@@ -121,14 +128,16 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
         tracer.write(spans_path, t_traced)
         report["spans"] = str(spans_path.relative_to(ROOT))
     else:
-        # Set-up is import plus generation; generation is repeated and
-        # its median kept, so that one slow repetition does not show.
-        gens = []
+        # Set-up is import plus generation. Both are repeated, with the
+        # reference loop timed between the items of each repetition, and
+        # the median of the rescaled repetitions is kept.
+        gens, gens_scaled = [], []
         schedules = None
         for _ in range(SETUP_REPEATS):
-            t0 = perf_counter()
-            again = V.generate(workload, offset, seed, limit)
-            gens.append(perf_counter() - t0)
+            clock = Clock(every=SETUP_REFERENCE_EVERY_S)
+            again = V.generate(workload, offset, seed, limit, clock.item)
+            gens.append(sum(clock.times))
+            gens_scaled.append(sum(clock.scaled()))
             if schedules is not None and again != schedules:
                 raise SystemExit("perfbench: schedule generation is not deterministic")
             schedules = again
@@ -137,22 +146,22 @@ def measure(workload_name: str, seed: int, seconds: float, trace: bool, offset: 
         t0 = perf_counter()
         while not passes or perf_counter() - t0 + passes[-1].verify_s <= seconds:
             passes.append(V.run_pass(schedules))
-        # Timings at nominal host speed (see verify.reference_work), and
-        # as wall time in the report.
-        reference_s, scale = V.speed_scale([x for p in passes for x in p.reference])
+        # Timings at nominal host speed (see hostspeed.py), and as wall
+        # time in the report.
+        reference_s, scale = speed_scale([x for p in passes for x in p.reference])
         lat = sorted(x for p in passes for x in p.scaled)
         wall_lat = sorted(x for p in passes for x in p.latencies)
         metrics["verify_s"] = statistics.median(p.scaled_verify_s for p in passes)
         metrics["verify_ms_p50"] = statistics.median(lat) * 1e3
         metrics["verify_ms_p90"] = p90(lat) * 1e3
-        metrics["setup_s"] = (import_s + statistics.median(gens)) * scale
+        metrics["setup_s"] = statistics.median(imports.scaled()) + statistics.median(gens_scaled)
         wall = {
             "verify_s": statistics.median(p.verify_s for p in passes),
             "verify_ms_p50": statistics.median(wall_lat) * 1e3,
             "verify_ms_p90": p90(wall_lat) * 1e3,
-            "setup_s": import_s + statistics.median(gens),
+            "setup_s": statistics.median(imports.times) + statistics.median(gens),
         }
-        report.update(import_s=import_s, generate_s=gens, samples=len(lat),
+        report.update(import_s=imports.times, generate_s=gens, samples=len(lat),
                       pass_verify_s=[p.verify_s for p in passes], wall=wall,
                       reference_ms=reference_s * 1e3, speed_scale=scale,
                       reference_samples=sum(len(p.reference) for p in passes))

@@ -13,11 +13,11 @@ import hashlib
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from otwb import checkers
 from otwb.simnet import RunResult, Schedule, podc16_schedule, random_schedule, run, trace_to_json
+from hostspeed import Clock
 from spans import Tracer, no_span, traced_lemmas
 
 PROTOCOLS = ("cjupiter", "jupiter", "djupiter")
@@ -207,53 +207,23 @@ def add_counts(total: dict, counts: dict) -> None:
         total[k] = max(total.get(k, 0), v) if ".max" in k else total.get(k, 0) + v
 
 
-# --------------------------------------------------------------------------
-# Host speed. On the shared host this benchmark was written on, the same
-# work ran up to twice as slowly for minutes at a time. A fixed pure-Python
-# loop, timed all through a run, slows down with it, so the run's timings
-# are rescaled to the host speed at which the loop takes
-# REFERENCE_NOMINAL_S. The loop is not otwb code and never changes, so a
-# change to otwb moves the rescaled times by the same factor as it moves
-# wall time measured at one host speed.
-
-REFERENCE_EVERY_S = 0.1
-REFERENCE_NOMINAL_S = 0.0015
-REFERENCE_WINDOW = 5  # samples on each side that give a schedule its local host speed
-
-
-def reference_work() -> int:
-    d: Dict[frozenset, int] = {}
-    for i in range(3000):
-        k = frozenset((i % 37, i % 11, i % 5))
-        d[k] = d.get(k, 0) + len(k)
-    return len(d)
-
-
-def trimmed_mean(samples: Sequence[float]) -> float:
-    """Mean without the top and bottom tenth: it follows the mix of fast
-    and slow stretches, but not a single long preemption."""
-    s = sorted(samples)
-    k = len(s) // 10
-    return sum(s[k:len(s) - k]) / (len(s) - 2 * k)
-
-
-def speed_scale(samples: Sequence[float]) -> Tuple[float, float]:
-    """(reference time, factor that rescales timings to the nominal host
-    speed) over a whole run."""
-    ref = trimmed_mean(samples)
-    return ref, REFERENCE_NOMINAL_S / ref
-
-
 @dataclass
 class PassResult:
-    latencies: List[float] = field(default_factory=list)  # wall time
-    scaled: List[float] = field(default_factory=list)  # at nominal host speed
-    reference: List[float] = field(default_factory=list)  # reference_work() times
+    clock: Clock = field(default_factory=Clock)  # times every schedule's pipeline
+    scaled: List[float] = field(default_factory=list)  # the same, at nominal host speed
     failures: Dict[str, List[str]] = field(default_factory=dict)
     strong_violations: int = 0
     digest: str = ""
     counts: dict = field(default_factory=dict)  # traced passes only
     vertices: Dict[str, int] = field(default_factory=dict)  # traced passes only
+
+    @property
+    def latencies(self) -> List[float]:  # wall time
+        return self.clock.times
+
+    @property
+    def reference(self) -> List[float]:  # reference_work() times
+        return self.clock.reference
 
     @property
     def verify_s(self) -> float:
@@ -266,9 +236,9 @@ class PassResult:
 
 def run_pass(schedules: Sequence[Tuple[str, Schedule]], tracer: Optional[Tracer] = None) -> PassResult:
     """Verify every schedule once, one at a time, timing each pipeline.
-    Between pipelines, untimed, reference_work() is timed every
-    REFERENCE_EVERY_S; each latency is also rescaled to the nominal host
-    speed by the reference samples taken around it.
+    Between pipelines, untimed, the clock times the reference loop; each
+    latency is also rescaled to the nominal host speed by the reference
+    samples taken around it (see hostspeed.py).
 
     With a tracer, every library call and structural lemma gets a span
     whose trace id is the schedule id, and after each timed pipeline the
@@ -277,21 +247,12 @@ def run_pass(schedules: Sequence[Tuple[str, Schedule]], tracer: Optional[Tracer]
     res = PassResult()
     digests = {}
     gc.collect()
-    last_reference = float("-inf")
-    sample_at = []  # per schedule, the latest reference sample before it
     with traced_lemmas(tracer) if tracer is not None else nullcontext():
         for sid, schedule in schedules:
-            if perf_counter() - last_reference >= REFERENCE_EVERY_S:
-                t0 = perf_counter()
-                reference_work()
-                last_reference = perf_counter()
-                res.reference.append(last_reference - t0)
-            sample_at.append(len(res.reference) - 1)
             if tracer is not None:
                 tracer.trace_id = sid
-            t0 = perf_counter()
-            out = verify(schedule, span)
-            res.latencies.append(perf_counter() - t0)
+            with res.clock.item():
+                out = verify(schedule, span)
             if tracer is not None:
                 for protocol in ("cjupiter", "jupiter"):
                     with span(f"simnet.run_without_snapshots.{protocol}"):
@@ -305,7 +266,5 @@ def run_pass(schedules: Sequence[Tuple[str, Schedule]], tracer: Optional[Tracer]
             res.strong_violations += sum(not t.strong.satisfied for t in out.per_trace)
             digests[sid] = schedule_digest(out)
     res.digest = workload_digest(digests)
-    w = REFERENCE_WINDOW
-    local = [trimmed_mean(res.reference[max(0, j - w):j + w + 1]) for j in range(len(res.reference))]
-    res.scaled = [x * REFERENCE_NOMINAL_S / local[j] for x, j in zip(res.latencies, sample_at)]
+    res.scaled = res.clock.scaled()
     return res
