@@ -34,11 +34,11 @@ from .ot_core import (
     to_text,
     transform,
 )
-from .protocols import CJClient, CJServer, DJReplica, JClient, JServer
+from .protocols import CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 from .simnet import (
-    BroadcastService,
     Schedule,
     ScheduleError,
+    Simulation,
     Trace,
     empty_schedule,
     happens_before,
@@ -52,7 +52,6 @@ from .simnet import (
 
 __all__ = [
     "AbstractExecution",
-    "BroadcastService",
     "CJClient",
     "CJServer",
     "CssSpace",
@@ -72,6 +71,8 @@ __all__ = [
     "ProtocolError",
     "Schedule",
     "ScheduleError",
+    "Sequencer",
+    "Simulation",
     "StateSpace2D",
     "Trace",
     "Verdict",

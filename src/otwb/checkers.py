@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize
 from .jupiter_space import Snapshot2D
-from .simnet import OpRecord, RunResult, Trace, vc_less
+from .simnet import OpRecord, RunResult, Trace, causal_pairs, vc_less
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
 Value = Tuple[Elem, ...]
@@ -70,11 +70,7 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
     for e in trace.events:
         if e.kind == "do":
             H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
-    vis = set()
-    for a in H:
-        for b in H:
-            if a.index != b.index and vc_less(a.vclock, b.vclock):
-                vis.add((a.index, b.index))
+    vis = causal_pairs(H)
     if __debug__:
         _assert_visibility_axioms(H, vis)
     return AbstractExecution(tuple(H), frozenset(vis))
@@ -201,10 +197,8 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
                     False,
                     {"condition": "1c", "event": e.index, "list": _text(e.value)},
                 )
-        # 1b holds by the constructive list order; assert it anyway.
-        for i in range(len(e.value)):
-            for j in range(i + 1, len(e.value)):
-                assert (e.value[i], e.value[j]) in lo.pairs
+        # 1b holds by construction: build_list_order takes every ordered
+        # pair of every returned list, this one included.
     # Condition 2: the list order is irreflexive, and transitive and total
     # on each returned list's elements. Totality holds by construction;
     # transitivity plus irreflexivity on a list fail exactly when some
@@ -599,7 +593,7 @@ def _check_vertex_compatibility(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     for rid, snap in sorted(snapshots.items()):
         try:
             states = materialize(snap)
-        except (ProtocolError, AssertionError) as exc:
+        except ProtocolError as exc:
             return Verdict(
                 "vertex_compatibility", False, {"replica": rid, "error": str(exc)}
             )

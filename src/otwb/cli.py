@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -45,9 +45,13 @@ def _parse_checks(spec: str) -> Tuple[str, ...]:
     return checks
 
 
+def _rule(args: argparse.Namespace) -> PriorityRule:
+    return PriorityRule(args.priority or PriorityRule.SMALLER_WINS.value)
+
+
 def _load_schedule(args: argparse.Namespace) -> Schedule:
     src = args.schedule
-    rule = PriorityRule(args.priority)
+    rule = _rule(args)
     if src == "builtin:podc16":
         return simnet.podc16_schedule(rule)
     if src == "random":
@@ -63,8 +67,8 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
     except OSError as exc:
         raise SystemExit(f"cannot read schedule file {src}: {exc}")
     schedule = simnet.schedule_from_json(text)
-    if args.priority != schedule.priority_rule.value and args.priority_set:
-        schedule = Schedule(schedule.n_clients, schedule.steps, rule, schedule.prng)
+    if args.priority is not None:
+        schedule = replace(schedule, priority_rule=rule)
     return schedule
 
 
@@ -167,7 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     checks = _parse_checks(args.check) if args.check else ("equivalence",)
-    rule = PriorityRule(args.priority)
+    rule = _rule(args)
     failures = 0
     for i in range(args.seeds):
         seed = args.seed_start + i
@@ -244,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--priority",
             choices=[r.value for r in PriorityRule],
-            default=PriorityRule.SMALLER_WINS.value,
         )
         p.add_argument("--check", default=default_check, help="comma list or 'all'")
         p.add_argument(
@@ -278,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     dot_p.add_argument(
         "--priority",
         choices=[r.value for r in PriorityRule],
-        default=PriorityRule.SMALLER_WINS.value,
     )
     dot_p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
     dot_p.add_argument("--seed", type=int, default=None)
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.priority_set = "--priority" in (argv if argv is not None else sys.argv)
     try:
         return args.func(args)
     except simnet.ScheduleError as exc:

@@ -287,6 +287,7 @@ def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
                 candidates.append(apply(states[src], op.o)[0])
         if not candidates:
             raise ProtocolError(f"vertex {sorted(o.token() for o in oids)} unreachable from root")
-        assert all(c == candidates[0] for c in candidates[1:]), "replay paths disagree"
+        if any(c != candidates[0] for c in candidates[1:]):
+            raise ProtocolError("replay paths disagree")
         states[oids] = candidates[0]
     return states

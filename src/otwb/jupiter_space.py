@@ -166,6 +166,7 @@ def materialize2d(snapshot: Snapshot2D) -> Dict[OidSet, ListState]:
         ]
         if not candidates:
             raise ProtocolError(f"vertex {sorted(o.token() for o in oids)} unreachable from root")
-        assert all(c == candidates[0] for c in candidates[1:]), "replay paths disagree"
+        if any(c != candidates[0] for c in candidates[1:]):
+            raise ProtocolError("replay paths disagree")
         states[oids] = candidates[0]
     return states

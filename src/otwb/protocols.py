@@ -8,7 +8,7 @@ payload is an immutable value.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .css_space import EMPTY_OIDS, CssSpace, Oid, OidSet, ProtoOp, ProtocolError
 from .jupiter_space import Dimension, ProtoOp2D, StateSpace2D
@@ -38,7 +38,7 @@ class RecvResult(NamedTuple):
 
 
 class ServerRecvResult(NamedTuple):
-    value: ListValue
+    value: Optional[ListValue]  # None at a replica that keeps no list
     applied: object
     fanout: Tuple[Tuple[int, object], ...]  # (destination cid, message)
     ot_seq: Tuple[Oid, ...]
@@ -107,27 +107,40 @@ class CJClient(_ClientBase):
         return RecvResult(value, applied, self.space.last_ot_sequence)
 
 
-class CJServer:
-    """The serializing server: stamps arrival contexts, transforms against
-    its own space, and forwards the original (stamped) operation."""
+class Sequencer:
+    """Causal atomic broadcast for djupiter, placed where the server sits:
+    it stamps each submission with every oid committed before it and
+    forwards it unchanged to every other replica. It keeps no list."""
 
     def __init__(self, n_clients: int):
         self.n_clients = n_clients
-        self.state: ListState = ()
         self.soids: set[Oid] = set()
         self.arrival_log: List[Oid] = []
-        self.space = CssSpace(rid=SERVER_ID)
 
     def receive(self, op: ProtoOp) -> ServerRecvResult:
         stamped = op.with_sctx(frozenset(self.soids))
         self.soids.add(stamped.oid)
         self.arrival_log.append(stamped.oid)
-        applied = self.space.xform(stamped)
-        self.state, value = apply(self.state, applied.o)
         fanout = tuple(
             (c, stamped) for c in range(1, self.n_clients + 1) if c != stamped.oid.cid
         )
-        return ServerRecvResult(value, applied, fanout, self.space.last_ot_sequence)
+        return ServerRecvResult(None, stamped, fanout, ())
+
+
+class CJServer(Sequencer):
+    """The serializing server: a sequencer that also transforms each
+    stamped operation against its own space; it forwards the original."""
+
+    def __init__(self, n_clients: int):
+        super().__init__(n_clients)
+        self.state: ListState = ()
+        self.space = CssSpace(rid=SERVER_ID)
+
+    def receive(self, op: ProtoOp) -> ServerRecvResult:
+        stamped = super().receive(op)
+        applied = self.space.xform(stamped.applied)
+        self.state, value = apply(self.state, applied.o)
+        return stamped._replace(value=value, applied=applied, ot_seq=self.space.last_ot_sequence)
 
     def read(self) -> ListValue:
         return self.state
@@ -181,31 +194,25 @@ class JServer:
         return self.state
 
 
-class DJReplica(_ClientBase):
-    """Peer replica over causal atomic broadcast: generates like a client,
-    processes deliveries in broadcast order, skipping its own."""
+class DJReplica(CJClient):
+    """Peer replica over causal atomic broadcast: generates like a client
+    and processes the other replicas' operations in broadcast order."""
 
     def __init__(self, rid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
         super().__init__(rid, rule)
-        self.rid = rid
-        self.space = CssSpace(rid=rid)
         self.soids_mirror: OidSet = EMPTY_OIDS
 
-    def generate(self, o: ListOp) -> DoResult:
-        o, oid, value = self._generate(o)
-        op = ProtoOp(o, oid, ctx=self.space.cur.oids, sctx=EMPTY_OIDS)
-        self.space.append_local(op)
-        return DoResult(value, op)
-
-    def deliver(self, op: ProtoOp) -> RecvResult:
-        if op.oid.cid == self.rid:
+    def receive(self, op: ProtoOp) -> RecvResult:
+        if op.oid.cid == self.cid:
             raise ProtocolError("own operations are never delivered back")
         if not self.soids_mirror <= op.sctx:
             raise ProtocolError(
-                f"delivery of {op.oid.token()} at replica {self.rid} is behind "
+                f"delivery of {op.oid.token()} at replica {self.cid} is behind "
                 "the broadcast order already observed"
             )
         self.soids_mirror = op.sctx | {op.oid}
-        applied = self.space.xform(op)
-        self.state, value = apply(self.state, applied.o)
-        return RecvResult(value, applied, self.space.last_ot_sequence)
+        return super().receive(op)
+
+    # The peer protocol's names for the client's two steps.
+    generate = CJClient.do
+    deliver = receive

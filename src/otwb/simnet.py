@@ -14,12 +14,12 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .css_space import CssSnapshot, Oid, ProtoOp, ProtocolError
+from .css_space import CssSnapshot, Oid, ProtocolError
 from .jupiter_space import Snapshot2D
 from .ot_core import ListOp, ListState, PriorityRule
-from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer
+from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 
 SCHEDULE_FORMAT = 1
 TRACE_FORMAT = 1
@@ -70,12 +70,25 @@ def _replica_name(rid: int) -> str:
     return "server" if rid == SERVER_ID else f"c{rid}"
 
 
-def _replica_id(name: str) -> int:
+def _replica_id(name: object) -> int:
     if name == "server":
         return SERVER_ID
-    if name.startswith("c") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("c") and name[1:].isdigit():
         return int(name[1:])
     raise ScheduleError(f"unknown replica name {name!r}")
+
+
+def _whole(value: object, least: int, what: str) -> int:
+    """A JSON integer >= least; booleans are not integers here."""
+    if type(value) is not int or value < least:
+        raise ScheduleError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScheduleError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -108,15 +121,24 @@ def schedule_from_json(text: str) -> Schedule:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScheduleError(f"schedule is not valid JSON: {exc}") from exc
+    doc = _object(doc, "a schedule document")
     if doc.get("format") != SCHEDULE_FORMAT:
         raise ScheduleError(f"unsupported schedule format {doc.get('format')!r}")
     try:
         steps: List[Step] = []
         for raw in doc.get("steps", []):
+            raw = _object(raw, "a step")
             if raw.get("type") == "generate":
-                op = raw.get("op", {})
+                op = _object(raw.get("op", {}), "an op")
+                pos = op.get("pos")
+                glyph = op.get("glyph")
+                if glyph is not None and not isinstance(glyph, str):
+                    raise ScheduleError(f"glyph must be a string, got {glyph!r}")
                 steps.append(
-                    GenerateStep(raw["cid"], OpSpec(op["kind"], op.get("glyph"), op.get("pos")))
+                    GenerateStep(
+                        _whole(raw["cid"], 1, "cid"),
+                        OpSpec(op["kind"], glyph, None if pos is None else _whole(pos, 0, "pos")),
+                    )
                 )
             elif raw.get("type") == "deliver":
                 steps.append(DeliverStep(_replica_id(raw["to"]), _replica_id(raw["from"])))
@@ -124,7 +146,7 @@ def schedule_from_json(text: str) -> Schedule:
                 raise ScheduleError(f"unknown step type {raw.get('type')!r}")
         rule = PriorityRule(doc.get("priority_rule", "smaller_wins"))
         prng = tuple(doc["prng"]) if "prng" in doc else None
-        return Schedule(doc["n_clients"], tuple(steps), rule, prng)
+        return Schedule(_whole(doc["n_clients"], 1, "n_clients"), tuple(steps), rule, prng)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScheduleError):
             raise
@@ -136,77 +158,12 @@ def schedule_digest(schedule: Schedule) -> str:
 
 
 def validate_schedule(schedule: Schedule, protocol: str) -> None:
-    """Static well-formedness: every delivery has a matching earlier
-    enqueue and channel consumption stays FIFO-feasible."""
-    if protocol not in PROTOCOLS:
-        raise ScheduleError(f"unknown protocol {protocol!r}")
-    n = schedule.n_clients
-    if n < 1:
-        raise ScheduleError("need at least one client")
-    if protocol == "djupiter":
-        pending = {c: 0 for c in range(1, n + 1)}
-        committed: List[int] = []  # origin cid per commit
-        cursor = {c: 0 for c in range(1, n + 1)}
-        for i, s in enumerate(schedule.steps):
-            if isinstance(s, GenerateStep):
-                _check_generate(s, n, i)
-                if s.op.kind != "read":
-                    pending[s.cid] += 1
-            elif s.to == SERVER_ID:
-                if not (1 <= s.frm <= n):
-                    raise ScheduleError(f"step {i}: bad commit source c{s.frm}")
-                if pending[s.frm] == 0:
-                    raise ScheduleError(f"step {i}: commit from c{s.frm} with nothing pending")
-                pending[s.frm] -= 1
-                committed.append(s.frm)
-            else:
-                if not (1 <= s.to <= n) or s.frm != SERVER_ID:
-                    raise ScheduleError(f"step {i}: bad delivery {s}")
-                at = cursor[s.to]
-                while at < len(committed) and committed[at] == s.to:
-                    at += 1
-                if at >= len(committed):
-                    raise ScheduleError(
-                        f"step {i}: delivery to c{s.to} with no committed operation left"
-                    )
-                cursor[s.to] = at + 1
-        return
-    up = {c: 0 for c in range(1, n + 1)}  # client -> server counts
-    up_origin: Dict[int, collections.deque] = {c: collections.deque() for c in range(1, n + 1)}
-    down = {c: 0 for c in range(1, n + 1)}  # server -> client counts
-    for i, s in enumerate(schedule.steps):
-        if isinstance(s, GenerateStep):
-            _check_generate(s, n, i)
-            if s.op.kind != "read":
-                up[s.cid] += 1
-                up_origin[s.cid].append(s.cid)
-        elif s.to == SERVER_ID:
-            if not (1 <= s.frm <= n):
-                raise ScheduleError(f"step {i}: bad delivery source c{s.frm}")
-            if up[s.frm] == 0:
-                raise ScheduleError(f"step {i}: delivery to server from empty channel c{s.frm}")
-            up[s.frm] -= 1
-            origin = up_origin[s.frm].popleft()
-            for c in range(1, n + 1):
-                if c != origin:
-                    down[c] += 1
-        else:
-            if not (1 <= s.to <= n) or s.frm != SERVER_ID:
-                raise ScheduleError(f"step {i}: bad delivery {s}")
-            if down[s.to] == 0:
-                raise ScheduleError(f"step {i}: delivery to c{s.to} from empty server channel")
-            down[s.to] -= 1
-
-
-def _check_generate(s: GenerateStep, n: int, i: int) -> None:
-    if not (1 <= s.cid <= n):
-        raise ScheduleError(f"step {i}: generate at unknown client c{s.cid}")
-    if s.op.kind not in ("ins", "del", "read"):
-        raise ScheduleError(f"step {i}: unknown op kind {s.op.kind!r}")
-    if s.op.kind == "ins" and s.op.pos is None:
-        raise ScheduleError(f"step {i}: ins needs a position")
-    if s.op.kind == "del" and s.op.pos is None:
-        raise ScheduleError(f"step {i}: del needs a position")
+    """Raise ScheduleError unless every step of the schedule can run under
+    the protocol: known ids, well-formed ops, no delivery from an empty
+    channel."""
+    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    for i, step in enumerate(schedule.steps):
+        sim.step(step, i)
 
 
 # --------------------------------------------------------------------------
@@ -249,18 +206,11 @@ def _value_tuple(state: ListState) -> Tuple[Tuple[str, int, int], ...]:
     return tuple((e.glyph, e.origin_cid, e.origin_seq) for e in state)
 
 
-def _op_record_do(o: ListOp, oid: Oid) -> OpRecord:
+def _op_record(oid: Oid, o: ListOp) -> OpRecord:
     elem = None
     if o.element is not None:
         elem = (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
     return OpRecord(o.kind.value, oid.token(), elem, o.position)
-
-
-def _op_record_applied(incoming_oid: Oid, applied_o: ListOp) -> OpRecord:
-    elem = None
-    if applied_o.element is not None:
-        elem = (applied_o.element.glyph, applied_o.element.origin_cid, applied_o.element.origin_seq)
-    return OpRecord(applied_o.kind.value, incoming_oid.token(), elem, applied_o.position)
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -311,13 +261,12 @@ def happens_before(trace: Trace) -> frozenset:
     Every event increments its replica's own vector-clock component, so
     e1 causally precedes e2 exactly when vclock(e1) < vclock(e2).
     """
-    pairs = set()
-    events = trace.events
-    for a in events:
-        for b in events:
-            if a.index != b.index and vc_less(a.vclock, b.vclock):
-                pairs.add((a.index, b.index))
-    return frozenset(pairs)
+    return frozenset(causal_pairs(trace.events))
+
+
+def causal_pairs(events: Sequence) -> Set[Tuple[int, int]]:
+    """(a.index, b.index) for every two events with a.vclock < b.vclock."""
+    return {(a.index, b.index) for a in events for b in events if vc_less(a.vclock, b.vclock)}
 
 
 def vc_less(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -342,42 +291,6 @@ def check_fifo(trace: Trace) -> None:
 
 
 # --------------------------------------------------------------------------
-# Broadcast service
-
-
-class BroadcastService:
-    """Causal atomic broadcast: submissions commit into one global sequence
-    consistent with causal order; replicas consume it in commit order."""
-
-    def __init__(self, n_clients: int):
-        self.pending: Dict[int, collections.deque] = {
-            c: collections.deque() for c in range(1, n_clients + 1)
-        }
-        self.committed: List[Tuple[str, ProtoOp, Tuple[int, ...]]] = []
-        self.cursor: Dict[int, int] = {c: 0 for c in range(1, n_clients + 1)}
-
-    def submit(self, cid: int, msg_id: str, op: ProtoOp, vc: Tuple[int, ...]) -> None:
-        self.pending[cid].append((msg_id, op, vc))
-
-    def commit_next(self, cid: int) -> Oid:
-        if not self.pending[cid]:
-            raise ScheduleError(f"nothing pending from c{cid} to commit")
-        msg_id, op, vc = self.pending[cid].popleft()
-        stamped = op.with_sctx(frozenset(o.oid for _, o, _ in self.committed))
-        self.committed.append((msg_id, stamped, vc))
-        return stamped.oid
-
-    def deliver_next(self, rid: int) -> Tuple[str, ProtoOp, Tuple[int, ...]]:
-        at = self.cursor[rid]
-        while at < len(self.committed) and self.committed[at][1].oid.cid == rid:
-            at += 1
-        if at >= len(self.committed):
-            raise ScheduleError(f"no committed operation left to deliver to c{rid}")
-        self.cursor[rid] = at + 1
-        return self.committed[at]
-
-
-# --------------------------------------------------------------------------
 # Engine
 
 
@@ -399,250 +312,199 @@ class RunResult:
     cscw_client_steps: Dict[int, Tuple[Snapshot2D, ...]] = field(default_factory=dict)
 
 
-class _Recorder:
-    def __init__(self, n_clients: int):
-        self.n = n_clients
-        self.events: List[TraceEvent] = []
-        self.vcs = {r: [0] * (n_clients + 1) for r in range(0, n_clients + 1)}
-        self.msg_counter = 0
+class Simulation:
+    """One protocol's replicas and their reliable FIFO channels: one up-queue
+    and one down-queue per client, all through replica 0. Under djupiter
+    replica 0 is the broadcast Sequencer, so the channels are the same.
 
-    def _tick(self, rid: int) -> Tuple[int, ...]:
-        self.vcs[rid][rid] += 1
-        return tuple(self.vcs[rid])
+    step() runs one schedule step and logs it; the log holds only
+    references to immutable values, and events() turns it into trace
+    events with vector clocks in one pass.
+    """
 
-    def next_msg_id(self) -> str:
-        self.msg_counter += 1
-        return f"m{self.msg_counter}"
+    def __init__(self, protocol: str, n_clients: int, rule: PriorityRule):
+        if protocol not in PROTOCOLS:
+            raise ScheduleError(f"unknown protocol {protocol!r}")
+        if n_clients < 1:
+            raise ScheduleError("need at least one client")
+        self.n_clients = n_clients
+        if protocol == "cjupiter":
+            self.hub, client = CJServer(n_clients), CJClient
+        elif protocol == "jupiter":
+            self.hub, client = JServer(n_clients), JClient
+        else:
+            self.hub, client = Sequencer(n_clients), DJReplica
+        # The peer at the other end of every client channel, as traced.
+        self.hub_id = BROADCAST if protocol == "djupiter" else SERVER_ID
+        self.clients = {c: client(c, rule) for c in range(1, n_clients + 1)}
+        self.up = {c: collections.deque() for c in self.clients}
+        self.down = {c: collections.deque() for c in self.clients}
+        self.log: List[tuple] = []
+        self.messages = 0
+        self.glyphs = 0
 
-    def do(self, rid, op_record, value) -> None:
-        self.events.append(
-            TraceEvent(len(self.events), rid, "do", self._tick(rid), op=op_record, value=value)
-        )
+    def enabled(self) -> List[DeliverStep]:
+        """The deliveries that can run now: per client in id order, its
+        up-channel then its down-channel. Generators index into this list,
+        so the order is part of every seeded schedule."""
+        acts: List[DeliverStep] = []
+        for c in self.clients:
+            if self.up[c]:
+                acts.append(DeliverStep(SERVER_ID, c))
+            if self.down[c]:
+                acts.append(DeliverStep(c, SERVER_ID))
+        return acts
 
-    def send(self, rid, msg_id, dst) -> Tuple[int, ...]:
-        vc = self._tick(rid)
-        self.events.append(
-            TraceEvent(len(self.events), rid, "send", vc, msg_id=msg_id, src=rid, dst=dst)
-        )
-        return vc
+    def quiescent(self) -> bool:
+        return not any(self.up.values()) and not any(self.down.values())
 
-    def receive(self, rid, msg_id, src, msg_vc, op_record, value, ot_seq) -> None:
-        own = self.vcs[rid]
-        for i, x in enumerate(msg_vc):
-            own[i] = max(own[i], x)
-        vc = self._tick(rid)
-        self.events.append(
-            TraceEvent(
-                len(self.events),
-                rid,
-                "receive",
-                vc,
-                op=op_record,
-                value=value,
-                msg_id=msg_id,
-                src=src,
-                dst=rid,
-                ot_seq=ot_seq,
+    def _send(self, rid: int, dst: int) -> int:
+        self.messages += 1
+        self.log.append(("send", rid, self.messages, dst))
+        return self.messages
+
+    def step(self, step: Step, i: int) -> Optional[int]:
+        """Run step `i` of a schedule. Returns the replica whose state
+        changed, or None for a read; raises ScheduleError if the step
+        cannot run."""
+        if isinstance(step, GenerateStep):
+            cid, spec = step.cid, step.op
+            if cid not in self.clients:
+                raise ScheduleError(f"step {i}: generate at unknown client c{cid}")
+            client = self.clients[cid]
+            if spec.kind == "read":
+                self.log.append(("do", cid, None, client.state))
+                return None
+            if spec.kind not in ("ins", "del"):
+                raise ScheduleError(f"step {i}: unknown op kind {spec.kind!r}")
+            if not isinstance(spec.pos, int) or spec.pos < 0:
+                raise ScheduleError(f"step {i}: {spec.kind} needs a non-negative position")
+            if spec.kind == "ins":
+                glyph = spec.glyph
+                if glyph is None:
+                    glyph = GLYPH_POOL[self.glyphs % len(GLYPH_POOL)]
+                    self.glyphs += 1
+                o = client.make_ins(glyph, spec.pos)
+            else:
+                o = client.make_del(spec.pos)
+            result = client.do(o)
+            self.log.append(("do", cid, result.message, result.value))
+            self.up[cid].append((self._send(cid, self.hub_id), result.message))
+            return cid
+        to, frm = step.to, step.frm
+        if to == SERVER_ID and frm in self.up:
+            queue = self.up[frm]
+        elif frm == SERVER_ID and to in self.down:
+            queue = self.down[to]
+        else:
+            raise ScheduleError(f"step {i}: bad delivery {step}")
+        if not queue:
+            raise ScheduleError(
+                f"step {i}: delivery to {_replica_name(to)} from an empty channel"
             )
-        )
+        msg, op = queue.popleft()
+        if to != SERVER_ID:
+            result = self.clients[to].receive(op)
+            self.log.append(("receive", to, msg, self.hub_id, op.oid, result))
+            return to
+        result = self.hub.receive(op)
+        if self.hub_id == BROADCAST:
+            # The sequencer relays the original message and records nothing.
+            for dst, payload in result.fanout:
+                self.down[dst].append((msg, payload))
+        else:
+            self.log.append(("receive", SERVER_ID, msg, frm, op.oid, result))
+            for dst, payload in result.fanout:
+                self.down[dst].append((self._send(SERVER_ID, dst), payload))
+        return SERVER_ID
 
-
-def _build_listop(client, spec: OpSpec, glyph_counter: List[int]) -> ListOp:
-    if spec.kind == "ins":
-        glyph = spec.glyph
-        if glyph is None:
-            glyph = GLYPH_POOL[glyph_counter[0] % len(GLYPH_POOL)]
-            glyph_counter[0] += 1
-        return client.make_ins(glyph, spec.pos)
-    return client.make_del(spec.pos)
+    def events(self) -> Tuple[TraceEvent, ...]:
+        """The log as trace events. Every event ticks its replica's own
+        clock component; a receive first merges the clock of the message's
+        send event."""
+        vcs = [[0] * (self.n_clients + 1) for _ in range(self.n_clients + 1)]
+        sent: Dict[int, Tuple[int, ...]] = {}
+        events: List[TraceEvent] = []
+        for entry in self.log:
+            kind, rid = entry[0], entry[1]
+            vc = vcs[rid]
+            if kind == "receive":
+                for k, x in enumerate(sent[entry[2]]):
+                    if x > vc[k]:
+                        vc[k] = x
+            vc[rid] += 1
+            clock = tuple(vc)
+            i = len(events)
+            if kind == "do":
+                _, _, op, value = entry
+                record = OpRecord("read") if op is None else _op_record(op.oid, op.o)
+                events.append(TraceEvent(i, rid, "do", clock, op=record, value=_value_tuple(value)))
+            elif kind == "send":
+                _, _, msg, dst = entry
+                sent[msg] = clock
+                events.append(TraceEvent(i, rid, "send", clock, msg_id=f"m{msg}", src=rid, dst=dst))
+            else:
+                _, _, msg, src, oid, result = entry
+                events.append(
+                    TraceEvent(
+                        i,
+                        rid,
+                        "receive",
+                        clock,
+                        op=_op_record(oid, result.applied.o),
+                        value=_value_tuple(result.value),
+                        msg_id=f"m{msg}",
+                        src=src,
+                        dst=rid,
+                        ot_seq=tuple(o.token() for o in result.ot_seq),
+                    )
+                )
+        return tuple(events)
 
 
 def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> RunResult:
-    """Replay a schedule under a protocol; deterministic in its arguments."""
-    validate_schedule(schedule, protocol)
-    if protocol == "djupiter":
-        return _run_djupiter(schedule, record_snapshots)
-    return _run_client_server(protocol, schedule, record_snapshots)
-
-
-def _run_client_server(protocol: str, schedule: Schedule, record_snapshots: bool) -> RunResult:
-    n = schedule.n_clients
-    rule = schedule.priority_rule
-    rec = _Recorder(n)
-    glyph_counter = [0]
-    if protocol == "cjupiter":
-        server = CJServer(n)
-        clients = {c: CJClient(c, rule) for c in range(1, n + 1)}
-    else:
-        server = JServer(n)
-        clients = {c: JClient(c, rule) for c in range(1, n + 1)}
-    channels: Dict[Tuple[int, int], collections.deque] = collections.defaultdict(collections.deque)
-
-    css_server_steps: List[CssSnapshot] = []
-    client_steps: Dict[int, list] = {c: [] for c in range(1, n + 1)}
+    """Replay a schedule under a protocol; deterministic in its arguments.
+    Raises ScheduleError at the first step that cannot run."""
+    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    spaces = {SERVER_ID: sim.hub.space} if protocol == "cjupiter" else {}
+    spaces.update((c, cl.space) for c, cl in sim.clients.items())
+    steps: Dict[int, list] = {rid: [] for rid in spaces}
     if record_snapshots:
-        for c, cl in clients.items():
-            client_steps[c].append(cl.space.snapshot())
-        if protocol == "cjupiter":
-            css_server_steps.append(server.space.snapshot())
-
-    for step in schedule.steps:
-        if isinstance(step, GenerateStep):
-            client = clients[step.cid]
-            if step.op.kind == "read":
-                value = client.read()
-                rec.do(step.cid, OpRecord("read"), _value_tuple(value))
-                continue
-            o = _build_listop(client, step.op, glyph_counter)
-            result = client.do(o)
-            op = result.message
-            rec.do(step.cid, _op_record_do(op.o, op.oid), _value_tuple(result.value))
-            msg_id = rec.next_msg_id()
-            vc = rec.send(step.cid, msg_id, SERVER_ID)
-            channels[(step.cid, SERVER_ID)].append((msg_id, op, vc))
-            if record_snapshots:
-                client_steps[step.cid].append(client.space.snapshot())
-        elif step.to == SERVER_ID:
-            msg_id, op, vc = channels[(step.frm, SERVER_ID)].popleft()
-            result = server.receive(op)
-            rec.receive(
-                SERVER_ID,
-                msg_id,
-                step.frm,
-                vc,
-                _op_record_applied(op.oid, result.applied.o),
-                _value_tuple(result.value),
-                tuple(o.token() for o in result.ot_seq),
-            )
-            for dst, payload in result.fanout:
-                out_id = rec.next_msg_id()
-                out_vc = rec.send(SERVER_ID, out_id, dst)
-                channels[(SERVER_ID, dst)].append((out_id, payload, out_vc))
-            if record_snapshots and protocol == "cjupiter":
-                css_server_steps.append(server.space.snapshot())
-        else:
-            msg_id, op, vc = channels[(SERVER_ID, step.to)].popleft()
-            client = clients[step.to]
-            result = client.receive(op)
-            rec.receive(
-                step.to,
-                msg_id,
-                SERVER_ID,
-                vc,
-                _op_record_applied(op.oid, result.applied.o),
-                _value_tuple(result.value),
-                tuple(o.token() for o in result.ot_seq),
-            )
-            if record_snapshots:
-                client_steps[step.to].append(client.space.snapshot())
+        for rid, space in spaces.items():
+            steps[rid].append(space.snapshot())
+    for i, step in enumerate(schedule.steps):
+        rid = sim.step(step, i)
+        if record_snapshots and rid in spaces:
+            steps[rid].append(spaces[rid].snapshot())
 
     trace = Trace(
         protocol=protocol,
-        n_clients=n,
-        priority_rule=rule.value,
-        schedule_sha256=schedule_digest(schedule),
-        events=tuple(rec.events),
-        prng=schedule.prng,
-    )
-    quiescent = not any(channels[k] for k in channels)
-    final_values = {SERVER_ID: _value_tuple(server.state)}
-    for c, cl in clients.items():
-        final_values[c] = _value_tuple(cl.state)
-    result = RunResult(
-        protocol=protocol,
-        schedule=schedule,
-        trace=trace,
-        final_values=final_values,
-        arrival_log=tuple(server.arrival_log),
-        quiescent=quiescent,
-    )
-    if protocol == "cjupiter":
-        result.css_final = {SERVER_ID: server.space.snapshot()}
-        for c, cl in clients.items():
-            result.css_final[c] = cl.space.snapshot()
-        result.css_server_steps = tuple(css_server_steps)
-        result.css_client_steps = {c: tuple(v) for c, v in client_steps.items()}
-    else:
-        result.cscw_client_final = {c: cl.space.snapshot() for c, cl in clients.items()}
-        result.cscw_server_final = {c: s.snapshot() for c, s in server.spaces.items()}
-        result.cscw_client_steps = {c: tuple(v) for c, v in client_steps.items()}
-    return result
-
-
-def _run_djupiter(schedule: Schedule, record_snapshots: bool) -> RunResult:
-    n = schedule.n_clients
-    rec = _Recorder(n)
-    glyph_counter = [0]
-    replicas = {c: DJReplica(c, schedule.priority_rule) for c in range(1, n + 1)}
-    service = BroadcastService(n)
-    client_steps: Dict[int, list] = {c: [] for c in range(1, n + 1)}
-    if record_snapshots:
-        for c, r in replicas.items():
-            client_steps[c].append(r.space.snapshot())
-    arrival: List[Oid] = []
-
-    for step in schedule.steps:
-        if isinstance(step, GenerateStep):
-            replica = replicas[step.cid]
-            if step.op.kind == "read":
-                value = replica.read()
-                rec.do(step.cid, OpRecord("read"), _value_tuple(value))
-                continue
-            o = _build_listop(replica, step.op, glyph_counter)
-            result = replica.generate(o)
-            op = result.message
-            rec.do(step.cid, _op_record_do(op.o, op.oid), _value_tuple(result.value))
-            msg_id = rec.next_msg_id()
-            vc = rec.send(step.cid, msg_id, BROADCAST)
-            service.submit(step.cid, msg_id, op, vc)
-            if record_snapshots:
-                client_steps[step.cid].append(replica.space.snapshot())
-        elif step.to == SERVER_ID:
-            arrival.append(service.commit_next(step.frm))
-        else:
-            msg_id, op, vc = service.deliver_next(step.to)
-            replica = replicas[step.to]
-            result = replica.deliver(op)
-            rec.receive(
-                step.to,
-                msg_id,
-                BROADCAST,
-                vc,
-                _op_record_applied(op.oid, result.applied.o),
-                _value_tuple(result.value),
-                tuple(o.token() for o in result.ot_seq),
-            )
-            if record_snapshots:
-                client_steps[step.to].append(replica.space.snapshot())
-
-    trace = Trace(
-        protocol="djupiter",
-        n_clients=n,
+        n_clients=schedule.n_clients,
         priority_rule=schedule.priority_rule.value,
         schedule_sha256=schedule_digest(schedule),
-        events=tuple(rec.events),
+        events=sim.events(),
         prng=schedule.prng,
     )
-    quiescent = all(not q for q in service.pending.values()) and all(
-        not _has_foreign_commit(service, c) for c in replicas
-    )
+    holders = {SERVER_ID: sim.hub} if protocol != "djupiter" else {}
+    holders.update(sim.clients)
     result = RunResult(
-        protocol="djupiter",
+        protocol=protocol,
         schedule=schedule,
         trace=trace,
-        final_values={c: _value_tuple(r.state) for c, r in replicas.items()},
-        arrival_log=tuple(arrival),
-        quiescent=quiescent,
+        final_values={rid: _value_tuple(r.state) for rid, r in holders.items()},
+        arrival_log=tuple(sim.hub.arrival_log),
+        quiescent=sim.quiescent(),
     )
-    result.css_final = {c: r.space.snapshot() for c, r in replicas.items()}
-    result.css_client_steps = {c: tuple(v) for c, v in client_steps.items()}
+    client_steps = {c: tuple(steps[c]) for c in sim.clients}
+    if protocol == "jupiter":
+        result.cscw_client_final = {c: cl.space.snapshot() for c, cl in sim.clients.items()}
+        result.cscw_server_final = {c: s.snapshot() for c, s in sim.hub.spaces.items()}
+        result.cscw_client_steps = client_steps
+    else:
+        result.css_final = {rid: space.snapshot() for rid, space in spaces.items()}
+        result.css_server_steps = tuple(steps.get(SERVER_ID, ()))
+        result.css_client_steps = client_steps
     return result
-
-
-def _has_foreign_commit(service: BroadcastService, rid: int) -> bool:
-    return any(
-        entry[1].oid.cid != rid for entry in service.committed[service.cursor[rid] :]
-    )
 
 
 # --------------------------------------------------------------------------
@@ -662,58 +524,35 @@ def random_schedule(
     A live replay tracks every client's actual list so deletion positions
     always target an existing element.
     """
-    if n_clients < 1:
-        raise ScheduleError("need at least one client")
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
+    sim = Simulation("cjupiter", n_clients, priority_rule)
     rng = random.Random(seed)
     steps: List[Step] = []
-    clients = {c: CJClient(c, priority_rule) for c in range(1, n_clients + 1)}
-    server = CJServer(n_clients)
-    up: Dict[int, collections.deque] = {c: collections.deque() for c in range(1, n_clients + 1)}
-    down: Dict[int, collections.deque] = {c: collections.deque() for c in range(1, n_clients + 1)}
     generated = 0
     glyphs = 0
-
-    def deliverables() -> List[Step]:
-        acts: List[Step] = []
-        for c in range(1, n_clients + 1):
-            if up[c]:
-                acts.append(DeliverStep(SERVER_ID, c))
-            if down[c]:
-                acts.append(DeliverStep(c, SERVER_ID))
-        return acts
-
     while True:
-        actions: List[object] = deliverables()
+        actions: List[object] = sim.enabled()
         if generated < n_updates:
             actions += ["generate", "generate"]
         if not actions:
             break
         if rng.random() < read_probability:
+            # Reads change no state, so they need not run here.
             steps.append(GenerateStep(rng.randint(1, n_clients), OpSpec("read")))
         act = rng.choice(actions)
         if act == "generate":
             cid = rng.randint(1, n_clients)
-            client = clients[cid]
-            length = len(client.state)
+            length = len(sim.clients[cid].state)
             if length > 0 and rng.random() < 0.4:
                 spec = OpSpec("del", pos=rng.randint(0, length - 1))
             else:
                 spec = OpSpec("ins", glyph=GLYPH_POOL[glyphs % len(GLYPH_POOL)], pos=rng.randint(0, length))
                 glyphs += 1
-            steps.append(GenerateStep(cid, spec))
-            op = _build_listop(client, spec, [0])
-            up[cid].append(client.do(op).message)
+            act = GenerateStep(cid, spec)
             generated += 1
-        else:
-            steps.append(act)
-            if act.to == SERVER_ID:
-                result = server.receive(up[act.frm].popleft())
-                for dst, payload in result.fanout:
-                    down[dst].append(payload)
-            else:
-                clients[act.to].receive(down[act.to].popleft())
+        steps.append(act)
+        sim.step(act, len(steps) - 1)
 
     for c in range(1, n_clients + 1):
         steps.append(GenerateStep(c, OpSpec("read")))

@@ -1,6 +1,11 @@
 """Tests for the specification and structural checkers."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +336,39 @@ class TestStructural:
         names = {v.check for v in verdicts}
         assert "server_union" not in names
         assert "client_subgraph" not in names
+
+
+class TestOptimizedInterpreter:
+    def test_verdicts_unchanged_under_dash_O(self):
+        # No verdict may rest on an assert, which python -O strips.
+        script = (
+            "import json\n"
+            "from otwb import checkers, simnet\n"
+            "out = []\n"
+            "scheds = [simnet.podc16_schedule()]\n"
+            "scheds += [simnet.random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(30)]\n"
+            "for sched in scheds:\n"
+            "    cj, j, dj = (simnet.run(p, sched) for p in simnet.PROTOCOLS)\n"
+            "    vs = checkers.check_structural(cj, j) + checkers.check_structural(dj)\n"
+            "    vs.append(checkers.check_equivalence(cj.trace, j.trace))\n"
+            "    for r in (cj, j, dj):\n"
+            "        A = checkers.build_abstract_execution(r.trace)\n"
+            "        vs += [checkers.check_convergence(A), checkers.check_weak_spec(A),\n"
+            "               checkers.check_strong_spec(A),\n"
+            "               checkers.check_pairwise_compatibility([e.value for e in A.H])]\n"
+            "    out.append([v.to_json_dict() for v in vs])\n"
+            "print(json.dumps(out, sort_keys=True))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(json.loads(proc.stdout))
+        assert outs[0] == outs[1]
+        strong = [v for v in outs[1][0] if v["check"] == "strong_spec"]
+        assert [v["satisfied"] for v in strong] == [False, False, False]

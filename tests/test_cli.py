@@ -3,7 +3,7 @@
 import json
 
 from otwb.cli import main
-from otwb.simnet import empty_schedule, schedule_to_json
+from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
 
 
 def invoke(argv, capsys):
@@ -76,6 +76,16 @@ class TestRun:
         verdicts = json.loads((out_dir / "verdicts.json").read_text())
         assert verdicts["format"] == 1
         assert (out_dir / "trace_cjupiter.json").exists()
+
+    def test_priority_spellings_agree_on_schedule_file(self, tmp_path, capsys):
+        path = tmp_path / "podc16.json"
+        path.write_text(schedule_to_json(podc16_schedule()))
+        base = ["run", "--schedule", str(path), "--check", "strong"]
+        joined = invoke(base + ["--priority=larger_wins"], capsys)
+        split = invoke(base + ["--priority", "larger_wins"], capsys)
+        assert joined == split
+        assert joined[0] == 0 and "strong_spec: OK" in joined[1]
+        assert invoke(base, capsys)[0] == 1  # the file's own smaller_wins
 
     def test_random_schedule_via_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("OTWB_SEED", "19")

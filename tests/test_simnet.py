@@ -12,6 +12,7 @@ from otwb.simnet import (
     OpSpec,
     Schedule,
     ScheduleError,
+    Simulation,
     check_fifo,
     empty_schedule,
     happens_before,
@@ -25,6 +26,8 @@ from otwb.simnet import (
     validate_schedule,
     vc_less,
 )
+
+PROTOCOLS = ("cjupiter", "jupiter", "djupiter")
 
 
 class TestRun:
@@ -166,6 +169,25 @@ class TestScheduleJson:
         with pytest.raises(ScheduleError):
             schedule_from_json("{nope")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"format":1,"n_clients":2,"steps":[{"type":"generate","cid":"1","op":{"kind":"read"}}]}',
+            '{"format":1,"n_clients":"2","steps":[]}',
+            '{"format":1,"n_clients":1,"steps":[{"type":"generate","cid":1,'
+            '"op":{"kind":"ins","glyph":"x","pos":"0"}}]}',
+            '{"format":1,"n_clients":1,"steps":[{"type":"generate","cid":1,'
+            '"op":{"kind":"ins","glyph":"x","pos":-3}}]}',
+            "[1, 2]",
+            '{"format":1,"n_clients":1,"steps":[7]}',
+            '{"format":1,"n_clients":1,"steps":[{"type":"deliver","to":5,"from":"c1"}]}',
+        ],
+        ids=["str-cid", "str-n_clients", "str-pos", "negative-pos", "array", "bare-step", "int-replica"],
+    )
+    def test_malformed_documents_rejected(self, doc):
+        with pytest.raises(ScheduleError):
+            schedule_from_json(doc)
+
 
 class TestHappensBefore:
     def test_same_replica_events_ordered(self, podc16_cj):
@@ -267,3 +289,46 @@ class TestTraceProperties:
         assert doc["format"] == 1
         assert doc["protocol"] == "cjupiter"
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == text
+
+
+class TestSimulation:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_rejects_overdrawn_channel(self, protocol):
+        steps = (
+            GenerateStep(1, OpSpec("ins", "x", 0)),
+            DeliverStep(0, 1),
+            DeliverStep(2, 0),
+            DeliverStep(2, 0),  # only one message went to c2
+        )
+        with pytest.raises(ScheduleError):
+            run(protocol, Schedule(2, steps))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_rejects_dangling_delivery(self, protocol):
+        with pytest.raises(ScheduleError):
+            run(protocol, Schedule(2, (DeliverStep(0, 1),)))
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            GenerateStep(1, OpSpec("ins", "x", -3)),
+            GenerateStep(1, OpSpec("del")),
+            GenerateStep(1, OpSpec("move", pos=0)),
+            GenerateStep(0, OpSpec("read")),
+            DeliverStep(1, 2),
+        ],
+    )
+    def test_run_rejects_malformed_step(self, step):
+        with pytest.raises(ScheduleError):
+            run("cjupiter", Schedule(2, (step,)))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_generated_deliveries_are_enabled(self, protocol):
+        for seed in (2, 11, 29):
+            sched = random_schedule(3, 8, seed)
+            sim = Simulation(protocol, sched.n_clients, sched.priority_rule)
+            for i, step in enumerate(sched.steps):
+                if isinstance(step, DeliverStep):
+                    assert step in sim.enabled()
+                sim.step(step, i)
+            assert sim.enabled() == [] and sim.quiescent()
