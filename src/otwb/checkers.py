@@ -9,6 +9,7 @@ either confirms a property or carries a minimal witness of its failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize
@@ -71,22 +72,32 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
         if e.kind == "do":
             H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
     vis = causal_pairs(H)
-    if __debug__:
-        _assert_visibility_axioms(H, vis)
+    _validate_visibility(H, vis)
     return AbstractExecution(tuple(H), frozenset(vis))
 
 
-def _assert_visibility_axioms(H: Sequence[DoEvent], vis: Set[Tuple[int, int]]) -> None:
-    for a in H:
-        for b in H:
-            if a.index < b.index and a.replica == b.replica:
-                assert (a.index, b.index) in vis, "per-replica order must be visible"
+def _validate_visibility(H: Sequence[DoEvent], vis: Set[Tuple[int, int]]) -> None:
+    """Raise ProtocolError unless vis respects history order, contains each
+    replica's program order and is transitive. pred[j] is the bitset of the
+    events that event j sees, so the cost is O(|vis| * |H| / word)."""
+    pred = [0] * len(H)
     for i, j in vis:
-        assert i < j, "visibility must respect history order"
-    for i, j in vis:
-        for j2, k in vis:
-            if j2 == j:
-                assert (i, k) in vis, "visibility must be transitive"
+        if i >= j:
+            raise ProtocolError("visibility must respect history order")
+        pred[j] |= 1 << i
+    last: Dict[int, int] = {}
+    for e in H:
+        prev = last.get(e.replica)
+        if prev is not None and not pred[e.index] >> prev & 1:
+            raise ProtocolError("per-replica order must be visible")
+        last[e.replica] = e.index
+    for p in pred:
+        w = p
+        while w:
+            low = w & -w
+            if pred[low.bit_length() - 1] & ~p:
+                raise ProtocolError("visibility must be transitive")
+            w ^= low
 
 
 def _visible_updates(A: AbstractExecution, e: DoEvent, include_self: bool) -> List[DoEvent]:
@@ -132,12 +143,14 @@ def build_list_order(A: AbstractExecution) -> ListOrder:
 
 
 def _shortest_cycle(pairs: Iterable[Tuple[Elem, Elem]]) -> Optional[List[Elem]]:
+    # Sorted, so that the witness does not depend on set iteration order
+    # (and with it on PYTHONHASHSEED).
     adj: Dict[Elem, List[Elem]] = {}
-    for a, b in pairs:
+    for a, b in sorted(pairs):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, [])
     best: Optional[List[Elem]] = None
-    for start in adj:
+    for start in sorted(adj):
         # BFS for the shortest path back to start
         frontier = [(start, [start])]
         seen = {start}
@@ -259,8 +272,12 @@ def check_strong_spec(A: AbstractExecution) -> Verdict:
 
 def check_pairwise_compatibility(states: Sequence[Value]) -> Verdict:
     """Every pair of list states must agree on the relative order of their
-    common elements."""
+    common elements. Decided by `_orders_conflict` in O(sum of lengths)
+    bitset operations; only a conflict runs the pair scan, which finds the
+    first witness."""
     states = list(states)
+    if not _orders_conflict(states):
+        return Verdict("pairwise_compatibility", True)
     for i in range(len(states)):
         pos1 = {e: k for k, e in enumerate(states[i])}
         for j in range(i + 1, len(states)):
@@ -279,6 +296,35 @@ def check_pairwise_compatibility(states: Sequence[Value]) -> Verdict:
                             },
                         )
     return Verdict("pairwise_compatibility", True)
+
+
+def _orders_conflict(states: Sequence[Value]) -> bool:
+    """Whether the union of the states' precedence relations holds some
+    pair in both directions, which two states must then disagree on. As in
+    the pair scan, an element repeated within a state counts at its last
+    position."""
+    ids: Dict[Elem, int] = {}
+    before: List[int] = []  # before[x]: bitset of elements some state lists before x
+    after: List[int] = []  # after[x]: bitset of elements some state lists after x
+    for s in states:
+        last = {e: k for k, e in enumerate(s)}
+        seq = []
+        for k, e in enumerate(s):
+            if last[e] == k:
+                x = ids.get(e)
+                if x is None:
+                    x = ids[e] = len(before)
+                    before.append(0)
+                    after.append(0)
+                seq.append(x)
+        seen = 0
+        for x in seq:
+            before[x] |= seen
+            seen |= 1 << x
+        for x in seq:
+            seen ^= 1 << x
+            after[x] |= seen
+    return any(b & a for b, a in zip(before, after))
 
 
 def check_equivalence(trace_a: Trace, trace_b: Trace) -> Verdict:
@@ -356,33 +402,34 @@ def _fmt_oids(oids: OidSet) -> List[str]:
 
 
 class _Graph:
-    """Bit-indexed view of a snapshot for ancestor computations."""
+    """Bit-indexed view of a snapshot for the two LCA lemmas."""
 
     def __init__(self, snap: CssSnapshot):
         self.keys = sorted(snap.vertices, key=lambda s: (len(s), sorted(s)))
-        self.idx = {k: i for i, k in enumerate(self.keys)}
-        self.children: List[List[int]] = [[] for _ in self.keys]
-        self.parents: List[List[int]] = [[] for _ in self.keys]
+        idx = {k: i for i, k in enumerate(self.keys)}
+        parents: List[List[int]] = [[] for _ in self.keys]
         for src, edges in snap.vertices.items():
             for e in edges:
-                self.children[self.idx[src]].append(self.idx[e.target])
-                self.parents[self.idx[e.target]].append(self.idx[src])
+                parents[idx[e.target]].append(idx[src])
         # reflexive ancestor masks, computed in |oids| order (parents first)
         self.anc = [0] * len(self.keys)
-        for i in range(len(self.keys)):
+        for i, ps in enumerate(parents):
             mask = 1 << i
-            for p in self.parents[i]:
+            for p in ps:
                 mask |= self.anc[p]
             self.anc[i] = mask
-        # strict-descendant masks: which vertices have i as a proper ancestor
-        self.strict_desc = [0] * len(self.keys)
-        for v in range(len(self.keys)):
-            m = self.anc[v] & ~(1 << v)
-            w = m
+
+    @cached_property
+    def strict_desc(self) -> List[int]:
+        """Which vertices have i as a proper ancestor."""
+        out = [0] * len(self.keys)
+        for v, m in enumerate(self.anc):
+            w = m & ~(1 << v)
             while w:
                 low = w & -w
-                self.strict_desc[low.bit_length() - 1] |= 1 << v
+                out[low.bit_length() - 1] |= 1 << v
                 w ^= low
+        return out
 
     def unique_lca(self, i: int, j: int) -> Tuple[Optional[int], int]:
         common = self.anc[i] & self.anc[j]
@@ -398,6 +445,44 @@ class _Graph:
             return lowest[0], len(lowest)
         return (None, len(lowest))
 
+    @cached_property
+    def open_pairs(self) -> List[Tuple[int, int, Optional[int], int]]:
+        """(i, j, *unique_lca(i, j)) for the pairs i < j, in order, whose
+        unique LCA is not shown to be the vertex c = keys[i] & keys[j].
+
+        If c exists and anc[c] == anc[i] & anc[j], then c is a common
+        ancestor and every common ancestor is an ancestor of c, so c is the
+        unique LCA; no pair of a correct run needs the scan. Oid sets are
+        compared as bitmasks."""
+        bit = {o: 1 << k for k, o in enumerate(set().union(*self.keys))}
+        masks = [sum(bit[o] for o in key) for key in self.keys]
+        at = {m: c for c, m in enumerate(masks)}
+        anc = self.anc
+        out = []
+        for i, (mi, ai) in enumerate(zip(masks, anc)):
+            for j in range(i + 1, len(masks)):
+                c = at.get(mi & masks[j])
+                if c is None or anc[c] != ai & anc[j]:
+                    out.append((i, j, *self.unique_lca(i, j)))
+        return out
+
+
+def _shared_graphs(snapshots: Dict[int, CssSnapshot]) -> Dict[int, _Graph]:
+    """One _Graph per replica. A graph depends only on the vertices and the
+    edges' endpoints, so replicas holding the same space (all of them, at
+    quiescence) share one graph and with it the pair scan."""
+    graphs: Dict[int, _Graph] = {}
+    by_shape: Dict[tuple, _Graph] = {}
+    for rid, snap in snapshots.items():
+        shape = (
+            frozenset(snap.vertices),
+            frozenset((src, e.target) for src, edges in snap.vertices.items() for e in edges),
+        )
+        if shape not in by_shape:
+            by_shape[shape] = _Graph(snap)
+        graphs[rid] = by_shape[shape]
+    return graphs
+
 
 def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = None) -> List[Verdict]:
     """Every structural lemma, checked literally against the recorded
@@ -405,14 +490,15 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     verdicts: List[Verdict] = []
     snapshots = dict(result.css_final)
     n = result.schedule.n_clients
+    graphs = _shared_graphs(snapshots)
 
     verdicts.append(_check_out_degree(snapshots, n))
     verdicts.append(_check_simple_path(snapshots))
     verdicts.append(_check_closure(snapshots))
     verdicts.append(_check_first_rule(result))
     verdicts.append(_check_ot_sequence(result))
-    verdicts.append(_check_unique_lca(snapshots))
-    verdicts.append(_check_disjoint_paths(snapshots))
+    verdicts.append(_check_unique_lca(graphs))
+    verdicts.append(_check_disjoint_paths(graphs))
     verdicts.append(_check_vertex_compatibility(snapshots))
     verdicts.append(_check_isomorphism(result))
     if jupiter_result is not None:
@@ -542,50 +628,46 @@ def _check_ot_sequence(result: RunResult) -> Verdict:
     return Verdict("ot_sequence", True)
 
 
-def _check_unique_lca(snapshots: Dict[int, CssSnapshot]) -> Verdict:
-    for rid, snap in sorted(snapshots.items()):
-        g = _Graph(snap)
-        for i in range(len(g.keys)):
-            for j in range(i + 1, len(g.keys)):
-                lca, count = g.unique_lca(i, j)
-                if lca is None:
-                    return Verdict(
-                        "unique_lca",
-                        False,
-                        {
-                            "replica": rid,
-                            "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
-                            "lca_count": count,
-                        },
-                    )
+def _check_unique_lca(graphs: Dict[int, _Graph]) -> Verdict:
+    for rid, g in sorted(graphs.items()):
+        for i, j, lca, count in g.open_pairs:
+            if lca is None:
+                return Verdict(
+                    "unique_lca",
+                    False,
+                    {
+                        "replica": rid,
+                        "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
+                        "lca_count": count,
+                    },
+                )
     return Verdict("unique_lca", True)
 
 
-def _check_disjoint_paths(snapshots: Dict[int, CssSnapshot]) -> Verdict:
+def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
     # Along any path the oids picked up are exactly the target-minus-source
-    # difference, so path disjointness reduces to set disjointness.
-    for rid, snap in sorted(snapshots.items()):
-        g = _Graph(snap)
-        for i in range(len(g.keys)):
-            for j in range(i + 1, len(g.keys)):
-                lca, _ = g.unique_lca(i, j)
-                if lca is None:
-                    continue  # reported by unique_lca
-                base = g.keys[lca]
-                left = g.keys[i] - base
-                right = g.keys[j] - base
-                overlap = left & right
-                if overlap:
-                    return Verdict(
-                        "disjoint_lca_paths",
-                        False,
-                        {
-                            "replica": rid,
-                            "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
-                            "lca": _fmt_oids(base),
-                            "overlap": _fmt_oids(overlap),
-                        },
-                    )
+    # difference, so path disjointness reduces to set disjointness. A pair
+    # whose LCA is a & b has disjoint differences, so only the open pairs
+    # can fail; on general graphs they can even when the LCA is unique.
+    for rid, g in sorted(graphs.items()):
+        for i, j, lca, _ in g.open_pairs:
+            if lca is None:
+                continue  # reported by unique_lca
+            base = g.keys[lca]
+            left = g.keys[i] - base
+            right = g.keys[j] - base
+            overlap = left & right
+            if overlap:
+                return Verdict(
+                    "disjoint_lca_paths",
+                    False,
+                    {
+                        "replica": rid,
+                        "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
+                        "lca": _fmt_oids(base),
+                        "overlap": _fmt_oids(overlap),
+                    },
+                )
     return Verdict("disjoint_lca_paths", True)
 
 

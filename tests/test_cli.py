@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from otwb.cli import main
 from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
@@ -226,3 +230,21 @@ class TestDeterminism:
         assert code1 == code2 == 0
         for name in ("trace_cjupiter.json", "trace_jupiter.json", "verdicts.json"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_strong_witness_independent_of_hash_seed(self):
+        # The podc16 cycle used to start at whichever element a frozenset
+        # yielded first, which varies with the string hash seed.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = "import sys; from otwb.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "run", "--schedule", "builtin:podc16",
+                 "--check", "strong", "--format", "json"],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])[0]["witness"]["elements"] == ["a", "b", "x"]
