@@ -8,9 +8,9 @@ either confirms a property or carries a minimal witness of its failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize
 from .jupiter_space import Snapshot2D
@@ -38,10 +38,29 @@ class DoEvent:
 
 @dataclass(frozen=True)
 class AbstractExecution:
-    """The do-event history H plus the visibility relation over it."""
+    """The do-event history H plus the visibility relation over it.
+
+    Derived from them, for the checkers: seen[j], the bitset of the events
+    that event j sees (bit i set when (i, j) is in vis), and updates, the
+    bitset of the list updates in H. An event's index is its position in H.
+    """
 
     H: Tuple[DoEvent, ...]
     vis: FrozenSet[Tuple[int, int]]
+    seen: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    updates: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.H)
+        if any(e.index != p for p, e in enumerate(self.H)):
+            raise ValueError("an event's index must be its position in H")
+        seen = [0] * n
+        for i, j in self.vis:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"visibility pair {(i, j)} outside H")
+            seen[j] |= 1 << i
+        object.__setattr__(self, "seen", tuple(seen))
+        object.__setattr__(self, "updates", sum(1 << e.index for e in self.H if e.is_update()))
 
 
 @dataclass(frozen=True)
@@ -71,50 +90,46 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
     for e in trace.events:
         if e.kind == "do":
             H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
-    vis = causal_pairs(H)
-    _validate_visibility(H, vis)
-    return AbstractExecution(tuple(H), frozenset(vis))
+    A = AbstractExecution(tuple(H), frozenset(causal_pairs(H)))
+    _validate_visibility(A)
+    return A
 
 
-def _validate_visibility(H: Sequence[DoEvent], vis: Set[Tuple[int, int]]) -> None:
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _validate_visibility(A: AbstractExecution) -> None:
     """Raise ProtocolError unless vis respects history order, contains each
-    replica's program order and is transitive. pred[j] is the bitset of the
-    events that event j sees, so the cost is O(|vis| * |H| / word)."""
-    pred = [0] * len(H)
-    for i, j in vis:
-        if i >= j:
-            raise ProtocolError("visibility must respect history order")
-        pred[j] |= 1 << i
+    replica's program order and is transitive. Reads the seen bitsets, so
+    the cost is O(|vis| * |H| / word)."""
+    seen = A.seen
+    if any(s >> j for j, s in enumerate(seen)):
+        raise ProtocolError("visibility must respect history order")
     last: Dict[int, int] = {}
-    for e in H:
+    for e in A.H:
         prev = last.get(e.replica)
-        if prev is not None and not pred[e.index] >> prev & 1:
+        if prev is not None and not seen[e.index] >> prev & 1:
             raise ProtocolError("per-replica order must be visible")
         last[e.replica] = e.index
-    for p in pred:
-        w = p
-        while w:
-            low = w & -w
-            if pred[low.bit_length() - 1] & ~p:
+    for s in seen:
+        for i in _bits(s):
+            if seen[i] & ~s:
                 raise ProtocolError("visibility must be transitive")
-            w ^= low
-
-
-def _visible_updates(A: AbstractExecution, e: DoEvent, include_self: bool) -> List[DoEvent]:
-    out = [u for u in A.H if u.is_update() and (u.index, e.index) in A.vis]
-    if include_self and e.is_update():
-        out.append(e)
-    return out
 
 
 def check_convergence(A: AbstractExecution) -> Verdict:
     """Reads that observe the same set of list updates must return the
-    same list."""
-    groups: Dict[FrozenSet[int], Tuple[DoEvent, Value]] = {}
+    same list. The key is the bitset of the updates a read sees."""
+    groups: Dict[int, Tuple[DoEvent, Value]] = {}
     for e in A.H:
         if e.op.kind != "read":
             continue
-        key = frozenset(u.index for u in _visible_updates(A, e, include_self=False))
+        key = A.seen[e.index] & A.updates
         if key in groups:
             first, value = groups[key]
             if value != e.value:
@@ -183,7 +198,7 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
     list order."""
     lo = build_list_order(A)
     for e in A.H:
-        visible = _visible_updates(A, e, include_self=True)
+        visible = [A.H[i] for i in _bits((A.seen[e.index] | 1 << e.index) & A.updates)]
         inserted = {u.op.element for u in visible if u.op.kind == "ins"}
         deleted = {u.op.element for u in visible if u.op.kind == "del"}
         expected = inserted - deleted
@@ -397,6 +412,17 @@ def _cscw_edge_set(snap: Snapshot2D) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
     return out
 
 
+# vertex -> its out-edges in order, as (oid, label, target)
+Shape = Dict[OidSet, Tuple[Tuple[Oid, Tuple, OidSet], ...]]
+
+
+def _shape(snap: CssSnapshot) -> Shape:
+    return {
+        key: tuple((e.op.oid, _sig(e.op.o), e.target) for e in edges)
+        for key, edges in snap.vertices.items()
+    }
+
+
 def _fmt_oids(oids: OidSet) -> List[str]:
     return [o.token() for o in sorted(oids)]
 
@@ -424,23 +450,13 @@ class _Graph:
         """Which vertices have i as a proper ancestor."""
         out = [0] * len(self.keys)
         for v, m in enumerate(self.anc):
-            w = m & ~(1 << v)
-            while w:
-                low = w & -w
-                out[low.bit_length() - 1] |= 1 << v
-                w ^= low
+            for a in _bits(m & ~(1 << v)):
+                out[a] |= 1 << v
         return out
 
     def unique_lca(self, i: int, j: int) -> Tuple[Optional[int], int]:
         common = self.anc[i] & self.anc[j]
-        lowest = []
-        w = common
-        while w:
-            low = w & -w
-            c = low.bit_length() - 1
-            if not (self.strict_desc[c] & common):
-                lowest.append(c)
-            w ^= low
+        lowest = [c for c in _bits(common) if not self.strict_desc[c] & common]
         if len(lowest) == 1:
             return lowest[0], len(lowest)
         return (None, len(lowest))
@@ -491,6 +507,7 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     snapshots = dict(result.css_final)
     n = result.schedule.n_clients
     graphs = _shared_graphs(snapshots)
+    shapes = {rid: _shape(snap) for rid, snap in snapshots.items()}
 
     verdicts.append(_check_out_degree(snapshots, n))
     verdicts.append(_check_simple_path(snapshots))
@@ -499,8 +516,8 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     verdicts.append(_check_ot_sequence(result))
     verdicts.append(_check_unique_lca(graphs))
     verdicts.append(_check_disjoint_paths(graphs))
-    verdicts.append(_check_vertex_compatibility(snapshots))
-    verdicts.append(_check_isomorphism(result))
+    verdicts.append(_check_vertex_compatibility(snapshots, shapes))
+    verdicts.append(_check_isomorphism(result, shapes))
     if jupiter_result is not None:
         verdicts.append(_check_server_union(result, jupiter_result))
         verdicts.append(_check_client_subgraph(result, jupiter_result))
@@ -671,8 +688,15 @@ def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
     return Verdict("disjoint_lca_paths", True)
 
 
-def _check_vertex_compatibility(snapshots: Dict[int, CssSnapshot]) -> Verdict:
+def _check_vertex_compatibility(snapshots: Dict[int, CssSnapshot], shapes: Dict[int, Shape]) -> Verdict:
+    # The verdict on a space depends only on its shape, so each distinct
+    # shape is checked once, at the first replica in id order that holds it.
+    checked = set()
     for rid, snap in sorted(snapshots.items()):
+        key = frozenset(shapes[rid].items())
+        if key in checked:
+            continue
+        checked.add(key)
         try:
             states = materialize(snap)
         except ProtocolError as exc:
@@ -693,19 +717,11 @@ def _check_vertex_compatibility(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     return Verdict("vertex_compatibility", True)
 
 
-def _check_isomorphism(result: RunResult) -> Verdict:
+def _check_isomorphism(result: RunResult, shapes: Dict[int, Shape]) -> Verdict:
     """At quiescence all spaces are the same graph with the same edge
     order and labels."""
     if not result.quiescent:
         return Verdict("space_isomorphism", True, {"vacuous": "run not quiescent"})
-
-    def shape(snap: CssSnapshot):
-        return {
-            key: tuple((e.op.oid, _sig(e.op.o), e.target) for e in edges)
-            for key, edges in snap.vertices.items()
-        }
-
-    shapes = {rid: shape(snap) for rid, snap in result.css_final.items()}
     rids = sorted(shapes)
     base = shapes[rids[0]]
     for rid in rids[1:]:

@@ -1,7 +1,9 @@
-"""The LCA and compatibility lemmas: their fast paths against literal
-oracles, and each lemma shown to fire on a hand-broken space."""
+"""The LCA and compatibility lemmas and the visibility bitsets: their fast
+paths against literal oracles, and each lemma shown to fire on a
+hand-broken space."""
 
 import copy
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,15 +11,20 @@ from hypothesis import strategies as st
 
 from otwb import checkers
 from otwb.checkers import (
+    AbstractExecution,
+    DoEvent,
     _check_disjoint_paths,
     _check_unique_lca,
     _shared_graphs,
     build_abstract_execution,
+    check_convergence,
     check_pairwise_compatibility,
     check_structural,
+    check_weak_spec,
 )
 from otwb.css_space import CssSnapshot, Oid, ProtocolError, ProtoOp, SnapEdge
 from otwb.ot_core import Element, ListOp, priority_of
+from otwb.simnet import OpRecord, causal_pairs, vc_less
 
 FAST = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -221,6 +228,24 @@ class TestLemmasFire:
             "elements": ["a@1:1", "b@2:1"],
         }
 
+    def test_vertex_compatibility_checks_each_distinct_space(self, podc16_cj, podc16_j):
+        # Replica 2's space differs from the others' only in one edge's
+        # label, which makes {1,2,3} replay to "bca" instead of "abc".
+        edges = chain((), (1,), (1, 2)) + chain((), (2,), (2, 3), (1, 2, 3))
+        ops = {oids(1, 2): ins(2, 1), oids(2, 3): ins(3, 1)}
+        good = snapshot(edges, {**ops, oids(1, 2, 3): ins(1, 0)})
+        bad = snapshot(edges, {**ops, oids(1, 2, 3): ins(1, 2)})
+        broken = copy.copy(podc16_cj)
+        broken.css_final = {0: good, 1: good, 2: bad}
+        verdict = {v.check: v for v in check_structural(broken, podc16_j)}["vertex_compatibility"]
+        assert verdict.witness == {
+            "replica": 2,
+            "lists": ["ab", "bca"],
+            "elements": ["a@1:1", "b@2:1"],
+        }
+        broken.css_final = {0: good, 1: good}
+        assert {v.check: v for v in check_structural(broken, podc16_j)}["vertex_compatibility"].satisfied
+
 
 # --------------------------------------------------------------------------
 # The visibility axioms are checked without assert.
@@ -250,3 +275,123 @@ class TestVisibilityAxioms:
         monkeypatch.setattr(checkers, "causal_pairs", lambda events: set())
         with pytest.raises(ProtocolError, match="per-replica"):
             build_abstract_execution(podc16_cj.trace)
+
+
+# --------------------------------------------------------------------------
+# Visibility bitsets against the literal pair scans they replace.
+
+Clocked = namedtuple("Clocked", "index vclock")
+
+
+@st.composite
+def clocked_events(draw):
+    """0-12 events of one clock width (1-4) with components 0-3, so that
+    ties and equal clocks occur, and indices that are not positions."""
+    width = draw(st.integers(1, 4))
+    clocks = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), max_size=12))
+    indices = draw(st.lists(st.integers(0, 99), min_size=len(clocks), max_size=len(clocks), unique=True))
+    return [Clocked(i, c) for i, c in zip(indices, clocks)]
+
+
+class TestCausalPairsMatchesOracle:
+    @FAST
+    @given(clocked_events())
+    def test_same_pairs_as_clock_scan(self, events):
+        want = {(a.index, b.index) for a in events for b in events if vc_less(a.vclock, b.vclock)}
+        assert causal_pairs(events) == want
+
+    def test_clocks_of_different_lengths_raise(self):
+        with pytest.raises(ProtocolError, match="different lengths"):
+            causal_pairs([Clocked(0, (1, 0)), Clocked(1, (1, 0, 0))])
+
+
+@st.composite
+def executions(draw):
+    """A hand-built AbstractExecution: random events, a random transitive
+    vis, and returned lists that are random, a permutation of the visible
+    elements, or those elements sorted (so that reads converge)."""
+    n = draw(st.integers(0, 10))
+    preds = [set() for _ in range(n)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25)):
+        if i < j < n:
+            preds[j].add(i)
+    for j in range(n):
+        for i in list(preds[j]):
+            preds[j] |= preds[i]
+    mode = draw(st.sampled_from(["sorted", "permuted", "random"]))
+    H = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["ins", "del", "read"]))
+        element = None if kind == "read" else draw(st.sampled_from(ELEMS))
+        pos = None if kind == "read" else draw(st.integers(0, 3))
+        op = OpRecord(kind, None if kind == "read" else f"{j}:1", element, pos)
+        ops = [H[i].op for i in preds[j]] + [op]
+        live = {o.element for o in ops if o.kind == "ins"} - {o.element for o in ops if o.kind == "del"}
+        if mode == "sorted":
+            value = tuple(sorted(live))
+        elif mode == "permuted":
+            value = tuple(draw(st.permutations(sorted(live))))
+        else:
+            value = tuple(draw(st.lists(st.sampled_from(ELEMS), max_size=4)))
+        H.append(DoEvent(j, draw(st.integers(1, 3)), op, value, ()))
+    return AbstractExecution(tuple(H), frozenset((i, j) for j in range(n) for i in preds[j]))
+
+
+def _visible(A, e):
+    return [u for u in A.H if u.is_update() and (u.index, e.index) in A.vis]
+
+
+def oracle_convergence(A):
+    groups = {}
+    for e in A.H:
+        if e.op.kind != "read":
+            continue
+        first = groups.setdefault(frozenset(u.index for u in _visible(A, e)), e)
+        if first.value != e.value:
+            return {"check": "convergence", "satisfied": False, "witness": {
+                "events": [first.index, e.index], "replicas": [first.replica, e.replica],
+                "lists": ["".join(x[0] for x in v) for v in (first.value, e.value)]}}
+    return {"check": "convergence", "satisfied": True}
+
+
+def oracle_weak_condition_1(A):
+    """The first failure of condition 1a or 1c, or None. Condition 2 does
+    not read vis, and the checker tests it only after every event passes
+    1a and 1c."""
+    for e in A.H:
+        visible = _visible(A, e) + ([e] if e.is_update() else [])
+        expected = ({u.op.element for u in visible if u.op.kind == "ins"}
+                    - {u.op.element for u in visible if u.op.kind == "del"})
+        got = set(e.value)
+        text = "".join(x[0] for x in e.value)
+        if got != expected:
+            return {"check": "weak_spec", "satisfied": False, "witness": {
+                "condition": "1a", "event": e.index, "replica": e.replica, "list": text,
+                "missing": sorted(map(str, expected - got)), "extra": sorted(map(str, got - expected))}}
+        if e.op.kind == "ins" and (not e.value or e.value[min(e.op.pos, len(e.value) - 1)] != e.op.element):
+            return {"check": "weak_spec", "satisfied": False, "witness": {
+                "condition": "1c", "event": e.index, "list": text}}
+    return None
+
+
+class TestVisibilityReadersMatchOracle:
+    @FAST
+    @given(executions())
+    def test_convergence_and_weak_spec(self, A):
+        assert check_convergence(A).to_json_dict() == oracle_convergence(A)
+        weak = check_weak_spec(A).to_json_dict()
+        want = oracle_weak_condition_1(A)
+        if want is None:
+            assert weak["satisfied"] or weak["witness"]["condition"] == "2"
+        else:
+            assert weak == want
+
+    @pytest.mark.parametrize(
+        "indices, vis",
+        [((0, 1), {(0, 2)}), ((0, 1), {(-1, 1)}), ((5, 7), {(5, 7)})],
+        ids=["pair-past-end", "negative-pair", "index-not-position"],
+    )
+    def test_malformed_execution_rejected(self, indices, vis):
+        H = tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in indices)
+        with pytest.raises(ValueError, match=" H"):
+            AbstractExecution(H, frozenset(vis))
