@@ -1,7 +1,8 @@
 """The 2D state space: every vertex carries at most one local and one
 global out-edge, and transformation walks follow a single dimension.
 
-Same single-owner contract as the n-ary space; checkers use snapshots.
+Same single-owner contract as the n-ary space; checkers use snapshots,
+which share unchanged vertices in the same way.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class StateSpace2D:
         self.root = root
         self.cur = root
         self.last_ot_sequence: Tuple[Oid, ...] = ()
+        # As in CssSpace: the last snapshot's vertices, and the vertices
+        # touched since, in the order they were first touched.
+        self._snap: Dict[OidSet, Tuple[Optional[SnapEdge2D], Optional[SnapEdge2D]]] = {}
+        self._touched: Dict[OidSet, Vertex2D] = {EMPTY_OIDS: root}
 
     def vertex(self, oids: OidSet) -> Optional[Vertex2D]:
         return self.vertices.get(oids)
@@ -84,6 +89,7 @@ class StateSpace2D:
             raise ProtocolError(f"vertex {sorted(o.token() for o in oids)} already exists")
         v = Vertex2D(oids)
         self.vertices[oids] = v
+        self._touched[oids] = v
         return v
 
     def locate(self, op: ProtoOp2D) -> Vertex2D:
@@ -105,6 +111,7 @@ class StateSpace2D:
             )
         v = self._new_vertex(u.oids | {op.oid})
         u.edges[d] = Edge2D(op, v)
+        self._touched[u.oids] = u
         return v
 
     def xform(self, op: ProtoOp2D, d: Dimension) -> ProtoOp2D:
@@ -125,10 +132,11 @@ class StateSpace2D:
             v2 = self._new_vertex(v.oids | {op2.oid})
             if v.edges[d] is not None:
                 raise ProtocolError("xform: square target edge already occupied")
-            v.edges[d] = Edge2D(op2_t, v2)
+            v.edges[d] = Edge2D(op2_t, v2)  # v was created in this walk, so it is touched
             if u2.edges[d.flip()] is not None:
                 raise ProtocolError("xform: square rung edge already occupied")
             u2.edges[d.flip()] = Edge2D(op_t, v2)
+            self._touched[u2.oids] = u2
             ot_seq.append(op2.oid)
             u, v, op = u2, v2, op_t
         self.cur = v
@@ -140,14 +148,18 @@ class StateSpace2D:
         self.cur = self.add(op, Dimension.GLOBAL, self.cur)
 
     def snapshot(self) -> Snapshot2D:
+        """Share the last snapshot's unchanged vertices, as CssSpace does."""
+
         def snap(e: Optional[Edge2D]) -> Optional[SnapEdge2D]:
             return None if e is None else SnapEdge2D(e.op, e.target.oids)
 
-        verts = {
-            oids: (snap(v.edges[Dimension.LOCAL]), snap(v.edges[Dimension.GLOBAL]))
-            for oids, v in self.vertices.items()
-        }
-        return Snapshot2D(cur=self.cur.oids, vertices=verts)
+        if self._touched:
+            verts = self._snap.copy()
+            for oids, v in self._touched.items():
+                verts[oids] = (snap(v.edges[Dimension.LOCAL]), snap(v.edges[Dimension.GLOBAL]))
+            self._snap = verts
+            self._touched = {}
+        return Snapshot2D(cur=self.cur.oids, vertices=self._snap)
 
 
 def materialize2d(snapshot: Snapshot2D) -> Dict[OidSet, ListState]:

@@ -185,9 +185,8 @@ class JServer:
                 continue
             self.spaces[c].append_global(applied)
             fanout.append((c, applied))
-        if __debug__:
-            curs = {s.cur.oids for s in self.spaces.values()}
-            assert len(curs) == 1, "per-client server spaces diverged"
+        if len({s.cur.oids for s in self.spaces.values()}) != 1:
+            raise ProtocolError("per-client server spaces diverged")
         return ServerRecvResult(value, applied, tuple(fanout), self.spaces[origin].last_ot_sequence)
 
     def read(self) -> ListValue:

@@ -329,6 +329,23 @@ class TestStructural:
         verdicts = {v.check: v for v in check_structural(broken, podc16_j)}
         assert not verdicts["first_rule"].satisfied
 
+    def test_step_lemmas_vacuous_without_snapshots(self, podc16_cj, podc16_j):
+        # Without step snapshots no step was checked, and the verdicts say so.
+        sched = podc16_cj.schedule
+        cj = run("cjupiter", sched, record_snapshots=False)
+        j = run("jupiter", sched, record_snapshots=False)
+        verdicts = {v.check: v for v in check_structural(cj, j)}
+        vacuous = {"vacuous": "no step snapshots recorded"}
+        for name in ("first_rule", "client_subgraph"):
+            assert verdicts[name].satisfied
+            assert verdicts[name].witness == vacuous
+        # Recorded runs and djupiter, which has no server steps, keep no marker.
+        recorded = {v.check: v for v in check_structural(podc16_cj, podc16_j)}
+        dj = run("djupiter", sched, record_snapshots=False)
+        unrecorded_dj = {v.check: v for v in check_structural(dj)}
+        for verdict in (recorded["first_rule"], recorded["client_subgraph"], unrecorded_dj["first_rule"]):
+            assert verdict.satisfied and verdict.witness is None
+
     def test_djupiter_bundle_passes_without_server_checks(self, podc16_dj):
         verdicts = check_structural(podc16_dj)
         for v in verdicts:
@@ -372,3 +389,31 @@ class TestOptimizedInterpreter:
         assert outs[0] == outs[1]
         strong = [v for v in outs[1][0] if v["check"] == "strong_spec"]
         assert [v["satisfied"] for v in strong] == [False, False, False]
+
+    def test_broken_replay_invariants_caught_under_dash_O(self):
+        # An edge order that is not antisymmetric, and a server whose
+        # per-client spaces stop agreeing, end in ProtocolError without
+        # asserts.
+        script = (
+            "from otwb import css_space, jupiter_space, simnet\n"
+            "from otwb.css_space import Ord, ProtocolError\n"
+            "def attempt(protocol):\n"
+            "    try:\n"
+            "        simnet.run(protocol, simnet.podc16_schedule())\n"
+            "    except ProtocolError as exc:\n"
+            "        return str(exc)\n"
+            "    return 'no error'\n"
+            "css_space.compare_ops = lambda op, op2, rid: Ord.LEFT\n"
+            "print(attempt('cjupiter'))\n"
+            "jupiter_space.StateSpace2D.append_global = lambda self, op: None\n"
+            "print(attempt('jupiter'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        edge_order, spaces = proc.stdout.splitlines()
+        assert "break a strict total order" in edge_order
+        assert spaces == "per-client server spaces diverged"

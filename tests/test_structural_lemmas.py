@@ -1,8 +1,9 @@
-"""The LCA and compatibility lemmas and the visibility bitsets: their fast
-paths against literal oracles, and each lemma shown to fire on a
-hand-broken space."""
+"""The LCA, compatibility and per-step lemmas, the visibility bitsets and
+the shared step snapshots: their fast paths against literal oracles, and
+each lemma shown to fire on a hand-broken space."""
 
 import copy
+import dataclasses
 from collections import namedtuple
 
 import pytest
@@ -13,7 +14,9 @@ from otwb import checkers
 from otwb.checkers import (
     AbstractExecution,
     DoEvent,
+    _check_client_subgraph,
     _check_disjoint_paths,
+    _check_first_rule,
     _check_unique_lca,
     _shared_graphs,
     build_abstract_execution,
@@ -22,9 +25,19 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, Oid, ProtocolError, ProtoOp, SnapEdge
+from otwb.css_space import CssSnapshot, CssSpace, Oid, ProtocolError, ProtoOp, SnapEdge
+from otwb.jupiter_space import Dimension, Snapshot2D, SnapEdge2D
 from otwb.ot_core import Element, ListOp, priority_of
-from otwb.simnet import OpRecord, causal_pairs, vc_less
+from otwb.simnet import (
+    PROTOCOLS,
+    OpRecord,
+    Simulation,
+    causal_pairs,
+    podc16_schedule,
+    random_schedule,
+    run,
+    vc_less,
+)
 
 FAST = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -395,3 +408,206 @@ class TestVisibilityReadersMatchOracle:
         H = tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in indices)
         with pytest.raises(ValueError, match=" H"):
             AbstractExecution(H, frozenset(vis))
+
+
+# --------------------------------------------------------------------------
+# The per-step lemmas against the literal scans they replace, on recorded
+# histories and on mutated ones.
+
+
+def oracle_first_rule(result):
+    arrivals = result.arrival_log
+    for k, snap in enumerate(result.css_server_steps):
+        seen = list(arrivals[:k])
+        for key in snap.vertices:
+            want = [o for o in seen if o not in key]
+            try:
+                got = [e.op.oid for e in snap.first_path(key)]
+            except ProtocolError as exc:
+                return {"check": "first_rule", "satisfied": False, "witness": {
+                    "step": k, "vertex": _fmt(key), "error": str(exc)}}
+            if got != want:
+                return {"check": "first_rule", "satisfied": False, "witness": {
+                    "step": k, "vertex": _fmt(key), "path": [o.token() for o in got],
+                    "expected": [o.token() for o in want]}}
+    return {"check": "first_rule", "satisfied": True}
+
+
+def _edge_tuple(src, e):
+    o = e.op.o
+    elem = None if o.element is None else (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
+    return (src, e.op.oid, e.target, (o.kind.value, elem, o.position))
+
+
+def oracle_client_subgraph(result, jresult):
+    for cid, steps2d in sorted(jresult.cscw_client_steps.items()):
+        steps_nary = result.css_client_steps.get(cid, ())
+        if len(steps2d) != len(steps_nary):
+            return {"check": "client_subgraph", "satisfied": False, "witness": {
+                "client": cid, "steps_2d": len(steps2d), "steps_nary": len(steps_nary)}}
+        for k, (snap2d, snap) in enumerate(zip(steps2d, steps_nary)):
+            if not set(snap2d.vertices) <= set(snap.vertices):
+                return {"check": "client_subgraph", "satisfied": False, "witness": {
+                    "client": cid, "step": k, "extra_vertices": [
+                        _fmt(v) for v in sorted(set(snap2d.vertices) - set(snap.vertices), key=sorted)]}}
+            edges2d = {_edge_tuple(s, e) for s, pair in snap2d.vertices.items() for e in pair if e is not None}
+            edges = {_edge_tuple(s, e) for s, es in snap.vertices.items() for e in es}
+            if edges2d - edges:
+                return {"check": "client_subgraph", "satisfied": False, "witness": {
+                    "client": cid, "step": k, "extra_edges": sorted(e[1].token() for e in edges2d - edges)}}
+    return {"check": "client_subgraph", "satisfied": True}
+
+
+def outcome(fn, *args):
+    """A checker's verdict as JSON, or the exception it raised."""
+    try:
+        verdict = fn(*args)
+    except (KeyError, ProtocolError) as exc:
+        return type(exc).__name__, str(exc)
+    return verdict if isinstance(verdict, dict) else verdict.to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """(cjupiter, jupiter) runs of podc16 and of small random schedules."""
+    scheds = [podc16_schedule()]
+    scheds += [random_schedule(1 + s % 4, 2 + s % 6, seed=s) for s in range(16)]
+    return [(run("cjupiter", s), run("jupiter", s)) for s in scheds]
+
+
+def _mutate_vertices(draw, snap, kind):
+    """A copy of snap's vertex dict with one vertex changed; the dict itself
+    may be shared with other snapshots, so it is not touched."""
+    out = dict(snap.vertices)
+    key = draw(st.sampled_from(list(out)))
+    edges = out[key]
+    if kind == "drop":
+        del out[key]
+    elif kind == "empty":
+        out[key] = (None, None) if isinstance(snap, Snapshot2D) else ()
+    elif kind == "swap" and len(edges) >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True)))
+        edges = list(edges)
+        edges[i], edges[j] = edges[j], edges[i]
+        out[key] = tuple(edges)
+    return out
+
+
+def _mutate_steps(draw, steps, donors):
+    """steps mutated at one step, or at each step from it onwards: two
+    edges of a vertex swapped, a vertex dropped or emptied, or cur moved;
+    or one step replaced by a snapshot from `donors` (other steps or
+    replicas)."""
+    steps = list(steps)
+    kind = draw(st.sampled_from(["swap", "drop", "empty", "cur", "splice"]))
+    k = draw(st.integers(0, len(steps) - 1))
+    if kind == "splice":
+        steps[k] = draw(st.sampled_from(donors))
+        return tuple(steps)
+    last = draw(st.sampled_from([k, len(steps) - 1]))
+    for at in range(k, last + 1):
+        snap = steps[at]
+        if kind == "cur":
+            snap = dataclasses.replace(snap, cur=draw(st.sampled_from(list(snap.vertices))))
+        else:
+            snap = dataclasses.replace(snap, vertices=_mutate_vertices(draw, snap, kind))
+        steps[at] = snap
+    return tuple(steps)
+
+
+class TestStepLemmasMatchOracle:
+    @FAST
+    @given(st.data())
+    def test_first_rule(self, recorded, data):
+        cj, _ = data.draw(st.sampled_from(recorded))
+        broken = copy.copy(cj)
+        arrivals = list(cj.arrival_log)
+        kind = data.draw(st.sampled_from(["steps", "swap_arrivals", "repeat_arrival"]))
+        if kind == "steps":
+            donors = list(cj.css_server_steps) + list(cj.css_final.values())
+            donors += [s for ss in cj.css_client_steps.values() for s in ss]
+            broken.css_server_steps = _mutate_steps(data.draw, cj.css_server_steps, donors)
+        elif arrivals:
+            i = data.draw(st.integers(0, len(arrivals) - 1))
+            j = data.draw(st.integers(0, len(arrivals) - 1))
+            if kind == "swap_arrivals":
+                arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
+            else:
+                arrivals[i] = arrivals[j]
+            broken.arrival_log = tuple(arrivals)
+        assert outcome(_check_first_rule, broken) == outcome(oracle_first_rule, broken)
+
+    @FAST
+    @given(st.data())
+    def test_client_subgraph(self, recorded, data):
+        cj, j = data.draw(st.sampled_from(recorded))
+        broken_cj, broken_j = copy.copy(cj), copy.copy(j)
+        if data.draw(st.booleans()):
+            side, history = broken_j, "cscw_client_steps"
+        else:
+            side, history = broken_cj, "css_client_steps"
+        per_client = dict(getattr(side, history))
+        cid = data.draw(st.sampled_from(sorted(per_client)))
+        donors = [s for ss in per_client.values() for s in ss]
+        per_client[cid] = _mutate_steps(data.draw, per_client[cid], donors)
+        setattr(side, history, per_client)
+        assert outcome(_check_client_subgraph, broken_cj, broken_j) == outcome(
+            oracle_client_subgraph, broken_cj, broken_j
+        )
+
+    def test_recorded_histories_pass(self, recorded):
+        for cj, j in recorded:
+            assert _check_first_rule(cj).to_json_dict() == oracle_first_rule(cj) == {
+                "check": "first_rule", "satisfied": True}
+            assert _check_client_subgraph(cj, j).to_json_dict() == oracle_client_subgraph(cj, j) == {
+                "check": "client_subgraph", "satisfied": True}
+
+
+# --------------------------------------------------------------------------
+# Shared step snapshots against a from-scratch rebuild.
+
+
+def rebuild(space):
+    """The vertex dict a snapshot of space must equal, built from scratch."""
+    if isinstance(space, CssSpace):
+        return {oids: tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
+                for oids, v in space.vertices.items()}
+    return {
+        oids: tuple(None if e is None else SnapEdge2D(e.op, e.target.oids)
+                    for e in (v.edges[Dimension.LOCAL], v.edges[Dimension.GLOBAL]))
+        for oids, v in space.vertices.items()
+    }
+
+
+class TestSnapshotSharing:
+    @FAST
+    @given(st.sampled_from(PROTOCOLS), st.integers(0, 199), st.integers(1, 3))
+    def test_snapshot_equals_rebuild_and_shares_the_rest(self, protocol, seed, stride):
+        sched = random_schedule(1 + seed % 4, 1 + (seed * 7) % 8, seed=seed)
+        sim = Simulation(protocol, sched.n_clients, sched.priority_rule)
+        spaces = [cl.space for cl in sim.clients.values()]
+        if protocol == "cjupiter":
+            spaces.append(sim.hub.space)
+        elif protocol == "jupiter":
+            spaces += list(sim.hub.spaces.values())
+        last = [None] * len(spaces)
+        taken = []  # (snapshot, its ordered items when taken)
+        for i, step in enumerate(sched.steps):
+            sim.step(step, i)
+            if i % stride:
+                continue
+            for s, space in enumerate(spaces):
+                snap = space.snapshot()
+                items = list(snap.vertices.items())
+                assert items == list(rebuild(space).items())
+                assert snap.cur == space.cur.oids
+                if last[s] is not None:
+                    # Every step that touches a vertex changes its edges, so
+                    # an unchanged vertex is one the steps did not touch.
+                    for key, edges in last[s].vertices.items():
+                        if snap.vertices[key] == edges:
+                            assert snap.vertices[key] is edges
+                last[s] = snap
+                taken.append((snap, items))
+        for snap, items in taken:
+            assert list(snap.vertices.items()) == items
