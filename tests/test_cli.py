@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from otwb.cli import main
 from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
@@ -208,6 +211,56 @@ class TestExportDot:
                 capsys,
             )
         assert (a / "server.dot").read_bytes() == (b / "server.dot").read_bytes()
+
+
+# sha256 over "name sha256" lines of every file `export-dot --steps` writes,
+# in the order it prints them, and of the `run --check all --format json`
+# output. Recorded before the 2D space became a policy of the n-ary space;
+# the bytes must not move when the code producing them does.
+GOLDEN = {
+    ("export-dot", "cjupiter", "podc16"):
+        "0ef89c5053a9819120d7ae93d2a052a4e0b2bd9dd55f8c96dae674a575bd4279",
+    ("export-dot", "jupiter", "podc16"):
+        "5211e317f9f685fbc2d22cc94e128546ae6436d79cafaead2c74ee5d7a2aa80f",
+    ("export-dot", "djupiter", "podc16"):
+        "73770f4f07e7344d2d72ded7b1c9182728548b8c0e54ba679d22598d1a671731",
+    ("export-dot", "cjupiter", "random"):
+        "b587957ef7bbd877a3b98f4a48876dd2ea89ef3fe66ea4bd8ff17b33920aa8f3",
+    ("export-dot", "jupiter", "random"):
+        "3dd46499286689f607dcc8c63469e70adfcb14c2d4c650e84ec7b2626c1ea678",
+    ("export-dot", "djupiter", "random"):
+        "308cd7fb1296cf8bc3b812a9263243d5701285d42fb66738b1af0bfd2ef3d8c8",
+    ("run", "cjupiter", "podc16"):
+        "e545579443f3bf3f4adcd1e79f33b3021a37db7ad62cdfcd53812aecd2c3e376",
+    ("run", "jupiter", "podc16"):
+        "e545579443f3bf3f4adcd1e79f33b3021a37db7ad62cdfcd53812aecd2c3e376",
+    ("run", "djupiter", "podc16"):
+        "3bcafd100005eaa43906ba5f1cc29cb8c79f1f128897bb1921ef2f9c9da2a3b5",
+}
+SCHEDULES = {
+    "podc16": ["--schedule", "builtin:podc16"],
+    "random": ["--schedule", "random", "--seed", "1", "--clients", "4", "--ops", "8"],
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command, protocol, schedule", sorted(GOLDEN))
+    def test_outputs_match_recorded_digest(self, command, protocol, schedule, tmp_path, capsys):
+        argv = [command, "--protocol", protocol, *SCHEDULES[schedule]]
+        if command == "run":
+            code, out, _ = invoke(argv + ["--check", "all", "--format", "json"], capsys)
+            assert code == 1  # the strong spec fails on podc16
+            digest = hashlib.sha256(out.encode()).hexdigest()
+        else:
+            code, out, _ = invoke(argv + ["--steps", "--out", str(tmp_path)], capsys)
+            assert code == 0
+            paths = [Path(line) for line in out.splitlines()]
+            assert sorted(paths) == sorted(tmp_path.iterdir())
+            h = hashlib.sha256()
+            for path in paths:
+                h.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+            digest = h.hexdigest()
+        assert digest == GOLDEN[command, protocol, schedule]
 
 
 class TestDeterminism:
