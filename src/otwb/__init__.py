@@ -21,7 +21,6 @@ from .checkers import (
     check_weak_spec,
 )
 from .css_space import CssSpace, Oid, ProtoOp, ProtocolError, compare_ops
-from .jupiter_space import Dimension, ProtoOp2D, StateSpace2D
 from .ot_core import (
     Element,
     ListOp,
@@ -56,7 +55,6 @@ __all__ = [
     "CJServer",
     "CssSpace",
     "DJReplica",
-    "Dimension",
     "Element",
     "JClient",
     "JServer",
@@ -67,13 +65,11 @@ __all__ = [
     "Priority",
     "PriorityRule",
     "ProtoOp",
-    "ProtoOp2D",
     "ProtocolError",
     "Schedule",
     "ScheduleError",
     "Sequencer",
     "Simulation",
-    "StateSpace2D",
     "Trace",
     "Verdict",
     "apply",

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize
-from .jupiter_space import Snapshot2D
+from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize, vertex_order
 from .simnet import OpRecord, RunResult, Trace, causal_pairs, vc_less
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
@@ -401,21 +400,12 @@ def _sig(op_record_like) -> Tuple:
     return (o.kind.value, elem, o.position)
 
 
-def _css_edge_set(snap: CssSnapshot) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
+def _edge_set(snap: CssSnapshot) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
     return {
         (src, e.op.oid, e.target, _sig(e.op.o))
         for src, edges in snap.vertices.items()
         for e in edges
     }
-
-
-def _cscw_edge_set(snap: Snapshot2D) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
-    out = set()
-    for src, pair in snap.vertices.items():
-        for e in pair:
-            if e is not None:
-                out.add((src, e.op.oid, e.target, _sig(e.op.o)))
-    return out
 
 
 # vertex -> its out-edges in order, as (oid, label, target)
@@ -437,12 +427,13 @@ class _Graph:
     """Bit-indexed view of a snapshot for the two LCA lemmas."""
 
     def __init__(self, snap: CssSnapshot):
-        self.keys = sorted(snap.vertices, key=lambda s: (len(s), sorted(s)))
+        self.keys = sorted(snap.vertices, key=vertex_order)
         idx = {k: i for i, k in enumerate(self.keys)}
         parents: List[List[int]] = [[] for _ in self.keys]
         for src, edges in snap.vertices.items():
             for e in edges:
-                parents[idx[e.target]].append(idx[src])
+                if e.target in idx:  # a dangling edge fails simple_path
+                    parents[idx[e.target]].append(idx[src])
         # reflexive ancestor masks, computed in |oids| order (parents first)
         self.anc = [0] * len(self.keys)
         for i, ps in enumerate(parents):
@@ -489,38 +480,22 @@ class _Graph:
         return out
 
 
-def _shared_graphs(snapshots: Dict[int, CssSnapshot]) -> Dict[int, _Graph]:
-    """One _Graph per replica. A graph depends only on the vertices and the
-    edges' endpoints, so replicas holding the same space (all of them, at
-    quiescence) share one graph and with it the pair scan."""
-    graphs: Dict[int, _Graph] = {}
-    by_shape: Dict[tuple, _Graph] = {}
-    for rid, snap in snapshots.items():
-        shape = (
-            frozenset(snap.vertices),
-            frozenset((src, e.target) for src, edges in snap.vertices.items() for e in edges),
-        )
-        if shape not in by_shape:
-            by_shape[shape] = _Graph(snap)
-        graphs[rid] = by_shape[shape]
-    return graphs
-
-
 def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = None) -> List[Verdict]:
     """Every structural lemma, checked literally against the recorded
     graphs and the server arrival log. Returns one verdict per lemma."""
     verdicts: List[Verdict] = []
     snapshots = dict(result.css_final)
     n = result.schedule.n_clients
-    graphs = _shared_graphs(snapshots)
     shapes = {rid: _shape(snap) for rid, snap in snapshots.items()}
     # The lemmas that read only a space's shape give replicas with the same
     # shape the same verdict, and report the first failing replica in id
-    # order; so they check only the first replica holding each shape.
+    # order; so they check only the first replica holding each shape (at
+    # quiescence, one replica in all).
     first_holder: Dict[frozenset, int] = {}
     for rid in sorted(shapes):
         first_holder.setdefault(frozenset(shapes[rid].items()), rid)
     distinct = {rid: snapshots[rid] for rid in sorted(first_holder.values())}
+    graphs = {rid: _Graph(snap) for rid, snap in distinct.items()}
 
     verdicts.append(_check_out_degree(distinct, n))
     verdicts.append(_check_simple_path(snapshots))
@@ -551,11 +526,13 @@ def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
 
 def _check_simple_path(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     # The edge/vertex matching constraints force oids to grow by exactly
-    # the edge label along every edge, so no path can repeat an oid.
+    # the edge label along every edge, so no path can repeat an oid. An
+    # edge must also end at a vertex of the snapshot.
     for rid, snap in sorted(snapshots.items()):
         for src, edges in snap.vertices.items():
             for e in edges:
-                if e.op.oid in src or e.target != src | {e.op.oid} or e.op.ctx != src:
+                target_ok = e.target == src | {e.op.oid} and e.target in snap.vertices
+                if e.op.oid in src or not target_ok or e.op.ctx != src:
                     return Verdict(
                         "simple_path",
                         False,
@@ -587,11 +564,12 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                 }
                 if target_oids not in snap.vertices:
                     return Verdict("css_closure", False, {**witness, "missing": "vertex"})
+                # A child that is not a vertex has no edge to close with.
                 via_first = [
-                    e for e in snap.vertices[first.target] if e.op.oid == other.op.oid
+                    e for e in snap.vertices.get(first.target, ()) if e.op.oid == other.op.oid
                 ]
                 via_other = [
-                    e for e in snap.vertices[other.target] if e.op.oid == first.op.oid
+                    e for e in snap.vertices.get(other.target, ()) if e.op.oid == first.op.oid
                 ]
                 if not any(e.target == target_oids for e in via_first):
                     return Verdict("css_closure", False, {**witness, "missing": "edge from first child"})
@@ -759,7 +737,7 @@ def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
             )
         values = [
             tuple((e.glyph, e.origin_cid, e.origin_seq) for e in states[k])
-            for k in sorted(states, key=lambda s: (len(s), sorted(s)))
+            for k in sorted(states, key=vertex_order)
         ]
         verdict = check_pairwise_compatibility(values)
         if not verdict.satisfied:
@@ -804,9 +782,9 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
     union_edges: Set[Tuple[OidSet, Oid, OidSet, Tuple]] = set()
     for snap in jupiter_result.cscw_server_final.values():
         union_vertices |= set(snap.vertices)
-        union_edges |= _cscw_edge_set(snap)
+        union_edges |= _edge_set(snap)
     css_vertices = set(css.vertices)
-    css_edges = _css_edge_set(css)
+    css_edges = _edge_set(css)
     if union_vertices != css_vertices or union_edges != css_edges:
         return Verdict(
             "server_union",
@@ -857,16 +835,15 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                     },
                 )
             extra = set()
-            for src, pair in v2d.items():
+            for src, edges2d in v2d.items():
                 edges = v_nary[src]
-                if pair is prev2d.get(src) and edges is prev_nary.get(src):
+                if edges2d is prev2d.get(src) and edges is prev_nary.get(src):
                     continue
                 nary = {(e.op.oid, e.target, _sig(e.op.o)) for e in edges}
-                for e in pair:
-                    if e is not None:
-                        edge = (e.op.oid, e.target, _sig(e.op.o))
-                        if edge not in nary:
-                            extra.add((src, *edge))
+                for e in edges2d:
+                    edge = (e.op.oid, e.target, _sig(e.op.o))
+                    if edge not in nary:
+                        extra.add((src, *edge))
             if extra:
                 return Verdict(
                     "client_subgraph",

@@ -213,25 +213,19 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         path.write_text(text)
         written.append(path)
 
-    if args.protocol in ("cjupiter", "djupiter"):
-        for rid, snap in sorted(res.css_final.items()):
-            name = "server" if rid == 0 else f"c{rid}"
-            emit(name, dot.css_to_dot(snap, title=f"{args.protocol} {name}"))
-        if args.steps:
-            for rid, snaps in sorted(res.css_client_steps.items()):
-                for k, snap in enumerate(snaps):
-                    emit(f"c{rid}_step{k}", dot.css_to_dot(snap, title=f"c{rid} step {k}"))
-            for k, snap in enumerate(res.css_server_steps):
-                emit(f"server_step{k}", dot.css_to_dot(snap, title=f"server step {k}"))
-    else:
-        for cid, snap in sorted(res.cscw_client_final.items()):
-            emit(f"c{cid}", dot.cscw_to_dot(snap, title=f"jupiter c{cid}"))
-        for cid, snap in sorted(res.cscw_server_final.items()):
-            emit(f"server_c{cid}", dot.cscw_to_dot(snap, title=f"jupiter server space for c{cid}"))
-        if args.steps:
-            for cid, snaps in sorted(res.cscw_client_steps.items()):
-                for k, snap in enumerate(snaps):
-                    emit(f"c{cid}_step{k}", dot.cscw_to_dot(snap, title=f"c{cid} step {k}"))
+    # Each protocol fills only its own RunResult fields.
+    finals = [("server" if rid == 0 else f"c{rid}", snap) for rid, snap in sorted(res.css_final.items())]
+    finals += [(f"c{cid}", snap) for cid, snap in sorted(res.cscw_client_final.items())]
+    for name, snap in finals:
+        emit(name, dot.css_to_dot(snap, title=f"{args.protocol} {name}"))
+    for cid, snap in sorted(res.cscw_server_final.items()):
+        emit(f"server_c{cid}", dot.css_to_dot(snap, title=f"jupiter server space for c{cid}"))
+    if args.steps:
+        for rid, snaps in sorted({**res.css_client_steps, **res.cscw_client_steps}.items()):
+            for k, snap in enumerate(snaps):
+                emit(f"c{rid}_step{k}", dot.css_to_dot(snap, title=f"c{rid} step {k}"))
+        for k, snap in enumerate(res.css_server_steps):
+            emit(f"server_step{k}", dot.css_to_dot(snap, title=f"server step {k}"))
     for path in written:
         print(path)
     return 0

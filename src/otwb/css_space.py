@@ -1,6 +1,11 @@
-"""The n-ary ordered state space: a rooted DAG of list states whose edges
-are labeled with contextualized operations and kept totally ordered by the
-server serialization order.
+"""The ordered state space: a rooted DAG of list states whose edges are
+labeled with contextualized operations, kept in order at every vertex.
+
+One class serves both protocols; they differ only in the edge-order
+policy. The n-ary space (CJupiter) orders each vertex's edges by the
+server serialization order. The 2D space (Jupiter) is the n-ary space
+restricted to at most two edges per vertex, one on each side: the owner's
+own operations and everyone else's.
 
 A space is single-owner mutable: it is driven by exactly one replica state
 machine. Checkers work on immutable snapshots taken via snapshot(); each
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
 
@@ -44,7 +49,7 @@ class ProtoOp:
     ctx holds the oids causally before the operation (it always equals the
     oids of the vertex the operation was generated at or transformed to);
     sctx holds the oids the server had executed before it, stamped by the
-    server, and stays empty on locally generated copies.
+    server, and stays empty on locally generated copies and under jupiter.
     """
 
     o: ListOp
@@ -124,18 +129,25 @@ class SnapEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class CssSnapshot:
-    """Immutable copy of a space: per-vertex ordered edge tuples."""
+    """Immutable copy of a space: per-vertex ordered edge tuples, and the
+    policy that ordered them."""
 
     rid: int
     cur: OidSet
     vertices: Dict[OidSet, Tuple[SnapEdge, ...]]
+    two_d: bool = False
 
     def first_path(self, start: OidSet) -> List[SnapEdge]:
         """Edges along repeated first-edge hops from start to cur."""
         path: List[SnapEdge] = []
         at = start
         while at != self.cur:
-            edges = self.vertices[at]
+            edges = self.vertices.get(at)
+            if edges is None:
+                raise ProtocolError(
+                    f"first-edge path from {sorted(o.token() for o in start)} reaches "
+                    f"{sorted(o.token() for o in at)}, which is not a vertex"
+                )
             if not edges:
                 raise ProtocolError(f"first-edge path from {sorted(start)} stalled before cur")
             path.append(edges[0])
@@ -145,11 +157,26 @@ class CssSnapshot:
         return path
 
 
-class CssSpace:
-    """The mutable n-ary ordered state space owned by replica rid."""
+def vertex_order(oids: OidSet) -> Tuple[int, List[Oid]]:
+    """Sort key of vertices: by size, then by sorted oids, so that every
+    vertex comes after its parents."""
+    return len(oids), sorted(oids)
 
-    def __init__(self, rid: int):
+
+class CssSpace:
+    """The mutable ordered state space owned by replica rid.
+
+    Under the n-ary policy compare_ops places each edge, and a walk
+    follows the first edge. Under the 2D policy (two_d) a vertex holds at
+    most one edge of rid's own operations (local), first, and one of
+    everyone else's (global), and a walk follows the edge on the other
+    side from the incoming operation. A jupiter client's space is owned by its client
+    id; the server keeps one space per client, owned by that client's id.
+    """
+
+    def __init__(self, rid: int, two_d: bool = False):
         self.rid = rid
+        self.two_d = two_d
         root = CssVertex(EMPTY_OIDS)
         self.vertices: Dict[OidSet, CssVertex] = {EMPTY_OIDS: root}
         self.root = root
@@ -159,9 +186,6 @@ class CssSpace:
         # given an edge since, in the order they were first touched.
         self._snap: Dict[OidSet, Tuple[SnapEdge, ...]] = {}
         self._touched: Dict[OidSet, CssVertex] = {EMPTY_OIDS: root}
-
-    def vertex(self, oids: OidSet) -> Optional[CssVertex]:
-        return self.vertices.get(oids)
 
     def _new_vertex(self, oids: OidSet) -> CssVertex:
         if oids in self.vertices:
@@ -186,35 +210,50 @@ class CssSpace:
         return v
 
     def link(self, u: CssVertex, v: CssVertex, op: ProtoOp) -> None:
-        """Insert the edge (op, v) into u's ordered edge set.
+        """Insert the edge (op, v) into u's ordered edge set, where the
+        policy puts it.
 
         Idempotent when an edge with the same oid is already present.
         """
         if op.ctx != u.oids:
             raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
-        if v.oids != u.oids | {op.oid}:
+        # op.oid is not in op.ctx (ProtoOp checks that), so v extends u by
+        # op.oid exactly when it is one larger, holds op.oid and contains
+        # u. Unlike comparing with u.oids | {op.oid}, this builds no set.
+        if len(v.oids) != len(u.oids) + 1 or op.oid not in v.oids or not u.oids < v.oids:
             raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
         for e in u.edges:
             if e.op.oid == op.oid:
                 if e.target is not v:
                     raise ProtocolError(f"link: {op.oid.token()} already linked to a different vertex")
                 return
-        # compare_ops must be a strict total order on every co-existing edge
-        # set, and that is not proved, so it is checked. Only the pairs with
-        # the new edge need it: every other pair was checked when the later
-        # of its two edges came, compare_ops is pure, and an insert keeps
-        # the order of the others. The new edge goes before the first edge
-        # it orders LEFT of, and must order RIGHT of every edge before it.
-        at = None
-        for i, e in enumerate(u.edges):
-            order = compare_ops(op, e.op, self.rid)
-            if compare_ops(e.op, op, self.rid) is order or (order is Ord.RIGHT and at is not None):
-                raise ProtocolError(
-                    f"edge order at replica {self.rid}: {op.oid.token()} and "
-                    f"{e.op.oid.token()} break a strict total order"
-                )
-            if order is Ord.LEFT and at is None:
-                at = i
+        if self.two_d:
+            own = op.oid.cid == self.rid
+            for e in u.edges:
+                if (e.op.oid.cid == self.rid) is own:
+                    raise ProtocolError(
+                        f"link: {'local' if own else 'global'} edge already occupied at "
+                        f"{sorted(o.token() for o in u.oids)}"
+                    )
+            at = 0 if own else None
+        else:
+            # compare_ops must be a strict total order on every co-existing
+            # edge set, and that is not proved, so it is checked. Only the
+            # pairs with the new edge need it: every other pair was checked
+            # when the later of its two edges came, compare_ops is pure, and
+            # an insert keeps the order of the others. The new edge goes
+            # before the first edge it orders LEFT of, and must order RIGHT
+            # of every edge before it.
+            at = None
+            for i, e in enumerate(u.edges):
+                order = compare_ops(op, e.op, self.rid)
+                if compare_ops(e.op, op, self.rid) is order or (order is Ord.RIGHT and at is not None):
+                    raise ProtocolError(
+                        f"edge order at replica {self.rid}: {op.oid.token()} and "
+                        f"{e.op.oid.token()} break a strict total order"
+                    )
+                if order is Ord.LEFT and at is None:
+                    at = i
         u.edges.insert(len(u.edges) if at is None else at, CssEdge(op, v))
         self._touched[u.oids] = u
 
@@ -223,9 +262,22 @@ class CssSpace:
             raise ProtocolError("first_edge on a final vertex")
         return v.edges[0]
 
+    def _walk_edge(self, u: CssVertex, op: ProtoOp) -> CssEdge:
+        """The edge out of u that an xform walk of op follows."""
+        if not self.two_d:
+            return self.first_edge(u)
+        own = op.oid.cid == self.rid
+        for e in u.edges:
+            if (e.op.oid.cid == self.rid) is not own:
+                return e
+        raise ProtocolError(
+            f"xform: no {'global' if own else 'local'} edge at {sorted(o.token() for o in u.oids)}"
+        )
+
     def xform(self, op: ProtoOp) -> ProtoOp:
-        """Transform op along the first-edge path from its context vertex to
-        cur, materializing every intermediate OT square, and advance cur.
+        """Transform op along the path the policy walks from its context
+        vertex to cur, materializing every intermediate OT square, and
+        advance cur.
 
         The sequence of oids transformed against is kept in
         last_ot_sequence for the structural checkers.
@@ -234,7 +286,7 @@ class CssSpace:
         v = self._new_vertex(u.oids | {op.oid})
         ot_seq: List[Oid] = []
         while u.oids != self.cur.oids:
-            e = self.first_edge(u)
+            e = self._walk_edge(u, op)
             u2, op2 = e.target, e.op
             op_t = ProtoOp(transform(op.o, op2.o), op.oid, op.ctx | {op2.oid}, op.sctx)
             op2_t = ProtoOp(transform(op2.o, op.o), op2.oid, op2.ctx | {op.oid}, op2.sctx)
@@ -248,25 +300,14 @@ class CssSpace:
         self.last_ot_sequence = tuple(ot_seq)
         return op
 
-    def append_local(self, op: ProtoOp) -> None:
-        """Extend cur with a locally generated op (ctx must equal cur.oids)."""
+    def append(self, op: ProtoOp) -> None:
+        """Extend cur with an op generated or transformed to cur (its ctx
+        must equal cur.oids)."""
         if op.ctx != self.cur.oids:
-            raise ProtocolError(f"local op {op.oid.token()} not generated at cur")
+            raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
         v = self._new_vertex(self.cur.oids | {op.oid})
         self.link(self.cur, v, op)
         self.cur = v
-
-    def first_path_ops(self, v: CssVertex) -> List[ProtoOp]:
-        """Operation labels along repeated first-edge hops from v to cur."""
-        ops: List[ProtoOp] = []
-        at = v
-        while at.oids != self.cur.oids:
-            e = self.first_edge(at)
-            ops.append(e.op)
-            at = e.target
-            if len(ops) > len(self.vertices):
-                raise ProtocolError("first-edge path does not terminate")
-        return ops
 
     def snapshot(self) -> CssSnapshot:
         """Copy the last snapshot's vertex dict and rebuild only the edge
@@ -280,7 +321,7 @@ class CssSpace:
                 verts[oids] = tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
             self._snap = verts
             self._touched = {}
-        return CssSnapshot(rid=self.rid, cur=self.cur.oids, vertices=self._snap)
+        return CssSnapshot(rid=self.rid, cur=self.cur.oids, vertices=self._snap, two_d=self.two_d)
 
 
 def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
@@ -294,7 +335,7 @@ def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
     for src, edges in snapshot.vertices.items():
         for e in edges:
             in_edges.setdefault(e.target, []).append((src, e.op))
-    for oids in sorted(snapshot.vertices, key=lambda s: (len(s), sorted(s))):
+    for oids in sorted(snapshot.vertices, key=vertex_order):
         if oids == EMPTY_OIDS:
             continue
         candidates = []

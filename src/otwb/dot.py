@@ -1,16 +1,15 @@
 """Graphviz DOT rendering of state-space snapshots.
 
 Nodes show the sorted oids plus the materialized list; out-edges keep
-their order (the first edge is drawn leftmost). 2D snapshots draw local
-edges solid and global edges dashed.
+their order (the first edge is drawn leftmost). 2D snapshots draw the
+owner's own (local) edges solid and the others' (global) edges dashed.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from .css_space import CssSnapshot, OidSet, materialize
-from .jupiter_space import Snapshot2D, materialize2d
+from .css_space import CssSnapshot, OidSet, materialize, vertex_order
 from .ot_core import to_text
 
 
@@ -29,12 +28,12 @@ def _node_label(oids: OidSet, text: str) -> str:
 
 def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
     states = materialize(snapshot)
-    lines: List[str] = ["digraph css {"]
+    lines: List[str] = ["digraph cscw {" if snapshot.two_d else "digraph css {"]
     if title:
         lines.append(f"  label={_quote(title)};")
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')
-    keys = sorted(snapshot.vertices, key=lambda s: (len(s), sorted(s)))
+    keys = sorted(snapshot.vertices, key=vertex_order)
     for key in keys:
         attrs = f"label={_quote(_node_label(key, to_text(states[key])))}, ordering=out"
         if key == snapshot.cur:
@@ -42,39 +41,13 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
         lines.append(f"  {_node_name(key)} [{attrs}];")
     for key in keys:
         for rank, e in enumerate(snapshot.vertices[key]):
-            label = _quote(e.op.label())
+            if snapshot.two_d:
+                attr = "style=solid" if e.op.oid.cid == snapshot.rid else "style=dashed"
+            else:
+                attr = f"taillabel={_quote(str(rank))}"
             lines.append(
                 f"  {_node_name(key)} -> {_node_name(e.target)} "
-                f"[label={label}, taillabel={_quote(str(rank))}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def cscw_to_dot(snapshot: Snapshot2D, title: str = "") -> str:
-    states = materialize2d(snapshot)
-    lines: List[str] = ["digraph cscw {"]
-    if title:
-        lines.append(f"  label={_quote(title)};")
-    lines.append("  rankdir=TB;")
-    lines.append('  node [shape=box, fontname="monospace"];')
-    keys = sorted(snapshot.vertices, key=lambda s: (len(s), sorted(s)))
-    for key in keys:
-        attrs = f"label={_quote(_node_label(key, to_text(states[key])))}, ordering=out"
-        if key == snapshot.cur:
-            attrs += ", style=bold"
-        lines.append(f"  {_node_name(key)} [{attrs}];")
-    for key in keys:
-        local, global_ = snapshot.vertices[key]
-        if local is not None:
-            lines.append(
-                f"  {_node_name(key)} -> {_node_name(local.target)} "
-                f"[label={_quote(local.op.label())}, style=solid];"
-            )
-        if global_ is not None:
-            lines.append(
-                f"  {_node_name(key)} -> {_node_name(global_.target)} "
-                f"[label={_quote(global_.op.label())}, style=dashed];"
+                f"[label={_quote(e.op.label())}, {attr}];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

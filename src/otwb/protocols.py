@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .css_space import EMPTY_OIDS, CssSpace, Oid, OidSet, ProtoOp, ProtocolError
-from .jupiter_space import Dimension, ProtoOp2D, StateSpace2D
 from .ot_core import (
     Element,
     ListOp,
@@ -28,19 +27,19 @@ SERVER_ID = 0
 
 class DoResult(NamedTuple):
     value: ListValue
-    message: object  # ProtoOp or ProtoOp2D, addressed to the server
+    message: ProtoOp  # addressed to the server
 
 
 class RecvResult(NamedTuple):
     value: ListValue
-    applied: object  # the fully transformed operation that was executed
+    applied: ProtoOp  # the fully transformed operation that was executed
     ot_seq: Tuple[Oid, ...]
 
 
 class ServerRecvResult(NamedTuple):
     value: Optional[ListValue]  # None at a replica that keeps no list
-    applied: object
-    fanout: Tuple[Tuple[int, object], ...]  # (destination cid, message)
+    applied: ProtoOp
+    fanout: Tuple[Tuple[int, ProtoOp], ...]  # (destination cid, message)
     ot_seq: Tuple[Oid, ...]
 
 
@@ -91,14 +90,19 @@ class _ClientBase:
 
 
 class CJClient(_ClientBase):
+    """A client over its n-ary space; the jupiter client is the same over
+    a 2D space."""
+
+    two_d = False
+
     def __init__(self, cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
         super().__init__(cid, rule)
-        self.space = CssSpace(rid=cid)
+        self.space = CssSpace(rid=cid, two_d=self.two_d)
 
     def do(self, o: ListOp) -> DoResult:
         o, oid, value = self._generate(o)
         op = ProtoOp(o, oid, ctx=self.space.cur.oids, sctx=EMPTY_OIDS)
-        self.space.append_local(op)
+        self.space.append(op)
         return DoResult(value, op)
 
     def receive(self, op: ProtoOp) -> RecvResult:
@@ -146,44 +150,32 @@ class CJServer(Sequencer):
         return self.state
 
 
-class JClient(_ClientBase):
-    def __init__(self, cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
-        super().__init__(cid, rule)
-        self.space = StateSpace2D()
-
-    def do(self, o: ListOp) -> DoResult:
-        o, oid, value = self._generate(o)
-        op = ProtoOp2D(o, oid, ctx=self.space.cur.oids)
-        self.space.cur = self.space.add(op, Dimension.LOCAL, self.space.cur)
-        return DoResult(value, op)
-
-    def receive(self, op: ProtoOp2D) -> RecvResult:
-        applied = self.space.xform(op, Dimension.LOCAL)
-        self.state, value = apply(self.state, applied.o)
-        return RecvResult(value, applied, self.space.last_ot_sequence)
+class JClient(CJClient):
+    two_d = True
 
 
 class JServer:
-    """Keeps one 2D space per client and forwards transformed operations."""
+    """Keeps one 2D space per client, owned by that client's id, and
+    forwards transformed operations."""
 
     def __init__(self, n_clients: int):
         self.n_clients = n_clients
         self.state: ListState = ()
         self.arrival_log: List[Oid] = []
-        self.spaces: Dict[int, StateSpace2D] = {
-            c: StateSpace2D() for c in range(1, n_clients + 1)
+        self.spaces: Dict[int, CssSpace] = {
+            c: CssSpace(rid=c, two_d=True) for c in range(1, n_clients + 1)
         }
 
-    def receive(self, op: ProtoOp2D) -> ServerRecvResult:
+    def receive(self, op: ProtoOp) -> ServerRecvResult:
         origin = op.oid.cid
         self.arrival_log.append(op.oid)
-        applied = self.spaces[origin].xform(op, Dimension.GLOBAL)
+        applied = self.spaces[origin].xform(op)
         self.state, value = apply(self.state, applied.o)
         fanout = []
         for c in range(1, self.n_clients + 1):
             if c == origin:
                 continue
-            self.spaces[c].append_global(applied)
+            self.spaces[c].append(applied)
             fanout.append((c, applied))
         if len({s.cur.oids for s in self.spaces.values()}) != 1:
             raise ProtocolError("per-client server spaces diverged")

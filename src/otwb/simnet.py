@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, ProtocolError
-from .jupiter_space import Snapshot2D
 from .ot_core import ListOp, ListState, PriorityRule
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 
@@ -337,10 +336,10 @@ class RunResult:
     css_final: Dict[int, CssSnapshot] = field(default_factory=dict)
     css_server_steps: Tuple[CssSnapshot, ...] = ()
     css_client_steps: Dict[int, Tuple[CssSnapshot, ...]] = field(default_factory=dict)
-    # jupiter artifacts
-    cscw_client_final: Dict[int, Snapshot2D] = field(default_factory=dict)
-    cscw_server_final: Dict[int, Snapshot2D] = field(default_factory=dict)
-    cscw_client_steps: Dict[int, Tuple[Snapshot2D, ...]] = field(default_factory=dict)
+    # jupiter artifacts: 2D snapshots
+    cscw_client_final: Dict[int, CssSnapshot] = field(default_factory=dict)
+    cscw_server_final: Dict[int, CssSnapshot] = field(default_factory=dict)
+    cscw_client_steps: Dict[int, Tuple[CssSnapshot, ...]] = field(default_factory=dict)
 
 
 class Simulation:

@@ -1,0 +1,30 @@
+"""The benchmark's correctness gate on the `wide` workload, run by the test
+suite: every verdict right, and the trace JSON bytes and verdict flags of
+all 100 schedules equal to the recorded digest. perfbench/ is only
+imported, never changed, and the digest is never re-recorded here."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def verify(monkeypatch):
+    # perfbench's modules import each other as top-level modules. No
+    # bytecode is written, so that the tests leave perfbench/ as it was.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import verify
+
+    return verify
+
+
+def test_wide_offset_0_matches_recorded_digest(verify):
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    result = verify.run_pass(verify.generate(verify.WORKLOADS["wide"], 0, seed=0))
+    assert result.failures == {}
+    assert result.digest == expected["wide"]["0"]

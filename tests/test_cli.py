@@ -215,8 +215,8 @@ class TestExportDot:
 
 # sha256 over "name sha256" lines of every file `export-dot --steps` writes,
 # in the order it prints them, and of the `run --check all --format json`
-# output. Recorded before the 2D space became a policy of the n-ary space;
-# the bytes must not move when the code producing them does.
+# output. They pin the output bytes while the code producing them changes;
+# only a deliberate change of the output may re-record them.
 GOLDEN = {
     ("export-dot", "cjupiter", "podc16"):
         "0ef89c5053a9819120d7ae93d2a052a4e0b2bd9dd55f8c96dae674a575bd4279",

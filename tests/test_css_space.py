@@ -129,7 +129,7 @@ class TestLink:
     def test_first_link_makes_one_edge(self):
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
-        s.append_local(o)
+        s.append(o)
         assert len(s.root.edges) == 1
         assert s.cur.oids == frozenset({Oid(1, 1)})
 
@@ -143,7 +143,7 @@ class TestLink:
     def test_double_link_is_idempotent(self):
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
-        s.append_local(o)
+        s.append(o)
         u, v = s.root, s.cur
         s.link(u, v, o)
         assert len(u.edges) == 1
@@ -161,7 +161,7 @@ class TestFirstEdgeAndPath:
     def test_single_edge_vertex(self):
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
-        s.append_local(o)
+        s.append(o)
         assert s.first_edge(s.root).op.oid == Oid(1, 1)
 
     def test_final_vertex_has_no_first_edge(self):
@@ -171,14 +171,14 @@ class TestFirstEdgeAndPath:
 
     def test_server_first_paths_follow_arrival_order(self):
         server, _, _ = replay_podc16()
-        v1 = server.space.vertex(frozenset({O1}))
-        assert [p.oid for p in server.space.first_path_ops(v1)] == [O2, O3, O4]
-        v13 = server.space.vertex(frozenset({O1, O3}))
-        assert [p.oid for p in server.space.first_path_ops(v13)] == [O2, O4]
+        snap = server.space.snapshot()
+        assert [e.op.oid for e in snap.first_path(frozenset({O1}))] == [O2, O3, O4]
+        assert [e.op.oid for e in snap.first_path(frozenset({O1, O3}))] == [O2, O4]
 
     def test_path_from_cur_is_empty(self):
         server, _, _ = replay_podc16()
-        assert server.space.first_path_ops(server.space.cur) == []
+        snap = server.space.snapshot()
+        assert snap.first_path(snap.cur) == []
 
 
 class TestXform:
@@ -198,7 +198,7 @@ class TestXform:
         assert result.applied.o.sig() == "Del(x,0)"
         assert result.applied.ctx == frozenset({O1, O4})
         assert to_text(c3.state) == "b"
-        assert c3.space.vertex(frozenset({O1, O2, O4})) is not None
+        assert frozenset({O1, O2, O4}) in c3.space.vertices
 
     def test_op_at_cur_passes_through_unchanged(self):
         c1 = CJClient(1)

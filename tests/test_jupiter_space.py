@@ -1,10 +1,9 @@
-"""Tests for the 2D state space."""
+"""Tests for the 2D state space: the ordered space under the 2D policy."""
 
 import pytest
 
 from conftest import O1, O2, O3, O4
-from otwb.css_space import Oid, ProtocolError
-from otwb.jupiter_space import Dimension, ProtoOp2D, StateSpace2D, materialize2d
+from otwb.css_space import CssSpace, CssVertex, Oid, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import JClient, JServer
 
@@ -14,7 +13,7 @@ def ins(glyph, pos, cid, seq):
 
 
 def op2d(o, oid, ctx=()):
-    return ProtoOp2D(o, oid, frozenset(ctx))
+    return ProtoOp(o, oid, frozenset(ctx))
 
 
 def replay_podc16_jupiter():
@@ -40,33 +39,48 @@ def replay_podc16_jupiter():
     return server, c, fwd
 
 
+def all_snapshots(server, clients):
+    return [s.snapshot() for s in server.spaces.values()] + [
+        c.space.snapshot() for c in clients.values()
+    ]
+
+
 class TestAdd:
     def test_add_to_root_along_local(self):
-        s = StateSpace2D()
-        v = s.add(op2d(ins("x", 0, 1, 1), Oid(1, 1)), Dimension.LOCAL, s.root)
+        s = CssSpace(rid=1, two_d=True)
+        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
-        assert s.root.edges[Dimension.LOCAL].target is v
-        assert s.root.edges[Dimension.GLOBAL] is None
+        assert [(e.op.oid, e.target) for e in s.root.edges] == [(Oid(1, 1), s.cur)]
+        # An edge of another client's op goes after the owner's own.
+        g = op2d(ins("y", 0, 2, 1), Oid(2, 1))
+        s.link(s.root, CssVertex(frozenset({Oid(2, 1)})), g)
+        assert [e.op.oid for e in s.root.edges] == [Oid(1, 1), Oid(2, 1)]
 
     def test_mismatched_context_rejected(self):
-        s = StateSpace2D()
+        s = CssSpace(rid=1, two_d=True)
         bad = op2d(ins("x", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)})
         with pytest.raises(ProtocolError):
-            s.add(bad, Dimension.LOCAL, s.root)
+            s.append(bad)
+        with pytest.raises(ProtocolError):
+            s.link(s.root, CssVertex(frozenset({Oid(1, 1), Oid(1, 2)})), bad)
 
     def test_occupied_dimension_rejected(self):
-        s = StateSpace2D()
-        s.add(op2d(ins("x", 0, 1, 1), Oid(1, 1)), Dimension.GLOBAL, s.root)
-        with pytest.raises(ProtocolError):
-            s.add(op2d(ins("y", 0, 2, 1), Oid(2, 1)), Dimension.GLOBAL, s.root)
+        # Two ops of client 1 (local to owner 1) or of clients 1 and 2
+        # (both global to owner 3) compete for one slot at the root.
+        for owner, second, side in ((1, Oid(1, 2), "local"), (3, Oid(2, 1), "global")):
+            s = CssSpace(rid=owner, two_d=True)
+            s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+            with pytest.raises(ProtocolError, match=f"{side} edge already occupied"):
+                s.link(s.root, CssVertex(frozenset({second})), op2d(ins("y", 0, *second), second))
 
     def test_server_saves_transformed_op_along_global(self):
         server, _, fwd = replay_podc16_jupiter()
         # The forwarded o3 carries the server-transformed context {o1,o2}.
         assert fwd[3].ctx == frozenset({O1, O2})
         snap3 = server.spaces[3].snapshot()
-        local, global_ = snap3.vertices[frozenset({O1, O2})]
-        assert global_ is not None and global_.op.oid == O3
+        # o4 is c3's own op, so its edge is the local one and comes first.
+        assert [e.op.oid for e in snap3.vertices[frozenset({O1, O2})]] == [O4, O3]
+        assert snap3.rid == 3 and snap3.two_d
 
 
 class TestXform2D:
@@ -93,51 +107,54 @@ class TestXform2D:
         assert fwd[3].ctx == frozenset({O1, O2})
 
     def test_missing_dimension_edge_is_integrity_error(self):
-        s = StateSpace2D()
-        s.cur = s.add(op2d(ins("x", 0, 1, 1), Oid(1, 1)), Dimension.LOCAL, s.root)
-        # Incoming op located at root must walk GLOBAL edges, none exist.
-        incoming = op2d(ins("y", 0, 2, 1), Oid(2, 1))
-        with pytest.raises(ProtocolError):
-            s.xform(incoming, Dimension.GLOBAL)
+        s = CssSpace(rid=1, two_d=True)
+        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+        # An own op located at the root must walk global edges; none exist.
+        incoming = op2d(ins("y", 0, 1, 2), Oid(1, 2))
+        with pytest.raises(ProtocolError, match="no global edge"):
+            s.xform(incoming)
+
+    def test_occupied_square_edge_is_integrity_error(self):
+        # cur already holds a global edge, so the square that a remote op's
+        # walk closes at cur has no free slot for its rung.
+        s = CssSpace(rid=1, two_d=True)
+        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+        g = op2d(ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
+        s.link(s.cur, CssVertex(frozenset({Oid(1, 1), Oid(2, 1)})), g)
+        with pytest.raises(ProtocolError, match="global edge already occupied"):
+            s.xform(op2d(ins("z", 0, 3, 1), Oid(3, 1)))
 
 
 class TestStructure:
     def test_at_most_one_edge_per_dimension(self):
+        # At most one own (local) edge, first, and one global edge.
         server, clients, _ = replay_podc16_jupiter()
-        snaps = [s.snapshot() for s in server.spaces.values()]
-        snaps += [c.space.snapshot() for c in clients.values()]
-        for snap in snaps:
-            for local, global_ in snap.vertices.values():
-                assert local is None or local.op is not None
-                assert global_ is None or global_.op is not None
+        for snap in all_snapshots(server, clients):
+            assert snap.two_d
+            for edges in snap.vertices.values():
+                sides = [e.op.oid.cid == snap.rid for e in edges]
+                assert sides in ([], [True], [False], [True, False])
 
     def test_square_closure(self):
         # Wherever both dimensions leave a vertex, the transformed square
         # must be materialized.
         server, clients, _ = replay_podc16_jupiter()
-        snaps = [s.snapshot() for s in server.spaces.values()]
-        snaps += [c.space.snapshot() for c in clients.values()]
-        for snap in snaps:
-            for src, (local, global_) in snap.vertices.items():
-                if local is None or global_ is None:
+        for snap in all_snapshots(server, clients):
+            for src, edges in snap.vertices.items():
+                if len(edges) < 2:
                     continue
+                local, global_ = edges
                 corner = src | {local.op.oid, global_.op.oid}
                 assert corner in snap.vertices
                 via_local = snap.vertices[local.target]
                 via_global = snap.vertices[global_.target]
-                assert any(
-                    e is not None and e.op.oid == global_.op.oid and e.target == corner
-                    for e in via_local
-                )
-                assert any(
-                    e is not None and e.op.oid == local.op.oid and e.target == corner
-                    for e in via_global
-                )
+                assert any(e.op.oid == global_.op.oid and e.target == corner for e in via_local)
+                assert any(e.op.oid == local.op.oid and e.target == corner for e in via_global)
 
     def test_materialized_lists_match_figure(self):
         _, clients, _ = replay_podc16_jupiter()
         snap = clients[3].space.snapshot()
-        states = {k: to_text(v) for k, v in materialize2d(snap).items()}
+        states = {k: to_text(v) for k, v in materialize(snap).items()}
         assert states[frozenset({O1, O4})] == "xb"
         assert states[frozenset({O1, O2, O4})] == "b"
         assert states[frozenset({O1, O2, O3, O4})] == "ba"

@@ -162,7 +162,7 @@ class TestJupiter:
 
     def test_client_receive_with_ctx_at_cur_needs_no_ot(self):
         c1 = JClient(1)
-        r = c1.receive(ProtoOp2D_like := remote_ins2d("x", 0, 2, 1))
+        r = c1.receive(remote_ins("x", 0, 2, 1))
         assert r.ot_seq == ()
 
     def test_golden_run_matches_cjupiter(self, podc16_cj, podc16_j):
@@ -176,16 +176,6 @@ class TestJupiter:
             return out
 
         assert seqs(podc16_cj) == seqs(podc16_j)
-
-
-def remote_ins2d(glyph, pos, cid, seq, ctx=()):
-    from otwb.jupiter_space import ProtoOp2D
-
-    return ProtoOp2D(
-        ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid)),
-        Oid(cid, seq),
-        frozenset(ctx),
-    )
 
 
 class TestDJupiter:

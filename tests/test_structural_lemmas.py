@@ -15,18 +15,14 @@ from otwb.checkers import (
     AbstractExecution,
     DoEvent,
     _check_client_subgraph,
-    _check_disjoint_paths,
     _check_first_rule,
-    _check_unique_lca,
-    _shared_graphs,
     build_abstract_execution,
     check_convergence,
     check_pairwise_compatibility,
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, CssSpace, Oid, ProtocolError, ProtoOp, SnapEdge
-from otwb.jupiter_space import Dimension, Snapshot2D, SnapEdge2D
+from otwb.css_space import CssSnapshot, Oid, ProtocolError, ProtoOp, SnapEdge
 from otwb.ot_core import Element, ListOp, priority_of
 from otwb.simnet import (
     PROTOCOLS,
@@ -173,11 +169,15 @@ class TestLcaFastPathsMatchOracle:
     @FAST
     @given(oid_dags(), st.one_of(st.none(), oid_dags()))
     @example(snapshot(DISJOINT_COUNTEREXAMPLE), None)
-    def test_unique_lca_and_disjoint_paths(self, snap, other):
+    def test_unique_lca_and_disjoint_paths(self, podc16_cj, snap, other):
+        # Through check_structural, so that the grouping of replicas by
+        # space is checked with the lemmas.
         snaps = {0: snap} if other is None else {0: snap, 2: other}
-        graphs = _shared_graphs(snaps)
-        assert _check_unique_lca(graphs).to_json_dict() == oracle_unique_lca(snaps)
-        assert _check_disjoint_paths(graphs).to_json_dict() == oracle_disjoint_paths(snaps)
+        broken = copy.copy(podc16_cj)
+        broken.css_final = snaps
+        verdicts = {v.check: v.to_json_dict() for v in check_structural(broken)}
+        assert verdicts["unique_lca"] == oracle_unique_lca(snaps)
+        assert verdicts["disjoint_lca_paths"] == oracle_disjoint_paths(snaps)
 
 
 ELEMS = [(g, c, 1) for g, c in zip("abcde", range(1, 6))]
@@ -258,6 +258,62 @@ class TestLemmasFire:
         }
         broken.css_final = {0: good, 1: good}
         assert {v.check: v for v in check_structural(broken, podc16_j)}["vertex_compatibility"].satisfied
+
+
+class TestDanglingEdge:
+    """An edge whose target is not a vertex of its snapshot ends in failing
+    verdicts with witnesses, never in KeyError."""
+
+    DROP = frozenset({Oid(1, 1)})
+
+    @staticmethod
+    def without(snap, key):
+        vertices = dict(snap.vertices)
+        del vertices[key]
+        return dataclasses.replace(snap, vertices=vertices)
+
+    def test_vertex_dropped_from_final_server_space(self, podc16_cj, podc16_j):
+        broken = copy.copy(podc16_cj)
+        broken.css_final = {**podc16_cj.css_final, 0: self.without(podc16_cj.css_final[0], self.DROP)}
+        failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
+        assert failed == {
+            "simple_path": {"replica": 0, "vertex": [], "edge": "1:1", "target": ["1:1"]},
+            "unique_lca": {"replica": 0, "vertices": [[], ["1:1", "1:2"]], "lca_count": 0},
+            "vertex_compatibility": {"replica": 0, "error": "vertex ['1:1', '1:2'] unreachable from root"},
+            "space_isomorphism": {"replicas": [0, 1], "only_first": [], "only_second": [["1:1"]]},
+            "server_union": {
+                "vertices_only_union": [["1:1"]],
+                "vertices_only_css": [],
+                "edges_only_union": ["1:2", "2:1", "3:1"],
+                "edges_only_css": [],
+            },
+        }
+
+    def test_first_child_dropped_from_final_server_space(self, podc16_cj, podc16_j):
+        # {1:1} has three edges; the first one's target is the square corner
+        # that css_closure looks for the sibling edges at.
+        snap = self.without(podc16_cj.css_final[0], frozenset({Oid(1, 1), Oid(1, 2)}))
+        broken = copy.copy(podc16_cj)
+        broken.css_final = {**podc16_cj.css_final, 0: snap}
+        failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
+        assert failed["simple_path"] == {
+            "replica": 0, "vertex": ["1:1"], "edge": "1:2", "target": ["1:1", "1:2"]}
+        assert failed["css_closure"] == {
+            "replica": 0, "vertex": ["1:1"], "first": "1:2", "sibling": "2:1",
+            "missing": "edge from first child"}
+        assert set(failed) == {
+            "simple_path", "css_closure", "disjoint_lca_paths", "space_isomorphism", "server_union"}
+
+    def test_vertex_dropped_from_last_server_step(self, podc16_cj, podc16_j):
+        broken = copy.copy(podc16_cj)
+        steps = podc16_cj.css_server_steps
+        broken.css_server_steps = (*steps[:-1], self.without(steps[-1], self.DROP))
+        failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
+        assert failed == {"first_rule": {
+            "step": len(steps) - 1,
+            "vertex": [],
+            "error": "first-edge path from [] reaches ['1:1'], which is not a vertex",
+        }}
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +506,7 @@ def oracle_client_subgraph(result, jresult):
                 return {"check": "client_subgraph", "satisfied": False, "witness": {
                     "client": cid, "step": k, "extra_vertices": [
                         _fmt(v) for v in sorted(set(snap2d.vertices) - set(snap.vertices), key=sorted)]}}
-            edges2d = {_edge_tuple(s, e) for s, pair in snap2d.vertices.items() for e in pair if e is not None}
+            edges2d = {_edge_tuple(s, e) for s, es in snap2d.vertices.items() for e in es}
             edges = {_edge_tuple(s, e) for s, es in snap.vertices.items() for e in es}
             if edges2d - edges:
                 return {"check": "client_subgraph", "satisfied": False, "witness": {
@@ -462,7 +518,7 @@ def outcome(fn, *args):
     """A checker's verdict as JSON, or the exception it raised."""
     try:
         verdict = fn(*args)
-    except (KeyError, ProtocolError) as exc:
+    except ProtocolError as exc:
         return type(exc).__name__, str(exc)
     return verdict if isinstance(verdict, dict) else verdict.to_json_dict()
 
@@ -484,7 +540,7 @@ def _mutate_vertices(draw, snap, kind):
     if kind == "drop":
         del out[key]
     elif kind == "empty":
-        out[key] = (None, None) if isinstance(snap, Snapshot2D) else ()
+        out[key] = ()
     elif kind == "swap" and len(edges) >= 2:
         i, j = sorted(draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True)))
         edges = list(edges)
@@ -569,14 +625,8 @@ class TestStepLemmasMatchOracle:
 
 def rebuild(space):
     """The vertex dict a snapshot of space must equal, built from scratch."""
-    if isinstance(space, CssSpace):
-        return {oids: tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
-                for oids, v in space.vertices.items()}
-    return {
-        oids: tuple(None if e is None else SnapEdge2D(e.op, e.target.oids)
-                    for e in (v.edges[Dimension.LOCAL], v.edges[Dimension.GLOBAL]))
-        for oids, v in space.vertices.items()
-    }
+    return {oids: tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
+            for oids, v in space.vertices.items()}
 
 
 class TestSnapshotSharing:
@@ -600,7 +650,7 @@ class TestSnapshotSharing:
                 snap = space.snapshot()
                 items = list(snap.vertices.items())
                 assert items == list(rebuild(space).items())
-                assert snap.cur == space.cur.oids
+                assert (snap.cur, snap.rid, snap.two_d) == (space.cur.oids, space.rid, space.two_d)
                 if last[s] is not None:
                     # Every step that touches a vertex changes its edges, so
                     # an unchanged vertex is one the steps did not touch.
