@@ -151,6 +151,8 @@ class CJServer(Sequencer):
 
 
 class JClient(CJClient):
+    """A jupiter client: the same steps over a 2D space."""
+
     two_d = True
 
 
