@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, materialize, vertex_order
+from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, fmt_oids, materialize, vertex_order
 from .simnet import OpRecord, RunResult, Trace, causal_pairs, vc_less
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
@@ -419,10 +419,6 @@ def _shape(snap: CssSnapshot) -> Shape:
     }
 
 
-def _fmt_oids(oids: OidSet) -> List[str]:
-    return [o.token() for o in sorted(oids)]
-
-
 class _Graph:
     """Bit-indexed view of a snapshot for the two LCA lemmas."""
 
@@ -519,7 +515,7 @@ def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
                 return Verdict(
                     "nary_out_degree",
                     False,
-                    {"replica": rid, "vertex": _fmt_oids(key), "out_degree": len(edges)},
+                    {"replica": rid, "vertex": fmt_oids(key), "out_degree": len(edges)},
                 )
     return Verdict("nary_out_degree", True)
 
@@ -538,9 +534,9 @@ def _check_simple_path(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                         False,
                         {
                             "replica": rid,
-                            "vertex": _fmt_oids(src),
+                            "vertex": fmt_oids(src),
                             "edge": e.op.oid.token(),
-                            "target": _fmt_oids(e.target),
+                            "target": fmt_oids(e.target),
                         },
                     )
     return Verdict("simple_path", True)
@@ -558,7 +554,7 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                 target_oids = src | {first.op.oid, other.op.oid}
                 witness = {
                     "replica": rid,
-                    "vertex": _fmt_oids(src),
+                    "vertex": fmt_oids(src),
                     "first": first.op.oid.token(),
                     "sibling": other.op.oid.token(),
                 }
@@ -644,10 +640,10 @@ def _first_paths_mismatch(snap: CssSnapshot, seen: Sequence[Oid]) -> Optional[di
         try:
             got = [e.op.oid for e in snap.first_path(key)]
         except ProtocolError as exc:
-            return {"vertex": _fmt_oids(key), "error": str(exc)}
+            return {"vertex": fmt_oids(key), "error": str(exc)}
         if got != want:
             return {
-                "vertex": _fmt_oids(key),
+                "vertex": fmt_oids(key),
                 "path": [o.token() for o in got],
                 "expected": [o.token() for o in want],
             }
@@ -691,7 +687,7 @@ def _check_unique_lca(graphs: Dict[int, _Graph]) -> Verdict:
                     False,
                     {
                         "replica": rid,
-                        "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
+                        "vertices": [fmt_oids(g.keys[i]), fmt_oids(g.keys[j])],
                         "lca_count": count,
                     },
                 )
@@ -717,9 +713,9 @@ def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
                     False,
                     {
                         "replica": rid,
-                        "vertices": [_fmt_oids(g.keys[i]), _fmt_oids(g.keys[j])],
-                        "lca": _fmt_oids(base),
-                        "overlap": _fmt_oids(overlap),
+                        "vertices": [fmt_oids(g.keys[i]), fmt_oids(g.keys[j])],
+                        "lca": fmt_oids(base),
+                        "overlap": fmt_oids(overlap),
                     },
                 )
     return Verdict("disjoint_lca_paths", True)
@@ -757,18 +753,18 @@ def _check_isomorphism(result: RunResult, shapes: Dict[int, Shape]) -> Verdict:
     rids = sorted(shapes)
     base = shapes[rids[0]]
     for rid in rids[1:]:
-        if shapes[rid] != base:
-            only_base = set(base) - set(shapes[rid])
-            only_other = set(shapes[rid]) - set(base)
-            return Verdict(
-                "space_isomorphism",
-                False,
-                {
-                    "replicas": [rids[0], rid],
-                    "only_first": [_fmt_oids(k) for k in sorted(only_base, key=sorted)],
-                    "only_second": [_fmt_oids(k) for k in sorted(only_other, key=sorted)],
-                },
-            )
+        other = shapes[rid]
+        if other != base:
+            witness = {
+                "replicas": [rids[0], rid],
+                "only_first": [fmt_oids(k) for k in sorted(base.keys() - other.keys(), key=sorted)],
+                "only_second": [fmt_oids(k) for k in sorted(other.keys() - base.keys(), key=sorted)],
+            }
+            # Vertices both replicas hold whose ordered, labelled edges differ.
+            differ = [k for k in base.keys() & other.keys() if base[k] != other[k]]
+            if differ:
+                witness["edges_differ"] = [fmt_oids(k) for k in sorted(differ, key=vertex_order)]
+            return Verdict("space_isomorphism", False, witness)
     return Verdict("space_isomorphism", True)
 
 
@@ -790,8 +786,8 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
             "server_union",
             False,
             {
-                "vertices_only_union": [_fmt_oids(k) for k in sorted(union_vertices - css_vertices, key=sorted)],
-                "vertices_only_css": [_fmt_oids(k) for k in sorted(css_vertices - union_vertices, key=sorted)],
+                "vertices_only_union": [fmt_oids(k) for k in sorted(union_vertices - css_vertices, key=sorted)],
+                "vertices_only_css": [fmt_oids(k) for k in sorted(css_vertices - union_vertices, key=sorted)],
                 "edges_only_union": sorted(str(e[1].token()) for e in union_edges - css_edges),
                 "edges_only_css": sorted(str(e[1].token()) for e in css_edges - union_edges),
             },
@@ -830,7 +826,7 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                         "client": cid,
                         "step": k,
                         "extra_vertices": [
-                            _fmt_oids(v) for v in sorted(v2d.keys() - v_nary.keys(), key=sorted)
+                            fmt_oids(v) for v in sorted(v2d.keys() - v_nary.keys(), key=sorted)
                         ],
                     },
                 )

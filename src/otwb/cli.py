@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -21,16 +21,6 @@ from .ot_core import PriorityRule
 from .simnet import RunResult, Schedule
 
 ALL_CHECKS = ("convergence", "weak", "strong", "compat", "structural", "equivalence")
-
-
-@dataclass
-class RunConfig:
-    protocol: str
-    schedule: Schedule
-    checks: Tuple[str, ...]
-    expect_violation: Tuple[str, ...]
-    out_dir: Optional[Path]
-    as_json: bool
 
 
 def _parse_checks(spec: str) -> Tuple[str, ...]:

@@ -8,15 +8,17 @@ restricted to at most two edges per vertex, one on each side: the owner's
 own operations and everyone else's.
 
 A space is single-owner mutable: it is driven by exactly one replica state
-machine. Checkers work on immutable snapshots taken via snapshot(); each
-snapshot shares the edge tuple of every vertex that did not change since
-the one before it.
+machine. It keys each vertex by its set of executed oids and keeps the
+vertex's out-edges as SnapEdge(op, target oid set), the encoding its
+snapshots use. Checkers work on immutable snapshots taken via snapshot();
+each snapshot shares the edge tuple of every vertex that did not change
+since the one before it, and every snapshot shares each SnapEdge.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
@@ -61,9 +63,6 @@ class ProtoOp:
         if self.oid in self.ctx:
             raise ProtocolError(f"operation {self.oid.token()} lists itself in its context")
 
-    def with_sctx(self, sctx: OidSet) -> "ProtoOp":
-        return replace(self, sctx=sctx)
-
     def label(self) -> str:
         return f"{self.oid.token()} {self.o.sig()}"
 
@@ -104,24 +103,6 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
     )
 
 
-class CssEdge(NamedTuple):
-    op: ProtoOp
-    target: "CssVertex"
-
-
-class CssVertex:
-    """A state-space vertex: the set of executed oids plus ordered out-edges."""
-
-    __slots__ = ("oids", "edges")
-
-    def __init__(self, oids: OidSet):
-        self.oids: OidSet = oids
-        self.edges: List[CssEdge] = []
-
-    def __repr__(self) -> str:
-        return f"CssVertex({sorted(o.token() for o in self.oids)})"
-
-
 class SnapEdge(NamedTuple):
     op: ProtoOp
     target: OidSet
@@ -145,11 +126,11 @@ class CssSnapshot:
             edges = self.vertices.get(at)
             if edges is None:
                 raise ProtocolError(
-                    f"first-edge path from {sorted(o.token() for o in start)} reaches "
-                    f"{sorted(o.token() for o in at)}, which is not a vertex"
+                    f"first-edge path from {fmt_oids(start)} reaches "
+                    f"{fmt_oids(at)}, which is not a vertex"
                 )
             if not edges:
-                raise ProtocolError(f"first-edge path from {sorted(start)} stalled before cur")
+                raise ProtocolError(f"first-edge path from {fmt_oids(start)} stalled before cur")
             path.append(edges[0])
             at = edges[0].target
             if len(path) > len(self.vertices):
@@ -161,6 +142,11 @@ def vertex_order(oids: OidSet) -> Tuple[int, List[Oid]]:
     """Sort key of vertices: by size, then by sorted oids, so that every
     vertex comes after its parents."""
     return len(oids), sorted(oids)
+
+
+def fmt_oids(oids: OidSet) -> List[str]:
+    """An oid set as tokens in Oid order, for messages and witnesses."""
+    return [o.token() for o in sorted(oids)]
 
 
 class CssSpace:
@@ -177,63 +163,63 @@ class CssSpace:
     def __init__(self, rid: int, two_d: bool = False):
         self.rid = rid
         self.two_d = two_d
-        root = CssVertex(EMPTY_OIDS)
-        self.vertices: Dict[OidSet, CssVertex] = {EMPTY_OIDS: root}
-        self.root = root
-        self.cur = root
+        self.vertices: Dict[OidSet, List[SnapEdge]] = {EMPTY_OIDS: []}
+        self.cur: OidSet = EMPTY_OIDS
         self.last_ot_sequence: Tuple[Oid, ...] = ()
         # The vertices of the last snapshot, and the vertices created or
         # given an edge since, in the order they were first touched.
         self._snap: Dict[OidSet, Tuple[SnapEdge, ...]] = {}
-        self._touched: Dict[OidSet, CssVertex] = {EMPTY_OIDS: root}
+        self._touched: Dict[OidSet, List[SnapEdge]] = {EMPTY_OIDS: self.vertices[EMPTY_OIDS]}
 
-    def _new_vertex(self, oids: OidSet) -> CssVertex:
+    def _new_vertex(self, oids: OidSet) -> OidSet:
         if oids in self.vertices:
-            raise ProtocolError(f"vertex {sorted(o.token() for o in oids)} already exists")
-        v = CssVertex(oids)
-        self.vertices[oids] = v
-        self._touched[oids] = v
-        return v
+            raise ProtocolError(f"vertex {fmt_oids(oids)} already exists")
+        self.vertices[oids] = self._touched[oids] = []
+        return oids
 
-    def locate(self, op: ProtoOp) -> CssVertex:
+    def locate(self, op: ProtoOp) -> OidSet:
         """Find the unique vertex matching op's context.
 
         Absence means a FIFO/channel invariant broke upstream; the space
         never creates the vertex silently.
         """
-        v = self.vertices.get(op.ctx)
-        if v is None:
+        if op.ctx not in self.vertices:
             raise ProtocolError(
                 f"no vertex matches ctx of {op.oid.token()} at replica {self.rid}: "
-                f"{sorted(o.token() for o in op.ctx)}"
+                f"{fmt_oids(op.ctx)}"
             )
-        return v
+        return op.ctx
 
-    def link(self, u: CssVertex, v: CssVertex, op: ProtoOp) -> None:
-        """Insert the edge (op, v) into u's ordered edge set, where the
+    def link(self, u: OidSet, v: OidSet, op: ProtoOp) -> None:
+        """Insert the edge (op, v) into u's ordered edge list, where the
         policy puts it.
 
         Idempotent when an edge with the same oid is already present.
         """
-        if op.ctx != u.oids:
+        edges = self.vertices.get(u)
+        if edges is None or v not in self.vertices:
+            raise ProtocolError(
+                f"link: {fmt_oids(u if edges is None else v)} is not a vertex of replica {self.rid}"
+            )
+        if op.ctx != u:
             raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
         # op.oid is not in op.ctx (ProtoOp checks that), so v extends u by
         # op.oid exactly when it is one larger, holds op.oid and contains
-        # u. Unlike comparing with u.oids | {op.oid}, this builds no set.
-        if len(v.oids) != len(u.oids) + 1 or op.oid not in v.oids or not u.oids < v.oids:
+        # u. Unlike comparing with u | {op.oid}, this builds no set.
+        if len(v) != len(u) + 1 or op.oid not in v or not u < v:
             raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
-        for e in u.edges:
+        for e in edges:
             if e.op.oid == op.oid:
-                if e.target is not v:
+                if e.target != v:
                     raise ProtocolError(f"link: {op.oid.token()} already linked to a different vertex")
                 return
         if self.two_d:
             own = op.oid.cid == self.rid
-            for e in u.edges:
+            for e in edges:
                 if (e.op.oid.cid == self.rid) is own:
                     raise ProtocolError(
                         f"link: {'local' if own else 'global'} edge already occupied at "
-                        f"{sorted(o.token() for o in u.oids)}"
+                        f"{fmt_oids(u)}"
                     )
             at = 0 if own else None
         else:
@@ -245,7 +231,7 @@ class CssSpace:
             # before the first edge it orders LEFT of, and must order RIGHT
             # of every edge before it.
             at = None
-            for i, e in enumerate(u.edges):
+            for i, e in enumerate(edges):
                 order = compare_ops(op, e.op, self.rid)
                 if compare_ops(e.op, op, self.rid) is order or (order is Ord.RIGHT and at is not None):
                     raise ProtocolError(
@@ -254,24 +240,22 @@ class CssSpace:
                     )
                 if order is Ord.LEFT and at is None:
                     at = i
-        u.edges.insert(len(u.edges) if at is None else at, CssEdge(op, v))
-        self._touched[u.oids] = u
+        edges.insert(len(edges) if at is None else at, SnapEdge(op, v))
+        self._touched[u] = edges
 
-    def first_edge(self, v: CssVertex) -> CssEdge:
-        if not v.edges:
-            raise ProtocolError("first_edge on a final vertex")
-        return v.edges[0]
-
-    def _walk_edge(self, u: CssVertex, op: ProtoOp) -> CssEdge:
+    def _walk_edge(self, u: OidSet, op: ProtoOp) -> SnapEdge:
         """The edge out of u that an xform walk of op follows."""
+        edges = self.vertices[u]
         if not self.two_d:
-            return self.first_edge(u)
+            if not edges:
+                raise ProtocolError(f"xform: final vertex {fmt_oids(u)} has no first edge")
+            return edges[0]
         own = op.oid.cid == self.rid
-        for e in u.edges:
+        for e in edges:
             if (e.op.oid.cid == self.rid) is not own:
                 return e
         raise ProtocolError(
-            f"xform: no {'global' if own else 'local'} edge at {sorted(o.token() for o in u.oids)}"
+            f"xform: no {'global' if own else 'local'} edge at {fmt_oids(u)}"
         )
 
     def xform(self, op: ProtoOp) -> ProtoOp:
@@ -283,14 +267,13 @@ class CssSpace:
         last_ot_sequence for the structural checkers.
         """
         u = self.locate(op)
-        v = self._new_vertex(u.oids | {op.oid})
+        v = self._new_vertex(u | {op.oid})
         ot_seq: List[Oid] = []
-        while u.oids != self.cur.oids:
-            e = self._walk_edge(u, op)
-            u2, op2 = e.target, e.op
+        while u != self.cur:
+            op2, u2 = self._walk_edge(u, op)
             op_t = ProtoOp(transform(op.o, op2.o), op.oid, op.ctx | {op2.oid}, op.sctx)
             op2_t = ProtoOp(transform(op2.o, op.o), op2.oid, op2.ctx | {op.oid}, op2.sctx)
-            v2 = self._new_vertex(v.oids | {op2.oid})
+            v2 = self._new_vertex(v | {op2.oid})
             self.link(v, v2, op2_t)
             self.link(u, v, op)
             ot_seq.append(op2.oid)
@@ -302,26 +285,26 @@ class CssSpace:
 
     def append(self, op: ProtoOp) -> None:
         """Extend cur with an op generated or transformed to cur (its ctx
-        must equal cur.oids)."""
-        if op.ctx != self.cur.oids:
+        must equal cur)."""
+        if op.ctx != self.cur:
             raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
-        v = self._new_vertex(self.cur.oids | {op.oid})
+        v = self._new_vertex(self.cur | {op.oid})
         self.link(self.cur, v, op)
         self.cur = v
 
     def snapshot(self) -> CssSnapshot:
-        """Copy the last snapshot's vertex dict and rebuild only the edge
-        tuples of the vertices touched since, so the cost is O(V) pointer
-        copies plus the touched edges. New vertices were touched in
+        """Copy the last snapshot's vertex dict and turn into tuples only
+        the edge lists of the vertices touched since, so the cost is O(V)
+        pointer copies plus the touched edges. New vertices were touched in
         creation order, so the keys keep the order of self.vertices. A
         dict once handed out is never mutated."""
         if self._touched:
             verts = self._snap.copy()
-            for oids, v in self._touched.items():
-                verts[oids] = tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
+            for oids, edges in self._touched.items():
+                verts[oids] = tuple(edges)
             self._snap = verts
             self._touched = {}
-        return CssSnapshot(rid=self.rid, cur=self.cur.oids, vertices=self._snap, two_d=self.two_d)
+        return CssSnapshot(rid=self.rid, cur=self.cur, vertices=self._snap, two_d=self.two_d)
 
 
 def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
@@ -343,7 +326,7 @@ def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
             if src in states:
                 candidates.append(apply(states[src], op.o)[0])
         if not candidates:
-            raise ProtocolError(f"vertex {sorted(o.token() for o in oids)} unreachable from root")
+            raise ProtocolError(f"vertex {fmt_oids(oids)} unreachable from root")
         if any(c != candidates[0] for c in candidates[1:]):
             raise ProtocolError("replay paths disagree")
         states[oids] = candidates[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .css_space import CssSnapshot, OidSet, materialize, vertex_order
+from .css_space import CssSnapshot, OidSet, fmt_oids, materialize, vertex_order
 from .ot_core import to_text
 
 
@@ -22,7 +22,7 @@ def _quote(s: str) -> str:
 
 
 def _node_label(oids: OidSet, text: str) -> str:
-    ids = "{" + ",".join(o.token() for o in sorted(oids)) + "}"
+    ids = "{" + ",".join(fmt_oids(oids)) + "}"
     return f"{ids}\\n'{text}'"
 
 

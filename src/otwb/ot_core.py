@@ -8,7 +8,7 @@ module is safe for concurrent use from any number of threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -117,7 +117,7 @@ class ListOp:
         return self.kind in (OpKind.INS, OpKind.DEL)
 
     def with_element(self, element: Element) -> "ListOp":
-        return replace(self, element=element)
+        return ListOp(self.kind, element, self.position, self.priority)
 
     def sig(self) -> str:
         """Short human-readable signature, e.g. Ins(x,0) or Del(_,3)."""
@@ -182,23 +182,23 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
         if p1 < p2:
             return o1
         if p1 > p2:
-            return replace(o1, position=p1 + 1)
+            return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
         if o1.priority.beats(o2.priority):
-            return replace(o1, position=p1 + 1)
+            return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
         return o1
     if o1.kind is OpKind.INS and o2.kind is OpKind.DEL:
         if p1 <= p2:
             return o1
-        return replace(o1, position=p1 - 1)
+        return ListOp(o1.kind, o1.element, p1 - 1, o1.priority)
     if o1.kind is OpKind.DEL and o2.kind is OpKind.INS:
         if p1 < p2:
             return o1
-        return replace(o1, position=p1 + 1)
+        return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
     # Del against Del
     if p1 < p2:
         return o1
     if p1 > p2:
-        return replace(o1, position=p1 - 1)
+        return ListOp(o1.kind, o1.element, p1 - 1, o1.priority)
     return ListOp.nop()
 
 

@@ -31,16 +31,10 @@ class DoResult(NamedTuple):
 
 
 class RecvResult(NamedTuple):
-    value: ListValue
+    value: Optional[ListValue]  # None at a replica that keeps no list
     applied: ProtoOp  # the fully transformed operation that was executed
     ot_seq: Tuple[Oid, ...]
-
-
-class ServerRecvResult(NamedTuple):
-    value: Optional[ListValue]  # None at a replica that keeps no list
-    applied: ProtoOp
-    fanout: Tuple[Tuple[int, ProtoOp], ...]  # (destination cid, message)
-    ot_seq: Tuple[Oid, ...]
+    fanout: Tuple[Tuple[int, ProtoOp], ...] = ()  # (destination cid, message)
 
 
 def _fill_del(o: ListOp, state: ListState) -> ListOp:
@@ -53,16 +47,20 @@ def _fill_del(o: ListOp, state: ListState) -> ListOp:
     return o.with_element(state[min(o.position, len(state) - 1)])
 
 
-class _ClientBase:
-    """Shared local-processing logic: apply, mint identity, record deletes."""
+class CJClient:
+    """A client over its n-ary space; the jupiter client is the same over
+    a 2D space. It applies, mints identities and records deletes locally."""
 
-    def __init__(self, cid: int, rule: PriorityRule):
+    two_d = False
+
+    def __init__(self, cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
         if cid < 1:
             raise ValueError("client ids start at 1")
         self.cid = cid
         self.rule = rule
         self.seq = 0
         self.state: ListState = ()
+        self.space = CssSpace(rid=cid, two_d=self.two_d)
 
     def make_ins(self, glyph: str, position: int) -> ListOp:
         """Build an insert carrying the identity do() will expect."""
@@ -72,7 +70,10 @@ class _ClientBase:
     def make_del(self, position: int) -> ListOp:
         return ListOp.del_(position, priority_of(self.cid, self.rule))
 
-    def _generate(self, o: ListOp) -> Tuple[ListOp, Oid, ListValue]:
+    def read(self) -> ListValue:
+        return self.state
+
+    def do(self, o: ListOp) -> DoResult:
         if o.kind is OpKind.READ:
             raise ProtocolError("route reads through read(), not do()")
         if o.kind is OpKind.INS and (o.element.origin_cid, o.element.origin_seq) != (
@@ -83,25 +84,7 @@ class _ClientBase:
         o = _fill_del(o, self.state)
         self.state, value = apply(self.state, o)
         self.seq += 1
-        return o, Oid(self.cid, self.seq), value
-
-    def read(self) -> ListValue:
-        return self.state
-
-
-class CJClient(_ClientBase):
-    """A client over its n-ary space; the jupiter client is the same over
-    a 2D space."""
-
-    two_d = False
-
-    def __init__(self, cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
-        super().__init__(cid, rule)
-        self.space = CssSpace(rid=cid, two_d=self.two_d)
-
-    def do(self, o: ListOp) -> DoResult:
-        o, oid, value = self._generate(o)
-        op = ProtoOp(o, oid, ctx=self.space.cur.oids, sctx=EMPTY_OIDS)
+        op = ProtoOp(o, Oid(self.cid, self.seq), ctx=self.space.cur, sctx=EMPTY_OIDS)
         self.space.append(op)
         return DoResult(value, op)
 
@@ -121,14 +104,14 @@ class Sequencer:
         self.soids: set[Oid] = set()
         self.arrival_log: List[Oid] = []
 
-    def receive(self, op: ProtoOp) -> ServerRecvResult:
-        stamped = op.with_sctx(frozenset(self.soids))
+    def receive(self, op: ProtoOp) -> RecvResult:
+        stamped = ProtoOp(op.o, op.oid, op.ctx, frozenset(self.soids))
         self.soids.add(stamped.oid)
         self.arrival_log.append(stamped.oid)
         fanout = tuple(
             (c, stamped) for c in range(1, self.n_clients + 1) if c != stamped.oid.cid
         )
-        return ServerRecvResult(None, stamped, fanout, ())
+        return RecvResult(None, stamped, (), fanout)
 
 
 class CJServer(Sequencer):
@@ -140,7 +123,7 @@ class CJServer(Sequencer):
         self.state: ListState = ()
         self.space = CssSpace(rid=SERVER_ID)
 
-    def receive(self, op: ProtoOp) -> ServerRecvResult:
+    def receive(self, op: ProtoOp) -> RecvResult:
         stamped = super().receive(op)
         applied = self.space.xform(stamped.applied)
         self.state, value = apply(self.state, applied.o)
@@ -168,7 +151,7 @@ class JServer:
             c: CssSpace(rid=c, two_d=True) for c in range(1, n_clients + 1)
         }
 
-    def receive(self, op: ProtoOp) -> ServerRecvResult:
+    def receive(self, op: ProtoOp) -> RecvResult:
         origin = op.oid.cid
         self.arrival_log.append(op.oid)
         applied = self.spaces[origin].xform(op)
@@ -179,9 +162,9 @@ class JServer:
                 continue
             self.spaces[c].append(applied)
             fanout.append((c, applied))
-        if len({s.cur.oids for s in self.spaces.values()}) != 1:
+        if len({s.cur for s in self.spaces.values()}) != 1:
             raise ProtocolError("per-client server spaces diverged")
-        return ServerRecvResult(value, applied, tuple(fanout), self.spaces[origin].last_ot_sequence)
+        return RecvResult(value, applied, self.spaces[origin].last_ot_sequence, tuple(fanout))
 
     def read(self) -> ListValue:
         return self.state
@@ -205,7 +188,3 @@ class DJReplica(CJClient):
             )
         self.soids_mirror = op.sctx | {op.oid}
         return super().receive(op)
-
-    # The peer protocol's names for the client's two steps.
-    generate = CJClient.do
-    deliver = receive

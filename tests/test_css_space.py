@@ -104,7 +104,7 @@ class TestLocate:
     def test_root_matches_empty_context(self):
         s = CssSpace(rid=1)
         incoming = op(ins("x", 0, 2, 1), Oid(2, 1))
-        assert s.locate(incoming) is s.root
+        assert s.locate(incoming) == EMPTY_OIDS
 
     def test_example_locates_middle_vertex(self):
         # Client 3 after o1, o4, o2: an op with ctx {o1} matches v1.
@@ -114,7 +114,7 @@ class TestLocate:
         c3.do(c3.make_ins("b", 1))
         c3.receive(stamped[2])
         v = c3.space.locate(stamped[3])
-        assert v.oids == frozenset({O1})
+        assert v == frozenset({O1})
 
     def test_missing_context_is_integrity_error(self):
         # A FIFO violation hand-built: the op's context names an operation
@@ -130,8 +130,8 @@ class TestLink:
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        assert len(s.root.edges) == 1
-        assert s.cur.oids == frozenset({Oid(1, 1)})
+        assert len(s.vertices[EMPTY_OIDS]) == 1
+        assert s.cur == frozenset({Oid(1, 1)})
 
     def test_insertion_sorts_between_existing_edges(self, podc16_cj):
         # At client 3, o3's edge lands between o2's and o4's under the
@@ -144,9 +144,9 @@ class TestLink:
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        u, v = s.root, s.cur
+        u, v = EMPTY_OIDS, s.cur
         s.link(u, v, o)
-        assert len(u.edges) == 1
+        assert len(s.vertices[u]) == 1
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1)
@@ -154,7 +154,19 @@ class TestLink:
         with pytest.raises(ProtocolError):
             s.locate(o)
         with pytest.raises(ProtocolError):
-            s.link(s.root, s.root, o)
+            s.link(EMPTY_OIDS, EMPTY_OIDS, o)
+
+    def test_source_or_target_not_a_vertex_rejected(self):
+        # The oid sets extend each other correctly, but one end is not a
+        # vertex of the space: a ProtocolError, never a KeyError.
+        s = CssSpace(rid=1)
+        o = op(ins("x", 0, 1, 1), Oid(1, 1))
+        with pytest.raises(ProtocolError, match="is not a vertex"):
+            s.link(EMPTY_OIDS, frozenset({Oid(1, 1)}), o)
+        s.append(o)
+        o2 = op(ins("y", 0, 1, 2), Oid(1, 2), ctx={Oid(2, 1)})
+        with pytest.raises(ProtocolError, match="is not a vertex"):
+            s.link(frozenset({Oid(2, 1)}), frozenset({Oid(2, 1), Oid(1, 2)}), o2)
 
 
 class TestFirstEdgeAndPath:
@@ -162,12 +174,17 @@ class TestFirstEdgeAndPath:
         s = CssSpace(rid=1)
         o = op(ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        assert s.first_edge(s.root).op.oid == Oid(1, 1)
+        incoming = op(ins("y", 0, 2, 1), Oid(2, 1))
+        assert s._walk_edge(EMPTY_OIDS, incoming).op.oid == Oid(1, 1)
 
     def test_final_vertex_has_no_first_edge(self):
+        # {2:1} is a vertex but not cur and has no edges, so the walk of an
+        # op located there cannot leave it.
         s = CssSpace(rid=1)
-        with pytest.raises(ProtocolError):
-            s.first_edge(s.cur)
+        s.append(op(ins("x", 0, 1, 1), Oid(1, 1)))
+        s._new_vertex(frozenset({Oid(2, 1)}))
+        with pytest.raises(ProtocolError, match="final vertex"):
+            s.xform(op(ins("y", 0, 3, 1), Oid(3, 1), ctx={Oid(2, 1)}))
 
     def test_server_first_paths_follow_arrival_order(self):
         server, _, _ = replay_podc16()

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import O1, O2, O3, O4
-from otwb.css_space import CssSpace, CssVertex, Oid, ProtoOp, ProtocolError, materialize
+from otwb.css_space import EMPTY_OIDS, CssSpace, Oid, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import JClient, JServer
 
@@ -50,11 +50,11 @@ class TestAdd:
         s = CssSpace(rid=1, two_d=True)
         s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
-        assert [(e.op.oid, e.target) for e in s.root.edges] == [(Oid(1, 1), s.cur)]
+        assert [(e.op.oid, e.target) for e in s.vertices[EMPTY_OIDS]] == [(Oid(1, 1), s.cur)]
         # An edge of another client's op goes after the owner's own.
         g = op2d(ins("y", 0, 2, 1), Oid(2, 1))
-        s.link(s.root, CssVertex(frozenset({Oid(2, 1)})), g)
-        assert [e.op.oid for e in s.root.edges] == [Oid(1, 1), Oid(2, 1)]
+        s.link(EMPTY_OIDS, s._new_vertex(frozenset({Oid(2, 1)})), g)
+        assert [e.op.oid for e in s.vertices[EMPTY_OIDS]] == [Oid(1, 1), Oid(2, 1)]
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1, two_d=True)
@@ -62,7 +62,7 @@ class TestAdd:
         with pytest.raises(ProtocolError):
             s.append(bad)
         with pytest.raises(ProtocolError):
-            s.link(s.root, CssVertex(frozenset({Oid(1, 1), Oid(1, 2)})), bad)
+            s.link(EMPTY_OIDS, s._new_vertex(frozenset({Oid(1, 1), Oid(1, 2)})), bad)
 
     def test_occupied_dimension_rejected(self):
         # Two ops of client 1 (local to owner 1) or of clients 1 and 2
@@ -71,7 +71,7 @@ class TestAdd:
             s = CssSpace(rid=owner, two_d=True)
             s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
             with pytest.raises(ProtocolError, match=f"{side} edge already occupied"):
-                s.link(s.root, CssVertex(frozenset({second})), op2d(ins("y", 0, *second), second))
+                s.link(EMPTY_OIDS, s._new_vertex(frozenset({second})), op2d(ins("y", 0, *second), second))
 
     def test_server_saves_transformed_op_along_global(self):
         server, _, fwd = replay_podc16_jupiter()
@@ -97,7 +97,7 @@ class TestXform2D:
         _, clients, _ = replay_podc16_jupiter()
         c3 = clients[3]
         assert to_text(c3.state) == "ba"
-        assert c3.space.cur.oids == frozenset({O1, O2, O3, O4})
+        assert c3.space.cur == frozenset({O1, O2, O3, O4})
 
     def test_server_global_walk_transforms_o3(self):
         server, _, fwd = replay_podc16_jupiter()
@@ -120,7 +120,7 @@ class TestXform2D:
         s = CssSpace(rid=1, two_d=True)
         s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
         g = op2d(ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
-        s.link(s.cur, CssVertex(frozenset({Oid(1, 1), Oid(2, 1)})), g)
+        s.link(s.cur, s._new_vertex(frozenset({Oid(1, 1), Oid(2, 1)})), g)
         with pytest.raises(ProtocolError, match="global edge already occupied"):
             s.xform(op2d(ins("z", 0, 3, 1), Oid(3, 1)))
 

@@ -181,23 +181,23 @@ class TestJupiter:
 class TestDJupiter:
     def test_generate_mirrors_client_do(self):
         r1 = DJReplica(1)
-        value, msg = r1.generate(r1.make_ins("x", 0))
+        value, msg = r1.do(r1.make_ins("x", 0))
         assert to_text(value) == "x"
         assert msg.ctx == frozenset()
 
     def test_own_operations_never_delivered(self):
         r1 = DJReplica(1)
-        _, msg = r1.generate(r1.make_ins("x", 0))
+        _, msg = r1.do(r1.make_ins("x", 0))
         with pytest.raises(ProtocolError):
-            r1.deliver(msg)
+            r1.receive(msg)
 
     def test_out_of_order_delivery_rejected(self):
         r3 = DJReplica(3)
         later = remote_ins("y", 0, 2, 1, sctx={O1})
         earlier = remote_ins("x", 0, 1, 1)
-        r3.deliver(later)
+        r3.receive(later)
         with pytest.raises(ProtocolError):
-            r3.deliver(earlier)
+            r3.receive(earlier)
 
     def test_single_replica_is_plain_sequential(self):
         sched = random_schedule(1, 6, seed=11)

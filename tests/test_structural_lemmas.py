@@ -260,6 +260,23 @@ class TestLemmasFire:
         assert {v.check: v for v in check_structural(broken, podc16_j)}["vertex_compatibility"].satisfied
 
 
+    def test_space_isomorphism_names_vertex_whose_edges_differ(self, podc16_cj, podc16_j):
+        # Replica 1 holds the same vertices as the server, with the edges at
+        # {1:1} in reverse order.
+        final = podc16_cj.css_final
+        key = oids(1)
+        reordered = dataclasses.replace(final[1], vertices={**final[1].vertices, key: final[1].vertices[key][::-1]})
+        broken = copy.copy(podc16_cj)
+        broken.css_final = {**final, 1: reordered}
+        verdict = {v.check: v for v in check_structural(broken, podc16_j)}["space_isomorphism"]
+        assert verdict.witness == {
+            "replicas": [0, 1],
+            "only_first": [],
+            "only_second": [],
+            "edges_differ": [["1:1"]],
+        }
+
+
 class TestDanglingEdge:
     """An edge whose target is not a vertex of its snapshot ends in failing
     verdicts with witnesses, never in KeyError."""
@@ -303,6 +320,21 @@ class TestDanglingEdge:
             "missing": "edge from first child"}
         assert set(failed) == {
             "simple_path", "css_closure", "disjoint_lca_paths", "space_isomorphism", "server_union"}
+
+    def test_vertex_emptied_in_last_server_step(self, podc16_cj, podc16_j):
+        # {1:1,2:1} keeps its key but loses its one edge, so its own
+        # first-edge path stalls; the error lists it as tokens.
+        broken = copy.copy(podc16_cj)
+        steps = podc16_cj.css_server_steps
+        key = oids(1, 2)
+        broken.css_server_steps = (*steps[:-1], dataclasses.replace(
+            steps[-1], vertices={**steps[-1].vertices, key: ()}))
+        failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
+        assert failed == {"first_rule": {
+            "step": len(steps) - 1,
+            "vertex": ["1:1", "2:1"],
+            "error": "first-edge path from ['1:1', '2:1'] stalled before cur",
+        }}
 
     def test_vertex_dropped_from_last_server_step(self, podc16_cj, podc16_j):
         broken = copy.copy(podc16_cj)
@@ -625,8 +657,7 @@ class TestStepLemmasMatchOracle:
 
 def rebuild(space):
     """The vertex dict a snapshot of space must equal, built from scratch."""
-    return {oids: tuple(SnapEdge(e.op, e.target.oids) for e in v.edges)
-            for oids, v in space.vertices.items()}
+    return {key: tuple(edges) for key, edges in space.vertices.items()}
 
 
 class TestSnapshotSharing:
@@ -650,13 +681,16 @@ class TestSnapshotSharing:
                 snap = space.snapshot()
                 items = list(snap.vertices.items())
                 assert items == list(rebuild(space).items())
-                assert (snap.cur, snap.rid, snap.two_d) == (space.cur.oids, space.rid, space.two_d)
+                assert (snap.cur, snap.rid, snap.two_d) == (space.cur, space.rid, space.two_d)
                 if last[s] is not None:
                     # Every step that touches a vertex changes its edges, so
                     # an unchanged vertex is one the steps did not touch.
                     for key, edges in last[s].vertices.items():
                         if snap.vertices[key] == edges:
                             assert snap.vertices[key] is edges
+                        # An edge, once linked, is the same object from then on.
+                        now = {id(e) for e in snap.vertices[key]}
+                        assert all(id(e) in now for e in edges)
                 last[s] = snap
                 taken.append((snap, items))
         for snap, items in taken:
