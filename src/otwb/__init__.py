@@ -20,7 +20,7 @@ from .checkers import (
     check_structural,
     check_weak_spec,
 )
-from .css_space import CssSpace, Oid, ProtoOp, ProtocolError, compare_ops
+from .css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, compare_ops
 from .ot_core import (
     Element,
     ListOp,
@@ -61,6 +61,7 @@ __all__ = [
     "ListOp",
     "ListOrder",
     "Oid",
+    "OidIndex",
     "OpKind",
     "Priority",
     "PriorityRule",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .css_space import CssSnapshot, Oid, OidSet, ProtocolError, fmt_oids, materialize, vertex_order
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, materialize
 from .simnet import OpRecord, RunResult, Trace, causal_pairs, vc_less
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
@@ -400,7 +400,7 @@ def _sig(op_record_like) -> Tuple:
     return (o.kind.value, elem, o.position)
 
 
-def _edge_set(snap: CssSnapshot) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
+def _edge_set(snap: CssSnapshot) -> Set[Tuple[int, Oid, int, Tuple]]:
     return {
         (src, e.op.oid, e.target, _sig(e.op.o))
         for src, edges in snap.vertices.items()
@@ -409,7 +409,7 @@ def _edge_set(snap: CssSnapshot) -> Set[Tuple[OidSet, Oid, OidSet, Tuple]]:
 
 
 # vertex -> its out-edges in order, as (oid, label, target)
-Shape = Dict[OidSet, Tuple[Tuple[Oid, Tuple, OidSet], ...]]
+Shape = Dict[int, Tuple[Tuple[Oid, Tuple, int], ...]]
 
 
 def _shape(snap: CssSnapshot) -> Shape:
@@ -420,10 +420,12 @@ def _shape(snap: CssSnapshot) -> Shape:
 
 
 class _Graph:
-    """Bit-indexed view of a snapshot for the two LCA lemmas."""
+    """Bit-indexed view of a snapshot for the two LCA lemmas: vertex i is
+    keys[i], an oid mask, and the keys are in vertex_order."""
 
     def __init__(self, snap: CssSnapshot):
-        self.keys = sorted(snap.vertices, key=vertex_order)
+        self.fmt_oids = snap.index.fmt_oids
+        self.keys = sorted(snap.vertices, key=snap.index.vertex_order)
         idx = {k: i for i, k in enumerate(self.keys)}
         parents: List[List[int]] = [[] for _ in self.keys]
         for src, edges in snap.vertices.items():
@@ -461,10 +463,8 @@ class _Graph:
 
         If c exists and anc[c] == anc[i] & anc[j], then c is a common
         ancestor and every common ancestor is an ancestor of c, so c is the
-        unique LCA; no pair of a correct run needs the scan. Oid sets are
-        compared as bitmasks."""
-        bit = {o: 1 << k for k, o in enumerate(set().union(*self.keys))}
-        masks = [sum(bit[o] for o in key) for key in self.keys]
+        unique LCA; no pair of a correct run needs the scan."""
+        masks = self.keys
         at = {m: c for c, m in enumerate(masks)}
         anc = self.anc
         out = []
@@ -478,7 +478,14 @@ class _Graph:
 
 def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = None) -> List[Verdict]:
     """Every structural lemma, checked literally against the recorded
-    graphs and the server arrival log. Returns one verdict per lemma."""
+    graphs and the server arrival log. Returns one verdict per lemma.
+
+    The two runs' vertex masks are compared directly, so jupiter_result
+    must replay the same schedule; ValueError otherwise."""
+    if jupiter_result is not None and (
+        jupiter_result.trace.schedule_sha256 != result.trace.schedule_sha256
+    ):
+        raise ValueError("server_union and client_subgraph need two replays of the same schedule")
     verdicts: List[Verdict] = []
     snapshots = dict(result.css_final)
     n = result.schedule.n_clients
@@ -508,6 +515,11 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     return verdicts
 
 
+def _fmt_sorted(masks: Iterable[int], index: OidIndex) -> List[List[str]]:
+    """Oid masks as token lists, in the order of their sorted oids."""
+    return [[o.token() for o in oids] for oids in sorted(map(index.decode, masks))]
+
+
 def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
     for rid, snap in sorted(snapshots.items()):
         for key, edges in snap.vertices.items():
@@ -515,7 +527,7 @@ def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
                 return Verdict(
                     "nary_out_degree",
                     False,
-                    {"replica": rid, "vertex": fmt_oids(key), "out_degree": len(edges)},
+                    {"replica": rid, "vertex": snap.index.fmt_oids(key), "out_degree": len(edges)},
                 )
     return Verdict("nary_out_degree", True)
 
@@ -527,16 +539,16 @@ def _check_simple_path(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     for rid, snap in sorted(snapshots.items()):
         for src, edges in snap.vertices.items():
             for e in edges:
-                target_ok = e.target == src | {e.op.oid} and e.target in snap.vertices
-                if e.op.oid in src or not target_ok or e.op.ctx != src:
+                target_ok = e.target == src | e.op.bit and e.target in snap.vertices
+                if e.op.bit & src or not target_ok or e.op.ctx != src:
                     return Verdict(
                         "simple_path",
                         False,
                         {
                             "replica": rid,
-                            "vertex": fmt_oids(src),
+                            "vertex": snap.index.fmt_oids(src),
                             "edge": e.op.oid.token(),
-                            "target": fmt_oids(e.target),
+                            "target": snap.index.fmt_oids(e.target),
                         },
                     )
     return Verdict("simple_path", True)
@@ -551,10 +563,10 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                 continue
             first = edges[0]
             for other in edges[1:]:
-                target_oids = src | {first.op.oid, other.op.oid}
+                target_oids = src | first.op.bit | other.op.bit
                 witness = {
                     "replica": rid,
-                    "vertex": fmt_oids(src),
+                    "vertex": snap.index.fmt_oids(src),
                     "first": first.op.oid.token(),
                     "sibling": other.op.oid.token(),
                 }
@@ -582,16 +594,21 @@ def _check_first_rule(result: RunResult) -> Verdict:
     edges alone (_first_edges_follow_arrivals); a step that this test
     does not pass is decided by walking every path, which finds the
     witness."""
-    if result.protocol == "cjupiter" and not result.css_server_steps:
+    steps = result.css_server_steps
+    if result.protocol == "cjupiter" and not steps:
         return Verdict("first_rule", True, {"vacuous": "no step snapshots recorded"})
     arrivals = result.arrival_log
-    bit: Dict[Oid, int] = {}  # arrival -> 1 << its index, up to the first repeat
+    # The run's oid bit of each arrival -> 1 << its arrival index, up to
+    # the first repeat. Every step snapshot holds the run's one index.
+    oid_bits = steps[0].index.bits if steps else {}
+    bit: Dict[int, int] = {}
     for o in arrivals:
-        if o in bit:
+        b = oid_bits.get(o, 0)
+        if not b or b in bit:
             break
-        bit[o] = 1 << len(bit)
-    present: Dict[OidSet, int] = {}  # vertex -> bitset of the arrivals it holds
-    for k, snap in enumerate(result.css_server_steps):
+        bit[b] = 1 << len(bit)
+    present: Dict[int, int] = {}  # vertex -> bitset of the arrivals it holds
+    for k, snap in enumerate(steps):
         if k <= len(bit) and _first_edges_follow_arrivals(snap, (1 << k) - 1, bit, present):
             continue
         witness = _first_paths_mismatch(snap, arrivals[:k])
@@ -601,7 +618,7 @@ def _check_first_rule(result: RunResult) -> Verdict:
 
 
 def _first_edges_follow_arrivals(
-    snap: CssSnapshot, arrived: int, bit: Dict[Oid, int], present: Dict[OidSet, int]
+    snap: CssSnapshot, arrived: int, bit: Dict[int, int], present: Dict[int, int]
 ) -> bool:
     """Whether every first-edge path of snap carries exactly the missing
     arrivals, in order, when the arrivals `arrived` (a bitset) are
@@ -611,11 +628,11 @@ def _first_edges_follow_arrivals(
     earliest missing arrival, and the path ends at cur. (The hops also
     show that some vertex misses none, so cur is a vertex.) O(V) for the
     vertices whose `present` bitset is cached."""
-    miss: Dict[OidSet, int] = {}
+    miss: Dict[int, int] = {}
     for key in snap.vertices:
         held = present.get(key)
         if held is None:
-            held = present[key] = sum(bit.get(o, 0) for o in key)
+            held = present[key] = sum(a for b, a in bit.items() if key & b)
         miss[key] = arrived & ~held
     for key, m in miss.items():
         if not m:
@@ -626,7 +643,7 @@ def _first_edges_follow_arrivals(
         if not edges:
             return False
         low = m & -m
-        if bit.get(edges[0].op.oid) != low or miss.get(edges[0].target) != m ^ low:
+        if bit.get(edges[0].op.bit) != low or miss.get(edges[0].target) != m ^ low:
             return False
     return True
 
@@ -635,15 +652,16 @@ def _first_paths_mismatch(snap: CssSnapshot, seen: Sequence[Oid]) -> Optional[di
     """The literal first-rule scan of one step: walk the first-edge path
     from every vertex and compare it with the arrivals `seen` it misses.
     Returns the first failing vertex's witness, or None."""
+    bits = snap.index.bits
     for key in snap.vertices:
-        want = [o for o in seen if o not in key]
+        want = [o for o in seen if not key & bits.get(o, 0)]
         try:
             got = [e.op.oid for e in snap.first_path(key)]
         except ProtocolError as exc:
-            return {"vertex": fmt_oids(key), "error": str(exc)}
+            return {"vertex": snap.index.fmt_oids(key), "error": str(exc)}
         if got != want:
             return {
-                "vertex": fmt_oids(key),
+                "vertex": snap.index.fmt_oids(key),
                 "path": [o.token() for o in got],
                 "expected": [o.token() for o in want],
             }
@@ -687,7 +705,7 @@ def _check_unique_lca(graphs: Dict[int, _Graph]) -> Verdict:
                     False,
                     {
                         "replica": rid,
-                        "vertices": [fmt_oids(g.keys[i]), fmt_oids(g.keys[j])],
+                        "vertices": [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])],
                         "lca_count": count,
                     },
                 )
@@ -704,18 +722,16 @@ def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
             if lca is None:
                 continue  # reported by unique_lca
             base = g.keys[lca]
-            left = g.keys[i] - base
-            right = g.keys[j] - base
-            overlap = left & right
+            overlap = g.keys[i] & g.keys[j] & ~base
             if overlap:
                 return Verdict(
                     "disjoint_lca_paths",
                     False,
                     {
                         "replica": rid,
-                        "vertices": [fmt_oids(g.keys[i]), fmt_oids(g.keys[j])],
-                        "lca": fmt_oids(base),
-                        "overlap": fmt_oids(overlap),
+                        "vertices": [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])],
+                        "lca": g.fmt_oids(base),
+                        "overlap": g.fmt_oids(overlap),
                     },
                 )
     return Verdict("disjoint_lca_paths", True)
@@ -731,9 +747,9 @@ def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
             return Verdict(
                 "vertex_compatibility", False, {"replica": rid, "error": str(exc)}
             )
+        # materialize returns the states in vertex_order.
         values = [
-            tuple((e.glyph, e.origin_cid, e.origin_seq) for e in states[k])
-            for k in sorted(states, key=vertex_order)
+            tuple((e.glyph, e.origin_cid, e.origin_seq) for e in state) for state in states.values()
         ]
         verdict = check_pairwise_compatibility(values)
         if not verdict.satisfied:
@@ -752,18 +768,21 @@ def _check_isomorphism(result: RunResult, shapes: Dict[int, Shape]) -> Verdict:
         return Verdict("space_isomorphism", True, {"vacuous": "run not quiescent"})
     rids = sorted(shapes)
     base = shapes[rids[0]]
+    index = result.css_final[rids[0]].index
     for rid in rids[1:]:
         other = shapes[rid]
         if other != base:
             witness = {
                 "replicas": [rids[0], rid],
-                "only_first": [fmt_oids(k) for k in sorted(base.keys() - other.keys(), key=sorted)],
-                "only_second": [fmt_oids(k) for k in sorted(other.keys() - base.keys(), key=sorted)],
+                "only_first": _fmt_sorted(base.keys() - other.keys(), index),
+                "only_second": _fmt_sorted(other.keys() - base.keys(), result.css_final[rid].index),
             }
             # Vertices both replicas hold whose ordered, labelled edges differ.
             differ = [k for k in base.keys() & other.keys() if base[k] != other[k]]
             if differ:
-                witness["edges_differ"] = [fmt_oids(k) for k in sorted(differ, key=vertex_order)]
+                witness["edges_differ"] = [
+                    index.fmt_oids(k) for k in sorted(differ, key=index.vertex_order)
+                ]
             return Verdict("space_isomorphism", False, witness)
     return Verdict("space_isomorphism", True)
 
@@ -774,11 +793,13 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
     if not (result.quiescent and jupiter_result.quiescent):
         return Verdict("server_union", True, {"vacuous": "run not quiescent"})
     css = result.css_final[0]
-    union_vertices: Set[OidSet] = set()
-    union_edges: Set[Tuple[OidSet, Oid, OidSet, Tuple]] = set()
+    union_vertices: Set[int] = set()
+    union_edges: Set[Tuple[int, Oid, int, Tuple]] = set()
+    union_index = css.index
     for snap in jupiter_result.cscw_server_final.values():
-        union_vertices |= set(snap.vertices)
+        union_vertices |= snap.vertices.keys()
         union_edges |= _edge_set(snap)
+        union_index = snap.index
     css_vertices = set(css.vertices)
     css_edges = _edge_set(css)
     if union_vertices != css_vertices or union_edges != css_edges:
@@ -786,8 +807,8 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
             "server_union",
             False,
             {
-                "vertices_only_union": [fmt_oids(k) for k in sorted(union_vertices - css_vertices, key=sorted)],
-                "vertices_only_css": [fmt_oids(k) for k in sorted(css_vertices - union_vertices, key=sorted)],
+                "vertices_only_union": _fmt_sorted(union_vertices - css_vertices, union_index),
+                "vertices_only_css": _fmt_sorted(css_vertices - union_vertices, css.index),
                 "edges_only_union": sorted(str(e[1].token()) for e in union_edges - css_edges),
                 "edges_only_css": sorted(str(e[1].token()) for e in css_edges - union_edges),
             },
@@ -825,9 +846,7 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                     {
                         "client": cid,
                         "step": k,
-                        "extra_vertices": [
-                            fmt_oids(v) for v in sorted(v2d.keys() - v_nary.keys(), key=sorted)
-                        ],
+                        "extra_vertices": _fmt_sorted(v2d.keys() - v_nary.keys(), snap2d.index),
                     },
                 )
             extra = set()

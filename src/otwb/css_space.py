@@ -8,8 +8,12 @@ restricted to at most two edges per vertex, one on each side: the owner's
 own operations and everyone else's.
 
 A space is single-owner mutable: it is driven by exactly one replica state
-machine. It keys each vertex by its set of executed oids and keeps the
-vertex's out-edges as SnapEdge(op, target oid set), the encoding its
+machine. It keys each vertex by its set of executed oids, held as an int
+bitmask: bit k stands for the k-th oid generated in the run, as an
+OidIndex records. Every space and snapshot of a run shares that one
+append-only index, so a mask means the same set everywhere in the run,
+and oids are decoded only to format output and to order vertices. A
+vertex's out-edges are kept as SnapEdge(op, target mask), the encoding its
 snapshots use. Checkers work on immutable snapshots taken via snapshot();
 each snapshot shares the edge tuple of every vertex that did not change
 since the one before it, and every snapshot shares each SnapEdge.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
 
@@ -34,33 +38,72 @@ class Oid(NamedTuple):
         return f"{self.cid}:{self.seq}"
 
 
-OidSet = FrozenSet[Oid]
-
-EMPTY_OIDS: OidSet = frozenset()
-
-
 class ProtocolError(Exception):
     """A protocol integrity violation: broken FIFO, bad context, or an
     edge/vertex constraint that correct runs can never reach."""
+
+
+class OidIndex:
+    """The oids of one run in the order they were generated: bit k of an
+    oid mask stands for oids[k]. Append-only, so a mask decodes to the
+    same oids at any later time."""
+
+    def __init__(self) -> None:
+        self.oids: List[Oid] = []
+        self.bits: Dict[Oid, int] = {}
+
+    def bit(self, oid: Oid) -> int:
+        """The oid's bit; an oid not seen before gets the next one."""
+        bit = self.bits.get(oid)
+        if bit is None:
+            bit = self.bits[oid] = 1 << len(self.oids)
+            self.oids.append(oid)
+        return bit
+
+    def decode(self, mask: int) -> List[Oid]:
+        """The oids of a mask, sorted."""
+        if mask >> len(self.oids):
+            raise ProtocolError(f"oid mask {mask:#x} has a bit that no generated oid holds")
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.oids[low.bit_length() - 1])
+            mask ^= low
+        out.sort()
+        return out
+
+    def vertex_order(self, mask: int) -> Tuple[int, List[Oid]]:
+        """Sort key of vertices: by size, then by sorted oids, so that every
+        vertex comes after its parents."""
+        oids = self.decode(mask)
+        return len(oids), oids
+
+    def fmt_oids(self, mask: int) -> List[str]:
+        """An oid mask as tokens in Oid order, for messages and witnesses."""
+        return [o.token() for o in self.decode(mask)]
 
 
 @dataclass(frozen=True)
 class ProtoOp:
     """A protocol operation: the signature plus identity and contexts.
 
-    ctx holds the oids causally before the operation (it always equals the
-    oids of the vertex the operation was generated at or transformed to);
+    bit is the oid's bit in the run's OidIndex, and the contexts are oid
+    masks. ctx holds the oids causally before the operation (it always
+    equals the vertex the operation was generated at or transformed to);
     sctx holds the oids the server had executed before it, stamped by the
     server, and stays empty on locally generated copies and under jupiter.
     """
 
     o: ListOp
     oid: Oid
-    ctx: OidSet = EMPTY_OIDS
-    sctx: OidSet = EMPTY_OIDS
+    bit: int
+    ctx: int = 0
+    sctx: int = 0
 
     def __post_init__(self) -> None:
-        if self.oid in self.ctx:
+        if self.bit <= 0 or self.bit & (self.bit - 1):
+            raise ProtocolError(f"operation {self.oid.token()} needs exactly one oid bit")
+        if self.bit & self.ctx:
             raise ProtocolError(f"operation {self.oid.token()} lists itself in its context")
 
     def label(self) -> str:
@@ -82,9 +125,9 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
     """
     if op.oid == op2.oid:
         raise ProtocolError("compare_ops needs two distinct operations")
-    if op.oid in op2.sctx:
+    if op.bit & op2.sctx:
         return Ord.LEFT
-    if op2.oid in op.sctx:
+    if op2.bit & op.sctx:
         return Ord.RIGHT
     if rid == 0:
         raise ProtocolError(
@@ -105,48 +148,40 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
 
 class SnapEdge(NamedTuple):
     op: ProtoOp
-    target: OidSet
+    target: int
 
 
 @dataclass(frozen=True)
 class CssSnapshot:
-    """Immutable copy of a space: per-vertex ordered edge tuples, and the
-    policy that ordered them."""
+    """Immutable copy of a space: per-vertex ordered edge tuples keyed by
+    oid mask, the run's oid index, and the policy that ordered them."""
 
     rid: int
-    cur: OidSet
-    vertices: Dict[OidSet, Tuple[SnapEdge, ...]]
+    cur: int
+    vertices: Dict[int, Tuple[SnapEdge, ...]]
+    index: OidIndex
     two_d: bool = False
 
-    def first_path(self, start: OidSet) -> List[SnapEdge]:
+    def first_path(self, start: int) -> List[SnapEdge]:
         """Edges along repeated first-edge hops from start to cur."""
         path: List[SnapEdge] = []
         at = start
         while at != self.cur:
             edges = self.vertices.get(at)
             if edges is None:
+                fmt = self.index.fmt_oids
                 raise ProtocolError(
-                    f"first-edge path from {fmt_oids(start)} reaches "
-                    f"{fmt_oids(at)}, which is not a vertex"
+                    f"first-edge path from {fmt(start)} reaches {fmt(at)}, which is not a vertex"
                 )
             if not edges:
-                raise ProtocolError(f"first-edge path from {fmt_oids(start)} stalled before cur")
+                raise ProtocolError(
+                    f"first-edge path from {self.index.fmt_oids(start)} stalled before cur"
+                )
             path.append(edges[0])
             at = edges[0].target
             if len(path) > len(self.vertices):
                 raise ProtocolError("first-edge path does not terminate")
         return path
-
-
-def vertex_order(oids: OidSet) -> Tuple[int, List[Oid]]:
-    """Sort key of vertices: by size, then by sorted oids, so that every
-    vertex comes after its parents."""
-    return len(oids), sorted(oids)
-
-
-def fmt_oids(oids: OidSet) -> List[str]:
-    """An oid set as tokens in Oid order, for messages and witnesses."""
-    return [o.token() for o in sorted(oids)]
 
 
 class CssSpace:
@@ -158,26 +193,29 @@ class CssSpace:
     everyone else's (global), and a walk follows the edge on the other
     side from the incoming operation. A jupiter client's space is owned by its client
     id; the server keeps one space per client, owned by that client's id.
+    The replicas of a run pass the run's OidIndex; a space built without
+    one makes its own.
     """
 
-    def __init__(self, rid: int, two_d: bool = False):
+    def __init__(self, rid: int, two_d: bool = False, index: Optional[OidIndex] = None):
         self.rid = rid
         self.two_d = two_d
-        self.vertices: Dict[OidSet, List[SnapEdge]] = {EMPTY_OIDS: []}
-        self.cur: OidSet = EMPTY_OIDS
+        self.index = OidIndex() if index is None else index
+        self.vertices: Dict[int, List[SnapEdge]] = {0: []}
+        self.cur = 0
         self.last_ot_sequence: Tuple[Oid, ...] = ()
         # The vertices of the last snapshot, and the vertices created or
         # given an edge since, in the order they were first touched.
-        self._snap: Dict[OidSet, Tuple[SnapEdge, ...]] = {}
-        self._touched: Dict[OidSet, List[SnapEdge]] = {EMPTY_OIDS: self.vertices[EMPTY_OIDS]}
+        self._snap: Dict[int, Tuple[SnapEdge, ...]] = {}
+        self._touched: Dict[int, List[SnapEdge]] = {0: self.vertices[0]}
 
-    def _new_vertex(self, oids: OidSet) -> OidSet:
-        if oids in self.vertices:
-            raise ProtocolError(f"vertex {fmt_oids(oids)} already exists")
-        self.vertices[oids] = self._touched[oids] = []
-        return oids
+    def _new_vertex(self, mask: int) -> int:
+        if mask in self.vertices:
+            raise ProtocolError(f"vertex {self.index.fmt_oids(mask)} already exists")
+        self.vertices[mask] = self._touched[mask] = []
+        return mask
 
-    def locate(self, op: ProtoOp) -> OidSet:
+    def locate(self, op: ProtoOp) -> int:
         """Find the unique vertex matching op's context.
 
         Absence means a FIFO/channel invariant broke upstream; the space
@@ -186,11 +224,11 @@ class CssSpace:
         if op.ctx not in self.vertices:
             raise ProtocolError(
                 f"no vertex matches ctx of {op.oid.token()} at replica {self.rid}: "
-                f"{fmt_oids(op.ctx)}"
+                f"{self.index.fmt_oids(op.ctx)}"
             )
         return op.ctx
 
-    def link(self, u: OidSet, v: OidSet, op: ProtoOp) -> None:
+    def link(self, u: int, v: int, op: ProtoOp) -> None:
         """Insert the edge (op, v) into u's ordered edge list, where the
         policy puts it.
 
@@ -199,19 +237,17 @@ class CssSpace:
         edges = self.vertices.get(u)
         if edges is None or v not in self.vertices:
             raise ProtocolError(
-                f"link: {fmt_oids(u if edges is None else v)} is not a vertex of replica {self.rid}"
+                f"link: {self.index.fmt_oids(u if edges is None else v)} "
+                f"is not a vertex of replica {self.rid}"
             )
         if op.ctx != u:
             raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
-        # op.oid is not in op.ctx (ProtoOp checks that), so v extends u by
-        # op.oid exactly when it is one larger, holds op.oid and contains
-        # u. Unlike comparing with u | {op.oid}, this builds no set.
-        if len(v) != len(u) + 1 or op.oid not in v or not u < v:
+        if v != u | op.bit:
             raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
+        # Every edge of op's oid out of u ends at u | op.bit, so a second
+        # link of it is the same edge.
         for e in edges:
-            if e.op.oid == op.oid:
-                if e.target != v:
-                    raise ProtocolError(f"link: {op.oid.token()} already linked to a different vertex")
+            if e.op.bit == op.bit:
                 return
         if self.two_d:
             own = op.oid.cid == self.rid
@@ -219,7 +255,7 @@ class CssSpace:
                 if (e.op.oid.cid == self.rid) is own:
                     raise ProtocolError(
                         f"link: {'local' if own else 'global'} edge already occupied at "
-                        f"{fmt_oids(u)}"
+                        f"{self.index.fmt_oids(u)}"
                     )
             at = 0 if own else None
         else:
@@ -243,19 +279,19 @@ class CssSpace:
         edges.insert(len(edges) if at is None else at, SnapEdge(op, v))
         self._touched[u] = edges
 
-    def _walk_edge(self, u: OidSet, op: ProtoOp) -> SnapEdge:
+    def _walk_edge(self, u: int, op: ProtoOp) -> SnapEdge:
         """The edge out of u that an xform walk of op follows."""
         edges = self.vertices[u]
         if not self.two_d:
             if not edges:
-                raise ProtocolError(f"xform: final vertex {fmt_oids(u)} has no first edge")
+                raise ProtocolError(f"xform: final vertex {self.index.fmt_oids(u)} has no first edge")
             return edges[0]
         own = op.oid.cid == self.rid
         for e in edges:
             if (e.op.oid.cid == self.rid) is not own:
                 return e
         raise ProtocolError(
-            f"xform: no {'global' if own else 'local'} edge at {fmt_oids(u)}"
+            f"xform: no {'global' if own else 'local'} edge at {self.index.fmt_oids(u)}"
         )
 
     def xform(self, op: ProtoOp) -> ProtoOp:
@@ -267,13 +303,13 @@ class CssSpace:
         last_ot_sequence for the structural checkers.
         """
         u = self.locate(op)
-        v = self._new_vertex(u | {op.oid})
+        v = self._new_vertex(u | op.bit)
         ot_seq: List[Oid] = []
         while u != self.cur:
             op2, u2 = self._walk_edge(u, op)
-            op_t = ProtoOp(transform(op.o, op2.o), op.oid, op.ctx | {op2.oid}, op.sctx)
-            op2_t = ProtoOp(transform(op2.o, op.o), op2.oid, op2.ctx | {op.oid}, op2.sctx)
-            v2 = self._new_vertex(v | {op2.oid})
+            op_t = ProtoOp(transform(op.o, op2.o), op.oid, op.bit, op.ctx | op2.bit, op.sctx)
+            op2_t = ProtoOp(transform(op2.o, op.o), op2.oid, op2.bit, op2.ctx | op.bit, op2.sctx)
+            v2 = self._new_vertex(v | op2.bit)
             self.link(v, v2, op2_t)
             self.link(u, v, op)
             ot_seq.append(op2.oid)
@@ -288,7 +324,7 @@ class CssSpace:
         must equal cur)."""
         if op.ctx != self.cur:
             raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
-        v = self._new_vertex(self.cur | {op.oid})
+        v = self._new_vertex(self.cur | op.bit)
         self.link(self.cur, v, op)
         self.cur = v
 
@@ -300,34 +336,35 @@ class CssSpace:
         dict once handed out is never mutated."""
         if self._touched:
             verts = self._snap.copy()
-            for oids, edges in self._touched.items():
-                verts[oids] = tuple(edges)
+            for mask, edges in self._touched.items():
+                verts[mask] = tuple(edges)
             self._snap = verts
             self._touched = {}
-        return CssSnapshot(rid=self.rid, cur=self.cur, vertices=self._snap, two_d=self.two_d)
+        return CssSnapshot(self.rid, self.cur, self._snap, self.index, self.two_d)
 
 
-def materialize(snapshot: CssSnapshot) -> Dict[OidSet, ListState]:
-    """Replay every vertex's list state from the root.
+def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:
+    """Replay every vertex's list state from the root, and return them in
+    vertex_order (the root, the least vertex, first).
 
     Any in-edge gives the same list (that is the convergence property); all
     of them are replayed and checked to agree.
     """
-    states: Dict[OidSet, ListState] = {EMPTY_OIDS: ()}
-    in_edges: Dict[OidSet, List[Tuple[OidSet, ProtoOp]]] = {}
+    states: Dict[int, ListState] = {0: ()}
+    in_edges: Dict[int, List[Tuple[int, ProtoOp]]] = {}
     for src, edges in snapshot.vertices.items():
         for e in edges:
             in_edges.setdefault(e.target, []).append((src, e.op))
-    for oids in sorted(snapshot.vertices, key=vertex_order):
-        if oids == EMPTY_OIDS:
+    for mask in sorted(snapshot.vertices, key=snapshot.index.vertex_order):
+        if not mask:
             continue
         candidates = []
-        for src, op in in_edges.get(oids, []):
+        for src, op in in_edges.get(mask, []):
             if src in states:
                 candidates.append(apply(states[src], op.o)[0])
         if not candidates:
-            raise ProtocolError(f"vertex {fmt_oids(oids)} unreachable from root")
+            raise ProtocolError(f"vertex {snapshot.index.fmt_oids(mask)} unreachable from root")
         if any(c != candidates[0] for c in candidates[1:]):
             raise ProtocolError("replay paths disagree")
-        states[oids] = candidates[0]
+        states[mask] = candidates[0]
     return states

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 from typing import List
 
-from .css_space import CssSnapshot, OidSet, fmt_oids, materialize, vertex_order
+from .css_space import CssSnapshot, Oid, materialize
 from .ot_core import to_text
 
 
-def _node_name(oids: OidSet) -> str:
-    return "v_" + "_".join(f"c{o.cid}s{o.seq}" for o in sorted(oids))
+def _node_name(oids: List[Oid]) -> str:
+    return "v_" + "_".join(f"c{o.cid}s{o.seq}" for o in oids)
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def _node_label(oids: OidSet, text: str) -> str:
-    ids = "{" + ",".join(fmt_oids(oids)) + "}"
+def _node_label(oids: List[Oid], text: str) -> str:
+    ids = "{" + ",".join(o.token() for o in oids) + "}"
     return f"{ids}\\n'{text}'"
 
 
@@ -33,12 +33,13 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
         lines.append(f"  label={_quote(title)};")
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')
-    keys = sorted(snapshot.vertices, key=vertex_order)
+    keys = sorted(snapshot.vertices, key=snapshot.index.vertex_order)
+    oids = {key: snapshot.index.decode(key) for key in keys}
     for key in keys:
-        attrs = f"label={_quote(_node_label(key, to_text(states[key])))}, ordering=out"
+        attrs = f"label={_quote(_node_label(oids[key], to_text(states[key])))}, ordering=out"
         if key == snapshot.cur:
             attrs += ", style=bold"
-        lines.append(f"  {_node_name(key)} [{attrs}];")
+        lines.append(f"  {_node_name(oids[key])} [{attrs}];")
     for key in keys:
         for rank, e in enumerate(snapshot.vertices[key]):
             if snapshot.two_d:
@@ -46,7 +47,7 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
             else:
                 attr = f"taillabel={_quote(str(rank))}"
             lines.append(
-                f"  {_node_name(key)} -> {_node_name(e.target)} "
+                f"  {_node_name(oids[key])} -> {_node_name(snapshot.index.decode(e.target))} "
                 f"[label={_quote(e.op.label())}, {attr}];"
             )
     lines.append("}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .css_space import EMPTY_OIDS, CssSpace, Oid, OidSet, ProtoOp, ProtocolError
+from .css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError
 from .ot_core import (
     Element,
     ListOp,
@@ -49,18 +49,25 @@ def _fill_del(o: ListOp, state: ListState) -> ListOp:
 
 class CJClient:
     """A client over its n-ary space; the jupiter client is the same over
-    a 2D space. It applies, mints identities and records deletes locally."""
+    a 2D space. It applies, mints identities and records deletes locally.
+    `index` is the run's OidIndex; a client built without one makes its
+    own."""
 
     two_d = False
 
-    def __init__(self, cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
+    def __init__(
+        self,
+        cid: int,
+        rule: PriorityRule = PriorityRule.SMALLER_WINS,
+        index: Optional[OidIndex] = None,
+    ):
         if cid < 1:
             raise ValueError("client ids start at 1")
         self.cid = cid
         self.rule = rule
         self.seq = 0
         self.state: ListState = ()
-        self.space = CssSpace(rid=cid, two_d=self.two_d)
+        self.space = CssSpace(rid=cid, two_d=self.two_d, index=index)
 
     def make_ins(self, glyph: str, position: int) -> ListOp:
         """Build an insert carrying the identity do() will expect."""
@@ -84,7 +91,8 @@ class CJClient:
         o = _fill_del(o, self.state)
         self.state, value = apply(self.state, o)
         self.seq += 1
-        op = ProtoOp(o, Oid(self.cid, self.seq), ctx=self.space.cur, sctx=EMPTY_OIDS)
+        oid = Oid(self.cid, self.seq)
+        op = ProtoOp(o, oid, self.space.index.bit(oid), self.space.cur)
         self.space.append(op)
         return DoResult(value, op)
 
@@ -101,12 +109,12 @@ class Sequencer:
 
     def __init__(self, n_clients: int):
         self.n_clients = n_clients
-        self.soids: set[Oid] = set()
+        self.soids = 0  # oid mask of the commits so far
         self.arrival_log: List[Oid] = []
 
     def receive(self, op: ProtoOp) -> RecvResult:
-        stamped = ProtoOp(op.o, op.oid, op.ctx, frozenset(self.soids))
-        self.soids.add(stamped.oid)
+        stamped = ProtoOp(op.o, op.oid, op.bit, op.ctx, self.soids)
+        self.soids |= op.bit
         self.arrival_log.append(stamped.oid)
         fanout = tuple(
             (c, stamped) for c in range(1, self.n_clients + 1) if c != stamped.oid.cid
@@ -118,10 +126,10 @@ class CJServer(Sequencer):
     """The serializing server: a sequencer that also transforms each
     stamped operation against its own space; it forwards the original."""
 
-    def __init__(self, n_clients: int):
+    def __init__(self, n_clients: int, index: Optional[OidIndex] = None):
         super().__init__(n_clients)
         self.state: ListState = ()
-        self.space = CssSpace(rid=SERVER_ID)
+        self.space = CssSpace(rid=SERVER_ID, index=index)
 
     def receive(self, op: ProtoOp) -> RecvResult:
         stamped = super().receive(op)
@@ -143,12 +151,13 @@ class JServer:
     """Keeps one 2D space per client, owned by that client's id, and
     forwards transformed operations."""
 
-    def __init__(self, n_clients: int):
+    def __init__(self, n_clients: int, index: Optional[OidIndex] = None):
         self.n_clients = n_clients
         self.state: ListState = ()
         self.arrival_log: List[Oid] = []
+        index = OidIndex() if index is None else index
         self.spaces: Dict[int, CssSpace] = {
-            c: CssSpace(rid=c, two_d=True) for c in range(1, n_clients + 1)
+            c: CssSpace(rid=c, two_d=True, index=index) for c in range(1, n_clients + 1)
         }
 
     def receive(self, op: ProtoOp) -> RecvResult:
@@ -174,17 +183,22 @@ class DJReplica(CJClient):
     """Peer replica over causal atomic broadcast: generates like a client
     and processes the other replicas' operations in broadcast order."""
 
-    def __init__(self, rid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS):
-        super().__init__(rid, rule)
-        self.soids_mirror: OidSet = EMPTY_OIDS
+    def __init__(
+        self,
+        rid: int,
+        rule: PriorityRule = PriorityRule.SMALLER_WINS,
+        index: Optional[OidIndex] = None,
+    ):
+        super().__init__(rid, rule, index)
+        self.soids_mirror = 0  # oid mask of the commits delivered or stamped so far
 
     def receive(self, op: ProtoOp) -> RecvResult:
         if op.oid.cid == self.cid:
             raise ProtocolError("own operations are never delivered back")
-        if not self.soids_mirror <= op.sctx:
+        if self.soids_mirror & ~op.sctx:
             raise ProtocolError(
                 f"delivery of {op.oid.token()} at replica {self.cid} is behind "
                 "the broadcast order already observed"
             )
-        self.soids_mirror = op.sctx | {op.oid}
+        self.soids_mirror = op.sctx | op.bit
         return super().receive(op)

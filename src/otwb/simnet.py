@@ -14,9 +14,10 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .css_space import CssSnapshot, Oid, ProtocolError
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
 from .ot_core import ListOp, ListState, PriorityRule
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 
@@ -63,6 +64,11 @@ class Schedule:
     steps: Tuple[Step, ...]
     priority_rule: PriorityRule = PriorityRule.SMALLER_WINS
     prng: Optional[Tuple[str, int]] = None  # (generator name, seed)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex sha256 of schedule_to_json(self), computed once per object."""
+        return hashlib.sha256(schedule_to_json(self).encode()).hexdigest()
 
 
 def _replica_name(rid: int) -> str:
@@ -153,7 +159,7 @@ def schedule_from_json(text: str) -> Schedule:
 
 
 def schedule_digest(schedule: Schedule) -> str:
-    return hashlib.sha256(schedule_to_json(schedule).encode()).hexdigest()
+    return schedule.sha256
 
 
 def validate_schedule(schedule: Schedule, protocol: str) -> None:
@@ -346,6 +352,8 @@ class Simulation:
     """One protocol's replicas and their reliable FIFO channels: one up-queue
     and one down-queue per client, all through replica 0. Under djupiter
     replica 0 is the broadcast Sequencer, so the channels are the same.
+    Every replica's space shares the run's one OidIndex: bit k is the k-th
+    oid generated, so the index follows from the schedule alone.
 
     step() runs one schedule step and logs it; the log holds only
     references to immutable values, and events() turns it into trace
@@ -358,15 +366,16 @@ class Simulation:
         if n_clients < 1:
             raise ScheduleError("need at least one client")
         self.n_clients = n_clients
+        self.index = OidIndex()
         if protocol == "cjupiter":
-            self.hub, client = CJServer(n_clients), CJClient
+            self.hub, client = CJServer(n_clients, self.index), CJClient
         elif protocol == "jupiter":
-            self.hub, client = JServer(n_clients), JClient
+            self.hub, client = JServer(n_clients, self.index), JClient
         else:
             self.hub, client = Sequencer(n_clients), DJReplica
         # The peer at the other end of every client channel, as traced.
         self.hub_id = BROADCAST if protocol == "djupiter" else SERVER_ID
-        self.clients = {c: client(c, rule) for c in range(1, n_clients + 1)}
+        self.clients = {c: client(c, rule, self.index) for c in range(1, n_clients + 1)}
         self.up = {c: collections.deque() for c in self.clients}
         self.down = {c: collections.deque() for c in self.clients}
         self.log: List[tuple] = []

@@ -27,3 +27,11 @@ def podc16_dj():
 
 def text_of(value):
     return "".join(v[0] for v in value)
+
+
+def mask(index, oids):
+    """The oid mask of oids in an OidIndex, giving new oids their bits."""
+    m = 0
+    for o in oids:
+        m |= index.bit(o)
+    return m

@@ -131,7 +131,8 @@ class TestCriterion2Compactness:
             frozenset({O1, O2, O3, O4}),
         }
         families_ok = all(
-            set(snap.vertices) == expected for snap in podc16_cj.css_final.values()
+            {frozenset(snap.index.decode(k)) for k in snap.vertices} == expected
+            for snap in podc16_cj.css_final.values()
         )
 
         def shape(snap):

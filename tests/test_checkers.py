@@ -291,6 +291,15 @@ class TestEquivalence:
 
 
 class TestStructural:
+    def test_schedule_mismatch_rejected(self, podc16_cj, podc16_j):
+        # Vertex masks name oids by generation order, which only the same
+        # schedule fixes, so two schedules' masks are not comparable.
+        other = run("jupiter", random_schedule(3, 4, 1))
+        with pytest.raises(ValueError, match="same schedule"):
+            check_structural(podc16_cj, other)
+        with pytest.raises(ValueError, match="same schedule"):
+            check_structural(run("cjupiter", random_schedule(3, 4, 1)), podc16_j)
+
     def test_golden_bundle_all_pass(self, podc16_cj, podc16_j):
         verdicts = check_structural(podc16_cj, podc16_j)
         assert {v.check for v in verdicts} == {

@@ -1,12 +1,14 @@
 """Tests for the n-ary ordered state space."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import O1, O2, O3, O4
+from conftest import O1, O2, O3, O4, mask
 from otwb.css_space import (
-    EMPTY_OIDS,
     CssSpace,
     Oid,
+    OidIndex,
     Ord,
     ProtoOp,
     ProtocolError,
@@ -21,19 +23,18 @@ def ins(glyph, pos, cid, seq):
     return ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid))
 
 
-def op(o, oid, ctx=(), sctx=()):
-    return ProtoOp(o, oid, frozenset(ctx), frozenset(sctx))
+def op(index, o, oid, ctx=(), sctx=()):
+    """A ProtoOp whose oid and contexts are bits and masks of index."""
+    return ProtoOp(o, oid, index.bit(oid), mask(index, ctx), mask(index, sctx))
 
-
-def oids(*pairs):
-    return frozenset(Oid(c, s) for c, s in pairs)
 
 
 def replay_podc16():
     """Drive the golden scenario directly through the protocol objects,
-    returning (server, clients)."""
-    server = CJServer(3)
-    c = {i: CJClient(i) for i in (1, 2, 3)}
+    sharing one oid index, returning (server, clients, stamped ops)."""
+    index = OidIndex()
+    server = CJServer(3, index)
+    c = {i: CJClient(i, index=index) for i in (1, 2, 3)}
     sent = {}
     _, op1 = c[1].do(c[1].make_ins("x", 0))
     sent[1] = server.receive(op1)
@@ -57,45 +58,50 @@ def replay_podc16():
 
 class TestCompareOps:
     def test_sctx_membership_forces_left(self):
-        a = op(ins("p", 0, 1, 1), Oid(1, 1))
-        b = op(ins("q", 0, 2, 1), Oid(2, 1), sctx={Oid(1, 1)})
+        ix = OidIndex()
+        a = op(ix, ins("p", 0, 1, 1), Oid(1, 1))
+        b = op(ix, ins("q", 0, 2, 1), Oid(2, 1), sctx={Oid(1, 1)})
         assert compare_ops(a, b, 0) is Ord.LEFT
         assert compare_ops(b, a, 0) is Ord.RIGHT
 
     def test_remote_before_local_at_client(self):
         # At client 2: a redirected operation with silent contexts orders
         # before the client's own unacknowledged one.
-        remote = op(ListOp.del_(0, priority_of(1)), O2, ctx={O1}, sctx={O1})
-        local = op(ins("a", 0, 2, 1), O3, ctx={O1})
+        ix = OidIndex()
+        remote = op(ix, ListOp.del_(0, priority_of(1)), O2, ctx={O1}, sctx={O1})
+        local = op(ix, ins("a", 0, 2, 1), O3, ctx={O1})
         assert compare_ops(remote, local, 2) is Ord.LEFT
         assert compare_ops(local, remote, 2) is Ord.RIGHT
 
     def test_server_replay_orders_by_arrival(self, podc16_cj):
         snap = podc16_cj.css_final[0]
-        v1 = snap.vertices[frozenset({O1})]
+        v1 = snap.vertices[mask(snap.index, [O1])]
         assert [e.op.oid for e in v1] == [O2, O3, O4]
 
     def test_server_orders_by_sctx_membership(self):
         # o4 arrived after o3, so o3 appears in o4's server context.
-        o3 = op(ins("a", 0, 2, 1), O3, ctx={O1}, sctx={O1, O2})
-        o4 = op(ins("b", 1, 3, 1), O4, ctx={O1}, sctx={O1, O2, O3})
+        ix = OidIndex()
+        o3 = op(ix, ins("a", 0, 2, 1), O3, ctx={O1}, sctx={O1, O2})
+        o4 = op(ix, ins("b", 1, 3, 1), O4, ctx={O1}, sctx={O1, O2, O3})
         assert compare_ops(o3, o4, 0) is Ord.LEFT
         assert compare_ops(o4, o3, 0) is Ord.RIGHT
 
     def test_server_fallback_is_a_protocol_bug(self):
-        a = op(ins("p", 0, 1, 1), Oid(1, 1))
-        b = op(ins("q", 0, 2, 1), Oid(2, 1))
+        ix = OidIndex()
+        a = op(ix, ins("p", 0, 1, 1), Oid(1, 1))
+        b = op(ix, ins("q", 0, 2, 1), Oid(2, 1))
         with pytest.raises(ProtocolError):
             compare_ops(a, b, 0)
 
     def test_two_remote_ops_with_silent_contexts_rejected(self):
-        a = op(ins("p", 0, 1, 1), Oid(1, 1))
-        b = op(ins("q", 0, 2, 1), Oid(2, 1))
+        ix = OidIndex()
+        a = op(ix, ins("p", 0, 1, 1), Oid(1, 1))
+        b = op(ix, ins("q", 0, 2, 1), Oid(2, 1))
         with pytest.raises(ProtocolError):
             compare_ops(a, b, 3)
 
     def test_same_oid_rejected(self):
-        a = op(ins("p", 0, 1, 1), Oid(1, 1))
+        a = op(OidIndex(), ins("p", 0, 1, 1), Oid(1, 1))
         with pytest.raises(ProtocolError):
             compare_ops(a, a, 1)
 
@@ -103,24 +109,25 @@ class TestCompareOps:
 class TestLocate:
     def test_root_matches_empty_context(self):
         s = CssSpace(rid=1)
-        incoming = op(ins("x", 0, 2, 1), Oid(2, 1))
-        assert s.locate(incoming) == EMPTY_OIDS
+        incoming = op(s.index, ins("x", 0, 2, 1), Oid(2, 1))
+        assert s.locate(incoming) == 0
 
     def test_example_locates_middle_vertex(self):
         # Client 3 after o1, o4, o2: an op with ctx {o1} matches v1.
-        _, clients, stamped = replay_podc16()
-        c3 = CJClient(3)
-        c3.receive(op(ins("x", 0, 1, 1), O1, sctx=frozenset()))
+        server, clients, stamped = replay_podc16()
+        ix = server.space.index
+        c3 = CJClient(3, index=ix)
+        c3.receive(op(ix, ins("x", 0, 1, 1), O1))
         c3.do(c3.make_ins("b", 1))
         c3.receive(stamped[2])
         v = c3.space.locate(stamped[3])
-        assert v == frozenset({O1})
+        assert v == mask(ix, [O1])
 
     def test_missing_context_is_integrity_error(self):
         # A FIFO violation hand-built: the op's context names an operation
         # this replica never processed.
         s = CssSpace(rid=1)
-        bad = op(ins("x", 0, 2, 2), Oid(2, 2), ctx={Oid(2, 1)})
+        bad = op(s.index, ins("x", 0, 2, 2), Oid(2, 2), ctx={Oid(2, 1)})
         with pytest.raises(ProtocolError):
             s.locate(bad)
 
@@ -128,69 +135,94 @@ class TestLocate:
 class TestLink:
     def test_first_link_makes_one_edge(self):
         s = CssSpace(rid=1)
-        o = op(ins("x", 0, 1, 1), Oid(1, 1))
+        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        assert len(s.vertices[EMPTY_OIDS]) == 1
-        assert s.cur == frozenset({Oid(1, 1)})
+        assert len(s.vertices[0]) == 1
+        assert s.cur == mask(s.index, [Oid(1, 1)])
 
     def test_insertion_sorts_between_existing_edges(self, podc16_cj):
         # At client 3, o3's edge lands between o2's and o4's under the
         # server order.
         snap = podc16_cj.css_final[3]
-        v1 = snap.vertices[frozenset({O1})]
+        v1 = snap.vertices[mask(snap.index, [O1])]
         assert [e.op.oid for e in v1] == [O2, O3, O4]
 
     def test_double_link_is_idempotent(self):
         s = CssSpace(rid=1)
-        o = op(ins("x", 0, 1, 1), Oid(1, 1))
+        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        u, v = EMPTY_OIDS, s.cur
+        u, v = 0, s.cur
         s.link(u, v, o)
         assert len(s.vertices[u]) == 1
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1)
-        o = op(ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(9, 9)})
+        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(9, 9)})
         with pytest.raises(ProtocolError):
             s.locate(o)
         with pytest.raises(ProtocolError):
-            s.link(EMPTY_OIDS, EMPTY_OIDS, o)
+            s.link(0, 0, o)
 
     def test_source_or_target_not_a_vertex_rejected(self):
         # The oid sets extend each other correctly, but one end is not a
         # vertex of the space: a ProtocolError, never a KeyError.
         s = CssSpace(rid=1)
-        o = op(ins("x", 0, 1, 1), Oid(1, 1))
+        ix = s.index
+        o = op(ix, ins("x", 0, 1, 1), Oid(1, 1))
         with pytest.raises(ProtocolError, match="is not a vertex"):
-            s.link(EMPTY_OIDS, frozenset({Oid(1, 1)}), o)
+            s.link(0, mask(ix, [Oid(1, 1)]), o)
         s.append(o)
-        o2 = op(ins("y", 0, 1, 2), Oid(1, 2), ctx={Oid(2, 1)})
+        o2 = op(ix, ins("y", 0, 1, 2), Oid(1, 2), ctx={Oid(2, 1)})
         with pytest.raises(ProtocolError, match="is not a vertex"):
-            s.link(frozenset({Oid(2, 1)}), frozenset({Oid(2, 1), Oid(1, 2)}), o2)
+            s.link(mask(ix, [Oid(2, 1)]), mask(ix, [Oid(2, 1), Oid(1, 2)]), o2)
+
+
+class TestIntegrityChecks:
+    def test_link_to_vertex_that_does_not_extend_source(self):
+        # {2:1} is a vertex, but not the root plus 1:1.
+        s = CssSpace(rid=1)
+        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
+        s.append(o)
+        other = s._new_vertex(mask(s.index, [Oid(2, 1)]))
+        with pytest.raises(ProtocolError, match="target oids do not extend source by 1:1"):
+            s.link(0, other, o)
+        # Nor does the source itself.
+        with pytest.raises(ProtocolError, match="target oids do not extend source by 1:1"):
+            s.link(0, 0, o)
+        assert [e.target for e in s.vertices[0]] == [mask(s.index, [Oid(1, 1)])]
+
+    def test_append_away_from_cur(self):
+        # An op generated at the root is appended after cur moved on.
+        s = CssSpace(rid=1)
+        s.append(op(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
+        stale = op(s.index, ins("y", 0, 1, 2), Oid(1, 2))
+        with pytest.raises(ProtocolError, match="appended op 1:2 not generated at cur"):
+            s.append(stale)
+        assert len(s.vertices) == 2
 
 
 class TestFirstEdgeAndPath:
     def test_single_edge_vertex(self):
         s = CssSpace(rid=1)
-        o = op(ins("x", 0, 1, 1), Oid(1, 1))
+        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
-        incoming = op(ins("y", 0, 2, 1), Oid(2, 1))
-        assert s._walk_edge(EMPTY_OIDS, incoming).op.oid == Oid(1, 1)
+        incoming = op(s.index, ins("y", 0, 2, 1), Oid(2, 1))
+        assert s._walk_edge(0, incoming).op.oid == Oid(1, 1)
 
     def test_final_vertex_has_no_first_edge(self):
         # {2:1} is a vertex but not cur and has no edges, so the walk of an
         # op located there cannot leave it.
         s = CssSpace(rid=1)
-        s.append(op(ins("x", 0, 1, 1), Oid(1, 1)))
-        s._new_vertex(frozenset({Oid(2, 1)}))
+        s.append(op(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
+        s._new_vertex(mask(s.index, [Oid(2, 1)]))
         with pytest.raises(ProtocolError, match="final vertex"):
-            s.xform(op(ins("y", 0, 3, 1), Oid(3, 1), ctx={Oid(2, 1)}))
+            s.xform(op(s.index, ins("y", 0, 3, 1), Oid(3, 1), ctx={Oid(2, 1)}))
 
     def test_server_first_paths_follow_arrival_order(self):
         server, _, _ = replay_podc16()
         snap = server.space.snapshot()
-        assert [e.op.oid for e in snap.first_path(frozenset({O1}))] == [O2, O3, O4]
-        assert [e.op.oid for e in snap.first_path(frozenset({O1, O3}))] == [O2, O4]
+        assert [e.op.oid for e in snap.first_path(mask(snap.index, [O1]))] == [O2, O3, O4]
+        assert [e.op.oid for e in snap.first_path(mask(snap.index, [O1, O3]))] == [O2, O4]
 
     def test_path_from_cur_is_empty(self):
         server, _, _ = replay_podc16()
@@ -203,23 +235,21 @@ class TestXform:
         # Client 3 holding local o4 transforms the incoming deletion into
         # Del(x,0) with context {o1,o4}, materializing the square vertex.
         c3 = CJClient(3)
-        c3.receive(op(ins("x", 0, 1, 1), O1))
+        ix = c3.space.index
+        c3.receive(op(ix, ins("x", 0, 1, 1), O1))
         c3.do(c3.make_ins("b", 1))
-        incoming = ProtoOp(
-            ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)),
-            O2,
-            frozenset({O1}),
-            frozenset({O1}),
+        incoming = op(
+            ix, ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)), O2, ctx={O1}, sctx={O1}
         )
         result = c3.receive(incoming)
         assert result.applied.o.sig() == "Del(x,0)"
-        assert result.applied.ctx == frozenset({O1, O4})
+        assert result.applied.ctx == mask(ix, [O1, O4])
         assert to_text(c3.state) == "b"
-        assert frozenset({O1, O2, O4}) in c3.space.vertices
+        assert mask(ix, [O1, O2, O4]) in c3.space.vertices
 
     def test_op_at_cur_passes_through_unchanged(self):
         c1 = CJClient(1)
-        incoming = op(ins("x", 0, 2, 1), Oid(2, 1))
+        incoming = op(c1.space.index, ins("x", 0, 2, 1), Oid(2, 1))
         result = c1.receive(incoming)
         assert result.applied.o == incoming.o
         assert result.ot_seq == ()
@@ -228,7 +258,7 @@ class TestXform:
     def test_server_transforms_o4_across_two_steps(self):
         server, _, _ = replay_podc16()
         snap = server.space.snapshot()
-        v123 = frozenset({O1, O2, O3})
+        v123 = mask(snap.index, [O1, O2, O3])
         final_edges = snap.vertices[v123]
         assert [ (e.op.oid, e.op.o.sig()) for e in final_edges ] == [(O4, "Ins(b,0)")]
         assert to_text(server.state) == "ba"
@@ -249,21 +279,59 @@ class TestInvariants:
             for src, edges in snap.vertices.items():
                 for e in edges:
                     assert e.op.ctx == src
-                    assert e.target == src | {e.op.oid}
-                    assert e.op.oid not in src
+                    assert e.target == src | e.op.bit
+                    assert not e.op.bit & src
 
     def test_materialized_lists_match_figure(self, podc16_cj):
         snap = podc16_cj.css_final[0]
         states = {k: to_text(v) for k, v in materialize(snap).items()}
-        assert states[EMPTY_OIDS] == ""
-        assert states[frozenset({O1})] == "x"
-        assert states[frozenset({O1, O2})] == ""
-        assert states[frozenset({O1, O3})] == "ax"
-        assert states[frozenset({O1, O4})] == "xb"
-        assert states[frozenset({O1, O2, O3})] == "a"
-        assert states[frozenset({O1, O2, O4})] == "b"
-        assert states[frozenset({O1, O2, O3, O4})] == "ba"
+        ix = snap.index
+        assert states[0] == ""
+        assert states[mask(ix, [O1])] == "x"
+        assert states[mask(ix, [O1, O2])] == ""
+        assert states[mask(ix, [O1, O3])] == "ax"
+        assert states[mask(ix, [O1, O4])] == "xb"
+        assert states[mask(ix, [O1, O2, O3])] == "a"
+        assert states[mask(ix, [O1, O2, O4])] == "b"
+        assert states[mask(ix, [O1, O2, O3, O4])] == "ba"
 
     def test_self_context_rejected(self):
+        ix = OidIndex()
         with pytest.raises(ProtocolError):
-            ProtoOp(ins("x", 0, 1, 1), Oid(1, 1), frozenset({Oid(1, 1)}))
+            ProtoOp(ins("x", 0, 1, 1), Oid(1, 1), ix.bit(Oid(1, 1)), mask(ix, [Oid(1, 1)]))
+
+    @pytest.mark.parametrize("bit", [0, -1, 0b11])
+    def test_op_bit_must_be_one_bit(self, bit):
+        with pytest.raises(ProtocolError, match="exactly one oid bit"):
+            ProtoOp(ins("x", 0, 1, 1), Oid(1, 1), bit)
+
+
+class TestOidIndex:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_masks_format_and_order_as_oid_sets(self, data):
+        # Oids generated in a shuffled order, so bit order is not oid order.
+        pool = data.draw(st.lists(st.builds(Oid, st.integers(1, 4), st.integers(1, 5)), unique=True))
+        ix = OidIndex()
+        for o in data.draw(st.permutations(pool)):
+            ix.bit(o)
+        sets = data.draw(st.lists(st.frozensets(st.sampled_from(pool)), unique=True, max_size=12)
+                         if pool else st.just([frozenset()]))
+        masks = [mask(ix, s) for s in sets]
+        for s, m in zip(sets, masks):
+            assert frozenset(ix.decode(m)) == s
+            assert ix.fmt_oids(m) == [o.token() for o in sorted(s)]
+            assert ix.vertex_order(m) == (len(s), sorted(s))
+        by_sets = sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(sets[i])))
+        assert [masks[i] for i in by_sets] == sorted(masks, key=ix.vertex_order)
+
+    def test_bits_follow_generation_order_and_repeat(self):
+        ix = OidIndex()
+        assert [ix.bit(Oid(2, 1)), ix.bit(Oid(1, 1)), ix.bit(Oid(2, 1))] == [1, 2, 1]
+        assert ix.oids == [Oid(2, 1), Oid(1, 1)]
+
+    def test_bit_beyond_the_index_rejected(self):
+        ix = OidIndex()
+        ix.bit(Oid(1, 1))
+        with pytest.raises(ProtocolError, match="no generated oid"):
+            ix.fmt_oids(0b10)

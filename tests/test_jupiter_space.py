@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import O1, O2, O3, O4
-from otwb.css_space import EMPTY_OIDS, CssSpace, Oid, ProtoOp, ProtocolError, materialize
+from conftest import O1, O2, O3, O4, mask
+from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import JClient, JServer
 
@@ -12,13 +12,16 @@ def ins(glyph, pos, cid, seq):
     return ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid))
 
 
-def op2d(o, oid, ctx=()):
-    return ProtoOp(o, oid, frozenset(ctx))
+def op2d(index, o, oid, ctx=()):
+    """A ProtoOp whose oid and context are a bit and a mask of index."""
+    return ProtoOp(o, oid, index.bit(oid), mask(index, ctx))
+
 
 
 def replay_podc16_jupiter():
-    server = JServer(3)
-    c = {i: JClient(i) for i in (1, 2, 3)}
+    index = OidIndex()
+    server = JServer(3, index)
+    c = {i: JClient(i, index=index) for i in (1, 2, 3)}
     _, op1 = c[1].do(c[1].make_ins("x", 0))
     r1 = server.receive(op1)
     for i in (2, 3):
@@ -48,45 +51,49 @@ def all_snapshots(server, clients):
 class TestAdd:
     def test_add_to_root_along_local(self):
         s = CssSpace(rid=1, two_d=True)
-        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+        ix = s.index
+        s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
-        assert [(e.op.oid, e.target) for e in s.vertices[EMPTY_OIDS]] == [(Oid(1, 1), s.cur)]
+        assert [(e.op.oid, e.target) for e in s.vertices[0]] == [(Oid(1, 1), s.cur)]
         # An edge of another client's op goes after the owner's own.
-        g = op2d(ins("y", 0, 2, 1), Oid(2, 1))
-        s.link(EMPTY_OIDS, s._new_vertex(frozenset({Oid(2, 1)})), g)
-        assert [e.op.oid for e in s.vertices[EMPTY_OIDS]] == [Oid(1, 1), Oid(2, 1)]
+        g = op2d(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        s.link(0, s._new_vertex(mask(ix, [Oid(2, 1)])), g)
+        assert [e.op.oid for e in s.vertices[0]] == [Oid(1, 1), Oid(2, 1)]
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1, two_d=True)
-        bad = op2d(ins("x", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)})
+        ix = s.index
+        bad = op2d(ix, ins("x", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)})
         with pytest.raises(ProtocolError):
             s.append(bad)
         with pytest.raises(ProtocolError):
-            s.link(EMPTY_OIDS, s._new_vertex(frozenset({Oid(1, 1), Oid(1, 2)})), bad)
+            s.link(0, s._new_vertex(mask(ix, [Oid(1, 1), Oid(1, 2)])), bad)
 
     def test_occupied_dimension_rejected(self):
         # Two ops of client 1 (local to owner 1) or of clients 1 and 2
         # (both global to owner 3) compete for one slot at the root.
         for owner, second, side in ((1, Oid(1, 2), "local"), (3, Oid(2, 1), "global")):
             s = CssSpace(rid=owner, two_d=True)
-            s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+            ix = s.index
+            s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
             with pytest.raises(ProtocolError, match=f"{side} edge already occupied"):
-                s.link(EMPTY_OIDS, s._new_vertex(frozenset({second})), op2d(ins("y", 0, *second), second))
+                s.link(0, s._new_vertex(mask(ix, [second])), op2d(ix, ins("y", 0, *second), second))
 
     def test_server_saves_transformed_op_along_global(self):
         server, _, fwd = replay_podc16_jupiter()
+        ix = server.spaces[1].index
         # The forwarded o3 carries the server-transformed context {o1,o2}.
-        assert fwd[3].ctx == frozenset({O1, O2})
+        assert fwd[3].ctx == mask(ix, [O1, O2])
         snap3 = server.spaces[3].snapshot()
         # o4 is c3's own op, so its edge is the local one and comes first.
-        assert [e.op.oid for e in snap3.vertices[frozenset({O1, O2})]] == [O4, O3]
+        assert [e.op.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O4, O3]
         assert snap3.rid == 3 and snap3.two_d
 
 
 class TestXform2D:
     def test_op_at_cur_passes_through(self):
         c1 = JClient(1)
-        incoming = op2d(ins("x", 0, 2, 1), Oid(2, 1))
+        incoming = op2d(c1.space.index, ins("x", 0, 2, 1), Oid(2, 1))
         result = c1.receive(incoming)
         assert result.applied.o == incoming.o
         assert result.ot_seq == ()
@@ -97,20 +104,20 @@ class TestXform2D:
         _, clients, _ = replay_podc16_jupiter()
         c3 = clients[3]
         assert to_text(c3.state) == "ba"
-        assert c3.space.cur == frozenset({O1, O2, O3, O4})
+        assert c3.space.cur == mask(c3.space.index, [O1, O2, O3, O4])
 
     def test_server_global_walk_transforms_o3(self):
         server, _, fwd = replay_podc16_jupiter()
         # o3 arrived with ctx {o1}; the server transformed it against o2
         # along the global dimension of c2's space.
         assert fwd[3].o.sig() == "Ins(a,0)"
-        assert fwd[3].ctx == frozenset({O1, O2})
+        assert fwd[3].ctx == mask(server.spaces[2].index, [O1, O2])
 
     def test_missing_dimension_edge_is_integrity_error(self):
         s = CssSpace(rid=1, two_d=True)
-        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
+        s.append(op2d(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
         # An own op located at the root must walk global edges; none exist.
-        incoming = op2d(ins("y", 0, 1, 2), Oid(1, 2))
+        incoming = op2d(s.index, ins("y", 0, 1, 2), Oid(1, 2))
         with pytest.raises(ProtocolError, match="no global edge"):
             s.xform(incoming)
 
@@ -118,11 +125,12 @@ class TestXform2D:
         # cur already holds a global edge, so the square that a remote op's
         # walk closes at cur has no free slot for its rung.
         s = CssSpace(rid=1, two_d=True)
-        s.append(op2d(ins("x", 0, 1, 1), Oid(1, 1)))
-        g = op2d(ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
-        s.link(s.cur, s._new_vertex(frozenset({Oid(1, 1), Oid(2, 1)})), g)
+        ix = s.index
+        s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        g = op2d(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
+        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 1)])), g)
         with pytest.raises(ProtocolError, match="global edge already occupied"):
-            s.xform(op2d(ins("z", 0, 3, 1), Oid(3, 1)))
+            s.xform(op2d(ix, ins("z", 0, 3, 1), Oid(3, 1)))
 
 
 class TestStructure:
@@ -144,7 +152,7 @@ class TestStructure:
                 if len(edges) < 2:
                     continue
                 local, global_ = edges
-                corner = src | {local.op.oid, global_.op.oid}
+                corner = src | local.op.bit | global_.op.bit
                 assert corner in snap.vertices
                 via_local = snap.vertices[local.target]
                 via_global = snap.vertices[global_.target]
@@ -155,8 +163,9 @@ class TestStructure:
         _, clients, _ = replay_podc16_jupiter()
         snap = clients[3].space.snapshot()
         states = {k: to_text(v) for k, v in materialize(snap).items()}
-        assert states[frozenset({O1, O4})] == "xb"
-        assert states[frozenset({O1, O2, O4})] == "b"
-        assert states[frozenset({O1, O2, O3, O4})] == "ba"
+        ix = snap.index
+        assert states[mask(ix, [O1, O4])] == "xb"
+        assert states[mask(ix, [O1, O2, O4])] == "b"
+        assert states[mask(ix, [O1, O2, O3, O4])] == "ba"
         # c3 never materializes the {o1,o3} vertex in 2D form
-        assert frozenset({O1, O3}) not in states
+        assert mask(ix, [O1, O3]) not in states

@@ -2,20 +2,26 @@
 
 import pytest
 
-from conftest import O1, O2, O3, O4, text_of
-from otwb.css_space import Oid, ProtoOp, ProtocolError
+from conftest import O1, O2, O3, O4, mask, text_of
+from otwb.css_space import Oid, OidIndex, ProtoOp, ProtocolError
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import CJClient, CJServer, DJReplica, JClient, JServer
 from otwb.simnet import random_schedule, run
 
 
-def remote_ins(glyph, pos, cid, seq, ctx=(), sctx=()):
+def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
+    """An insert addressed to replica, with its oid and contexts as a bit
+    and masks of the replica's oid index."""
+    index = replica.space.index
+    oid = Oid(cid, seq)
     return ProtoOp(
         ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid)),
-        Oid(cid, seq),
-        frozenset(ctx),
-        frozenset(sctx),
+        oid,
+        index.bit(oid),
+        mask(index, ctx),
+        mask(index, sctx),
     )
+
 
 
 class TestCJClientDo:
@@ -24,15 +30,16 @@ class TestCJClientDo:
         value, msg = c1.do(c1.make_ins("x", 0))
         assert to_text(value) == "x"
         assert msg.oid == Oid(1, 1)
-        assert msg.ctx == frozenset()
-        assert msg.sctx == frozenset()
+        assert msg.bit == mask(c1.space.index, [Oid(1, 1)])
+        assert msg.ctx == 0
+        assert msg.sctx == 0
 
     def test_insert_after_remote_context(self):
         c3 = CJClient(3)
-        c3.receive(remote_ins("x", 0, 1, 1))
+        c3.receive(remote_ins(c3, "x", 0, 1, 1))
         value, msg = c3.do(c3.make_ins("b", 1))
         assert to_text(value) == "xb"
-        assert msg.ctx == frozenset({O1})
+        assert msg.ctx == mask(c3.space.index, [O1])
 
     def test_read_routed_through_do_is_rejected(self):
         c1 = CJClient(1)
@@ -70,29 +77,30 @@ class TestCJServerReceive:
 
     def test_first_op_stamped_empty(self):
         s = CJServer(2)
-        r = s.receive(remote_ins("x", 0, 1, 1))
-        assert r.applied.sctx == frozenset()
+        r = s.receive(remote_ins(s, "x", 0, 1, 1))
+        assert r.applied.sctx == 0
 
     def test_stamps_and_fans_out_original(self):
         s = CJServer(3)
-        s.receive(remote_ins("x", 0, 1, 1))
+        s.receive(remote_ins(s, "x", 0, 1, 1))
         r = s.receive(
             ProtoOp(
                 ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)),
                 O2,
-                frozenset({O1}),
+                mask(s.space.index, [O2]),
+                mask(s.space.index, [O1]),
             )
         )
         assert to_text(s.state) == ""
         assert [dst for dst, _ in r.fanout] == [2, 3]
         for _, forwarded in r.fanout:
             assert forwarded.oid == O2
-            assert forwarded.sctx == frozenset({O1})
+            assert forwarded.sctx == mask(s.space.index, [O1])
             assert forwarded.o.position == 0  # the original, not a transform
 
     def test_locate_failure_propagates(self):
         s = CJServer(1)
-        bad = remote_ins("x", 0, 1, 2, ctx={Oid(9, 9)})
+        bad = remote_ins(s, "x", 0, 1, 2, ctx={Oid(9, 9)})
         with pytest.raises(ProtocolError):
             s.receive(bad)
 
@@ -100,14 +108,15 @@ class TestCJServerReceive:
 class TestCJClientReceive:
     def test_transforms_against_pending_local(self):
         c3 = CJClient(3)
-        c3.receive(remote_ins("x", 0, 1, 1))
+        c3.receive(remote_ins(c3, "x", 0, 1, 1))
         c3.do(c3.make_ins("b", 1))
         r = c3.receive(
             ProtoOp(
                 ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)),
                 O2,
-                frozenset({O1}),
-                frozenset({O1}),
+                mask(c3.space.index, [O2]),
+                mask(c3.space.index, [O1]),
+                mask(c3.space.index, [O1]),
             )
         )
         assert to_text(c3.state) == "b"
@@ -123,7 +132,7 @@ class TestCJClientReceive:
 
     def test_op_at_cur_appends_without_ot(self):
         c1 = CJClient(1)
-        r = c1.receive(remote_ins("x", 0, 2, 1))
+        r = c1.receive(remote_ins(c1, "x", 0, 2, 1))
         assert r.ot_seq == ()
         assert to_text(c1.state) == "x"
 
@@ -135,7 +144,7 @@ class TestRead:
 
     def test_c2_intermediate_read(self):
         c2 = CJClient(2)
-        c2.receive(remote_ins("x", 0, 1, 1))
+        c2.receive(remote_ins(c2, "x", 0, 1, 1))
         c2.do(c2.make_ins("a", 0))
         assert to_text(c2.read()) == "ax"
 
@@ -146,9 +155,10 @@ class TestRead:
 
 class TestJupiter:
     def test_server_fans_out_transformed(self):
-        s = JServer(3)
-        c2 = JClient(2)
-        c1 = JClient(1)
+        index = OidIndex()
+        s = JServer(3, index)
+        c2 = JClient(2, index=index)
+        c1 = JClient(1, index=index)
         _, op1 = c1.do(c1.make_ins("x", 0))
         r1 = s.receive(op1)
         c2.receive(r1.fanout[0][1])
@@ -158,11 +168,11 @@ class TestJupiter:
         r3 = s.receive(op3)
         # the forwarded operation carries the transformed context {o1,o2}
         for _, fwd in r3.fanout:
-            assert fwd.ctx == frozenset({O1, O2})
+            assert fwd.ctx == mask(c1.space.index, [O1, O2])
 
     def test_client_receive_with_ctx_at_cur_needs_no_ot(self):
         c1 = JClient(1)
-        r = c1.receive(remote_ins("x", 0, 2, 1))
+        r = c1.receive(remote_ins(c1, "x", 0, 2, 1))
         assert r.ot_seq == ()
 
     def test_golden_run_matches_cjupiter(self, podc16_cj, podc16_j):
@@ -183,7 +193,7 @@ class TestDJupiter:
         r1 = DJReplica(1)
         value, msg = r1.do(r1.make_ins("x", 0))
         assert to_text(value) == "x"
-        assert msg.ctx == frozenset()
+        assert msg.ctx == 0
 
     def test_own_operations_never_delivered(self):
         r1 = DJReplica(1)
@@ -193,11 +203,28 @@ class TestDJupiter:
 
     def test_out_of_order_delivery_rejected(self):
         r3 = DJReplica(3)
-        later = remote_ins("y", 0, 2, 1, sctx={O1})
-        earlier = remote_ins("x", 0, 1, 1)
+        later = remote_ins(r3, "y", 0, 2, 1, sctx={O1})
+        earlier = remote_ins(r3, "x", 0, 1, 1)
         r3.receive(later)
         with pytest.raises(ProtocolError):
             r3.receive(earlier)
+
+    def test_own_operation_delivered_back_names_the_check(self):
+        r1 = DJReplica(1)
+        _, msg = r1.do(r1.make_ins("x", 0))
+        with pytest.raises(ProtocolError, match="own operations are never delivered back"):
+            r1.receive(msg)
+        assert to_text(r1.state) == "x"
+
+    def test_delivery_behind_broadcast_order_names_the_check(self):
+        # 1:1 was committed before 3:1; then 4:1 arrives stamped as if 1:1
+        # had never been committed, though its context is a vertex here.
+        r2 = DJReplica(2)
+        r2.receive(remote_ins(r2, "x", 0, 1, 1))
+        r2.receive(remote_ins(r2, "y", 0, 3, 1, ctx={O1}, sctx={O1}))
+        stale = remote_ins(r2, "z", 0, 4, 1, ctx={O1}, sctx={Oid(3, 1)})
+        with pytest.raises(ProtocolError, match="delivery of 4:1 at replica 2 is behind the broadcast order"):
+            r2.receive(stale)
 
     def test_single_replica_is_plain_sequential(self):
         sched = random_schedule(1, 6, seed=11)
@@ -276,7 +303,7 @@ class TestCompactness:
             frozenset({O1, O2, O3, O4}),
         }
         for snap in podc16_cj.css_final.values():
-            assert set(snap.vertices) == expected
+            assert {frozenset(snap.index.decode(k)) for k in snap.vertices} == expected
 
 
 class TestFanoutDiscipline:
@@ -302,7 +329,8 @@ class TestFanoutDiscipline:
         return client.do(o)
 
     def test_cjupiter_forwards_the_stamped_original(self):
-        pairs = self._drive(CJServer(3), {i: CJClient(i) for i in (1, 2, 3)}, self._do)
+        index = OidIndex()
+        pairs = self._drive(CJServer(3, index), {i: CJClient(i, index=index) for i in (1, 2, 3)}, self._do)
         for incoming, result in pairs:
             for _, payload in result.fanout:
                 assert payload.oid == incoming.oid
@@ -310,7 +338,8 @@ class TestFanoutDiscipline:
                 assert payload.ctx == incoming.ctx
 
     def test_jupiter_forwards_the_transform(self):
-        pairs = self._drive(JServer(3), {i: JClient(i) for i in (1, 2, 3)}, self._do)
+        index = OidIndex()
+        pairs = self._drive(JServer(3, index), {i: JClient(i, index=index) for i in (1, 2, 3)}, self._do)
         transformed = 0
         for incoming, result in pairs:
             for _, payload in result.fanout:

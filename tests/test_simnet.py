@@ -1,5 +1,6 @@
 """Tests for the discrete-event harness: schedules, traces, causality."""
 
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,19 @@ class TestRandomSchedule:
         reads = [e for e in res.trace.events if e.kind == "do" and e.op.kind == "read"]
         assert len(reads) >= 3
 
+    def test_generated_bytes_match_recorded_digest(self):
+        # One sha256 over the schedule JSON of the benchmark's corpus shapes
+        # for seeds 0-49 and of its `wide` and `observe` shapes for seeds
+        # 0-4. The generator replays every step on a Simulation, so an
+        # engine change that alters any generated schedule fails here.
+        h = hashlib.sha256()
+        for s in range(50):
+            h.update(schedule_to_json(random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s)).encode() + b"\n")
+        for s in range(5):
+            h.update(schedule_to_json(random_schedule(4, 16, seed=s)).encode() + b"\n")
+            h.update(schedule_to_json(random_schedule(3, 12, seed=s, read_probability=1.0)).encode() + b"\n")
+        assert h.hexdigest() == "1ce9f774dd1d70e950a10af680d00e63eaa9276225ccc379bbec507e6a3fd8c7"
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ScheduleError):
             random_schedule(0, 4, seed=1)
@@ -158,6 +172,15 @@ class TestScheduleJson:
         back = schedule_from_json(text)
         assert back == sched
         assert schedule_digest(back) == schedule_digest(sched)
+
+    def test_digest_computed_once_per_schedule(self):
+        sched = random_schedule(3, 5, seed=77)
+        want = hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
+        assert "sha256" not in vars(sched)
+        assert run("cjupiter", sched).trace.schedule_sha256 == want
+        # Cached on the object: later runs of it reuse the first digest.
+        assert vars(sched)["sha256"] == want
+        assert run("jupiter", sched).trace.schedule_sha256 == schedule_digest(sched) == want
 
     def test_format_field_checked(self):
         doc = json.loads(schedule_to_json(podc16_schedule()))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import mask
 from otwb import checkers
 from otwb.checkers import (
     AbstractExecution,
@@ -22,7 +23,7 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, Oid, ProtocolError, ProtoOp, SnapEdge
+from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, SnapEdge
 from otwb.ot_core import Element, ListOp, priority_of
 from otwb.simnet import (
     PROTOCOLS,
@@ -47,17 +48,36 @@ def ins(cid, pos=0):
     return ListOp.ins(Element("abcdef"[cid - 1], cid, 1), pos, priority_of(cid))
 
 
+# The oid index of the hand-built snapshots. It holds the oids k:1 in
+# descending order, so that bit order is not oid order.
+INDEX = OidIndex()
+for k in range(9, 0, -1):
+    INDEX.bit(Oid(k, 1))
+
+
 def snapshot(edges, ops=None, extra=()):
-    """A CssSnapshot over oid sets from (src, target) pairs plus the
-    vertices `extra`; `ops` maps a target to the ListOp on its in-edges
-    (default: insert at 0)."""
+    """A CssSnapshot from (src, target) pairs of oid sets plus the vertices
+    `extra`, keyed by their masks in INDEX; `ops` maps a target to the
+    ListOp on its in-edges (default: insert at 0)."""
     vertices = {k: [] for k in (frozenset(), *extra)}
     for src, dst in dict.fromkeys(edges):
         oid = min(dst - src)
-        op = ProtoOp((ops or {}).get(dst, ins(oid.cid)), oid, src)
+        op = ProtoOp((ops or {}).get(dst, ins(oid.cid)), oid, INDEX.bit(oid), mask(INDEX, src))
         vertices.setdefault(dst, [])
-        vertices.setdefault(src, []).append(SnapEdge(op, dst))
-    return CssSnapshot(0, max(vertices, key=len), {k: tuple(v) for k, v in vertices.items()})
+        vertices.setdefault(src, []).append(SnapEdge(op, mask(INDEX, dst)))
+    cur = max(vertices, key=len)
+    return CssSnapshot(
+        0, mask(INDEX, cur), {mask(INDEX, k): tuple(v) for k, v in vertices.items()}, INDEX
+    )
+
+
+def as_sets(snap):
+    """snap's vertices as oid sets: {vertex: [(edge oid, target)]}."""
+    oids_of = {k: frozenset(snap.index.decode(k)) for k in snap.vertices}
+    return {
+        oids_of[k]: [(e.op.oid, frozenset(snap.index.decode(e.target))) for e in edges]
+        for k, edges in snap.vertices.items()
+    }
 
 
 def chain(*steps):
@@ -80,11 +100,12 @@ def _fmt(s):
 
 
 def _oracle_lcas(snap):
-    keys = sorted(snap.vertices, key=lambda s: (len(s), sorted(s)))
+    sets = as_sets(snap)
+    keys = sorted(sets, key=lambda s: (len(s), sorted(s)))
     parents = {k: set() for k in keys}
-    for src, edges in snap.vertices.items():
-        for e in edges:
-            parents[e.target].add(src)
+    for src, edges in sets.items():
+        for _, target in edges:
+            parents[target].add(src)
 
     def ancestors(v):
         seen, todo = {v}, [v]
@@ -264,7 +285,7 @@ class TestLemmasFire:
         # Replica 1 holds the same vertices as the server, with the edges at
         # {1:1} in reverse order.
         final = podc16_cj.css_final
-        key = oids(1)
+        key = mask(final[1].index, oids(1))
         reordered = dataclasses.replace(final[1], vertices={**final[1].vertices, key: final[1].vertices[key][::-1]})
         broken = copy.copy(podc16_cj)
         broken.css_final = {**final, 1: reordered}
@@ -286,7 +307,7 @@ class TestDanglingEdge:
     @staticmethod
     def without(snap, key):
         vertices = dict(snap.vertices)
-        del vertices[key]
+        del vertices[mask(snap.index, key)]
         return dataclasses.replace(snap, vertices=vertices)
 
     def test_vertex_dropped_from_final_server_space(self, podc16_cj, podc16_j):
@@ -326,7 +347,7 @@ class TestDanglingEdge:
         # first-edge path stalls; the error lists it as tokens.
         broken = copy.copy(podc16_cj)
         steps = podc16_cj.css_server_steps
-        key = oids(1, 2)
+        key = mask(steps[-1].index, oids(1, 2))
         broken.css_server_steps = (*steps[:-1], dataclasses.replace(
             steps[-1], vertices={**steps[-1].vertices, key: ()}))
         failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
@@ -508,23 +529,25 @@ def oracle_first_rule(result):
     for k, snap in enumerate(result.css_server_steps):
         seen = list(arrivals[:k])
         for key in snap.vertices:
-            want = [o for o in seen if o not in key]
+            held = set(snap.index.decode(key))
+            want = [o for o in seen if o not in held]
             try:
                 got = [e.op.oid for e in snap.first_path(key)]
             except ProtocolError as exc:
                 return {"check": "first_rule", "satisfied": False, "witness": {
-                    "step": k, "vertex": _fmt(key), "error": str(exc)}}
+                    "step": k, "vertex": _fmt(held), "error": str(exc)}}
             if got != want:
                 return {"check": "first_rule", "satisfied": False, "witness": {
-                    "step": k, "vertex": _fmt(key), "path": [o.token() for o in got],
+                    "step": k, "vertex": _fmt(held), "path": [o.token() for o in got],
                     "expected": [o.token() for o in want]}}
     return {"check": "first_rule", "satisfied": True}
 
 
-def _edge_tuple(src, e):
+def _edge_tuple(snap, src, e):
     o = e.op.o
     elem = None if o.element is None else (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
-    return (src, e.op.oid, e.target, (o.kind.value, elem, o.position))
+    decode = snap.index.decode
+    return (frozenset(decode(src)), e.op.oid, frozenset(decode(e.target)), (o.kind.value, elem, o.position))
 
 
 def oracle_client_subgraph(result, jresult):
@@ -534,12 +557,13 @@ def oracle_client_subgraph(result, jresult):
             return {"check": "client_subgraph", "satisfied": False, "witness": {
                 "client": cid, "steps_2d": len(steps2d), "steps_nary": len(steps_nary)}}
         for k, (snap2d, snap) in enumerate(zip(steps2d, steps_nary)):
-            if not set(snap2d.vertices) <= set(snap.vertices):
+            vertices2d, vertices = set(as_sets(snap2d)), set(as_sets(snap))
+            if not vertices2d <= vertices:
                 return {"check": "client_subgraph", "satisfied": False, "witness": {
                     "client": cid, "step": k, "extra_vertices": [
-                        _fmt(v) for v in sorted(set(snap2d.vertices) - set(snap.vertices), key=sorted)]}}
-            edges2d = {_edge_tuple(s, e) for s, es in snap2d.vertices.items() for e in es}
-            edges = {_edge_tuple(s, e) for s, es in snap.vertices.items() for e in es}
+                        _fmt(v) for v in sorted(vertices2d - vertices, key=sorted)]}}
+            edges2d = {_edge_tuple(snap2d, s, e) for s, es in snap2d.vertices.items() for e in es}
+            edges = {_edge_tuple(snap, s, e) for s, es in snap.vertices.items() for e in es}
             if edges2d - edges:
                 return {"check": "client_subgraph", "satisfied": False, "witness": {
                     "client": cid, "step": k, "extra_edges": sorted(e[1].token() for e in edges2d - edges)}}
@@ -671,6 +695,7 @@ class TestSnapshotSharing:
             spaces.append(sim.hub.space)
         elif protocol == "jupiter":
             spaces += list(sim.hub.spaces.values())
+        assert all(space.index is sim.index for space in spaces)
         last = [None] * len(spaces)
         taken = []  # (snapshot, its ordered items when taken)
         for i, step in enumerate(sched.steps):
@@ -682,6 +707,7 @@ class TestSnapshotSharing:
                 items = list(snap.vertices.items())
                 assert items == list(rebuild(space).items())
                 assert (snap.cur, snap.rid, snap.two_d) == (space.cur, space.rid, space.two_d)
+                assert snap.index is sim.index
                 if last[s] is not None:
                     # Every step that touches a vertex changes its edges, so
                     # an unchanged vertex is one the steps did not touch.
