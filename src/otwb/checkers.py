@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, materialize
-from .simnet import OpRecord, RunResult, Trace, causal_pairs, vc_less
+from .simnet import OpRecord, RunResult, Trace, bit_positions, causal_masks, vc_less
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
 Value = Tuple[Elem, ...]
@@ -37,30 +37,34 @@ class DoEvent:
 
 @dataclass(frozen=True)
 class AbstractExecution:
-    """The do-event history H plus the visibility relation over it.
+    """The do-event history H plus the visibility relation over it, held
+    as seen[j]: the bitset of the events that event j sees (bit i set when
+    (i, j) is in vis). An event's index is its position in H.
 
-    Derived from them, for the checkers: seen[j], the bitset of the events
-    that event j sees (bit i set when (i, j) is in vis), updates, the
-    bitset of the list updates in H, and, on first use, list_order. An
-    event's index is its position in H.
+    Derived from them, for the checkers: updates, the bitset of the list
+    updates in H, and, on first use, list_order. vis, the relation as
+    index pairs, is spelled out only when read; no checker reads it.
     """
 
     H: Tuple[DoEvent, ...]
-    vis: FrozenSet[Tuple[int, int]]
-    seen: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    seen: Tuple[int, ...]
     updates: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.H)
         if any(e.index != p for p, e in enumerate(self.H)):
             raise ValueError("an event's index must be its position in H")
-        seen = [0] * n
-        for i, j in self.vis:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"visibility pair {(i, j)} outside H")
-            seen[j] |= 1 << i
-        object.__setattr__(self, "seen", tuple(seen))
+        if len(self.seen) != n:
+            raise ValueError(f"{len(self.seen)} visibility masks for the {n} events of H")
+        for j, s in enumerate(self.seen):
+            if s < 0 or s >> n:
+                raise ValueError(f"event {j} sees an event outside H")
         object.__setattr__(self, "updates", sum(1 << e.index for e in self.H if e.is_update()))
+
+    @cached_property
+    def vis(self) -> FrozenSet[Tuple[int, int]]:
+        """The visibility relation as (i, j) index pairs."""
+        return frozenset((i, j) for j, s in enumerate(self.seen) for i in bit_positions(s))
 
     @cached_property
     def list_order(self) -> "ListOrder":
@@ -90,40 +94,44 @@ class Verdict:
 
 def build_abstract_execution(trace: Trace) -> AbstractExecution:
     """H = do events in trace order; vis = causally-before restricted to
-    them, which satisfies the visibility axioms by construction."""
+    them, which satisfies the visibility axioms by construction. The
+    causal masks of H are its seen bitsets; no pair is spelled out."""
     H: List[DoEvent] = []
     for e in trace.events:
         if e.kind == "do":
             H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
-    A = AbstractExecution(tuple(H), frozenset(causal_pairs(H)))
+    A = AbstractExecution(tuple(H), tuple(causal_masks(H)))
     _validate_visibility(A)
     return A
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _validate_visibility(A: AbstractExecution) -> None:
     """Raise ProtocolError unless vis respects history order, contains each
-    replica's program order and is transitive. Reads the seen bitsets, so
-    the cost is O(|vis| * |H| / word)."""
+    replica's program order and is transitive, tested in that order on
+    the seen bitsets. The first two cost O(|H|) big-int operations.
+
+    Transitivity costs O(|H| n) for n replicas, not O(|vis|): for each
+    event j and replica r, with t the latest r-event that j sees, it asks
+    that seen[t] be a subset of seen[j]. Once the first two tests pass
+    that is enough, by induction over H: t sees r's previous event, which
+    by induction sees all of r's earlier events, so every r-event i that j
+    sees is t or in seen[t], and seen[i] is a subset of seen[t], so of
+    seen[j]."""
     seen = A.seen
     if any(s >> j for j, s in enumerate(seen)):
         raise ProtocolError("visibility must respect history order")
     last: Dict[int, int] = {}
+    own: Dict[int, int] = {}  # replica -> bitset of its events
     for e in A.H:
         prev = last.get(e.replica)
         if prev is not None and not seen[e.index] >> prev & 1:
             raise ProtocolError("per-replica order must be visible")
         last[e.replica] = e.index
+        own[e.replica] = own.get(e.replica, 0) | 1 << e.index
     for s in seen:
-        for i in _bits(s):
-            if seen[i] & ~s:
+        for events in own.values():
+            latest = (s & events).bit_length() - 1
+            if latest >= 0 and seen[latest] & ~s:
                 raise ProtocolError("visibility must be transitive")
 
 
@@ -152,10 +160,20 @@ def check_convergence(A: AbstractExecution) -> Verdict:
     return Verdict("convergence", True)
 
 
-def build_list_order(A: AbstractExecution) -> ListOrder:
-    pairs: Set[Tuple[Elem, Elem]] = set()
+def _distinct_values(A: AbstractExecution) -> Iterator[Tuple[DoEvent, Value]]:
+    """(e, e.value) for each distinct returned list, at its first
+    occurrence in H."""
+    first: Dict[Value, DoEvent] = {}
     for e in A.H:
-        w = e.value
+        first.setdefault(e.value, e)
+    return ((e, w) for w, e in first.items())
+
+
+def build_list_order(A: AbstractExecution) -> ListOrder:
+    """Every ordered pair of every returned list; a list returned again
+    adds no pair."""
+    pairs: Set[Tuple[Elem, Elem]] = set()
+    for _, w in _distinct_values(A):
         for i in range(len(w)):
             for j in range(i + 1, len(w)):
                 pairs.add((w[i], w[j]))
@@ -203,7 +221,7 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
     list order."""
     lo = A.list_order
     for e in A.H:
-        visible = [A.H[i] for i in _bits((A.seen[e.index] | 1 << e.index) & A.updates)]
+        visible = [A.H[i] for i in bit_positions((A.seen[e.index] | 1 << e.index) & A.updates)]
         inserted = {u.op.element for u in visible if u.op.kind == "ins"}
         deleted = {u.op.element for u in visible if u.op.kind == "del"}
         expected = inserted - deleted
@@ -235,9 +253,9 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
     # Condition 2: the list order is irreflexive, and transitive and total
     # on each returned list's elements. Totality holds by construction;
     # transitivity plus irreflexivity on a list fail exactly when some
-    # other returned list contradicts its internal order.
-    for e in A.H:
-        w = e.value
+    # other returned list contradicts its internal order. A list returned
+    # again fails exactly as it did at its first occurrence.
+    for e, w in _distinct_values(A):
         for i in range(len(w)):
             for j in range(i + 1, len(w)):
                 if w[i] == w[j]:
@@ -326,7 +344,7 @@ def _orders_conflict(states: Sequence[Value]) -> bool:
     ids: Dict[Elem, int] = {}
     before: List[int] = []  # before[x]: bitset of elements some state lists before x
     after: List[int] = []  # after[x]: bitset of elements some state lists after x
-    for s in states:
+    for s in dict.fromkeys(states):  # a repeated state adds nothing
         last = {e: k for k, e in enumerate(s)}
         seq = []
         for k, e in enumerate(s):
@@ -425,7 +443,7 @@ class _Graph:
 
     def __init__(self, snap: CssSnapshot):
         self.fmt_oids = snap.index.fmt_oids
-        self.keys = sorted(snap.vertices, key=snap.index.vertex_order)
+        self.keys = snap.order
         idx = {k: i for i, k in enumerate(self.keys)}
         parents: List[List[int]] = [[] for _ in self.keys]
         for src, edges in snap.vertices.items():
@@ -445,13 +463,13 @@ class _Graph:
         """Which vertices have i as a proper ancestor."""
         out = [0] * len(self.keys)
         for v, m in enumerate(self.anc):
-            for a in _bits(m & ~(1 << v)):
+            for a in bit_positions(m & ~(1 << v)):
                 out[a] |= 1 << v
         return out
 
     def unique_lca(self, i: int, j: int) -> Tuple[Optional[int], int]:
         common = self.anc[i] & self.anc[j]
-        lowest = [c for c in _bits(common) if not self.strict_desc[c] & common]
+        lowest = [c for c in bit_positions(common) if not self.strict_desc[c] & common]
         if len(lowest) == 1:
             return lowest[0], len(lowest)
         return (None, len(lowest))

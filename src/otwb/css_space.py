@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
@@ -161,6 +162,12 @@ class CssSnapshot:
     vertices: Dict[int, Tuple[SnapEdge, ...]]
     index: OidIndex
     two_d: bool = False
+
+    @cached_property
+    def order(self) -> List[int]:
+        """The vertex masks in vertex_order, every vertex after its
+        parents; sorted once per snapshot, since each key decodes a mask."""
+        return sorted(self.vertices, key=self.index.vertex_order)
 
     def first_path(self, start: int) -> List[SnapEdge]:
         """Edges along repeated first-edge hops from start to cur."""
@@ -355,7 +362,7 @@ def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:
     for src, edges in snapshot.vertices.items():
         for e in edges:
             in_edges.setdefault(e.target, []).append((src, e.op))
-    for mask in sorted(snapshot.vertices, key=snapshot.index.vertex_order):
+    for mask in snapshot.order:
         if not mask:
             continue
         candidates = []

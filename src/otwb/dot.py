@@ -33,7 +33,7 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
         lines.append(f"  label={_quote(title)};")
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')
-    keys = sorted(snapshot.vertices, key=snapshot.index.vertex_order)
+    keys = snapshot.order
     oids = {key: snapshot.index.decode(key) for key in keys}
     for key in keys:
         attrs = f"label={_quote(_node_label(oids[key], to_text(states[key])))}, ordering=out"

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
 from .ot_core import ListOp, ListState, PriorityRule
@@ -269,16 +269,25 @@ def happens_before(trace: Trace) -> frozenset:
     return frozenset(causal_pairs(trace.events))
 
 
-def causal_pairs(events: Sequence) -> Set[Tuple[int, int]]:
-    """(a.index, b.index) for every two events with a.vclock < b.vclock.
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def causal_masks(events: Sequence) -> List[int]:
+    """For the event at each position b, the bitset of the positions a with
+    events[a].vclock < events[b].vclock.
 
     a.vclock <= b.vclock componentwise exactly when, for every component
     k, a lies in the prefix of the events sorted by component k that ends
     with the events whose k-th value equals b's. So le[b], the bitset of
     those a, is the AND over k of one prefix mask each, and a.vclock <
     b.vclock when in addition the two clocks differ. That costs
-    O(n H log H + |pairs|) for H events of n components, not H² compares.
-    Raises ProtocolError if the clocks differ in length."""
+    O(n H log H) big-int operations for H events of n components, not H²
+    compares. Raises ProtocolError if the clocks differ in length."""
     clocks = [e.vclock for e in events]
     if len(set(map(len, clocks))) > 1:
         raise ProtocolError("vector clocks of different lengths")
@@ -294,15 +303,18 @@ def causal_pairs(events: Sequence) -> Set[Tuple[int, int]]:
     same: Dict[Tuple[int, ...], int] = {}
     for p, c in enumerate(clocks):
         same[c] = same.get(c, 0) | 1 << p
+    return [m & ~same[c] for m, c in zip(le, clocks)]
+
+
+def causal_pairs(events: Sequence) -> Set[Tuple[int, int]]:
+    """(a.index, b.index) for every two events with a.vclock < b.vclock:
+    causal_masks spelled out as pairs."""
     index = [e.index for e in events]
-    pairs: Set[Tuple[int, int]] = set()
-    for b, (m, c) in enumerate(zip(le, clocks)):
-        w = m & ~same[c]
-        while w:
-            low = w & -w
-            pairs.add((index[low.bit_length() - 1], index[b]))
-            w ^= low
-    return pairs
+    return {
+        (index[a], index[b])
+        for b, m in enumerate(causal_masks(events))
+        for a in bit_positions(m)
+    }
 
 
 def vc_less(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -561,11 +573,14 @@ def random_schedule(
     arbitrary FIFO-respecting interleaving, full drain, and final reads.
 
     A live replay tracks every client's actual list so deletion positions
-    always target an existing element.
+    always target an existing element. The replay runs jupiter, the
+    cheapest of the three protocols: its clients' lists equal those of a
+    cjupiter or djupiter replay (the equivalence check_equivalence tests),
+    so the draws are the same as under either.
     """
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
-    sim = Simulation("cjupiter", n_clients, priority_rule)
+    sim = Simulation("jupiter", n_clients, priority_rule)
     rng = random.Random(seed)
     steps: List[Step] = []
     generated = 0

@@ -29,6 +29,15 @@ def text_of(value):
     return "".join(v[0] for v in value)
 
 
+def seen_masks(n, pairs):
+    """The seen bitsets of n events for visibility pairs (i, j): bit i of
+    seen[j] is set when event j sees event i."""
+    seen = [0] * n
+    for i, j in pairs:
+        seen[j] |= 1 << i
+    return tuple(seen)
+
+
 def mask(index, oids):
     """The oid mask of oids in an OidIndex, giving new oids their bits."""
     m = 0

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import seen_masks
 from otwb.checkers import (
     AbstractExecution,
     DoEvent,
@@ -50,7 +51,7 @@ def hand_execution(rows):
                 if b == c and (a, d) not in vis:
                     vis.add((a, d))
                     changed = True
-    return AbstractExecution(tuple(H), frozenset(vis))
+    return AbstractExecution(tuple(H), seen_masks(len(H), vis))
 
 
 class TestBuildAbstractExecution:

@@ -7,11 +7,11 @@ import dataclasses
 from collections import namedtuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import mask
-from otwb import checkers
+from conftest import mask, seen_masks
+from otwb import checkers, simnet
 from otwb.checkers import (
     AbstractExecution,
     DoEvent,
@@ -29,6 +29,8 @@ from otwb.simnet import (
     PROTOCOLS,
     OpRecord,
     Simulation,
+    bit_positions,
+    causal_masks,
     causal_pairs,
     podc16_schedule,
     random_schedule,
@@ -376,27 +378,144 @@ class TestDanglingEdge:
 class TestVisibilityAxioms:
     def test_missing_transitive_pair_raises(self, podc16_cj, monkeypatch):
         H = build_abstract_execution(podc16_cj.trace).H
-        full = checkers.causal_pairs(H)
+        full = checkers.causal_masks(H)
         # A visible pair implied only through a third event, across replicas.
-        implied = next(
+        i, k = next(
             (i, k)
-            for i, k in sorted(full)
+            for k, m in enumerate(full)
+            for i in bit_positions(m)
             if H[i].replica != H[k].replica
-            and any((i, j) in full and (j, k) in full for j in range(i + 1, k))
+            and any(full[j] >> i & 1 for j in bit_positions(m) if j > i)
         )
-        monkeypatch.setattr(checkers, "causal_pairs", lambda events: set(full) - {implied})
+        cut = [m & ~(1 << i) if j == k else m for j, m in enumerate(full)]
+        monkeypatch.setattr(checkers, "causal_masks", lambda events: cut)
         with pytest.raises(ProtocolError, match="transitive"):
             build_abstract_execution(podc16_cj.trace)
 
     def test_backward_pair_raises(self, podc16_cj, monkeypatch):
-        monkeypatch.setattr(checkers, "causal_pairs", lambda events: {(1, 0)})
+        # Event 0 sees event 1.
+        monkeypatch.setattr(checkers, "causal_masks", lambda events: [0b10] + [0] * (len(events) - 1))
         with pytest.raises(ProtocolError, match="history order"):
             build_abstract_execution(podc16_cj.trace)
 
     def test_missing_program_order_raises(self, podc16_cj, monkeypatch):
-        monkeypatch.setattr(checkers, "causal_pairs", lambda events: set())
+        monkeypatch.setattr(checkers, "causal_masks", lambda events: [0] * len(events))
         with pytest.raises(ProtocolError, match="per-replica"):
             build_abstract_execution(podc16_cj.trace)
+
+
+def oracle_validate_visibility(A):
+    """The visibility axioms tested literally on the pairs of vis, with the
+    checker's messages and in its order: history order, program order,
+    then every two chained pairs."""
+    vis = A.vis
+    if any(i >= j for i, j in vis):
+        raise ProtocolError("visibility must respect history order")
+    last = {}
+    for e in A.H:
+        if e.replica in last and (last[e.replica], e.index) not in vis:
+            raise ProtocolError("per-replica order must be visible")
+        last[e.replica] = e.index
+    for i, j in vis:
+        for k, i2 in vis:
+            if i2 == i and (k, j) not in vis:
+                raise ProtocolError("visibility must be transitive")
+
+
+def _reads(*replicas):
+    return tuple(DoEvent(j, r, OpRecord("read"), (), ()) for j, r in enumerate(replicas))
+
+
+@st.composite
+def history_ordered_executions(draw):
+    """0-10 reads on 1-4 replicas whose seen bitsets respect history order:
+    each event sees up to two earlier ones. Each event may also see its
+    replica's previous one (program order); the bitsets are raw,
+    transitively closed, or closed and then cut by one bit, so that every
+    axiom both holds and fails."""
+    n = draw(st.integers(0, 10))
+    replicas = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    seen = [
+        sum({1 << i for i in draw(st.lists(st.integers(0, j - 1), max_size=2))}) if j else 0
+        for j in range(n)
+    ]
+    if draw(st.booleans()):
+        last = {}
+        for j, r in enumerate(replicas):
+            if r in last:
+                seen[j] |= 1 << last[r]
+            last[r] = j
+    mode = draw(st.sampled_from(["raw", "closed", "cut"]))
+    if mode != "raw":
+        for j in range(n):
+            for i in reversed(range(j)):
+                if seen[j] >> i & 1:
+                    seen[j] |= seen[i]
+    if mode == "cut" and any(seen):
+        j = draw(st.sampled_from([j for j in range(n) if seen[j]]))
+        seen[j] &= ~(1 << draw(st.sampled_from(list(bit_positions(seen[j])))))
+    return AbstractExecution(_reads(*replicas), tuple(seen))
+
+
+def _raised(check, A):
+    try:
+        check(A)
+    except ProtocolError as exc:
+        return str(exc)
+    return None
+
+
+class TestTransitivityMatchesPairScan:
+    @FAST
+    @given(history_ordered_executions())
+    # Event 2 sees event 1 but not event 0, which event 1 sees.
+    @example(AbstractExecution(_reads(1, 2, 3), (0, 0b1, 0b10)))
+    # Event 3 sees event 1 but not event 0, which event 1 sees; the latest
+    # event that event 3 sees, event 2, sees nothing.
+    @example(AbstractExecution(_reads(1, 2, 3, 3), (0, 0b1, 0, 0b110)))
+    def test_same_outcome_as_all_pairs(self, A):
+        assert _raised(checkers._validate_visibility, A) == _raised(oracle_validate_visibility, A)
+
+    @pytest.mark.parametrize(
+        "message", [None, "per-replica order must be visible", "visibility must be transitive"]
+    )
+    def test_strategy_reaches_outcome(self, message):
+        find(
+            history_ordered_executions(),
+            lambda A: _raised(oracle_validate_visibility, A) == message,
+            settings=settings(derandomize=True, database=None),
+        )
+
+
+class TestSpecChecksReadNoPairs:
+    """The verify path builds no (i, j) pair: causal_pairs is never
+    called, and A.vis is never spelled out."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [podc16_schedule(), random_schedule(3, 12, seed=0, read_probability=1.0)],
+        ids=["podc16", "observe-seed0"],
+    )
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_no_pair_is_built(self, schedule, protocol, monkeypatch):
+        def no_pairs(events):
+            raise AssertionError("causal_pairs called on the verify path")
+
+        trace = run(protocol, schedule).trace
+        monkeypatch.setattr(simnet, "causal_pairs", no_pairs)
+        # Also a copy that a later `from .simnet import causal_pairs` would bind.
+        monkeypatch.setattr(checkers, "causal_pairs", no_pairs, raising=False)
+        A = build_abstract_execution(trace)
+        verdicts = [
+            check_convergence(A),
+            check_weak_spec(A),
+            checkers.check_strong_spec(A),
+            check_pairwise_compatibility([e.value for e in A.H]),
+        ]
+        assert [v.check for v in verdicts] == [
+            "convergence", "weak_spec", "strong_spec", "pairwise_compatibility"
+        ]
+        assert "vis" not in vars(A)
 
 
 # --------------------------------------------------------------------------
@@ -421,6 +540,20 @@ class TestCausalPairsMatchesOracle:
     def test_same_pairs_as_clock_scan(self, events):
         want = {(a.index, b.index) for a in events for b in events if vc_less(a.vclock, b.vclock)}
         assert causal_pairs(events) == want
+
+    @FAST
+    @given(clocked_events())
+    def test_masks_expand_to_clock_scan(self, events):
+        # The masks are by position in events, not by index.
+        want = {
+            (p, q)
+            for p, a in enumerate(events)
+            for q, b in enumerate(events)
+            if vc_less(a.vclock, b.vclock)
+        }
+        masks = causal_masks(events)
+        assert len(masks) == len(events)
+        assert {(p, q) for q, m in enumerate(masks) for p in bit_positions(m)} == want
 
     def test_clocks_of_different_lengths_raise(self):
         with pytest.raises(ProtocolError, match="different lengths"):
@@ -456,7 +589,7 @@ def executions(draw):
         else:
             value = tuple(draw(st.lists(st.sampled_from(ELEMS), max_size=4)))
         H.append(DoEvent(j, draw(st.integers(1, 3)), op, value, ()))
-    return AbstractExecution(tuple(H), frozenset((i, j) for j in range(n) for i in preds[j]))
+    return AbstractExecution(tuple(H), seen_masks(n, ((i, j) for j in range(n) for i in preds[j])))
 
 
 def _visible(A, e):
@@ -509,14 +642,17 @@ class TestVisibilityReadersMatchOracle:
             assert weak == want
 
     @pytest.mark.parametrize(
-        "indices, vis",
-        [((0, 1), {(0, 2)}), ((0, 1), {(-1, 1)}), ((5, 7), {(5, 7)})],
-        ids=["pair-past-end", "negative-pair", "index-not-position"],
+        "indices, seen",
+        # Event 0 sees event 2; event 1's mask is negative, so it sees
+        # event -1 and every event past the end; indices 5 and 7 are not
+        # positions; and event 2, past the end, sees event 0.
+        [((0, 1), (0b100, 0)), ((0, 1), (0, -1)), ((5, 7), (0, 0b1)), ((0, 1), (0, 0, 0b1))],
+        ids=["pair-past-end", "negative-pair", "index-not-position", "mask-past-end"],
     )
-    def test_malformed_execution_rejected(self, indices, vis):
+    def test_malformed_execution_rejected(self, indices, seen):
         H = tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in indices)
         with pytest.raises(ValueError, match=" H"):
-            AbstractExecution(H, frozenset(vis))
+            AbstractExecution(H, seen)
 
 
 # --------------------------------------------------------------------------
