@@ -40,7 +40,6 @@ from .simnet import (
     Simulation,
     Trace,
     empty_schedule,
-    happens_before,
     podc16_schedule,
     random_schedule,
     run,
@@ -85,7 +84,6 @@ __all__ = [
     "check_weak_spec",
     "compare_ops",
     "empty_schedule",
-    "happens_before",
     "podc16_schedule",
     "priority_of",
     "random_schedule",

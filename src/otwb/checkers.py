@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, materialize
-from .simnet import OpRecord, RunResult, Trace, bit_positions, causal_masks, vc_less
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, materialize
+from .simnet import OpRecord, RunResult, Trace, _value_tuple, bit_positions, causal_masks
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq)
 Value = Tuple[Elem, ...]
@@ -410,31 +410,8 @@ def _fmt_step(step) -> Optional[dict]:
 # Structural checks over state-space snapshots
 
 
-def _sig(op_record_like) -> Tuple:
-    o = op_record_like
-    elem = None
-    if o.element is not None:
-        elem = (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
-    return (o.kind.value, elem, o.position)
-
-
-def _edge_set(snap: CssSnapshot) -> Set[Tuple[int, Oid, int, Tuple]]:
-    return {
-        (src, e.op.oid, e.target, _sig(e.op.o))
-        for src, edges in snap.vertices.items()
-        for e in edges
-    }
-
-
-# vertex -> its out-edges in order, as (oid, label, target)
-Shape = Dict[int, Tuple[Tuple[Oid, Tuple, int], ...]]
-
-
-def _shape(snap: CssSnapshot) -> Shape:
-    return {
-        key: tuple((e.op.oid, _sig(e.op.o), e.target) for e in edges)
-        for key, edges in snap.vertices.items()
-    }
+def _edge_set(snap: CssSnapshot) -> Set[Tuple[int, SnapEdge]]:
+    return {(src, e) for src, edges in snap.vertices.items() for e in edges}
 
 
 class _Graph:
@@ -505,28 +482,26 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     ):
         raise ValueError("server_union and client_subgraph need two replays of the same schedule")
     verdicts: List[Verdict] = []
-    snapshots = dict(result.css_final)
     n = result.schedule.n_clients
-    shapes = {rid: _shape(snap) for rid, snap in snapshots.items()}
-    # The lemmas that read only a space's shape give replicas with the same
-    # shape the same verdict, and report the first failing replica in id
-    # order; so they check only the first replica holding each shape (at
-    # quiescence, one replica in all).
-    first_holder: Dict[frozenset, int] = {}
-    for rid in sorted(shapes):
-        first_holder.setdefault(frozenset(shapes[rid].items()), rid)
-    distinct = {rid: snapshots[rid] for rid in sorted(first_holder.values())}
+    # The lemmas that read only a space give replicas with equal spaces the
+    # same verdict, and report the first failing replica in id order; so
+    # they check only the first replica holding each space (at quiescence,
+    # one replica in all). SnapEdge equality is the edge identity.
+    distinct: Dict[int, CssSnapshot] = {}
+    for rid, snap in sorted(result.css_final.items()):
+        if all(snap.vertices != d.vertices for d in distinct.values()):
+            distinct[rid] = snap
     graphs = {rid: _Graph(snap) for rid, snap in distinct.items()}
 
     verdicts.append(_check_out_degree(distinct, n))
-    verdicts.append(_check_simple_path(snapshots))
+    verdicts.append(_check_simple_path(result.css_final))
     verdicts.append(_check_closure(distinct))
     verdicts.append(_check_first_rule(result))
     verdicts.append(_check_ot_sequence(result))
     verdicts.append(_check_unique_lca(graphs))
     verdicts.append(_check_disjoint_paths(graphs))
     verdicts.append(_check_vertex_compatibility(distinct))
-    verdicts.append(_check_isomorphism(result, shapes))
+    verdicts.append(_check_isomorphism(result, distinct))
     if jupiter_result is not None:
         verdicts.append(_check_server_union(result, jupiter_result))
         verdicts.append(_check_client_subgraph(result, jupiter_result))
@@ -688,21 +663,24 @@ def _first_paths_mismatch(snap: CssSnapshot, seen: Sequence[Oid]) -> Optional[di
 
 def _check_ot_sequence(result: RunResult) -> Verdict:
     """At the server, each operation transforms against exactly the earlier
-    arrivals concurrent with it, in arrival order."""
-    do_vc: Dict[str, Tuple[int, ...]] = {}
-    for e in result.trace.events:
-        if e.kind == "do" and e.op is not None and e.op.oid is not None:
-            do_vc[e.op.oid] = e.vclock
+    arrivals concurrent with it, in arrival order. Two operations are
+    concurrent when neither do event's causal mask holds the other."""
+    dos = [
+        e for e in result.trace.events if e.kind == "do" and e.op is not None and e.op.oid is not None
+    ]
+    at = {e.op.oid: p for p, e in enumerate(dos)}
+    before = causal_masks(dos)  # before[p]: the do events causally before dos[p]
     arrivals = [o.token() for o in result.arrival_log]
     server_receives = [
         e for e in result.trace.events if e.kind == "receive" and e.replica == 0
     ]
     for k, e in enumerate(server_receives):
         op_tok = e.op.oid
+        p = at[op_tok]
         expected = [
             tok
             for tok in arrivals[:k]
-            if not vc_less(do_vc[tok], do_vc[op_tok]) and not vc_less(do_vc[op_tok], do_vc[tok])
+            if not (before[p] >> at[tok] & 1 or before[at[tok]] >> p & 1)
         ]
         got = list(e.ot_seq or ())
         if got != expected:
@@ -756,8 +734,8 @@ def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
 
 
 def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
-    # The verdict on a space depends only on its shape, so check_structural
-    # passes one replica per distinct shape.
+    # The verdict on a space depends only on the space, so check_structural
+    # passes one replica per distinct space.
     for rid, snap in sorted(distinct.items()):
         try:
             states = materialize(snap)
@@ -766,10 +744,7 @@ def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
                 "vertex_compatibility", False, {"replica": rid, "error": str(exc)}
             )
         # materialize returns the states in vertex_order.
-        values = [
-            tuple((e.glyph, e.origin_cid, e.origin_seq) for e in state) for state in states.values()
-        ]
-        verdict = check_pairwise_compatibility(values)
+        verdict = check_pairwise_compatibility([_value_tuple(state) for state in states.values()])
         if not verdict.satisfied:
             return Verdict(
                 "vertex_compatibility",
@@ -779,30 +754,26 @@ def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
     return Verdict("vertex_compatibility", True)
 
 
-def _check_isomorphism(result: RunResult, shapes: Dict[int, Shape]) -> Verdict:
+def _check_isomorphism(result: RunResult, distinct: Dict[int, CssSnapshot]) -> Verdict:
     """At quiescence all spaces are the same graph with the same edge
-    order and labels."""
+    order and labels. `distinct` holds the first replica of each distinct
+    space in id order, so its second is the first replica that differs."""
     if not result.quiescent:
         return Verdict("space_isomorphism", True, {"vacuous": "run not quiescent"})
-    rids = sorted(shapes)
-    base = shapes[rids[0]]
-    index = result.css_final[rids[0]].index
-    for rid in rids[1:]:
-        other = shapes[rid]
-        if other != base:
-            witness = {
-                "replicas": [rids[0], rid],
-                "only_first": _fmt_sorted(base.keys() - other.keys(), index),
-                "only_second": _fmt_sorted(other.keys() - base.keys(), result.css_final[rid].index),
-            }
-            # Vertices both replicas hold whose ordered, labelled edges differ.
-            differ = [k for k in base.keys() & other.keys() if base[k] != other[k]]
-            if differ:
-                witness["edges_differ"] = [
-                    index.fmt_oids(k) for k in sorted(differ, key=index.vertex_order)
-                ]
-            return Verdict("space_isomorphism", False, witness)
-    return Verdict("space_isomorphism", True)
+    if len(distinct) < 2:
+        return Verdict("space_isomorphism", True)
+    (first, a), (rid, b) = list(distinct.items())[:2]
+    base, other, index = a.vertices, b.vertices, a.index
+    witness = {
+        "replicas": [first, rid],
+        "only_first": _fmt_sorted(base.keys() - other.keys(), index),
+        "only_second": _fmt_sorted(other.keys() - base.keys(), b.index),
+    }
+    # Vertices both replicas hold whose ordered, labelled edges differ.
+    differ = [k for k in base.keys() & other.keys() if base[k] != other[k]]
+    if differ:
+        witness["edges_differ"] = [index.fmt_oids(k) for k in sorted(differ, key=index.vertex_order)]
+    return Verdict("space_isomorphism", False, witness)
 
 
 def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict:
@@ -812,7 +783,7 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
         return Verdict("server_union", True, {"vacuous": "run not quiescent"})
     css = result.css_final[0]
     union_vertices: Set[int] = set()
-    union_edges: Set[Tuple[int, Oid, int, Tuple]] = set()
+    union_edges: Set[Tuple[int, SnapEdge]] = set()
     union_index = css.index
     for snap in jupiter_result.cscw_server_final.values():
         union_vertices |= snap.vertices.keys()
@@ -827,8 +798,8 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
             {
                 "vertices_only_union": _fmt_sorted(union_vertices - css_vertices, union_index),
                 "vertices_only_css": _fmt_sorted(css_vertices - union_vertices, css.index),
-                "edges_only_union": sorted(str(e[1].token()) for e in union_edges - css_edges),
-                "edges_only_css": sorted(str(e[1].token()) for e in css_edges - union_edges),
+                "edges_only_union": sorted(e.op.oid.token() for _, e in union_edges - css_edges),
+                "edges_only_css": sorted(e.op.oid.token() for _, e in css_edges - union_edges),
             },
         )
     return Verdict("server_union", True)
@@ -867,16 +838,13 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                         "extra_vertices": _fmt_sorted(v2d.keys() - v_nary.keys(), snap2d.index),
                     },
                 )
-            extra = set()
+            extra = []
             for src, edges2d in v2d.items():
                 edges = v_nary[src]
                 if edges2d is prev2d.get(src) and edges is prev_nary.get(src):
                     continue
-                nary = {(e.op.oid, e.target, _sig(e.op.o)) for e in edges}
-                for e in edges2d:
-                    edge = (e.op.oid, e.target, _sig(e.op.o))
-                    if edge not in nary:
-                        extra.add((src, *edge))
+                # Tuple membership by ==; hashing every edge of every step costs more.
+                extra += [e.op.oid.token() for e in edges2d if e not in edges]
             if extra:
                 return Verdict(
                     "client_subgraph",
@@ -884,7 +852,7 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                     {
                         "client": cid,
                         "step": k,
-                        "extra_edges": sorted(e[1].token() for e in extra),
+                        "extra_edges": sorted(extra),
                     },
                 )
             prev2d, prev_nary = v2d, v_nary

@@ -22,7 +22,7 @@ since the one before it, and every snapshot shares each SnapEdge.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -93,19 +93,28 @@ class ProtoOp:
     equals the vertex the operation was generated at or transformed to);
     sctx holds the oids the server had executed before it, stamped by the
     server, and stays empty on locally generated copies and under jupiter.
+
+    Equality and hash leave sctx out, because two copies of one operation
+    differ only in the server's stamp. So two SnapEdges are the same edge
+    to the structural lemmas exactly when they are equal.
     """
 
     o: ListOp
     oid: Oid
     bit: int
     ctx: int = 0
-    sctx: int = 0
+    sctx: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.bit <= 0 or self.bit & (self.bit - 1):
             raise ProtocolError(f"operation {self.oid.token()} needs exactly one oid bit")
         if self.bit & self.ctx:
             raise ProtocolError(f"operation {self.oid.token()} lists itself in its context")
+
+    def __hash__(self) -> int:
+        # Equal operations have equal oids and contexts. Hashing only those
+        # skips the Python-level enum hashes inside o.
+        return hash((self.oid, self.ctx))
 
     def label(self) -> str:
         return f"{self.oid.token()} {self.o.sig()}"

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
 from .ot_core import ListOp, ListState, PriorityRule
@@ -158,19 +158,6 @@ def schedule_from_json(text: str) -> Schedule:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
 
 
-def schedule_digest(schedule: Schedule) -> str:
-    return schedule.sha256
-
-
-def validate_schedule(schedule: Schedule, protocol: str) -> None:
-    """Raise ScheduleError unless every step of the schedule can run under
-    the protocol: known ids, well-formed ops, no delivery from an empty
-    channel."""
-    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
-    for i, step in enumerate(schedule.steps):
-        sim.step(step, i)
-
-
 # --------------------------------------------------------------------------
 # Trace model
 
@@ -260,15 +247,6 @@ def trace_to_json(trace: Trace) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def happens_before(trace: Trace) -> frozenset:
-    """The causally-before relation on trace events, as index pairs.
-
-    Every event increments its replica's own vector-clock component, so
-    e1 causally precedes e2 exactly when vclock(e1) < vclock(e2).
-    """
-    return frozenset(causal_pairs(trace.events))
-
-
 def bit_positions(mask: int) -> Iterator[int]:
     """The positions of the set bits of mask, lowest first."""
     while mask:
@@ -304,21 +282,6 @@ def causal_masks(events: Sequence) -> List[int]:
     for p, c in enumerate(clocks):
         same[c] = same.get(c, 0) | 1 << p
     return [m & ~same[c] for m, c in zip(le, clocks)]
-
-
-def causal_pairs(events: Sequence) -> Set[Tuple[int, int]]:
-    """(a.index, b.index) for every two events with a.vclock < b.vclock:
-    causal_masks spelled out as pairs."""
-    index = [e.index for e in events]
-    return {
-        (index[a], index[b])
-        for b, m in enumerate(causal_masks(events))
-        for a in bit_positions(m)
-    }
-
-
-def vc_less(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def check_fifo(trace: Trace) -> None:
@@ -532,7 +495,7 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
         protocol=protocol,
         n_clients=schedule.n_clients,
         priority_rule=schedule.priority_rule.value,
-        schedule_sha256=schedule_digest(schedule),
+        schedule_sha256=schedule.sha256,
         events=sim.events(),
         prng=schedule.prng,
     )

@@ -1,7 +1,7 @@
 import pytest
 
 from otwb.css_space import Oid
-from otwb.simnet import podc16_schedule, run
+from otwb.simnet import Simulation, bit_positions, causal_masks, podc16_schedule, run
 
 # The golden scenario's four operations by identity.
 O1 = Oid(1, 1)  # ins x at 0, client 1
@@ -44,3 +44,38 @@ def mask(index, oids):
     for o in oids:
         m |= index.bit(o)
     return m
+
+
+# --------------------------------------------------------------------------
+# Oracles over traces and schedules. The verify path needs none of them, so
+# they live here, next to the tests that compare the library against them.
+
+
+def vc_less(a, b):
+    """The literal vector-clock order: a <= b componentwise, and a != b."""
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def causal_pairs(events):
+    """(a.index, b.index) for every two events with a.vclock < b.vclock:
+    causal_masks spelled out as pairs."""
+    index = [e.index for e in events]
+    return {(index[a], index[b]) for b, m in enumerate(causal_masks(events)) for a in bit_positions(m)}
+
+
+def happens_before(trace):
+    """The causally-before relation on trace events, as index pairs.
+
+    Every event increments its replica's own vector-clock component, so
+    e1 causally precedes e2 exactly when vclock(e1) < vclock(e2).
+    """
+    return frozenset(causal_pairs(trace.events))
+
+
+def validate_schedule(schedule, protocol):
+    """Raise ScheduleError unless every step of the schedule can run under
+    the protocol: known ids, well-formed ops, no delivery from an empty
+    channel."""
+    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    for i, step in enumerate(schedule.steps):
+        sim.step(step, i)

@@ -1,7 +1,9 @@
-"""The benchmark's correctness gate on the `wide` workload, run by the test
-suite: every verdict right, and the trace JSON bytes and verdict flags of
-all 100 schedules equal to the recorded digest. perfbench/ is only
-imported, never changed, and the digest is never re-recorded here."""
+"""The benchmark's correctness gate on the `wide` and `observe` workloads,
+run by the test suite: every verdict right, and the trace JSON bytes and
+verdict flags of all 100 schedules equal to the recorded digest. `wide`
+weighs on the structural lemmas, `observe` on the spec checkers and the
+ot_sequence lemma. perfbench/ is only imported, never changed, and the
+digests are never re-recorded here."""
 
 import json
 import sys
@@ -23,8 +25,9 @@ def verify(monkeypatch):
     return verify
 
 
-def test_wide_offset_0_matches_recorded_digest(verify):
+@pytest.mark.parametrize("workload", ["wide", "observe"])
+def test_offset_0_matches_recorded_digest(verify, workload):
     expected = json.loads((PERFBENCH / "expected.json").read_text())
-    result = verify.run_pass(verify.generate(verify.WORKLOADS["wide"], 0, seed=0))
+    result = verify.run_pass(verify.generate(verify.WORKLOADS[workload], 0, seed=0))
     assert result.failures == {}
-    assert result.digest == expected["wide"]["0"]
+    assert result.digest == expected[workload]["0"]

@@ -335,3 +335,33 @@ class TestOidIndex:
         ix.bit(Oid(1, 1))
         with pytest.raises(ProtocolError, match="no generated oid"):
             ix.fmt_oids(0b10)
+
+
+class TestProtoOpIdentity:
+    """Equality and hash are the structural edge identity: the server's
+    stamp sctx is not part of it."""
+
+    @staticmethod
+    def base(ix):
+        return op(ix, ins("x", 0, 2, 1), O3, ctx=[O1], sctx=[O1])
+
+    def test_copies_differing_only_in_sctx_are_equal(self):
+        ix = OidIndex()
+        a = self.base(ix)
+        b = op(ix, a.o, O3, ctx=[O1], sctx=[O1, O2])
+        c = op(ix, a.o, O3, ctx=[O1])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+
+    def test_copies_differing_in_o_ctx_or_oid_differ(self):
+        ix = OidIndex()
+        a = self.base(ix)
+        others = [
+            op(ix, ins("x", 1, 2, 1), O3, ctx=[O1], sctx=[O1]),
+            op(ix, a.o, O3, ctx=[O1, O2], sctx=[O1]),
+            op(ix, a.o, O4, ctx=[O1], sctx=[O1]),
+        ]
+        for other in others:
+            assert a != other
+        assert len({a, *others}) == 4
