@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class OpKind(enum.Enum):
@@ -30,9 +30,8 @@ class PriorityRule(enum.Enum):
     LARGER_WINS = "larger_wins"
 
 
-@dataclass(frozen=True)
-class Element:
-    """A list element: a printable glyph tagged with its origin.
+class Element(NamedTuple):
+    """A list element: a printable glyph tagged with its origin, as a triple.
 
     (origin_cid, origin_seq) must be globally unique within an execution;
     the glyph itself may repeat.
@@ -42,12 +41,13 @@ class Element:
     origin_cid: int
     origin_seq: int
 
+    __repr__ = tuple.__repr__  # witnesses print an element as the triple it is
+
     def token(self) -> str:
         return f"{self.glyph}@{self.origin_cid}:{self.origin_seq}"
 
 
-@dataclass(frozen=True)
-class Priority:
+class Priority(NamedTuple):
     """Total-orderable conflict-resolution token derived from a client id.
 
     Two priorities compare equal only if they come from the same client.
@@ -113,9 +113,6 @@ class ListOp:
     def nop(cls) -> "ListOp":
         return cls(OpKind.NOP)
 
-    def is_update(self) -> bool:
-        return self.kind in (OpKind.INS, OpKind.DEL)
-
     def with_element(self, element: Element) -> "ListOp":
         return ListOp(self.kind, element, self.position, self.priority)
 
@@ -130,16 +127,14 @@ class ListOp:
 
 
 ListState = Tuple[Element, ...]
-ListValue = Tuple[Element, ...]
-
-EMPTY_STATE: ListState = ()
 
 
 def to_text(state: ListState) -> str:
-    return "".join(e.glyph for e in state)
+    """The glyphs of a list of elements, or of plain element triples."""
+    return "".join(e[0] for e in state)
 
 
-def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListValue]:
+def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
     """Apply one operation to a list state, returning (new state, contents).
 
     Out-of-range positions are legal: Ins clamps to the end, Del to the
@@ -200,20 +195,6 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
     if p1 > p2:
         return ListOp(o1.kind, o1.element, p1 - 1, o1.priority)
     return ListOp.nop()
-
-
-def applicable(o: ListOp, state: ListState) -> bool:
-    """True iff o's position targets state without clamping.
-
-    Convergence of a transformed pair is only guaranteed for operations
-    generated against the state they apply to; clamped positions fall
-    outside that contract.
-    """
-    if o.kind is OpKind.INS:
-        return o.position <= len(state)
-    if o.kind is OpKind.DEL:
-        return o.position < len(state)
-    return True
 
 
 def check_cp1(o1: ListOp, o2: ListOp, state: ListState) -> bool:

@@ -15,7 +15,6 @@ from .ot_core import (
     Element,
     ListOp,
     ListState,
-    ListValue,
     OpKind,
     PriorityRule,
     apply,
@@ -26,12 +25,12 @@ SERVER_ID = 0
 
 
 class DoResult(NamedTuple):
-    value: ListValue
+    value: ListState
     message: ProtoOp  # addressed to the server
 
 
 class RecvResult(NamedTuple):
-    value: Optional[ListValue]  # None at a replica that keeps no list
+    value: Optional[ListState]  # None at a replica that keeps no list
     applied: ProtoOp  # the fully transformed operation that was executed
     ot_seq: Tuple[Oid, ...]
     fanout: Tuple[Tuple[int, ProtoOp], ...] = ()  # (destination cid, message)
@@ -77,7 +76,7 @@ class CJClient:
     def make_del(self, position: int) -> ListOp:
         return ListOp.del_(position, priority_of(self.cid, self.rule))
 
-    def read(self) -> ListValue:
+    def read(self) -> ListState:
         return self.state
 
     def do(self, o: ListOp) -> DoResult:
@@ -137,7 +136,7 @@ class CJServer(Sequencer):
         self.state, value = apply(self.state, applied.o)
         return stamped._replace(value=value, applied=applied, ot_seq=self.space.last_ot_sequence)
 
-    def read(self) -> ListValue:
+    def read(self) -> ListState:
         return self.state
 
 
@@ -175,7 +174,7 @@ class JServer:
             raise ProtocolError("per-client server spaces diverged")
         return RecvResult(value, applied, self.spaces[origin].last_ot_sequence, tuple(fanout))
 
-    def read(self) -> ListValue:
+    def read(self) -> ListState:
         return self.state
 
 

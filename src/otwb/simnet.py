@@ -15,10 +15,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
-from .ot_core import ListOp, ListState, PriorityRule
+from .ot_core import Element, ListOp, ListState, PriorityRule, to_text
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 
 SCHEDULE_FORMAT = 1
@@ -162,22 +162,22 @@ def schedule_from_json(text: str) -> Schedule:
 # Trace model
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     kind: str
     oid: Optional[str] = None
-    element: Optional[Tuple[str, int, int]] = None
+    element: Optional[Element] = None
     pos: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """A traced event. Its index field hides tuple.index; nothing calls that."""
+
     index: int
     replica: int
     kind: str  # "do" | "send" | "receive"
     vclock: Tuple[int, ...]
     op: Optional[OpRecord] = None
-    value: Optional[Tuple[Tuple[str, int, int], ...]] = None
+    value: Optional[ListState] = None  # the replica's own state, shared, not copied
     msg_id: Optional[str] = None
     src: Optional[int] = None
     dst: Optional[int] = None
@@ -194,15 +194,8 @@ class Trace:
     prng: Optional[Tuple[str, int]] = None
 
 
-def _value_tuple(state: ListState) -> Tuple[Tuple[str, int, int], ...]:
-    return tuple((e.glyph, e.origin_cid, e.origin_seq) for e in state)
-
-
-def _op_record(oid: Oid, o: ListOp) -> OpRecord:
-    elem = None
-    if o.element is not None:
-        elem = (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
-    return OpRecord(o.kind.value, oid.token(), elem, o.position)
+def _op_record(token: str, o: ListOp) -> OpRecord:
+    return OpRecord(o.kind.value, token, o.element, o.position)
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -212,20 +205,20 @@ def trace_to_json(trace: Trace) -> str:
             "i": e.index,
             "replica": e.replica,
             "kind": e.kind,
-            "vc": list(e.vclock),
+            "vc": e.vclock,
         }
         if e.op is not None:
             op: Dict[str, object] = {"kind": e.op.kind}
             if e.op.oid is not None:
                 op["oid"] = e.op.oid
             if e.op.element is not None:
-                op["element"] = list(e.op.element)
+                op["element"] = e.op.element
             if e.op.pos is not None:
                 op["pos"] = e.op.pos
             doc["op"] = op
         if e.value is not None:
-            doc["value"] = [list(v) for v in e.value]
-            doc["text"] = "".join(v[0] for v in e.value)
+            doc["value"] = e.value
+            doc["text"] = to_text(e.value)
         if e.msg_id is not None:
             doc["msg"] = e.msg_id
         if e.src is not None:
@@ -233,7 +226,7 @@ def trace_to_json(trace: Trace) -> str:
         if e.dst is not None:
             doc["dst"] = _replica_name(e.dst) if e.dst != BROADCAST else "broadcast"
         if e.ot_seq is not None:
-            doc["ot_seq"] = list(e.ot_seq)
+            doc["ot_seq"] = e.ot_seq
         events.append(doc)
     doc = {
         "format": TRACE_FORMAT,
@@ -244,7 +237,9 @@ def trace_to_json(trace: Trace) -> str:
         "prng": list(trace.prng) if trace.prng else None,
         "events": events,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # Tuples, elements among them, go in as they are. The document is a
+    # tree built right here, so the encoder's cycle check is not needed.
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -310,7 +305,7 @@ class RunResult:
     protocol: str
     schedule: Schedule
     trace: Trace
-    final_values: Dict[int, Tuple[Tuple[str, int, int], ...]]
+    final_values: Dict[int, ListState]
     arrival_log: Tuple[Oid, ...]
     quiescent: bool
     # cjupiter / djupiter artifacts
@@ -435,9 +430,10 @@ class Simulation:
     def events(self) -> Tuple[TraceEvent, ...]:
         """The log as trace events. Every event ticks its replica's own
         clock component; a receive first merges the clock of the message's
-        send event."""
+        send event. Each oid's token is formatted once."""
         vcs = [[0] * (self.n_clients + 1) for _ in range(self.n_clients + 1)]
         sent: Dict[int, Tuple[int, ...]] = {}
+        tokens = {o: o.token() for o in self.index.oids}
         events: List[TraceEvent] = []
         for entry in self.log:
             kind, rid = entry[0], entry[1]
@@ -451,8 +447,8 @@ class Simulation:
             i = len(events)
             if kind == "do":
                 _, _, op, value = entry
-                record = OpRecord("read") if op is None else _op_record(op.oid, op.o)
-                events.append(TraceEvent(i, rid, "do", clock, op=record, value=_value_tuple(value)))
+                record = OpRecord("read") if op is None else _op_record(tokens[op.oid], op.o)
+                events.append(TraceEvent(i, rid, "do", clock, op=record, value=value))
             elif kind == "send":
                 _, _, msg, dst = entry
                 sent[msg] = clock
@@ -465,12 +461,12 @@ class Simulation:
                         rid,
                         "receive",
                         clock,
-                        op=_op_record(oid, result.applied.o),
-                        value=_value_tuple(result.value),
+                        op=_op_record(tokens[oid], result.applied.o),
+                        value=result.value,
                         msg_id=f"m{msg}",
                         src=src,
                         dst=rid,
-                        ot_seq=tuple(o.token() for o in result.ot_seq),
+                        ot_seq=tuple([tokens[o] for o in result.ot_seq]),
                     )
                 )
         return tuple(events)
@@ -505,7 +501,7 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
         protocol=protocol,
         schedule=schedule,
         trace=trace,
-        final_values={rid: _value_tuple(r.state) for rid, r in holders.items()},
+        final_values={rid: r.state for rid, r in holders.items()},
         arrival_log=tuple(sim.hub.arrival_log),
         quiescent=sim.quiescent(),
     )

@@ -1,6 +1,7 @@
 import pytest
 
 from otwb.css_space import Oid
+from otwb.ot_core import OpKind
 from otwb.simnet import Simulation, bit_positions, causal_masks, podc16_schedule, run
 
 # The golden scenario's four operations by identity.
@@ -8,6 +9,8 @@ O1 = Oid(1, 1)  # ins x at 0, client 1
 O2 = Oid(1, 2)  # del at 0, client 1
 O3 = Oid(2, 1)  # ins a at 0, client 2
 O4 = Oid(3, 1)  # ins b at 1, client 3
+
+EMPTY_STATE = ()  # the empty list state
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +52,20 @@ def mask(index, oids):
 # --------------------------------------------------------------------------
 # Oracles over traces and schedules. The verify path needs none of them, so
 # they live here, next to the tests that compare the library against them.
+
+
+def applicable(o, state):
+    """True iff o's position targets state without clamping.
+
+    Convergence of a transformed pair is only guaranteed for operations
+    generated against the state they apply to; clamped positions fall
+    outside that contract.
+    """
+    if o.kind is OpKind.INS:
+        return o.position <= len(state)
+    if o.kind is OpKind.DEL:
+        return o.position < len(state)
+    return True
 
 
 def vc_less(a, b):

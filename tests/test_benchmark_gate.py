@@ -1,9 +1,10 @@
-"""The benchmark's correctness gate on the `wide` and `observe` workloads,
-run by the test suite: every verdict right, and the trace JSON bytes and
-verdict flags of all 100 schedules equal to the recorded digest. `wide`
-weighs on the structural lemmas, `observe` on the spec checkers and the
-ot_sequence lemma. perfbench/ is only imported, never changed, and the
-digests are never re-recorded here."""
+"""The benchmark's correctness gate on every workload at offset 0, run by
+the test suite: every verdict right, and the trace JSON bytes and verdict
+flags of all its schedules equal to the recorded digest. `corpus` (podc16
+and 1,000 small schedules) weighs on the trace bytes, `wide` on the
+structural lemmas, `observe` on the spec checkers and the ot_sequence
+lemma. perfbench/ is only imported, never changed, and the digests are
+never re-recorded here."""
 
 import json
 import sys
@@ -25,7 +26,7 @@ def verify(monkeypatch):
     return verify
 
 
-@pytest.mark.parametrize("workload", ["wide", "observe"])
+@pytest.mark.parametrize("workload", ["corpus", "wide", "observe"])
 def test_offset_0_matches_recorded_digest(verify, workload):
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     result = verify.run_pass(verify.generate(verify.WORKLOADS[workload], 0, seed=0))

@@ -96,7 +96,7 @@ class TestConvergence:
         events = list(trace.events)
         for i, e in enumerate(events):
             if e.kind == "do" and e.op.kind == "read":
-                events[i] = dataclasses.replace(e, value=e.value[::-1])
+                events[i] = e._replace(value=e.value[::-1])
                 break
         corrupted = dataclasses.replace(trace, events=tuple(events))
         A = build_abstract_execution(corrupted)
@@ -188,6 +188,33 @@ class TestWeakSpec:
         verdict = check_weak_spec(A)
         assert not verdict.satisfied
         assert verdict.witness["condition"] == "1c"
+
+
+class TestWeakSpecWitnessText:
+    """Element text in weak-spec witnesses, pinned on a corrupted podc16
+    cjupiter replay whose lists hold the replay's own elements. In its H,
+    event 2 is c2's insert of a, returning "ax", and event 4 is c1's final
+    read, returning "ba"."""
+
+    @staticmethod
+    def weak_with_read_value(podc16_cj, value_of):
+        A = build_abstract_execution(podc16_cj.trace)
+        H = list(A.H)
+        e = H[4]
+        H[4] = DoEvent(e.index, e.replica, e.op, value_of(A.H), e.vclock)
+        return check_weak_spec(AbstractExecution(tuple(H), A.seen)).to_json_dict()
+
+    def test_missing_and_extra(self, podc16_cj):
+        # b kept, a dropped, the deleted x put back.
+        verdict = self.weak_with_read_value(podc16_cj, lambda H: (H[4].value[0], H[2].value[1]))
+        assert verdict == {"check": "weak_spec", "satisfied": False, "witness": {
+            "condition": "1a", "event": 4, "replica": 1, "list": "bx",
+            "missing": ["('a', 2, 1)"], "extra": ["('x', 1, 1)"]}}
+
+    def test_duplicate(self, podc16_cj):
+        verdict = self.weak_with_read_value(podc16_cj, lambda H: (*H[4].value, H[4].value[1]))
+        assert verdict == {"check": "weak_spec", "satisfied": False, "witness": {
+            "condition": "2", "event": 4, "duplicate": "('a', 2, 1)"}}
 
 
 class TestStrongSpec:
@@ -283,7 +310,7 @@ class TestEquivalence:
         events = list(trace.events)
         for i, e in enumerate(events):
             if e.kind == "receive" and e.replica == 2 and len(e.value) >= 2:
-                events[i] = dataclasses.replace(e, value=e.value[::-1])
+                events[i] = e._replace(value=e.value[::-1])
                 break
         corrupted = dataclasses.replace(trace, events=tuple(events))
         verdict = check_equivalence(podc16_cj.trace, corrupted)

@@ -4,9 +4,8 @@ import itertools
 
 import pytest
 
+from conftest import EMPTY_STATE, applicable
 from otwb.ot_core import (
-    applicable,
-    EMPTY_STATE,
     Element,
     ListOp,
     OpKind,

@@ -202,6 +202,7 @@ class TestLcaFastPathsMatchOracle:
 
 
 ELEMS = [(g, c, 1) for g, c in zip("abcde", range(1, 6))]
+ELEMENTS = [Element(*x) for x in ELEMS]
 
 
 class TestCompatibilityMatchesOracle:
@@ -349,7 +350,7 @@ def with_ot_seq(result, k, ot_seq):
     """A copy of result whose k-th server receive carries ot_seq."""
     events = list(result.trace.events)
     p = server_receives(result)[k]
-    events[p] = dataclasses.replace(events[p], ot_seq=ot_seq)
+    events[p] = events[p]._replace(ot_seq=ot_seq)
     broken = copy.copy(result)
     broken.trace = dataclasses.replace(result.trace, events=tuple(events))
     return broken
@@ -374,6 +375,14 @@ class TestOtSequence:
         assert not verdict.satisfied
         assert verdict.witness == {
             "arrival": 3, "oid": "3:1", "transformed_against": ["2:1"], "expected": ["1:2", "2:1"]}
+
+    def test_arrival_without_do_event_fails(self, podc16_cj):
+        # A verdict naming the arrival and its oid, not KeyError.
+        broken = copy.copy(podc16_cj)
+        events = [e for e in podc16_cj.trace.events if not (e.kind == "do" and e.op.oid == "3:1")]
+        broken.trace = dataclasses.replace(podc16_cj.trace, events=tuple(events))
+        failed = {v.check: v.witness for v in check_structural(broken) if not v.satisfied}
+        assert failed == {"ot_sequence": {"arrival": 3, "oid": "3:1", "error": "no do event"}}
 
     def test_concurrency_matches_clock_scan(self):
         # podc16 and the acceptance corpus's shapes for seeds 0-199. An
@@ -653,22 +662,38 @@ class TestCausalPairsMatchesOracle:
 
 @st.composite
 def executions(draw):
-    """A hand-built AbstractExecution: random events, a random transitive
-    vis, and returned lists that are random, a permutation of the visible
-    elements, or those elements sorted (so that reads converge)."""
+    """A hand-built AbstractExecution: random events over Element values,
+    drawn from a pool of five or, in the fresh mode, as a replay makes
+    them, and returned lists that are random, a permutation of the visible
+    elements, or those elements sorted (so that reads converge). vis is
+    random and then "causal" (each replica's earlier events added, then
+    closed transitively, as in a replay), "closed" (only closed), or "raw"
+    (neither, so in general neither transitive nor in program order)."""
     n = draw(st.integers(0, 10))
+    replicas = [draw(st.integers(1, 3)) for _ in range(n)]
+    closure = draw(st.sampled_from(["causal", "closed", "raw"]))
     preds = [set() for _ in range(n)]
     for i, j in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25)):
         if i < j < n:
             preds[j].add(i)
     for j in range(n):
-        for i in list(preds[j]):
-            preds[j] |= preds[i]
+        if closure == "causal":
+            preds[j] |= {i for i in range(j) if replicas[i] == replicas[j]}
+        if closure != "raw":
+            for i in list(preds[j]):
+                preds[j] |= preds[i]
     mode = draw(st.sampled_from(["sorted", "permuted", "random"]))
+    fresh = draw(st.booleans())  # each insert a new element, each delete a visible insert's
     H = []
     for j in range(n):
         kind = draw(st.sampled_from(["ins", "del", "read"]))
-        element = None if kind == "read" else draw(st.sampled_from(ELEMS))
+        earlier = [H[i].op.element for i in sorted(preds[j]) if H[i].op.kind == "ins"]
+        if kind == "read":
+            element = None
+        elif fresh and kind == "ins":
+            element = Element("abcdefghij"[j], replicas[j], j + 1)
+        else:
+            element = draw(st.sampled_from(earlier if fresh and earlier else ELEMENTS))
         pos = None if kind == "read" else draw(st.integers(0, 3))
         op = OpRecord(kind, None if kind == "read" else f"{j}:1", element, pos)
         ops = [H[i].op for i in preds[j]] + [op]
@@ -678,8 +703,8 @@ def executions(draw):
         elif mode == "permuted":
             value = tuple(draw(st.permutations(sorted(live))))
         else:
-            value = tuple(draw(st.lists(st.sampled_from(ELEMS), max_size=4)))
-        H.append(DoEvent(j, draw(st.integers(1, 3)), op, value, ()))
+            value = tuple(draw(st.lists(st.sampled_from(ELEMENTS), max_size=4)))
+        H.append(DoEvent(j, replicas[j], op, value, ()))
     return AbstractExecution(tuple(H), seen_masks(n, ((i, j) for j in range(n) for i in preds[j])))
 
 
@@ -731,6 +756,18 @@ class TestVisibilityReadersMatchOracle:
             assert weak["satisfied"] or weak["witness"]["condition"] == "2"
         else:
             assert weak == want
+        if checkers._condition_1a_holds(A):
+            assert want is None or want["witness"]["condition"] == "1c"
+
+    def test_condition_1a_accept_holds_on_replays(self):
+        # The bitset accept is what decides 1a on a correct run, so it
+        # must hold on every replay, deletes of one element by two
+        # replicas included.
+        for s in range(60):
+            schedule = random_schedule(3, 12, seed=s, read_probability=1.0)
+            for protocol in PROTOCOLS:
+                A = build_abstract_execution(run(protocol, schedule, record_snapshots=False).trace)
+                assert checkers._condition_1a_holds(A), (s, protocol)
 
     @pytest.mark.parametrize(
         "indices, seen",
