@@ -38,8 +38,9 @@ class AbstractExecution:
     (i, j) is in vis). An event's index is its position in H.
 
     Derived from them, for the checkers: updates, the bitset of the list
-    updates in H, and, on first use, list_order. vis, the relation as
-    index pairs, is spelled out only when read; no checker reads it.
+    updates in H, and, on first use, visibility_error and list_order.
+    vis, the relation as index pairs, is spelled out only when read; no
+    checker reads it.
     """
 
     H: Tuple[DoEvent, ...]
@@ -56,6 +57,16 @@ class AbstractExecution:
             if s < 0 or s >> n:
                 raise ValueError(f"event {j} sees an event outside H")
         object.__setattr__(self, "updates", sum(1 << e.index for e in self.H if e.is_update()))
+
+    @cached_property
+    def visibility_error(self) -> Optional[str]:
+        """The message of the first visibility axiom that seen breaks, as
+        _validate_visibility raises it, or None; tested once per A."""
+        try:
+            _validate_visibility(self)
+        except ProtocolError as exc:
+            return str(exc)
+        return None
 
     @cached_property
     def vis(self) -> FrozenSet[Tuple[int, int]]:
@@ -97,7 +108,8 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
         if e.kind == "do":
             H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
     A = AbstractExecution(tuple(H), tuple(causal_masks(H)))
-    _validate_visibility(A)
+    if A.visibility_error is not None:
+        raise ProtocolError(A.visibility_error)
     return A
 
 
@@ -224,9 +236,7 @@ def _condition_1a_holds(A: AbstractExecution) -> bool:
     the left side of (b) counts the elements inserted and not deleted in
     m. (a) puts the list among them and (b) equates the sizes. (b) costs
     popcounts and one test per element deleted more than once."""
-    try:
-        _validate_visibility(A)
-    except ProtocolError:
+    if A.visibility_error is not None:
         return False
     ins, dels = {}, {}  # element -> bitset of the events that insert, delete it
     for e in A.H:

@@ -48,7 +48,10 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
         seed = args.seed
         env = os.environ.get("OTWB_SEED")
         if env is not None:
-            seed = int(env)
+            try:
+                seed = int(env)
+            except ValueError:
+                raise simnet.ScheduleError(f"OTWB_SEED must be an integer, got {env!r}") from None
         if seed is None:
             raise SystemExit("--schedule random needs --seed (or OTWB_SEED)")
         return simnet.random_schedule(args.clients, args.ops, seed, rule)
@@ -162,6 +165,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     checks = _parse_checks(args.check) if args.check else ("equivalence",)
     rule = _rule(args)
+    for flag, value in (("--seeds", args.seeds), ("--clients", args.clients), ("--ops", args.ops)):
+        if value < 1:
+            raise simnet.ScheduleError(f"fuzz {flag} must be at least 1, got {value}")
     failures = 0
     for i in range(args.seeds):
         seed = args.seed_start + i

@@ -22,7 +22,7 @@ since the one before it, and every snapshot shares each SnapEdge.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -84,8 +84,18 @@ class OidIndex:
         return [o.token() for o in self.decode(mask)]
 
 
-@dataclass(frozen=True)
-class ProtoOp:
+_tuple_new = tuple.__new__
+
+
+class _ProtoOpFields(NamedTuple):
+    o: ListOp
+    oid: Oid
+    bit: int
+    ctx: int = 0
+    sctx: int = 0
+
+
+class ProtoOp(_ProtoOpFields):
     """A protocol operation: the signature plus identity and contexts.
 
     bit is the oid's bit in the run's OidIndex, and the contexts are oid
@@ -94,22 +104,34 @@ class ProtoOp:
     sctx holds the oids the server had executed before it, stamped by the
     server, and stays empty on locally generated copies and under jupiter.
 
-    Equality and hash leave sctx out, because two copies of one operation
-    differ only in the server's stamp. So two SnapEdges are the same edge
-    to the structural lemmas exactly when they are equal.
+    A validating NamedTuple; _replace checks the new fields too. Equality
+    and hash leave sctx out, because two copies of one operation differ
+    only in the server's stamp. So two SnapEdges are the same edge to the
+    structural lemmas exactly when they are equal.
     """
 
-    o: ListOp
-    oid: Oid
-    bit: int
-    ctx: int = 0
-    sctx: int = field(default=0, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bit <= 0 or self.bit & (self.bit - 1):
-            raise ProtocolError(f"operation {self.oid.token()} needs exactly one oid bit")
-        if self.bit & self.ctx:
-            raise ProtocolError(f"operation {self.oid.token()} lists itself in its context")
+    def __new__(cls, o: ListOp, oid: Oid, bit: int, ctx: int = 0, sctx: int = 0) -> "ProtoOp":
+        if bit <= 0 or bit & (bit - 1):
+            raise ProtocolError(f"operation {oid.token()} needs exactly one oid bit")
+        if bit & ctx:
+            raise ProtocolError(f"operation {oid.token()} lists itself in its context")
+        return _tuple_new(cls, (o, oid, bit, ctx, sctx))
+
+    @classmethod
+    def _make(cls, iterable) -> "ProtoOp":
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProtoOp):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, ProtoOp):
+            return NotImplemented
+        return self[:4] != other[:4]
 
     def __hash__(self) -> int:
         # Equal operations have equal oids and contexts. Hashing only those
@@ -123,6 +145,9 @@ class ProtoOp:
 class Ord(enum.IntEnum):
     LEFT = -1
     RIGHT = 1
+
+
+_LEFT, _RIGHT = Ord.LEFT, Ord.RIGHT
 
 
 def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
@@ -260,15 +285,22 @@ class CssSpace:
             raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
         if v != u | op.bit:
             raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
+        if not edges:
+            # Nothing to order against: the fresh vertex of every square.
+            edges.append(SnapEdge(op, v))
+            self._touched[u] = edges
+            return
         # Every edge of op's oid out of u ends at u | op.bit, so a second
         # link of it is the same edge.
+        bit = op.bit
         for e in edges:
-            if e.op.bit == op.bit:
+            if e.op.bit == bit:
                 return
+        rid = self.rid
         if self.two_d:
-            own = op.oid.cid == self.rid
+            own = op.oid.cid == rid
             for e in edges:
-                if (e.op.oid.cid == self.rid) is own:
+                if (e.op.oid.cid == rid) is own:
                     raise ProtocolError(
                         f"link: {'local' if own else 'global'} edge already occupied at "
                         f"{self.index.fmt_oids(u)}"
@@ -284,13 +316,14 @@ class CssSpace:
             # of every edge before it.
             at = None
             for i, e in enumerate(edges):
-                order = compare_ops(op, e.op, self.rid)
-                if compare_ops(e.op, op, self.rid) is order or (order is Ord.RIGHT and at is not None):
+                other = e.op
+                order = compare_ops(op, other, rid)
+                if compare_ops(other, op, rid) is order or (order is _RIGHT and at is not None):
                     raise ProtocolError(
-                        f"edge order at replica {self.rid}: {op.oid.token()} and "
-                        f"{e.op.oid.token()} break a strict total order"
+                        f"edge order at replica {rid}: {op.oid.token()} and "
+                        f"{other.oid.token()} break a strict total order"
                     )
-                if order is Ord.LEFT and at is None:
+                if order is _LEFT and at is None:
                     at = i
         edges.insert(len(edges) if at is None else at, SnapEdge(op, v))
         self._touched[u] = edges
@@ -321,16 +354,19 @@ class CssSpace:
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
         ot_seq: List[Oid] = []
-        while u != self.cur:
-            op2, u2 = self._walk_edge(u, op)
-            op_t = ProtoOp(transform(op.o, op2.o), op.oid, op.bit, op.ctx | op2.bit, op.sctx)
-            op2_t = ProtoOp(transform(op2.o, op.o), op2.oid, op2.bit, op2.ctx | op.bit, op2.sctx)
-            v2 = self._new_vertex(v | op2.bit)
-            self.link(v, v2, op2_t)
-            self.link(u, v, op)
+        cur, walk_edge, new_vertex, link = self.cur, self._walk_edge, self._new_vertex, self.link
+        oid, bit, sctx = op.oid, op.bit, op.sctx  # op keeps them along the walk
+        while u != cur:
+            op2, u2 = walk_edge(u, op)
+            o, o2 = op.o, op2.o
+            op_t = ProtoOp(transform(o, o2), oid, bit, op.ctx | op2.bit, sctx)
+            op2_t = ProtoOp(transform(o2, o), op2.oid, op2.bit, op2.ctx | bit, op2.sctx)
+            v2 = new_vertex(v | op2.bit)
+            link(v, v2, op2_t)
+            link(u, v, op)
             ot_seq.append(op2.oid)
             u, v, op = u2, v2, op_t
-        self.link(u, v, op)
+        link(u, v, op)
         self.cur = v
         self.last_ot_sequence = tuple(ot_seq)
         return op

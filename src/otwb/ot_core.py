@@ -8,7 +8,6 @@ module is safe for concurrent use from any number of threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 
@@ -28,6 +27,9 @@ class PriorityRule(enum.Enum):
 
     SMALLER_WINS = "smaller_wins"
     LARGER_WINS = "larger_wins"
+
+
+_SMALLER_WINS = PriorityRule.SMALLER_WINS
 
 
 class Element(NamedTuple):
@@ -60,9 +62,13 @@ class Priority(NamedTuple):
         """True iff self is strictly higher priority than other."""
         if self.rule is not other.rule:
             raise ValueError("cannot compare priorities under different rules")
-        if self.rule is PriorityRule.SMALLER_WINS:
+        if self.rule is _SMALLER_WINS:
             return self.cid < other.cid
         return self.cid > other.cid
+
+
+_INS, _DEL, _READ, _NOP = OpKind.INS, OpKind.DEL, OpKind.READ, OpKind.NOP
+_tuple_new = tuple.__new__
 
 
 def priority_of(cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS) -> Priority:
@@ -71,31 +77,48 @@ def priority_of(cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS) -> Pri
     return Priority(cid, rule)
 
 
-@dataclass(frozen=True)
-class ListOp:
-    """One list operation: Ins, Del, Read, or Nop.
-
-    Ins carries the inserted element; Del records the element it deleted,
-    filled in by the generating replica (None until then). Read and Nop
-    carry no payload at all.
-    """
-
+class _ListOpFields(NamedTuple):
     kind: OpKind
     element: Optional[Element] = None
     position: Optional[int] = None
     priority: Optional[Priority] = None
 
-    def __post_init__(self) -> None:
-        if self.kind in (OpKind.READ, OpKind.NOP):
-            if self.element is not None or self.position is not None or self.priority is not None:
-                raise ValueError(f"{self.kind.value} carries no element, position, or priority")
+
+class ListOp(_ListOpFields):
+    """One list operation: Ins, Del, Read, or Nop.
+
+    Ins carries the inserted element; Del records the element it deleted,
+    filled in by the generating replica (None until then). Read and Nop
+    carry no payload at all.
+
+    A validating NamedTuple: it equals its (kind, element, position,
+    priority) tuple, and _replace checks the new fields too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: OpKind,
+        element: Optional[Element] = None,
+        position: Optional[int] = None,
+        priority: Optional[Priority] = None,
+    ) -> "ListOp":
+        if kind is _READ or kind is _NOP:
+            if element is not None or position is not None or priority is not None:
+                raise ValueError(f"{kind.value} carries no element, position, or priority")
         else:
-            if self.position is None or self.position < 0:
-                raise ValueError(f"{self.kind.value} needs a non-negative position")
-            if self.priority is None:
-                raise ValueError(f"{self.kind.value} needs a priority")
-            if self.kind is OpKind.INS and self.element is None:
+            if position is None or position < 0:
+                raise ValueError(f"{kind.value} needs a non-negative position")
+            if priority is None:
+                raise ValueError(f"{kind.value} needs a priority")
+            if kind is _INS and element is None:
                 raise ValueError("ins needs an element")
+        return _tuple_new(cls, (kind, element, position, priority))
+
+    @classmethod
+    def _make(cls, iterable) -> "ListOp":
+        return cls(*iterable)
 
     @classmethod
     def ins(cls, element: Element, position: int, priority: Priority) -> "ListOp":
@@ -140,14 +163,17 @@ def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
     Out-of-range positions are legal: Ins clamps to the end, Del to the
     last element. Del on an empty list does nothing.
     """
-    if o.kind in (OpKind.READ, OpKind.NOP):
+    kind = o.kind
+    if kind is _READ or kind is _NOP:
         return state, state
-    if o.kind is OpKind.INS:
+    if kind is _INS:
+        element = o.element
+        origin = (element.origin_cid, element.origin_seq)
         for existing in state:
-            if (existing.origin_cid, existing.origin_seq) == (o.element.origin_cid, o.element.origin_seq):
-                raise ValueError(f"duplicate element {o.element.token()}")
+            if (existing.origin_cid, existing.origin_seq) == origin:
+                raise ValueError(f"duplicate element {element.token()}")
         p = min(o.position, len(state))
-        new = state[:p] + (o.element,) + state[p:]
+        new = state[:p] + (element,) + state[p:]
         return new, new
     # Del
     if not state:
@@ -165,35 +191,33 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
     element and only moves position, except two deletions of the same
     position, where o1 degenerates to Nop.
     """
-    if o1.kind is OpKind.READ or o2.kind is OpKind.READ:
+    k1, k2 = o1.kind, o2.kind
+    if k1 is _READ or k2 is _READ:
         raise ValueError("read operations do not transform")
-    if o1.kind is OpKind.NOP:
-        return o1
-    if o2.kind is OpKind.NOP:
+    if k1 is _NOP or k2 is _NOP:
         return o1
 
     p1, p2 = o1.position, o2.position
-    if o1.kind is OpKind.INS and o2.kind is OpKind.INS:
-        if p1 < p2:
+    if k1 is _INS:
+        if k2 is _INS:
+            if p1 < p2:
+                return o1
+            if p1 > p2 or o1.priority.beats(o2.priority):
+                return ListOp(k1, o1.element, p1 + 1, o1.priority)
             return o1
-        if p1 > p2:
-            return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
-        if o1.priority.beats(o2.priority):
-            return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
-        return o1
-    if o1.kind is OpKind.INS and o2.kind is OpKind.DEL:
+        # Ins against Del
         if p1 <= p2:
             return o1
-        return ListOp(o1.kind, o1.element, p1 - 1, o1.priority)
-    if o1.kind is OpKind.DEL and o2.kind is OpKind.INS:
+        return ListOp(k1, o1.element, p1 - 1, o1.priority)
+    if k2 is _INS:  # Del against Ins
         if p1 < p2:
             return o1
-        return ListOp(o1.kind, o1.element, p1 + 1, o1.priority)
+        return ListOp(k1, o1.element, p1 + 1, o1.priority)
     # Del against Del
     if p1 < p2:
         return o1
     if p1 > p2:
-        return ListOp(o1.kind, o1.element, p1 - 1, o1.priority)
+        return ListOp(k1, o1.element, p1 - 1, o1.priority)
     return ListOp.nop()
 
 

@@ -198,48 +198,55 @@ def _op_record(token: str, o: ListOp) -> OpRecord:
     return OpRecord(o.kind.value, token, o.element, o.position)
 
 
+def _peer_name(rid: int) -> str:
+    return "broadcast" if rid == BROADCAST else _replica_name(rid)
+
+
 def trace_to_json(trace: Trace) -> str:
+    """Canonical trace JSON: compact, every object's keys in sorted order.
+    Each dict is filled in that order, so the encoder need not sort."""
     events = []
-    for e in trace.events:
-        doc: Dict[str, object] = {
-            "i": e.index,
-            "replica": e.replica,
-            "kind": e.kind,
-            "vc": e.vclock,
-        }
-        if e.op is not None:
-            op: Dict[str, object] = {"kind": e.op.kind}
-            if e.op.oid is not None:
-                op["oid"] = e.op.oid
-            if e.op.element is not None:
-                op["element"] = e.op.element
-            if e.op.pos is not None:
-                op["pos"] = e.op.pos
-            doc["op"] = op
-        if e.value is not None:
-            doc["value"] = e.value
-            doc["text"] = to_text(e.value)
-        if e.msg_id is not None:
-            doc["msg"] = e.msg_id
-        if e.src is not None:
-            doc["src"] = _replica_name(e.src) if e.src != BROADCAST else "broadcast"
-        if e.dst is not None:
-            doc["dst"] = _replica_name(e.dst) if e.dst != BROADCAST else "broadcast"
-        if e.ot_seq is not None:
-            doc["ot_seq"] = e.ot_seq
+    for i, replica, kind, vclock, op, value, msg_id, src, dst, ot_seq in trace.events:
+        doc: Dict[str, object] = {}
+        if dst is not None:
+            doc["dst"] = _peer_name(dst)
+        doc["i"] = i
+        doc["kind"] = kind
+        if msg_id is not None:
+            doc["msg"] = msg_id
+        if op is not None:
+            op_kind, oid, element, pos = op
+            op_doc: Dict[str, object] = {}
+            if element is not None:
+                op_doc["element"] = element
+            op_doc["kind"] = op_kind
+            if oid is not None:
+                op_doc["oid"] = oid
+            if pos is not None:
+                op_doc["pos"] = pos
+            doc["op"] = op_doc
+        if ot_seq is not None:
+            doc["ot_seq"] = ot_seq
+        doc["replica"] = replica
+        if src is not None:
+            doc["src"] = _peer_name(src)
+        if value is not None:
+            doc["text"] = to_text(value)
+            doc["value"] = value
+        doc["vc"] = vclock
         events.append(doc)
     doc = {
+        "events": events,
         "format": TRACE_FORMAT,
-        "protocol": trace.protocol,
         "n_clients": trace.n_clients,
         "priority_rule": trace.priority_rule,
-        "schedule_sha256": trace.schedule_sha256,
         "prng": list(trace.prng) if trace.prng else None,
-        "events": events,
+        "protocol": trace.protocol,
+        "schedule_sha256": trace.schedule_sha256,
     }
     # Tuples, elements among them, go in as they are. The document is a
     # tree built right here, so the encoder's cycle check is not needed.
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -430,45 +437,37 @@ class Simulation:
     def events(self) -> Tuple[TraceEvent, ...]:
         """The log as trace events. Every event ticks its replica's own
         clock component; a receive first merges the clock of the message's
-        send event. Each oid's token is formatted once."""
+        send event. Each oid's token is formatted once, and every read
+        shares one record."""
         vcs = [[0] * (self.n_clients + 1) for _ in range(self.n_clients + 1)]
         sent: Dict[int, Tuple[int, ...]] = {}
         tokens = {o: o.token() for o in self.index.oids}
+        read = OpRecord("read")
         events: List[TraceEvent] = []
         for entry in self.log:
             kind, rid = entry[0], entry[1]
-            vc = vcs[rid]
             if kind == "receive":
-                for k, x in enumerate(sent[entry[2]]):
-                    if x > vc[k]:
-                        vc[k] = x
+                vc = vcs[rid] = list(map(max, vcs[rid], sent[entry[2]]))
+            else:
+                vc = vcs[rid]
             vc[rid] += 1
             clock = tuple(vc)
             i = len(events)
             if kind == "do":
                 _, _, op, value = entry
-                record = OpRecord("read") if op is None else _op_record(tokens[op.oid], op.o)
-                events.append(TraceEvent(i, rid, "do", clock, op=record, value=value))
+                record = read if op is None else _op_record(tokens[op.oid], op.o)
+                events.append(TraceEvent(i, rid, "do", clock, record, value))
             elif kind == "send":
                 _, _, msg, dst = entry
                 sent[msg] = clock
-                events.append(TraceEvent(i, rid, "send", clock, msg_id=f"m{msg}", src=rid, dst=dst))
+                events.append(TraceEvent(i, rid, "send", clock, None, None, f"m{msg}", rid, dst))
             else:
                 _, _, msg, src, oid, result = entry
-                events.append(
-                    TraceEvent(
-                        i,
-                        rid,
-                        "receive",
-                        clock,
-                        op=_op_record(tokens[oid], result.applied.o),
-                        value=result.value,
-                        msg_id=f"m{msg}",
-                        src=src,
-                        dst=rid,
-                        ot_seq=tuple([tokens[o] for o in result.ot_seq]),
-                    )
-                )
+                record = _op_record(tokens[oid], result.applied.o)
+                ot_seq = tuple([tokens[o] for o in result.ot_seq])
+                events.append(TraceEvent(
+                    i, rid, "receive", clock, record, result.value, f"m{msg}", src, rid, ot_seq
+                ))
         return tuple(events)
 
 

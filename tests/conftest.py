@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from otwb.css_space import Oid
 from otwb.ot_core import OpKind
-from otwb.simnet import Simulation, bit_positions, causal_masks, podc16_schedule, run
+from otwb.simnet import BROADCAST, Simulation, bit_positions, causal_masks, podc16_schedule, run
 
 # The golden scenario's four operations by identity.
 O1 = Oid(1, 1)  # ins x at 0, client 1
@@ -96,3 +98,46 @@ def validate_schedule(schedule, protocol):
     sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
     for i, step in enumerate(schedule.steps):
         sim.step(step, i)
+
+
+def oracle_trace_to_json(trace):
+    """The trace JSON written the plain way: one dict per event, built in
+    field order, and the encoder sorts every object's keys."""
+
+    def name(rid):
+        return "broadcast" if rid == BROADCAST else "server" if rid == 0 else f"c{rid}"
+
+    events = []
+    for e in trace.events:
+        doc = {"i": e.index, "replica": e.replica, "kind": e.kind, "vc": e.vclock}
+        if e.op is not None:
+            op = {"kind": e.op.kind}
+            if e.op.oid is not None:
+                op["oid"] = e.op.oid
+            if e.op.element is not None:
+                op["element"] = e.op.element
+            if e.op.pos is not None:
+                op["pos"] = e.op.pos
+            doc["op"] = op
+        if e.value is not None:
+            doc["value"] = e.value
+            doc["text"] = "".join(x[0] for x in e.value)
+        if e.msg_id is not None:
+            doc["msg"] = e.msg_id
+        if e.src is not None:
+            doc["src"] = name(e.src)
+        if e.dst is not None:
+            doc["dst"] = name(e.dst)
+        if e.ot_seq is not None:
+            doc["ot_seq"] = e.ot_seq
+        events.append(doc)
+    doc = {
+        "format": 1,
+        "protocol": trace.protocol,
+        "n_clients": trace.n_clients,
+        "priority_rule": trace.priority_rule,
+        "schedule_sha256": trace.schedule_sha256,
+        "prng": list(trace.prng) if trace.prng else None,
+        "events": events,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import seen_masks
+from otwb import checkers
 from otwb.checkers import (
     AbstractExecution,
     DoEvent,
@@ -22,7 +23,7 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.simnet import OpRecord, random_schedule, run
+from otwb.simnet import PROTOCOLS, OpRecord, podc16_schedule, random_schedule, run
 
 
 def elems(*tokens):
@@ -74,6 +75,28 @@ class TestBuildAbstractExecution:
             for b in A.H:
                 if a.index < b.index:
                     assert (a.index, b.index) in A.vis
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [podc16_schedule(), random_schedule(3, 12, seed=0, read_probability=1.0)],
+        ids=["podc16", "observe-seed-0"],
+    )
+    def test_visibility_validated_once_per_execution(self, schedule, monkeypatch):
+        validated = []
+        validate = checkers._validate_visibility
+        monkeypatch.setattr(checkers, "_validate_visibility", lambda A: validated.append(A) or validate(A))
+        for k, protocol in enumerate(PROTOCOLS, 1):
+            A = build_abstract_execution(run(protocol, schedule).trace)
+            assert check_weak_spec(A).satisfied
+            check_strong_spec(A)
+            check_convergence(A)
+            assert len(validated) == k and validated[-1] is A
+
+    def test_hand_built_execution_validated_on_first_use(self):
+        # Event 1 does not see event 0 of its own replica.
+        A = AbstractExecution(tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in range(2)), (0, 0))
+        assert A.visibility_error == "per-replica order must be visible"
+        assert not checkers._condition_1a_holds(A)
 
 
 class TestConvergence:

@@ -102,8 +102,25 @@ class TestRun:
         )
         assert code == 0
 
+    def test_non_integer_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("OTWB_SEED", "abc")
+        code, out, err = invoke(["run", "--schedule", "random"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "schedule error: OTWB_SEED must be an integer, got 'abc'\n"
+
 
 class TestFuzz:
+    @pytest.mark.parametrize(
+        "flag, value", [("--clients", "0"), ("--ops", "0"), ("--seeds", "-1")]
+    )
+    def test_count_below_one_is_a_usage_error(self, flag, value, capsys):
+        argv = ["fuzz", "--seeds", "2", flag, value]
+        code, out, err = invoke(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"schedule error: fuzz {flag} must be at least 1, got {value}\n"
+
     def test_small_equivalence_sweep(self, capsys):
         code, out, _ = invoke(
             ["fuzz", "--seeds", "25", "--clients", "4", "--ops", "8", "--check", "equivalence"],

@@ -305,6 +305,16 @@ class TestInvariants:
         with pytest.raises(ProtocolError, match="exactly one oid bit"):
             ProtoOp(ins("x", 0, 1, 1), Oid(1, 1), bit)
 
+    def test_replace_validates(self):
+        ix = OidIndex()
+        a = op(ix, ins("x", 0, 2, 1), O3, ctx=[O1])
+        with pytest.raises(ProtocolError, match="exactly one oid bit"):
+            a._replace(bit=3)
+        with pytest.raises(ProtocolError, match="lists itself"):
+            a._replace(ctx=a.ctx | a.bit)
+        moved = a._replace(ctx=mask(ix, [O1, O2]))
+        assert type(moved) is ProtoOp and moved.ctx == mask(ix, [O1, O2])
+
 
 class TestOidIndex:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -351,6 +361,8 @@ class TestProtoOpIdentity:
         b = op(ix, a.o, O3, ctx=[O1], sctx=[O1, O2])
         c = op(ix, a.o, O3, ctx=[O1])
         assert a == b == c
+        # A plain tuple's != would compare sctx too.
+        assert not a != b and not b != c and not a != c
         assert hash(a) == hash(b) == hash(c)
         assert len({a, b, c}) == 1
 

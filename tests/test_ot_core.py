@@ -230,6 +230,18 @@ class TestListOpValidation:
         with pytest.raises(ValueError):
             ListOp(OpKind.INS, position=0, priority=PR1)
 
+    def test_replace_validates(self):
+        o = ListOp.ins(elem("a"), 0, PR1)
+        with pytest.raises(ValueError, match="non-negative position"):
+            o._replace(position=-1)
+        moved = o._replace(position=2)
+        assert type(moved) is ListOp and moved.position == 2
+
+    def test_equals_its_tuple(self):
+        o = ListOp.ins(elem("a"), 0, PR1)
+        assert o == (OpKind.INS, elem("a"), 0, PR1)
+        assert hash(o) == hash((OpKind.INS, elem("a"), 0, PR1))
+
     def test_del_element_filled_later(self):
         d = ListOp.del_(2, PR1)
         assert d.element is None

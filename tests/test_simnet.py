@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import happens_before, text_of, validate_schedule, vc_less
+from conftest import happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
 from otwb.ot_core import PriorityRule
 from otwb.simnet import (
     DeliverStep,
@@ -308,6 +308,51 @@ class TestTraceProperties:
         assert doc["format"] == 1
         assert doc["protocol"] == "cjupiter"
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == text
+
+
+def escaping_schedule():
+    """Two clients insert glyphs that JSON must escape: a quote, a
+    backslash, a non-ASCII letter and a control character."""
+    G, D = GenerateStep, DeliverStep
+    steps = (
+        G(1, OpSpec("ins", glyph='"', pos=0)),
+        G(2, OpSpec("ins", glyph="\\", pos=0)),
+        D(0, 1), D(0, 2), D(2, 0), D(1, 0),
+        G(1, OpSpec("ins", glyph="\u00e9", pos=1)),
+        G(2, OpSpec("ins", glyph="\x01", pos=0)),
+        G(1, OpSpec("del", pos=0)),
+        D(0, 2), D(0, 1), D(0, 1), D(1, 0), D(2, 0), D(2, 0),
+        G(1, OpSpec("read")), G(2, OpSpec("read")),
+    )
+    return Schedule(2, steps)
+
+
+class TestTraceBytesMatchOracle:
+    """trace_to_json writes each object's keys in sorted order itself; the
+    bytes equal those of the encoder sorting them."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_podc16(self, protocol):
+        trace = run(protocol, podc16_schedule()).trace
+        assert trace_to_json(trace) == oracle_trace_to_json(trace)
+
+    def test_corpus_seeds(self):
+        for s in range(50):
+            schedule = random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s)
+            for protocol in PROTOCOLS:
+                trace = run(protocol, schedule).trace
+                assert trace_to_json(trace) == oracle_trace_to_json(trace), (s, protocol)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_glyphs_that_need_escaping(self, protocol, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text(schedule_to_json(escaping_schedule()))
+        result = run(protocol, schedule_from_json(path.read_text()))
+        assert {text_of(v) for v in result.final_values.values()} == {'\x01\u00e9"'}
+        text = trace_to_json(result.trace)
+        assert text == oracle_trace_to_json(result.trace)
+        for escaped in ('"\\""', '"\\\\"', '"\\u00e9"', '"\\u0001"'):
+            assert escaped in text
 
 
 class TestSimulation:

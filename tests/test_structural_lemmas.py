@@ -304,7 +304,7 @@ def relabel(snap, vertex, oid, position):
     set) changed; the edge keeps its oid, contexts and target."""
     key = mask(snap.index, vertex)
     edges = tuple(
-        SnapEdge(dataclasses.replace(e.op, o=dataclasses.replace(e.op.o, position=position)), e.target)
+        SnapEdge(e.op._replace(o=e.op.o._replace(position=position)), e.target)
         if e.op.oid == oid else e
         for e in snap.vertices[key]
     )
