@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, materialize
 from .ot_core import to_text
 from .simnet import OpRecord, RunResult, Trace, bit_positions, causal_masks
+
+_tuple_new = tuple.__new__
+_value = attrgetter("value")
 
 Elem = Tuple[str, int, int]  # (glyph, origin cid, origin seq); an ot_core.Element is one
 Value = Tuple[Elem, ...]
@@ -38,7 +42,8 @@ class AbstractExecution:
     (i, j) is in vis). An event's index is its position in H.
 
     Derived from them, for the checkers: updates, the bitset of the list
-    updates in H, and, on first use, visibility_error and list_order.
+    updates in H, and, on first use, visibility_error, lists and
+    list_order.
     vis, the relation as index pairs, is spelled out only when read; no
     checker reads it.
     """
@@ -74,8 +79,14 @@ class AbstractExecution:
         return frozenset((i, j) for j, s in enumerate(self.seen) for i in bit_positions(s))
 
     @cached_property
+    def lists(self) -> Tuple[Value, ...]:
+        """The distinct returned lists, in the order of their first return."""
+        return tuple(dict.fromkeys(map(_value, self.H)))
+
+    @cached_property
     def list_order(self) -> "ListOrder":
-        """build_list_order(self), built once for both spec checkers."""
+        """build_list_order(self), built once for the witnesses of both
+        spec checkers; a run that passes them never builds it."""
         return build_list_order(self)
 
 
@@ -106,7 +117,8 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
     H: List[DoEvent] = []
     for e in trace.events:
         if e.kind == "do":
-            H.append(DoEvent(len(H), e.replica, e.op, e.value or (), e.vclock))
+            # A DoEvent checks nothing, so tuple.__new__ builds it with no frame.
+            H.append(_tuple_new(DoEvent, (len(H), e.replica, e.op, e.value or (), e.vclock)))
     A = AbstractExecution(tuple(H), tuple(causal_masks(H)))
     if A.visibility_error is not None:
         raise ProtocolError(A.visibility_error)
@@ -265,8 +277,9 @@ def _condition_1a_holds(A: AbstractExecution) -> bool:
 
 def check_weak_spec(A: AbstractExecution) -> Verdict:
     """The three per-event conditions plus acyclicity of the constructed
-    list order. Unless _condition_1a_holds, 1a is tested event by event."""
-    lo = A.list_order
+    list order. Unless _condition_1a_holds, 1a is tested event by event;
+    unless _condition_2_holds, condition 2 is tested pair by pair on the
+    list order, which finds the witness."""
     literal = not _condition_1a_holds(A)
     for e in A.H:
         if literal:
@@ -304,6 +317,9 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
     # transitivity plus irreflexivity on a list fail exactly when some
     # other returned list contradicts its internal order. A list returned
     # again fails exactly as it did at its first occurrence.
+    if _condition_2_holds(A):
+        return Verdict("weak_spec", True)
+    lo = A.list_order
     for e, w in _distinct_values(A):
         for i in range(len(w)):
             for j in range(i + 1, len(w)):
@@ -340,11 +356,50 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
     return Verdict("weak_spec", True)
 
 
+def _condition_2_holds(A: AbstractExecution) -> bool:
+    """Whether the literal condition-2 scan of check_weak_spec finds
+    nothing, in O(sum of the distinct returned lists' lengths) bitset
+    operations. The scan fails on a list w that repeats an element, or on
+    a pair w[i], w[j] (i < j) whose reverse is in the list order. Proof:
+    when no list repeats an element, (y, x) is in the order exactly when
+    some list holds y before x, so the scan fails exactly when some pair
+    is in the order both ways, which is what _orders_conflict decides."""
+    return all(len(set(w)) == len(w) for w in A.lists) and not _orders_conflict(A.lists)
+
+
+def _list_order_acyclic(A: AbstractExecution) -> bool:
+    """Whether the list order has no cycle, by one Kahn pass over the
+    pairs of adjacent elements of the distinct returned lists, in
+    O(sum of their lengths). Proof: each pair (w[i], w[j]), i < j, of the
+    order is the path w[i], w[i+1], ..., w[j] of adjacent pairs, and each
+    adjacent pair is in the order, so the two relations have the same
+    transitive closure, and one has a cycle exactly when the other does.
+    Kahn's pass orders every element exactly when there is no cycle."""
+    edges: Set[Tuple[Elem, Elem]] = set()
+    for w in A.lists:
+        edges.update(zip(w, w[1:]))
+    after: Dict[Elem, List[Elem]] = {}
+    waiting: Dict[Elem, int] = {}  # element -> its predecessors not yet ordered
+    for a, b in edges:
+        after.setdefault(a, []).append(b)
+        waiting[b] = waiting.get(b, 0) + 1
+    ready = [a for a in after if a not in waiting]
+    while ready:
+        for b in after.get(ready.pop(), ()):
+            waiting[b] -= 1
+            if not waiting[b]:
+                ready.append(b)
+    return not any(waiting.values())
+
+
 def check_strong_spec(A: AbstractExecution) -> Verdict:
     """A single global list order consistent with every returned list must
-    exist and be acyclic; the union order is the only candidate."""
-    lo = A.list_order
-    cycle = _shortest_cycle(lo.pairs)
+    exist and be acyclic; the union order is the only candidate. Unless
+    _list_order_acyclic, the shortest cycle of the list order is the
+    witness."""
+    if _list_order_acyclic(A):
+        return Verdict("strong_spec", True)
+    cycle = _shortest_cycle(A.list_order.pairs)
     if cycle is not None:
         return Verdict(
             "strong_spec",
@@ -543,7 +598,7 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     graphs = {rid: _Graph(snap) for rid, snap in distinct.items()}
 
     verdicts.append(_check_out_degree(distinct, n))
-    verdicts.append(_check_simple_path(result.css_final))
+    verdicts.append(_check_simple_path(distinct))
     verdicts.append(_check_closure(distinct))
     verdicts.append(_check_first_rule(result))
     verdicts.append(_check_ot_sequence(result))
@@ -600,31 +655,35 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     """Square completion: wherever a vertex has two or more children, the
     first edge and each sibling close into the transformed square."""
     for rid, snap in sorted(snapshots.items()):
-        for src, edges in snap.vertices.items():
+        vertices = snap.vertices
+        for src, edges in vertices.items():
             if len(edges) < 2:
                 continue
             first = edges[0]
             for other in edges[1:]:
                 target_oids = src | first.op.bit | other.op.bit
-                witness = {
+                if target_oids not in vertices:
+                    missing = "vertex"
+                # A child that is not a vertex has no edge to close with.
+                elif not any(
+                    e.target == target_oids and e.op.oid == other.op.oid
+                    for e in vertices.get(first.target, ())
+                ):
+                    missing = "edge from first child"
+                elif not any(
+                    e.target == target_oids and e.op.oid == first.op.oid
+                    for e in vertices.get(other.target, ())
+                ):
+                    missing = "edge from sibling child"
+                else:
+                    continue
+                return Verdict("css_closure", False, {
                     "replica": rid,
                     "vertex": snap.index.fmt_oids(src),
                     "first": first.op.oid.token(),
                     "sibling": other.op.oid.token(),
-                }
-                if target_oids not in snap.vertices:
-                    return Verdict("css_closure", False, {**witness, "missing": "vertex"})
-                # A child that is not a vertex has no edge to close with.
-                via_first = [
-                    e for e in snap.vertices.get(first.target, ()) if e.op.oid == other.op.oid
-                ]
-                via_other = [
-                    e for e in snap.vertices.get(other.target, ()) if e.op.oid == first.op.oid
-                ]
-                if not any(e.target == target_oids for e in via_first):
-                    return Verdict("css_closure", False, {**witness, "missing": "edge from first child"})
-                if not any(e.target == target_oids for e in via_other):
-                    return Verdict("css_closure", False, {**witness, "missing": "edge from sibling child"})
+                    "missing": missing,
+                })
     return Verdict("css_closure", True)
 
 

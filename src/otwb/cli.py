@@ -23,6 +23,10 @@ from .simnet import RunResult, Schedule
 ALL_CHECKS = ("convergence", "weak", "strong", "compat", "structural", "equivalence")
 
 
+class UsageError(Exception):
+    """Input the command cannot act on; main exits 2 with one line."""
+
+
 def _parse_checks(spec: str) -> Tuple[str, ...]:
     if spec == "all":
         return ALL_CHECKS
@@ -53,12 +57,12 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
             except ValueError:
                 raise simnet.ScheduleError(f"OTWB_SEED must be an integer, got {env!r}") from None
         if seed is None:
-            raise SystemExit("--schedule random needs --seed (or OTWB_SEED)")
+            raise UsageError("--schedule random needs --seed (or OTWB_SEED)")
         return simnet.random_schedule(args.clients, args.ops, seed, rule)
     try:
         text = Path(src).read_text()
     except OSError as exc:
-        raise SystemExit(f"cannot read schedule file {src}: {exc}")
+        raise UsageError(f"cannot read schedule file {src}: {exc}") from None
     schedule = simnet.schedule_from_json(text)
     if args.priority is not None:
         schedule = replace(schedule, priority_rule=rule)
@@ -200,7 +204,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise SystemExit(f"cannot write to {out_dir}: {exc}")
+        raise UsageError(f"cannot write to {out_dir}: {exc}") from None
 
     written: List[Path] = []
 
@@ -289,6 +293,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except simnet.ScheduleError as exc:
         print(f"schedule error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ module is safe for concurrent use from any number of threads.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import NamedTuple, Optional, Tuple
 
 
@@ -150,11 +151,12 @@ class ListOp(_ListOpFields):
 
 
 ListState = Tuple[Element, ...]
+_glyph = itemgetter(0)
 
 
 def to_text(state: ListState) -> str:
     """The glyphs of a list of elements, or of plain element triples."""
-    return "".join(e[0] for e in state)
+    return "".join(map(_glyph, state))
 
 
 def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
 from .ot_core import Element, ListOp, ListState, PriorityRule, to_text
@@ -29,6 +31,8 @@ BROADCAST = -1
 GLYPH_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 PROTOCOLS = ("cjupiter", "jupiter", "djupiter")
+
+_tuple_new = tuple.__new__
 
 
 class ScheduleError(ValueError):
@@ -194,59 +198,133 @@ class Trace:
     prng: Optional[Tuple[str, int]] = None
 
 
-def _op_record(token: str, o: ListOp) -> OpRecord:
-    return OpRecord(o.kind.value, token, o.element, o.position)
-
-
 def _peer_name(rid: int) -> str:
     return "broadcast" if rid == BROADCAST else _replica_name(rid)
 
 
+# A trace event's members in key order; an absent member is "".
+_EVENT = '{%s"i":%s,"kind":%s%s%s%s,"replica":%s%s%s,"vc":%s}'
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Literals(dict):
+    """A str's JSON literal, made on first use; TypeError for a value of
+    any other type, so 1, 1.0 and True never share one."""
+
+    def __missing__(self, s: str) -> str:
+        out = self[s] = encode_basestring_ascii(s)
+        return out
+
+
+class _Peers(dict):
+    """An int replica id's name, e.g. "c1", as a literal, made on first use."""
+
+    def __missing__(self, rid: int) -> str:
+        out = self[rid] = encode_basestring_ascii(_peer_name(rid))
+        return out
+
+
+def _holds(values: Iterable, kind: type) -> bool:
+    """Whether every value is exactly of type kind."""
+    return set(map(type, values)) <= {kind}
+
+
+def _element_json(x: object) -> str:
+    if type(x) in (Element, tuple) and len(x) == 3:
+        glyph, cid, seq = x
+        if type(glyph) is str and type(cid) is int and type(seq) is int:
+            return "[%s,%d,%d]" % (encode_basestring_ascii(glyph), cid, seq)
+    return _dumps(x)
+
+
 def trace_to_json(trace: Trace) -> str:
     """Canonical trace JSON: compact, every object's keys in sorted order.
-    Each dict is filled in that order, so the encoder need not sort."""
-    events = []
-    for i, replica, kind, vclock, op, value, msg_id, src, dst, ot_seq in trace.events:
-        doc: Dict[str, object] = {}
-        if dst is not None:
-            doc["dst"] = _peer_name(dst)
-        doc["i"] = i
-        doc["kind"] = kind
-        if msg_id is not None:
-            doc["msg"] = msg_id
-        if op is not None:
-            op_kind, oid, element, pos = op
-            op_doc: Dict[str, object] = {}
-            if element is not None:
-                op_doc["element"] = element
-            op_doc["kind"] = op_kind
-            if oid is not None:
-                op_doc["oid"] = oid
-            if pos is not None:
-                op_doc["pos"] = pos
-            doc["op"] = op_doc
-        if ot_seq is not None:
-            doc["ot_seq"] = ot_seq
-        doc["replica"] = replica
-        if src is not None:
-            doc["src"] = _peer_name(src)
-        if value is not None:
-            doc["text"] = to_text(value)
-            doc["value"] = value
-        doc["vc"] = vclock
-        events.append(doc)
-    doc = {
-        "events": events,
+
+    Each event is written by one template that holds its members in key
+    order, from fragments made once per call: each string's escaped
+    literal, each element's array, each list's "text" and "value"
+    members, each op record's object. Elements, lists and op records are
+    keyed by identity, so that equal values of different types (1, 1.0,
+    True) keep their own JSON; reads and replicas that did not change
+    share one list. A member of a type the library never writes there
+    goes through json.dumps, so the bytes are json.dumps's with sorted
+    keys whatever the trace holds. Only the header is a dict."""
+    head = _dumps({
         "format": TRACE_FORMAT,
         "n_clients": trace.n_clients,
         "priority_rule": trace.priority_rule,
         "prng": list(trace.prng) if trace.prng else None,
         "protocol": trace.protocol,
         "schedule_sha256": trace.schedule_sha256,
-    }
-    # Tuples, elements among them, go in as they are. The document is a
-    # tree built right here, so the encoder's cycle check is not needed.
-    return json.dumps(doc, separators=(",", ":"), check_circular=False)
+    })[1:]
+    events = trace.events
+    lit = _Literals()
+    peers = _Peers()
+    arrays: Dict[int, str] = {}  # id of an element -> its array
+    lists: Dict[int, str] = {}  # id of a list -> its "text" and "value" members
+    ops: Dict[int, str] = {}  # id of an op record -> its "op" member
+
+    def element(x: object) -> str:
+        if id(x) not in arrays:
+            arrays[id(x)] = _element_json(x)
+        return arrays[id(x)]
+
+    def list_json(x: object) -> str:
+        if type(x) is not tuple:
+            return ',"text":%s,"value":%s' % (_dumps(to_text(x)), _dumps(x))
+        try:
+            body = ",".join(map(arrays.__getitem__, map(id, x)))
+        except KeyError:  # an element not written yet
+            body = ",".join(map(element, x))
+        return ',"text":%s,"value":[%s]' % (encode_basestring_ascii(to_text(x)), body)
+
+    def op_json(op: OpRecord) -> str:
+        kind, oid, x, pos = op
+        return ',"op":{%s"kind":%s%s%s}' % (
+            "" if x is None else '"element":%s,' % element(x),
+            lit[kind] if type(kind) is str else _dumps(kind),
+            "" if oid is None else ',"oid":' + (lit[oid] if type(oid) is str else _dumps(oid)),
+            "" if pos is None else ',"pos":' + (str(pos) if type(pos) is int else _dumps(pos)),
+        )
+
+    # The clocks' JSON cut apart: with only ints inside, "],[" is where
+    # one clock ends and the next begins.
+    vclocks = [e[3] for e in events]
+    if _holds(vclocks, tuple) and _holds(itertools.chain.from_iterable(vclocks), int):
+        vclocks = map("[%s]".__mod__, _dumps(vclocks)[2:-2].split("],["))
+    else:
+        vclocks = map(_dumps, vclocks)
+    out = []
+    for (i, replica, kind, _, op, value, msg_id, src, dst, ot_seq), vc in zip(events, vclocks):
+        if op is not None:
+            x = ops.get(id(op))
+            if x is None:
+                x = ops[id(op)] = op_json(op)
+            op = x
+        if value is not None:
+            x = lists.get(id(value))
+            if x is None:
+                x = lists[id(value)] = list_json(value)
+            value = x
+        if ot_seq is not None:
+            try:
+                seq = "[%s]" % ",".join(map(lit.__getitem__, ot_seq)) if type(ot_seq) is tuple else None
+            except TypeError:  # a member that is not a str
+                seq = None
+            ot_seq = ',"ot_seq":' + (seq or _dumps(ot_seq))
+        out.append(_EVENT % (
+            "" if dst is None else '"dst":%s,' % (peers[dst] if type(dst) is int else _dumps(_peer_name(dst))),
+            i if type(i) is int else _dumps(i),
+            lit[kind] if type(kind) is str else _dumps(kind),
+            "" if msg_id is None else ',"msg":' + (lit[msg_id] if type(msg_id) is str else _dumps(msg_id)),
+            op or "",
+            ot_seq or "",
+            replica if type(replica) is int else _dumps(replica),
+            "" if src is None else ',"src":' + (peers[src] if type(src) is int else _dumps(_peer_name(src))),
+            value or "",
+            vc,
+        ))
+    return '{"events":[%s],%s' % (",".join(out), head)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -436,38 +514,45 @@ class Simulation:
 
     def events(self) -> Tuple[TraceEvent, ...]:
         """The log as trace events. Every event ticks its replica's own
-        clock component; a receive first merges the clock of the message's
-        send event. Each oid's token is formatted once, and every read
-        shares one record."""
-        vcs = [[0] * (self.n_clients + 1) for _ in range(self.n_clients + 1)]
-        sent: Dict[int, Tuple[int, ...]] = {}
+        clock component; a receive takes the componentwise maximum with the
+        clock of the message's send event. Each oid's token is formatted
+        once; every read shares one record, and so do the events that
+        apply one ListOp. The records check nothing, so they are built by
+        tuple.__new__, with no Python frame per event."""
+        clocks = [(0,) * (self.n_clients + 1)] * (self.n_clients + 1)  # per replica
+        sent: Dict[int, Tuple[Tuple[int, ...], str]] = {}  # message -> its send's clock and name
         tokens = {o: o.token() for o in self.index.oids}
         read = OpRecord("read")
+        records: Dict[int, OpRecord] = {}  # id of a logged ListOp -> its record
         events: List[TraceEvent] = []
         for entry in self.log:
             kind, rid = entry[0], entry[1]
-            if kind == "receive":
-                vc = vcs[rid] = list(map(max, vcs[rid], sent[entry[2]]))
-            else:
-                vc = vcs[rid]
-            vc[rid] += 1
-            clock = tuple(vc)
-            i = len(events)
-            if kind == "do":
-                _, _, op, value = entry
-                record = read if op is None else _op_record(tokens[op.oid], op.o)
-                events.append(TraceEvent(i, rid, "do", clock, record, value))
-            elif kind == "send":
+            own = clocks[rid]
+            clock = own[:rid] + (own[rid] + 1,) + own[rid + 1 :]
+            o = value = name = src = dst = ot_seq = None
+            record = read if kind == "do" else None
+            if kind == "send":
                 _, _, msg, dst = entry
-                sent[msg] = clock
-                events.append(TraceEvent(i, rid, "send", clock, None, None, f"m{msg}", rid, dst))
+                name, src = f"m{msg}", rid
+                sent[msg] = (clock, name)
+            elif kind == "do":
+                _, _, op, value = entry
+                if op is not None:
+                    oid, o = op.oid, op.o
             else:
                 _, _, msg, src, oid, result = entry
-                record = _op_record(tokens[oid], result.applied.o)
-                ot_seq = tuple([tokens[o] for o in result.ot_seq])
-                events.append(TraceEvent(
-                    i, rid, "receive", clock, record, result.value, f"m{msg}", src, rid, ot_seq
-                ))
+                o, value, dst = result.applied.o, result.value, rid
+                their, name = sent[msg]
+                # their[rid] < clock[rid], so the maximum keeps the tick.
+                clock = tuple(map(max, clock, their))
+                ot_seq = tuple(map(tokens.__getitem__, result.ot_seq))
+            clocks[rid] = clock
+            if o is not None:
+                token = tokens[oid]
+                record = records.get(id(o))
+                if record is None or record[1] is not token:
+                    record = records[id(o)] = _tuple_new(OpRecord, (o.kind._value_, token, o.element, o.position))
+            events.append(_tuple_new(TraceEvent, (len(events), rid, kind, clock, record, value, name, src, dst, ot_seq)))
         return tuple(events)
 
 

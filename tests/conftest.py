@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from otwb import checkers
 from otwb.css_space import Oid
 from otwb.ot_core import OpKind
 from otwb.simnet import BROADCAST, Simulation, bit_positions, causal_masks, podc16_schedule, run
@@ -141,3 +142,31 @@ def oracle_trace_to_json(trace):
         "events": events,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def literal_condition_2(A):
+    """The weak spec's condition 2 scanned pair by pair on the list order:
+    the witness of the first failure, or None."""
+    pairs = checkers.build_list_order(A).pairs
+    for e, w in checkers._distinct_values(A):
+        for i in range(len(w)):
+            for j in range(i + 1, len(w)):
+                if w[i] == w[j]:
+                    return {"condition": "2", "event": e.index, "duplicate": str(w[i])}
+                if (w[j], w[i]) in pairs:
+                    other = next((
+                        f.index for f in A.H
+                        if w[i] in f.value and w[j] in f.value and f.value.index(w[j]) < f.value.index(w[i])
+                    ), None)
+                    return {
+                        "condition": "2",
+                        "events": [e.index, other],
+                        "elements": ["%s@%s:%s" % w[i], "%s@%s:%s" % w[j]],
+                        "list": text_of(w),
+                    }
+    return None
+
+
+def literal_cycle(A):
+    """The shortest cycle of the list order built pair by pair, or None."""
+    return checkers._shortest_cycle(checkers.build_list_order(A).pairs)

@@ -109,6 +109,21 @@ class TestRun:
         assert out == ""
         assert err == "schedule error: OTWB_SEED must be an integer, got 'abc'\n"
 
+    def test_random_schedule_without_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("OTWB_SEED", raising=False)
+        code, out, err = invoke(["run", "--schedule", "random"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --schedule random needs --seed (or OTWB_SEED)\n"
+
+    def test_unreadable_schedule_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        code, out, err = invoke(["run", "--schedule", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot read schedule file {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestFuzz:
     @pytest.mark.parametrize(
@@ -219,6 +234,18 @@ class TestExportDot:
         assert (tmp_path / "server_c1.dot").exists()
         assert (tmp_path / "c3.dot").exists()
         assert "style=dashed" in (tmp_path / "server_c2.dot").read_text()
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "dot"  # under a regular file, so no directory can be made
+        code, out, err = invoke(
+            ["export-dot", "--schedule", "builtin:podc16", "--out", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write to {out_dir}: ")
+        assert err.count("\n") == 1
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

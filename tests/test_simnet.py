@@ -6,14 +6,17 @@ import json
 import pytest
 
 from conftest import happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
-from otwb.ot_core import PriorityRule
+from otwb.ot_core import Element, PriorityRule
 from otwb.simnet import (
     DeliverStep,
     GenerateStep,
+    OpRecord,
     OpSpec,
     Schedule,
     ScheduleError,
     Simulation,
+    Trace,
+    TraceEvent,
     check_fifo,
     empty_schedule,
     podc16_schedule,
@@ -342,6 +345,54 @@ class TestTraceBytesMatchOracle:
             for protocol in PROTOCOLS:
                 trace = run(protocol, schedule).trace
                 assert trace_to_json(trace) == oracle_trace_to_json(trace), (s, protocol)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda s: random_schedule(3, 12, seed=s, read_probability=1.0), lambda s: random_schedule(4, 16, seed=s)],
+        ids=["observe", "wide"],
+    )
+    def test_observe_and_wide_seeds(self, make, protocol):
+        # Reads and replicas that did not change share list objects, which
+        # the encoder writes once.
+        for s in range(20):
+            trace = run(protocol, make(s), record_snapshots=False).trace
+            assert trace_to_json(trace) == oracle_trace_to_json(trace), s
+
+    def test_hand_built_lists_and_glyphs(self):
+        glyphs = '"', "\\", "\u00e9", "\x01", "\U0001f600"
+        elements = [Element(g, k + 1, 1) for k, g in enumerate(glyphs)]
+        shared = tuple(elements)
+        copy = tuple(list(shared))  # equal to shared, another object
+        assert copy == shared and copy is not shared
+        insert = OpRecord("ins", "5:1", elements[4], 4)
+        events = (
+            TraceEvent(0, 1, "do", (1, 0), insert, shared),
+            TraceEvent(1, 1, "do", (2, 0), OpRecord("read"), shared),
+            TraceEvent(2, 1, "send", (3, 0), None, None, "m1", 1, 0),
+            TraceEvent(3, 0, "receive", (3, 1), insert, copy, "m1", 1, 0, ("5:1",)),
+            TraceEvent(4, 0, "do", (3, 2), OpRecord("del", "1:2", elements[0], 0), shared[1:]),
+        )
+        trace = Trace("cjupiter", 1, "smaller_wins", "0" * 64, events, ("py-mt19937/v1", 7))
+        text = trace_to_json(trace)
+        assert text == oracle_trace_to_json(trace)
+        assert text.count('"text":"\\"\\\\\\u00e9\\u0001\\ud83d\\ude00"') == 3
+
+    def test_fields_of_other_types_keep_the_oracle_bytes(self):
+        # Equal values of different types (1, 1.0, True), lists where
+        # tuples belong and unhashable values all go through json.dumps.
+        a, b = Element("a", 1, 1), ("a", True, 1.0)
+        events = (
+            TraceEvent(0, 1, "do", (1, True), OpRecord("ins", "1:1", a, 0), (a,)),
+            TraceEvent(True, 1.0, "do", [2, 0], OpRecord("ins", 1, b, 0.0), (b,)),
+            TraceEvent(2, 1, ["do"], (3, 0), OpRecord("read"), [a], ["m"], "c1", 0.0, ["1:1", ["x"]]),
+            TraceEvent(3, 0, "receive", (3, 1), OpRecord(1, None, ["a", 1, 1], True), ("a", "b"), 5, 1, 0, ()),
+            TraceEvent(4, 0, "receive", (4, 1), None, None, "m2", 1, 0, "1:1"),
+            TraceEvent(5, 0, "receive", (5, 1), None, None, "m3", 1, 0, ("1:1", 5)),
+            TraceEvent(6, 1, "do", ("],[", (6, 1)), OpRecord("read"), ()),
+        )
+        trace = Trace("cjupiter", 1, "smaller_wins", "0" * 64, events)
+        assert trace_to_json(trace) == oracle_trace_to_json(trace)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_glyphs_that_need_escaping(self, protocol, tmp_path):

@@ -7,10 +7,10 @@ import dataclasses
 from collections import namedtuple
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O3, O4, causal_pairs, mask, seen_masks, vc_less
+from conftest import O1, O3, O4, causal_pairs, literal_condition_2, literal_cycle, mask, seen_masks, vc_less
 from otwb import checkers, simnet
 from otwb.checkers import (
     AbstractExecution,
@@ -281,6 +281,29 @@ class TestLemmasFire:
         broken.css_final = {0: good, 1: good}
         assert {v.check: v for v in check_structural(broken, podc16_j)}["vertex_compatibility"].satisfied
 
+
+    @pytest.mark.parametrize(
+        "edges, missing",
+        [
+            (chain((), (1,)) + chain((), (2,)), "vertex"),
+            (chain((), (1,)) + chain((), (2,), (1, 2)), "edge from first child"),
+            (chain((), (1,), (1, 2)) + chain((), (2,)), "edge from sibling child"),
+        ],
+        ids=["vertex", "first", "sibling"],
+    )
+    def test_css_closure_names_what_is_missing(self, podc16_cj, podc16_j, edges, missing):
+        # The root's children {1} and {2} must close into the square at {1,2}.
+        verdict = structural_on(podc16_cj, podc16_j, snapshot(edges))["css_closure"]
+        assert verdict.witness == {"replica": 0, "vertex": [], "first": "1:1", "sibling": "2:1", "missing": missing}
+
+    def test_simple_path_names_the_first_replica_of_a_shared_broken_space(self, podc16_cj, podc16_j):
+        # Replicas 1 and 2 hold one space, whose edge from {} jumps to {1,2}.
+        good = snapshot(chain((), (1,), (1, 2)))
+        bad = snapshot(chain((), (1, 2)))
+        broken = copy.copy(podc16_cj)
+        broken.css_final = {0: good, 1: bad, 2: bad, 3: good}
+        verdict = {v.check: v for v in check_structural(broken, podc16_j)}["simple_path"]
+        assert verdict.witness == {"replica": 1, "vertex": [], "edge": "1:1", "target": ["1:1", "2:1"]}
 
     def test_space_isomorphism_names_vertex_whose_edges_differ(self, podc16_cj, podc16_j):
         # Replica 1 holds the same vertices as the server, with the edges at
@@ -617,6 +640,19 @@ class TestSpecChecksReadNoPairs:
         ]
         assert "vis" not in vars(A)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [podc16_schedule(), random_schedule(3, 12, seed=0, read_probability=1.0)],
+        ids=["podc16", "observe-seed0"],
+    )
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_weak_spec_builds_no_list_order(self, schedule, protocol):
+        # Condition 2 is decided in linear time; the pairs of the list
+        # order are built only for a failing witness.
+        A = build_abstract_execution(run(protocol, schedule).trace)
+        assert check_weak_spec(A).satisfied
+        assert "list_order" not in vars(A)
+
 
 # --------------------------------------------------------------------------
 # Visibility bitsets against the literal pair scans they replace.
@@ -665,7 +701,8 @@ def executions(draw):
     """A hand-built AbstractExecution: random events over Element values,
     drawn from a pool of five or, in the fresh mode, as a replay makes
     them, and returned lists that are random, a permutation of the visible
-    elements, or those elements sorted (so that reads converge). vis is
+    elements, those elements sorted (so that reads converge), or runs of
+    a ring of elements (so that the lists close cycles). vis is
     random and then "causal" (each replica's earlier events added, then
     closed transitively, as in a replay), "closed" (only closed), or "raw"
     (neither, so in general neither transitive nor in program order)."""
@@ -682,7 +719,8 @@ def executions(draw):
         if closure != "raw":
             for i in list(preds[j]):
                 preds[j] |= preds[i]
-    mode = draw(st.sampled_from(["sorted", "permuted", "random"]))
+    mode = draw(st.sampled_from(["sorted", "permuted", "random", "ring"]))
+    ring = draw(st.permutations(ELEMENTS))[: draw(st.integers(1, 5))]
     fresh = draw(st.booleans())  # each insert a new element, each delete a visible insert's
     H = []
     for j in range(n):
@@ -702,6 +740,12 @@ def executions(draw):
             value = tuple(sorted(live))
         elif mode == "permuted":
             value = tuple(draw(st.permutations(sorted(live))))
+        elif mode == "ring":
+            # Consecutive elements of a ring, so that the lists together
+            # can close a cycle, as podc16's a, x, b does, and a list
+            # longer than the ring repeats an element.
+            start, length = draw(st.integers(0, len(ring) - 1)), draw(st.integers(0, 3))
+            value = tuple(ring[(start + d) % len(ring)] for d in range(length))
         else:
             value = tuple(draw(st.lists(st.sampled_from(ELEMENTS), max_size=4)))
         H.append(DoEvent(j, replicas[j], op, value, ()))
@@ -781,6 +825,50 @@ class TestVisibilityReadersMatchOracle:
         H = tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in indices)
         with pytest.raises(ValueError, match=" H"):
             AbstractExecution(H, seen)
+
+
+class TestListOrderAcceptsMatchOracle:
+    """The linear-time accepts of weak condition 2 and of the strong spec
+    against the pair-by-pair scans of the list order they stand in for."""
+
+    @FAST
+    @given(executions())
+    def test_condition_2(self, A):
+        want = literal_condition_2(A)
+        assert checkers._condition_2_holds(A) == (want is None)
+        if oracle_weak_condition_1(A) is None:
+            weak = check_weak_spec(A)
+            assert weak.satisfied == (want is None)
+            assert weak.witness == want
+
+    @FAST
+    @given(executions())
+    def test_strong_spec(self, A):
+        cycle = literal_cycle(A)
+        assert checkers._list_order_acyclic(A) == (cycle is None)
+        strong = checkers.check_strong_spec(A)
+        assert strong.satisfied == (cycle is None)
+        if cycle is not None:
+            assert strong.witness == {
+                "cycle": ["%s@%s:%s" % x for x in cycle],
+                "elements": sorted(x[0] for x in cycle),
+            }
+
+    @pytest.mark.parametrize("outcome", ["repeat", "conflict", "cycle of three", "acyclic"])
+    def test_strategy_reaches_outcome(self, outcome):
+        def reached(A):
+            lists = [e.value for e in A.H]
+            if outcome == "repeat":
+                return any(len(set(w)) < len(w) for w in lists)
+            if outcome == "conflict":
+                return all(len(set(w)) == len(w) for w in lists) and literal_condition_2(A) is not None
+            cycle = literal_cycle(A)
+            if outcome == "cycle of three":
+                return literal_condition_2(A) is None and cycle is not None and len(cycle) == 3
+            return cycle is None and any(len(w) > 2 for w in lists)
+
+        # The first example found will do; shrinking it would take long.
+        find(executions(), reached, settings=settings(derandomize=True, database=None, phases=[Phase.generate]))
 
 
 # --------------------------------------------------------------------------
