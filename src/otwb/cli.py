@@ -196,7 +196,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args)
-    res = simnet.run(args.protocol, schedule)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,6 +204,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         probe.unlink()
     except OSError as exc:
         raise UsageError(f"cannot write to {out_dir}: {exc}") from None
+    # Step snapshots are written only under --steps.
+    res = simnet.run(args.protocol, schedule, record_snapshots=args.steps)
 
     written: List[Path] = []
 

@@ -17,6 +17,18 @@ vertex's out-edges are kept as SnapEdge(op, target mask), the encoding its
 snapshots use. Checkers work on immutable snapshots taken via snapshot();
 each snapshot shares the edge tuple of every vertex that did not change
 since the one before it, and every snapshot shares each SnapEdge.
+
+xform makes each OT square in one pass of its walk loop, under either
+policy: the policy only picks the walk edge and where a new edge goes.
+The loop builds both transformed operations with tuple.__new__, makes the
+fresh vertex with its single edge, and places the operation's edge with
+_place, the helper link uses too. Every check that ProtoOp and link make
+is kept: the loop makes the ones its induction does not settle inline,
+with their messages. _place orders a new edge against an existing one
+from the two server-context bit tests when exactly one of them fires, where
+compare_ops provably gives opposite orders both ways (the proof is in
+_place's docstring); otherwise it calls compare_ops both ways and checks
+that they agree.
 """
 
 from __future__ import annotations
@@ -181,6 +193,13 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
     )
 
 
+def _order_broken(rid: int, op: ProtoOp, other: ProtoOp) -> ProtocolError:
+    return ProtocolError(
+        f"edge order at replica {rid}: {op.oid.token()} and "
+        f"{other.oid.token()} break a strict total order"
+    )
+
+
 class SnapEdge(NamedTuple):
     op: ProtoOp
     target: int
@@ -285,88 +304,138 @@ class CssSpace:
             raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
         if v != u | op.bit:
             raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
-        if not edges:
+        if edges:
+            self._place(u, edges, op, v)
+        else:
             # Nothing to order against: the fresh vertex of every square.
-            edges.append(SnapEdge(op, v))
+            edges.append(_tuple_new(SnapEdge, (op, v)))
             self._touched[u] = edges
-            return
-        # Every edge of op's oid out of u ends at u | op.bit, so a second
-        # link of it is the same edge.
+
+    def _place(self, u: int, edges: List[SnapEdge], op: ProtoOp, v: int) -> None:
+        """Insert the edge (op, v) into u's non-empty edge list where the
+        policy puts it, unless an edge of op's oid is there already: every
+        edge of op's oid out of u ends at u | op.bit, so it is the same edge.
+
+        Under the n-ary policy compare_ops must be a strict total order on
+        every co-existing edge set, and that is not proved, so it is
+        checked. Only the pairs with the new edge need it: every other pair
+        was checked when the later of its two edges came, compare_ops is
+        pure, and an insert keeps the order of the others. The new edge
+        goes before the first edge it orders LEFT of, and must order RIGHT
+        of every edge before it.
+
+        Most pairs are decided by the server contexts alone. For an
+        existing edge's op e of another oid, let L = op.bit & e.sctx and
+        R = e.bit & op.sctx. compare_ops(op, e) returns LEFT if L, else
+        RIGHT if R; compare_ops(e, op) returns LEFT if R, else RIGHT if L;
+        only when both tests are silent do they read rid. So when exactly
+        one of L and R is set, both calls return at a bit test: L alone
+        gives LEFT and RIGHT, R alone gives RIGHT and LEFT. The two calls
+        then agree, neither raises, and op orders LEFT of e exactly when
+        L. compare_ops runs both ways only when both tests are set (it then
+        finds LEFT twice, which breaks the order) or neither is, or when e
+        has op's oid (it then raises before any test).
+        """
         bit = op.bit
         for e in edges:
-            if e.op.bit == bit:
+            if e[0].bit == bit:
                 return
         rid = self.rid
         if self.two_d:
             own = op.oid.cid == rid
             for e in edges:
-                if (e.op.oid.cid == rid) is own:
+                if (e[0].oid.cid == rid) is own:
                     raise ProtocolError(
                         f"link: {'local' if own else 'global'} edge already occupied at "
                         f"{self.index.fmt_oids(u)}"
                     )
-            at = 0 if own else None
+            at = 0 if own else len(edges)
         else:
-            # compare_ops must be a strict total order on every co-existing
-            # edge set, and that is not proved, so it is checked. Only the
-            # pairs with the new edge need it: every other pair was checked
-            # when the later of its two edges came, compare_ops is pure, and
-            # an insert keeps the order of the others. The new edge goes
-            # before the first edge it orders LEFT of, and must order RIGHT
-            # of every edge before it.
+            oid, sctx = op.oid, op.sctx
             at = None
             for i, e in enumerate(edges):
-                other = e.op
-                order = compare_ops(op, other, rid)
-                if compare_ops(other, op, rid) is order or (order is _RIGHT and at is not None):
-                    raise ProtocolError(
-                        f"edge order at replica {rid}: {op.oid.token()} and "
-                        f"{other.oid.token()} break a strict total order"
-                    )
-                if order is _LEFT and at is None:
-                    at = i
-        edges.insert(len(edges) if at is None else at, SnapEdge(op, v))
+                other = e[0]
+                left = bit & other.sctx
+                if (not left) is (not other.bit & sctx) or other.oid == oid:
+                    order = compare_ops(op, other, rid)
+                    if compare_ops(other, op, rid) is order:
+                        raise _order_broken(rid, op, other)
+                    left = order is _LEFT
+                if left:
+                    if at is None:
+                        at = i
+                elif at is not None:
+                    raise _order_broken(rid, op, other)
+            if at is None:
+                at = len(edges)
+        edges.insert(at, _tuple_new(SnapEdge, (op, v)))
         self._touched[u] = edges
-
-    def _walk_edge(self, u: int, op: ProtoOp) -> SnapEdge:
-        """The edge out of u that an xform walk of op follows."""
-        edges = self.vertices[u]
-        if not self.two_d:
-            if not edges:
-                raise ProtocolError(f"xform: final vertex {self.index.fmt_oids(u)} has no first edge")
-            return edges[0]
-        own = op.oid.cid == self.rid
-        for e in edges:
-            if (e.op.oid.cid == self.rid) is not own:
-                return e
-        raise ProtocolError(
-            f"xform: no {'global' if own else 'local'} edge at {self.index.fmt_oids(u)}"
-        )
 
     def xform(self, op: ProtoOp) -> ProtoOp:
         """Transform op along the path the policy walks from its context
         vertex to cur, materializing every intermediate OT square, and
         advance cur.
 
+        Each pass of the loop makes one OT square u -> v -> v2 <- u2 <- u:
+        it reads the walk edge (op2, u2) out of u, creates the fresh vertex
+        v2 = v | op2.bit, gives v its single edge (op2 transformed by op,
+        v2), places op's edge (op, v) at u, and goes on with op transformed
+        by op2. Both transformed ops are built by tuple.__new__, and _place
+        serves both policies.
+
         The sequence of oids transformed against is kept in
         last_ot_sequence for the structural checkers.
         """
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
+        vertices, touched, fmt, place = self.vertices, self._touched, self.index.fmt_oids, self._place
+        v_edges = vertices[v]
+        cur, rid, two_d = self.cur, self.rid, self.two_d
+        o, oid, bit, ctx, sctx = op
+        own = oid.cid == rid  # 2D: the side of op; its walk follows the other side
         ot_seq: List[Oid] = []
-        cur, walk_edge, new_vertex, link = self.cur, self._walk_edge, self._new_vertex, self.link
-        oid, bit, sctx = op.oid, op.bit, op.sctx  # op keeps them along the walk
+        # Along the walk v == ctx | bit, with bit not in ctx: that holds at
+        # the start (op is a valid ProtoOp) and each square adds op2's bit
+        # to both. So of the checks that ProtoOp and link would make, three
+        # are left, made inline with their messages: op2's bit is not op's
+        # (op transformed would list itself in its context), op2
+        # transformed has context v, and op has context u (the last walk
+        # edge ended where it should). The others hold by construction:
+        # op's and op2's bits are single bits of valid ops, v2 extends v by
+        # op2's bit, and v, made by this walk, has no edge before the one
+        # to v2.
         while u != cur:
-            op2, u2 = walk_edge(u, op)
-            o, o2 = op.o, op2.o
-            op_t = ProtoOp(transform(o, o2), oid, bit, op.ctx | op2.bit, sctx)
-            op2_t = ProtoOp(transform(o2, o), op2.oid, op2.bit, op2.ctx | bit, op2.sctx)
-            v2 = new_vertex(v | op2.bit)
-            link(v, v2, op2_t)
-            link(u, v, op)
-            ot_seq.append(op2.oid)
-            u, v, op = u2, v2, op_t
-        link(u, v, op)
+            edges = vertices[u]
+            if two_d:
+                for e in edges:
+                    if (e[0].oid.cid == rid) is not own:
+                        break
+                else:
+                    raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {fmt(u)}")
+            elif edges:
+                e = edges[0]
+            else:
+                raise ProtocolError(f"xform: final vertex {fmt(u)} has no first edge")
+            op2, u2 = e
+            o2, oid2, bit2, ctx2, sctx2 = op2
+            o_t = transform(o, o2)
+            if bit2 & bit:
+                raise ProtocolError(f"operation {oid.token()} lists itself in its context")
+            op2_t = _tuple_new(ProtoOp, (transform(o2, o), oid2, bit2, ctx2 | bit, sctx2))
+            v2 = v | bit2
+            if v2 in vertices:
+                raise ProtocolError(f"vertex {fmt(v2)} already exists")
+            vertices[v2] = touched[v2] = v2_edges = []
+            if ctx2 | bit != v:
+                raise ProtocolError(f"link: ctx of {oid2.token()} does not match source vertex")
+            v_edges.append(_tuple_new(SnapEdge, (op2_t, v2)))
+            if ctx != u:
+                raise ProtocolError(f"link: ctx of {oid.token()} does not match source vertex")
+            place(u, edges, op, v)
+            ot_seq.append(oid2)
+            u, v, v_edges, o, ctx = u2, v2, v2_edges, o_t, ctx | bit2
+            op = _tuple_new(ProtoOp, (o, oid, bit, ctx, sctx))
+        self.link(u, v, op)
         self.cur = v
         self.last_ot_sequence = tuple(ot_seq)
         return op

@@ -170,9 +170,9 @@ def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
         return state, state
     if kind is _INS:
         element = o.element
-        origin = (element.origin_cid, element.origin_seq)
+        cid, seq = element[1], element[2]  # origin_cid, origin_seq
         for existing in state:
-            if (existing.origin_cid, existing.origin_seq) == origin:
+            if existing[2] == seq and existing[1] == cid:
                 raise ValueError(f"duplicate element {element.token()}")
         p = min(o.position, len(state))
         new = state[:p] + (element,) + state[p:]
@@ -185,6 +185,9 @@ def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
     return new, new
 
 
+_NOP_OP = ListOp.nop()  # immutable, so every degenerate deletion shares it
+
+
 def transform(o1: ListOp, o2: ListOp) -> ListOp:
     """Transform o1 against a concurrent o2, returning o1'.
 
@@ -192,6 +195,10 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
     is local-only and never transforms. An Ins/Del keeps its kind and
     element and only moves position, except two deletions of the same
     position, where o1 degenerates to Nop.
+
+    A moved o1 is built without re-validating: it keeps o1's kind,
+    element and priority, which ListOp checked when o1 was made, and its
+    position is p1 + 1 or p1 - 1 with p1 > p2 >= 0, never negative.
     """
     k1, k2 = o1.kind, o2.kind
     if k1 is _READ or k2 is _READ:
@@ -205,22 +212,22 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
             if p1 < p2:
                 return o1
             if p1 > p2 or o1.priority.beats(o2.priority):
-                return ListOp(k1, o1.element, p1 + 1, o1.priority)
+                return _tuple_new(ListOp, (k1, o1.element, p1 + 1, o1.priority))
             return o1
         # Ins against Del
         if p1 <= p2:
             return o1
-        return ListOp(k1, o1.element, p1 - 1, o1.priority)
+        return _tuple_new(ListOp, (k1, o1.element, p1 - 1, o1.priority))
     if k2 is _INS:  # Del against Ins
         if p1 < p2:
             return o1
-        return ListOp(k1, o1.element, p1 + 1, o1.priority)
+        return _tuple_new(ListOp, (k1, o1.element, p1 + 1, o1.priority))
     # Del against Del
     if p1 < p2:
         return o1
     if p1 > p2:
-        return ListOp(k1, o1.element, p1 - 1, o1.priority)
-    return ListOp.nop()
+        return _tuple_new(ListOp, (k1, o1.element, p1 - 1, o1.priority))
+    return _NOP_OP
 
 
 def check_cp1(o1: ListOp, o2: ListOp, state: ListState) -> bool:

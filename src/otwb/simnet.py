@@ -515,11 +515,14 @@ class Simulation:
     def events(self) -> Tuple[TraceEvent, ...]:
         """The log as trace events. Every event ticks its replica's own
         clock component; a receive takes the componentwise maximum with the
-        clock of the message's send event. Each oid's token is formatted
-        once; every read shares one record, and so do the events that
-        apply one ListOp. The records check nothing, so they are built by
-        tuple.__new__, with no Python frame per event."""
-        clocks = [(0,) * (self.n_clients + 1)] * (self.n_clients + 1)  # per replica
+        clock of the message's send event. Each replica's clock is a list
+        ticked in place, and each event's clock is the one tuple made from
+        it. Each oid's token is formatted once; every read shares one
+        record, and so do the events that apply one ListOp. The records
+        check nothing, so they are built by tuple.__new__, with no Python
+        frame per event."""
+        width = self.n_clients + 1
+        clocks = [[0] * width for _ in range(width)]  # per replica
         sent: Dict[int, Tuple[Tuple[int, ...], str]] = {}  # message -> its send's clock and name
         tokens = {o: o.token() for o in self.index.oids}
         read = OpRecord("read")
@@ -528,8 +531,15 @@ class Simulation:
         for entry in self.log:
             kind, rid = entry[0], entry[1]
             own = clocks[rid]
-            clock = own[:rid] + (own[rid] + 1,) + own[rid + 1 :]
+            own[rid] += 1
             o = value = name = src = dst = ot_seq = None
+            if kind == "receive":
+                their, name = sent[entry[2]]
+                # their[rid] < own[rid], so the maximum keeps the tick.
+                for k, t in enumerate(their):
+                    if t > own[k]:
+                        own[k] = t
+            clock = tuple(own)
             record = read if kind == "do" else None
             if kind == "send":
                 _, _, msg, dst = entry
@@ -540,13 +550,9 @@ class Simulation:
                 if op is not None:
                     oid, o = op.oid, op.o
             else:
-                _, _, msg, src, oid, result = entry
+                _, _, _, src, oid, result = entry
                 o, value, dst = result.applied.o, result.value, rid
-                their, name = sent[msg]
-                # their[rid] < clock[rid], so the maximum keeps the tick.
-                clock = tuple(map(max, clock, their))
                 ot_seq = tuple(map(tokens.__getitem__, result.ot_seq))
-            clocks[rid] = clock
             if o is not None:
                 token = tokens[oid]
                 record = records.get(id(o))

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from otwb import checkers
-from otwb.css_space import Oid
-from otwb.ot_core import OpKind
+from otwb.css_space import Oid, Ord, ProtocolError, ProtoOp, SnapEdge, compare_ops
+from otwb.ot_core import ListOp, OpKind, transform
 from otwb.simnet import BROADCAST, Simulation, bit_positions, causal_masks, podc16_schedule, run
 
 # The golden scenario's four operations by identity.
@@ -53,8 +53,9 @@ def mask(index, oids):
 
 
 # --------------------------------------------------------------------------
-# Oracles over traces and schedules. The verify path needs none of them, so
-# they live here, next to the tests that compare the library against them.
+# Oracles over traces, schedules and spaces. The verify path needs none of
+# them, so they live here, next to the tests that compare the library
+# against them.
 
 
 def applicable(o, state):
@@ -144,15 +145,103 @@ def oracle_trace_to_json(trace):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def oracle_link(space, u, v, op):
+    """CssSpace.link spelled out: every check on every call, and
+    compare_ops run both ways against every existing edge."""
+    edges = space.vertices.get(u)
+    if edges is None or v not in space.vertices:
+        raise ProtocolError(
+            f"link: {space.index.fmt_oids(u if edges is None else v)} "
+            f"is not a vertex of replica {space.rid}"
+        )
+    if op.ctx != u:
+        raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
+    if v != u | op.bit:
+        raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
+    if any(e.op.bit == op.bit for e in edges):
+        return
+    rid = space.rid
+    if space.two_d:
+        own = op.oid.cid == rid
+        for e in edges:
+            if (e.op.oid.cid == rid) is own:
+                raise ProtocolError(
+                    f"link: {'local' if own else 'global'} edge already occupied at "
+                    f"{space.index.fmt_oids(u)}"
+                )
+        at = 0 if own else len(edges)
+    else:
+        at = literal_place(edges, op, rid)
+    edges.insert(at, SnapEdge(op, v))
+    space._touched[u] = edges
+
+
+def literal_place(edges, op, rid):
+    """Where the n-ary policy puts op among edges, none of op's bit: before
+    the first edge it orders LEFT of, after checking both orders of every
+    pair. Raises ProtocolError as compare_ops or the order check does."""
+    at = None
+    for i, e in enumerate(edges):
+        order = compare_ops(op, e.op, rid)
+        if compare_ops(e.op, op, rid) is order or (order is Ord.RIGHT and at is not None):
+            raise ProtocolError(
+                f"edge order at replica {rid}: {op.oid.token()} and "
+                f"{e.op.oid.token()} break a strict total order"
+            )
+        if order is Ord.LEFT and at is None:
+            at = i
+    return len(edges) if at is None else at
+
+
+def oracle_walk_edge(space, u, op):
+    """The edge out of u that an xform walk of op follows."""
+    edges = space.vertices[u]
+    if not space.two_d:
+        if not edges:
+            raise ProtocolError(f"xform: final vertex {space.index.fmt_oids(u)} has no first edge")
+        return edges[0]
+    own = op.oid.cid == space.rid
+    for e in edges:
+        if (e.op.oid.cid == space.rid) is not own:
+            return e
+    raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {space.index.fmt_oids(u)}")
+
+
+def oracle_xform(space, op):
+    """CssSpace.xform as one method call per step of each square: the
+    walk edge, two validating transforms and ProtoOps, a new vertex and
+    two oracle_links."""
+    u = space.locate(op)
+    v = space._new_vertex(u | op.bit)
+    ot_seq = []
+    while u != space.cur:
+        op2, u2 = oracle_walk_edge(space, u, op)
+        op_t = ProtoOp(ListOp(*transform(op.o, op2.o)), op.oid, op.bit, op.ctx | op2.bit, op.sctx)
+        op2_t = ProtoOp(ListOp(*transform(op2.o, op.o)), op2.oid, op2.bit, op2.ctx | op.bit, op2.sctx)
+        v2 = space._new_vertex(v | op2.bit)
+        oracle_link(space, v, v2, op2_t)
+        oracle_link(space, u, v, op)
+        ot_seq.append(op2.oid)
+        u, v, op = u2, v2, op_t
+    oracle_link(space, u, v, op)
+    space.cur = v
+    space.last_ot_sequence = tuple(ot_seq)
+    return op
+
+
 def literal_condition_2(A):
-    """The weak spec's condition 2 scanned pair by pair on the list order:
-    the witness of the first failure, or None."""
+    """The weak spec's condition 2 scanned pair by pair: the first list
+    that repeats an element, else the first pair whose reverse is in the
+    list order; the witness of the failure, or None."""
     pairs = checkers.build_list_order(A).pairs
     for e, w in checkers._distinct_values(A):
         for i in range(len(w)):
             for j in range(i + 1, len(w)):
                 if w[i] == w[j]:
                     return {"condition": "2", "event": e.index, "duplicate": str(w[i])}
+    for e, w in checkers._distinct_values(A):
+        for i in range(len(w)):
+            for j in range(i + 1, len(w)):
                 if (w[j], w[i]) in pairs:
                     other = next((
                         f.index for f in A.H

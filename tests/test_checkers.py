@@ -212,6 +212,21 @@ class TestWeakSpec:
         assert not verdict.satisfied
         assert verdict.witness["condition"] == "1c"
 
+    def test_repeated_element_is_a_duplicate_not_a_conflict(self):
+        # The repeat in the read's list (a, b, a) puts (b, a) into the list
+        # order, which event 1's list (a, b) contradicts. The repeat is
+        # what is wrong, so it is reported at the event that returned it.
+        a, b = ("a", 1, 1), ("b", 1, 2)
+        A = hand_execution(
+            [
+                (1, "ins", a, 0, (a,), []),
+                (1, "ins", b, 1, (a, b), [0]),
+                (1, "read", None, None, (a, b, a), [0, 1]),
+            ]
+        )
+        assert check_weak_spec(A).to_json_dict() == {"check": "weak_spec", "satisfied": False, "witness": {
+            "condition": "2", "event": 2, "duplicate": "('a', 1, 1)"}}
+
 
 class TestWeakSpecWitnessText:
     """Element text in weak-spec witnesses, pinned on a corrupted podc16

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from otwb import simnet
 from otwb.cli import main
 from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
 
@@ -246,6 +247,30 @@ class TestExportDot:
         assert out == ""
         assert err.startswith(f"usage error: cannot write to {out_dir}: ")
         assert err.count("\n") == 1
+
+    def test_unwritable_out_is_refused_before_the_replay(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simnet, "run", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, _ = invoke(
+            ["export-dot", "--schedule", "builtin:podc16", "--out", str(blocker / "dot")], capsys
+        )
+        assert (code, out, calls) == (2, "", [])
+
+    @pytest.mark.parametrize("steps", [False, True])
+    def test_step_snapshots_recorded_only_under_steps(self, tmp_path, capsys, monkeypatch, steps):
+        real, asked = simnet.run, []
+
+        def run(protocol, schedule, record_snapshots=True):
+            asked.append(record_snapshots)
+            return real(protocol, schedule, record_snapshots)
+
+        monkeypatch.setattr(simnet, "run", run)
+        argv = ["export-dot", "--schedule", "builtin:podc16", "--out", str(tmp_path)]
+        code, _, _ = invoke(argv + ["--steps"] * steps, capsys)
+        assert code == 0 and asked == [steps]
+        assert bool(list(tmp_path.glob("*_step*.dot"))) is steps
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

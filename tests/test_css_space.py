@@ -12,6 +12,7 @@ from otwb.css_space import (
     Ord,
     ProtoOp,
     ProtocolError,
+    SnapEdge,
     compare_ops,
     materialize,
 )
@@ -202,12 +203,13 @@ class TestIntegrityChecks:
 
 
 class TestFirstEdgeAndPath:
-    def test_single_edge_vertex(self):
+    def test_walk_follows_the_single_edge(self):
         s = CssSpace(rid=1)
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
         incoming = op(s.index, ins("y", 0, 2, 1), Oid(2, 1))
-        assert s._walk_edge(0, incoming).op.oid == Oid(1, 1)
+        s.xform(incoming)
+        assert s.last_ot_sequence == (Oid(1, 1),)
 
     def test_final_vertex_has_no_first_edge(self):
         # {2:1} is a vertex but not cur and has no edges, so the walk of an
@@ -377,3 +379,142 @@ class TestProtoOpIdentity:
         for other in others:
             assert a != other
         assert len({a, *others}) == 4
+
+
+class TestReplayIntegrityErrors:
+    """Every ProtocolError the replay can raise, driven through xform or
+    append on a hand-corrupted space, with its exact message."""
+
+    @staticmethod
+    def raised(call, *args):
+        with pytest.raises(ProtocolError) as exc:
+            call(*args)
+        return str(exc.value)
+
+    def test_vertex_already_exists(self):
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 1)]))
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        # The fresh vertex of the walk's first square is there already.
+        assert self.raised(s.xform, incoming) == "vertex ['1:1', '2:1'] already exists"
+        # The failed walk left the op's own vertex behind.
+        assert self.raised(s.xform, incoming) == "vertex ['2:1'] already exists"
+        s.cur = 0
+        assert self.raised(s.append, op(ix, ins("z", 0, 1, 1), Oid(1, 1))) == "vertex ['1:1'] already exists"
+
+    def test_final_vertex_has_no_first_edge(self):
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s._new_vertex(mask(ix, [Oid(2, 1)]))
+        incoming = op(ix, ins("y", 0, 3, 1), Oid(3, 1), ctx={Oid(2, 1)})
+        assert self.raised(s.xform, incoming) == "xform: final vertex ['2:1'] has no first edge"
+
+    def test_no_walk_edge_on_either_side(self):
+        # Owner 1 holds only an op of client 3 at the root: an own op must
+        # walk a global edge and finds one, a remote op must walk a local
+        # one and finds none. Under owner 3 the sides swap.
+        for owner, oid, side in ((1, Oid(2, 1), "local"), (3, Oid(3, 2), "global")):
+            s = CssSpace(rid=owner, two_d=True)
+            ix = s.index
+            s.append(op(ix, ins("x", 0, 3, 1), Oid(3, 1)))
+            assert self.raised(s.xform, op(ix, ins("y", 0, *oid), oid)) == f"xform: no {side} edge at []"
+
+    def test_edge_already_occupied_on_either_side(self):
+        # The server's space for client 2 has a local edge at cur, and an
+        # own op arriving there needs that side. A client's space has a
+        # global edge at cur, and a remote op arriving there needs it.
+        s = CssSpace(rid=2, two_d=True)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 9)])),
+               op(ix, ins("w", 0, 2, 9), Oid(2, 9), ctx={Oid(1, 1)}))
+        own = op(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
+        assert self.raised(s.xform, own) == "link: local edge already occupied at ['1:1']"
+        s = CssSpace(rid=1, two_d=True)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(3, 9)])),
+               op(ix, ins("w", 0, 3, 9), Oid(3, 9), ctx={Oid(1, 1)}))
+        remote = op(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
+        assert self.raised(s.xform, remote) == "link: global edge already occupied at ['1:1']"
+
+    def test_link_ctx_does_not_match_source_vertex(self):
+        # The walk edge's op names a context that is not its source, so
+        # its transformed copy does not leave the square's fresh vertex.
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.vertices[0][0] = SnapEdge(op(ix, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(3, 3)}), s.cur)
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        assert self.raised(s.xform, incoming) == "link: ctx of 1:1 does not match source vertex"
+        # The walk edge leads past the vertex its op extends the root by,
+        # so the transformed op's context is not where the walk arrives.
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
+        s.vertices[0][0] = s.vertices[0][0]._replace(target=s.cur)
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        assert self.raised(s.xform, incoming) == "link: ctx of 2:1 does not match source vertex"
+        # The same mid-walk: the next walk edge's op names the context the
+        # transformed op has, not the vertex the walk arrived at.
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
+        mid = s.cur
+        s.append(op(ix, ins("w", 0, 1, 3), Oid(1, 3), ctx={Oid(1, 1), Oid(1, 2)}))
+        s.vertices[0][0] = s.vertices[0][0]._replace(target=mid)
+        s.vertices[mid][0] = SnapEdge(op(ix, ins("w", 0, 1, 3), Oid(1, 3), ctx={Oid(1, 1)}), s.cur)
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        assert self.raised(s.xform, incoming) == "link: ctx of 2:1 does not match source vertex"
+        # The walk stopped there: no edge of 2:1 leaves the wrong vertex.
+        assert [e.op.oid for e in s.vertices[mid]] == [Oid(1, 3)]
+
+    def test_walk_edge_with_the_ops_own_bit(self):
+        # The root's edge carries the bit of the incoming op under another
+        # oid and leads to a vertex that does not extend the root by it.
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.vertices[0].append(SnapEdge(op(ix, ins("x", 0, 1, 1), Oid(1, 1)), s._new_vertex(mask(ix, [Oid(1, 2)]))))
+        s.cur = mask(ix, [Oid(1, 2)])
+        incoming = ProtoOp(ins("y", 0, 2, 1), Oid(2, 1), ix.bit(Oid(1, 1)))
+        assert self.raised(s.xform, incoming) == "operation 2:1 lists itself in its context"
+
+    def test_edge_order_breaks_a_strict_total_order(self):
+        # Both server contexts name the other op, so each orders first.
+        s = CssSpace(rid=0)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)}))
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1), sctx={Oid(1, 1)})
+        assert self.raised(s.xform, incoming) == "edge order at replica 0: 2:1 and 1:1 break a strict total order"
+        # The op orders before the first edge and after the second.
+        s = CssSpace(rid=0)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)}))
+        s.link(0, s._new_vertex(mask(ix, [Oid(3, 1)])), op(ix, ins("w", 0, 3, 1), Oid(3, 1), sctx={Oid(1, 1)}))
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1), sctx={Oid(3, 1)})
+        assert self.raised(s.xform, incoming) == "edge order at replica 0: 2:1 and 3:1 break a strict total order"
+
+    def test_server_cannot_order(self):
+        s = CssSpace(rid=0)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        assert self.raised(s.xform, incoming) == (
+            "server cannot order 2:1 and 1:1: both server contexts are silent"
+        )
+
+    def test_neither_context_decides(self):
+        # Two remote ops at client 1, neither stamped with the other.
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 2, 1), Oid(2, 1)))
+        incoming = op(ix, ins("y", 0, 3, 1), Oid(3, 1))
+        assert self.raised(s.xform, incoming) == (
+            "cannot order 3:1 and 2:1 at replica 1: neither context decides "
+            "and the pair is not one local, one remote"
+        )
