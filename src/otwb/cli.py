@@ -238,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_check: Optional[str]) -> None:
+    # Each option group is declared once, for every subcommand that takes it.
+    def replay(p: argparse.ArgumentParser) -> None:
         p.add_argument("--protocol", choices=simnet.PROTOCOLS, default="cjupiter")
-        p.add_argument(
-            "--priority",
-            choices=[r.value for r in PriorityRule],
-        )
+        p.add_argument("--priority", choices=[r.value for r in PriorityRule])
+
+    def checking(p: argparse.ArgumentParser, default_check: str) -> None:
         p.add_argument("--check", default=default_check, help="comma list or 'all'")
         p.add_argument(
             "--expect-violation",
@@ -255,16 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="directory for traces, verdicts, artifacts")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
+    def schedule(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--clients", type=int, default=3)
+        p.add_argument("--ops", type=int, default=6)
+
     run_p = sub.add_parser("run", help="replay one schedule and check it")
-    common(run_p, "all")
-    run_p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--clients", type=int, default=3)
-    run_p.add_argument("--ops", type=int, default=6)
+    replay(run_p)
+    checking(run_p, "all")
+    schedule(run_p)
     run_p.set_defaults(func=cmd_run)
 
     fuzz_p = sub.add_parser("fuzz", help="sweep seeded random schedules")
-    common(fuzz_p, "equivalence")
+    replay(fuzz_p)
+    checking(fuzz_p, "equivalence")
     fuzz_p.add_argument("--seeds", type=int, required=True)
     fuzz_p.add_argument("--seed-start", type=int, default=0)
     fuzz_p.add_argument("--clients", type=int, default=4, help="max clients per seed")
@@ -272,15 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.set_defaults(func=cmd_fuzz)
 
     dot_p = sub.add_parser("export-dot", help="render state spaces to DOT files")
-    dot_p.add_argument("--protocol", choices=simnet.PROTOCOLS, default="cjupiter")
-    dot_p.add_argument(
-        "--priority",
-        choices=[r.value for r in PriorityRule],
-    )
-    dot_p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
-    dot_p.add_argument("--seed", type=int, default=None)
-    dot_p.add_argument("--clients", type=int, default=3)
-    dot_p.add_argument("--ops", type=int, default=6)
+    replay(dot_p)
+    schedule(dot_p)
     dot_p.add_argument("--out", required=True)
     dot_p.add_argument("--steps", action="store_true", help="also one file per construction step")
     dot_p.set_defaults(func=cmd_export_dot)

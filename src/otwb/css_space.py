@@ -417,6 +417,8 @@ class CssSpace:
             else:
                 raise ProtocolError(f"xform: final vertex {fmt(u)} has no first edge")
             op2, u2 = e
+            if u2 not in vertices:
+                raise ProtocolError(f"xform: walk from {fmt(u)} reaches {fmt(u2)}, which is not a vertex")
             o2, oid2, bit2, ctx2, sctx2 = op2
             o_t = transform(o, o2)
             if bit2 & bit:

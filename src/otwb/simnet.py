@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
 from .ot_core import Element, ListOp, ListState, PriorityRule, to_text
@@ -203,124 +202,84 @@ def _peer_name(rid: int) -> str:
 
 
 # A trace event's members in key order; an absent member is "".
-_EVENT = '{%s"i":%s,"kind":%s%s%s%s,"replica":%s%s%s,"vc":%s}'
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-class _Literals(dict):
-    """A str's JSON literal, made on first use; TypeError for a value of
-    any other type, so 1, 1.0 and True never share one."""
-
-    def __missing__(self, s: str) -> str:
-        out = self[s] = encode_basestring_ascii(s)
-        return out
-
-
-class _Peers(dict):
-    """An int replica id's name, e.g. "c1", as a literal, made on first use."""
-
-    def __missing__(self, rid: int) -> str:
-        out = self[rid] = encode_basestring_ascii(_peer_name(rid))
-        return out
-
-
-def _holds(values: Iterable, kind: type) -> bool:
-    """Whether every value is exactly of type kind."""
-    return set(map(type, values)) <= {kind}
-
-
-def _element_json(x: object) -> str:
-    if type(x) in (Element, tuple) and len(x) == 3:
-        glyph, cid, seq = x
-        if type(glyph) is str and type(cid) is int and type(seq) is int:
-            return "[%s,%d,%d]" % (encode_basestring_ascii(glyph), cid, seq)
-    return _dumps(x)
+_EVENT = '{%s"i":%d,"kind":"%s"%s%s%s,"replica":%d%s%s,"vc":[%s]}'
 
 
 def trace_to_json(trace: Trace) -> str:
     """Canonical trace JSON: compact, every object's keys in sorted order.
 
+    It writes the traces that run() makes, whose event members are of
+    these types; a hand-built trace must use them too:
+    - index and replica: int; kind: "do", "send" or "receive";
+    - vclock: a tuple of ints;
+    - op: an OpRecord of (str, str or None, Element or None, int or
+      None), or None;
+    - value: a tuple of Elements, or None;
+    - msg_id: a str or None;
+    - src and dst: ids of the trace's replicas, BROADCAST for the
+      broadcast, or None;
+    - ot_seq: a tuple of str, or None.
+
     Each event is written by one template that holds its members in key
-    order, from fragments made once per call: each string's escaped
-    literal, each element's array, each list's "text" and "value"
-    members, each op record's object. Elements, lists and op records are
-    keyed by identity, so that equal values of different types (1, 1.0,
-    True) keep their own JSON; reads and replicas that did not change
-    share one list. A member of a type the library never writes there
-    goes through json.dumps, so the bytes are json.dumps's with sorted
-    keys whatever the trace holds. Only the header is a dict."""
-    head = _dumps({
+    order. Each element's array, each list's "text" and "value" members
+    and each op record's object are made once per call, keyed by
+    identity: reads and replicas that did not change share one list.
+    Only the header goes through json.dumps."""
+    head = json.dumps({
         "format": TRACE_FORMAT,
         "n_clients": trace.n_clients,
         "priority_rule": trace.priority_rule,
         "prng": list(trace.prng) if trace.prng else None,
         "protocol": trace.protocol,
         "schedule_sha256": trace.schedule_sha256,
-    })[1:]
-    events = trace.events
-    lit = _Literals()
-    peers = _Peers()
+    }, sort_keys=True, separators=(",", ":"))[1:]
+    lit = encode_basestring_ascii
+    peers = {rid: lit(_peer_name(rid)) for rid in range(BROADCAST, trace.n_clients + 1)}
     arrays: Dict[int, str] = {}  # id of an element -> its array
     lists: Dict[int, str] = {}  # id of a list -> its "text" and "value" members
     ops: Dict[int, str] = {}  # id of an op record -> its "op" member
 
-    def element(x: object) -> str:
+    def element(x: Element) -> str:
         if id(x) not in arrays:
-            arrays[id(x)] = _element_json(x)
+            arrays[id(x)] = "[%s,%d,%d]" % (lit(x[0]), x[1], x[2])
         return arrays[id(x)]
 
-    def list_json(x: object) -> str:
-        if type(x) is not tuple:
-            return ',"text":%s,"value":%s' % (_dumps(to_text(x)), _dumps(x))
-        try:
-            body = ",".join(map(arrays.__getitem__, map(id, x)))
-        except KeyError:  # an element not written yet
-            body = ",".join(map(element, x))
-        return ',"text":%s,"value":[%s]' % (encode_basestring_ascii(to_text(x)), body)
-
-    def op_json(op: OpRecord) -> str:
-        kind, oid, x, pos = op
-        return ',"op":{%s"kind":%s%s%s}' % (
-            "" if x is None else '"element":%s,' % element(x),
-            lit[kind] if type(kind) is str else _dumps(kind),
-            "" if oid is None else ',"oid":' + (lit[oid] if type(oid) is str else _dumps(oid)),
-            "" if pos is None else ',"pos":' + (str(pos) if type(pos) is int else _dumps(pos)),
-        )
-
-    # The clocks' JSON cut apart: with only ints inside, "],[" is where
-    # one clock ends and the next begins.
-    vclocks = [e[3] for e in events]
-    if _holds(vclocks, tuple) and _holds(itertools.chain.from_iterable(vclocks), int):
-        vclocks = map("[%s]".__mod__, _dumps(vclocks)[2:-2].split("],["))
-    else:
-        vclocks = map(_dumps, vclocks)
+    # All clocks written at once: a list of lists of ints prints as its
+    # JSON with spaces, and "],[" is where one clock ends and the next
+    # begins.
+    events = trace.events
+    vclocks = str([list(e[3]) for e in events]).replace(" ", "")[2:-2].split("],[")
     out = []
     for (i, replica, kind, _, op, value, msg_id, src, dst, ot_seq), vc in zip(events, vclocks):
         if op is not None:
             x = ops.get(id(op))
             if x is None:
-                x = ops[id(op)] = op_json(op)
+                okind, oid, el, pos = op
+                x = ops[id(op)] = ',"op":{%s"kind":%s%s%s}' % (
+                    "" if el is None else '"element":%s,' % element(el),
+                    lit(okind),
+                    "" if oid is None else ',"oid":' + lit(oid),
+                    "" if pos is None else ',"pos":%d' % pos,
+                )
             op = x
         if value is not None:
             x = lists.get(id(value))
             if x is None:
-                x = lists[id(value)] = list_json(value)
+                try:
+                    body = ",".join(map(arrays.__getitem__, map(id, value)))
+                except KeyError:  # an element not written yet
+                    body = ",".join(map(element, value))
+                x = lists[id(value)] = ',"text":%s,"value":[%s]' % (lit(to_text(value)), body)
             value = x
-        if ot_seq is not None:
-            try:
-                seq = "[%s]" % ",".join(map(lit.__getitem__, ot_seq)) if type(ot_seq) is tuple else None
-            except TypeError:  # a member that is not a str
-                seq = None
-            ot_seq = ',"ot_seq":' + (seq or _dumps(ot_seq))
         out.append(_EVENT % (
-            "" if dst is None else '"dst":%s,' % (peers[dst] if type(dst) is int else _dumps(_peer_name(dst))),
-            i if type(i) is int else _dumps(i),
-            lit[kind] if type(kind) is str else _dumps(kind),
-            "" if msg_id is None else ',"msg":' + (lit[msg_id] if type(msg_id) is str else _dumps(msg_id)),
+            "" if dst is None else '"dst":%s,' % peers[dst],
+            i,
+            kind,
+            "" if msg_id is None else ',"msg":' + lit(msg_id),
             op or "",
-            ot_seq or "",
-            replica if type(replica) is int else _dumps(replica),
-            "" if src is None else ',"src":' + (peers[src] if type(src) is int else _dumps(_peer_name(src))),
+            "" if ot_seq is None else ',"ot_seq":[%s]' % ",".join(map(lit, ot_seq)),
+            replica,
+            "" if src is None else ',"src":' + peers[src],
             value or "",
             vc,
         ))

@@ -484,6 +484,15 @@ class TestReplayIntegrityErrors:
         incoming = ProtoOp(ins("y", 0, 2, 1), Oid(2, 1), ix.bit(Oid(1, 1)))
         assert self.raised(s.xform, incoming) == "operation 2:1 lists itself in its context"
 
+    def test_walk_edge_leads_to_a_mask_that_is_not_a_vertex(self):
+        s = CssSpace(rid=1)
+        ix = s.index
+        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
+        s.vertices[0][0] = s.vertices[0][0]._replace(target=mask(ix, [Oid(9, 9)]))
+        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
+        assert self.raised(s.xform, incoming) == "xform: walk from [] reaches ['9:9'], which is not a vertex"
+
     def test_edge_order_breaks_a_strict_total_order(self):
         # Both server contexts name the other op, so each orders first.
         s = CssSpace(rid=0)

@@ -4,10 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
 from otwb.ot_core import Element, PriorityRule
 from otwb.simnet import (
+    BROADCAST,
     DeliverStep,
     GenerateStep,
     OpRecord,
@@ -378,22 +381,6 @@ class TestTraceBytesMatchOracle:
         assert text == oracle_trace_to_json(trace)
         assert text.count('"text":"\\"\\\\\\u00e9\\u0001\\ud83d\\ude00"') == 3
 
-    def test_fields_of_other_types_keep_the_oracle_bytes(self):
-        # Equal values of different types (1, 1.0, True), lists where
-        # tuples belong and unhashable values all go through json.dumps.
-        a, b = Element("a", 1, 1), ("a", True, 1.0)
-        events = (
-            TraceEvent(0, 1, "do", (1, True), OpRecord("ins", "1:1", a, 0), (a,)),
-            TraceEvent(True, 1.0, "do", [2, 0], OpRecord("ins", 1, b, 0.0), (b,)),
-            TraceEvent(2, 1, ["do"], (3, 0), OpRecord("read"), [a], ["m"], "c1", 0.0, ["1:1", ["x"]]),
-            TraceEvent(3, 0, "receive", (3, 1), OpRecord(1, None, ["a", 1, 1], True), ("a", "b"), 5, 1, 0, ()),
-            TraceEvent(4, 0, "receive", (4, 1), None, None, "m2", 1, 0, "1:1"),
-            TraceEvent(5, 0, "receive", (5, 1), None, None, "m3", 1, 0, ("1:1", 5)),
-            TraceEvent(6, 1, "do", ("],[", (6, 1)), OpRecord("read"), ()),
-        )
-        trace = Trace("cjupiter", 1, "smaller_wins", "0" * 64, events)
-        assert trace_to_json(trace) == oracle_trace_to_json(trace)
-
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_glyphs_that_need_escaping(self, protocol, tmp_path):
         path = tmp_path / "schedule.json"
@@ -404,6 +391,68 @@ class TestTraceBytesMatchOracle:
         assert text == oracle_trace_to_json(result.trace)
         for escaped in ('"\\""', '"\\\\"', '"\\u00e9"', '"\\u0001"'):
             assert escaped in text
+
+    # Small random schedules under both rules and any share of reads.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        n=st.integers(1, 4),
+        u=st.integers(0, 10),
+        seed=st.integers(),
+        rule=st.sampled_from(PriorityRule),
+        read_probability=st.floats(0, 1),
+    )
+    def test_random_schedules_match_the_oracle(self, protocol, n, u, seed, rule, read_probability):
+        trace = run(protocol, random_schedule(n, u, seed, rule, read_probability), record_snapshots=False).trace
+        assert trace_to_json(trace) == oracle_trace_to_json(trace)
+
+
+def replayed_traces():
+    """podc16, the corpus shapes of seeds 0-49 and the wide and observe
+    shapes of seeds 0-19, each under every protocol."""
+    schedules = [("podc16", podc16_schedule())]
+    schedules += [(f"corpus {s}", random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s)) for s in range(50)]
+    for s in range(20):
+        schedules.append((f"wide {s}", random_schedule(4, 16, seed=s)))
+        schedules.append((f"observe {s}", random_schedule(3, 12, seed=s, read_probability=1.0)))
+    for name, schedule in schedules:
+        for protocol in PROTOCOLS:
+            yield f"{name} {protocol}", run(protocol, schedule, record_snapshots=False).trace
+
+
+def is_element(x):
+    return type(x) is Element and [type(m) for m in x] == [str, int, int]
+
+
+def either(x, kind):
+    return x is None or type(x) is kind
+
+
+class TestTraceMemberTypes:
+    """trace_to_json writes the member types its docstring names, and only
+    those. Every event run() makes holds exactly them, so a change to what
+    Simulation.events records fails here rather than as other JSON."""
+
+    def test_run_makes_only_the_encoded_types(self):
+        for name, trace in replayed_traces():
+            peers = set(range(BROADCAST, trace.n_clients + 1))
+            for e in trace.events:
+                where = (name, e.index)
+                assert type(e) is TraceEvent, where
+                assert type(e.index) is int and type(e.replica) is int, where
+                assert type(e.kind) is str and e.kind in ("do", "send", "receive"), where
+                assert type(e.vclock) is tuple and {type(t) for t in e.vclock} == {int}, where
+                if e.op is not None:
+                    kind, oid, element, pos = e.op
+                    assert type(e.op) is OpRecord and type(kind) is str, where
+                    assert either(oid, str) and either(pos, int), where
+                    assert element is None or is_element(element), where
+                assert e.value is None or type(e.value) is tuple and all(map(is_element, e.value)), where
+                assert either(e.msg_id, str), where
+                for rid in (e.src, e.dst):
+                    assert rid is None or type(rid) is int and rid in peers, where
+                if e.ot_seq is not None:
+                    assert type(e.ot_seq) is tuple and all(type(t) is str for t in e.ot_seq), where
 
 
 class TestSimulation:
