@@ -19,6 +19,7 @@ from .checkers import (
     check_strong_spec,
     check_structural,
     check_weak_spec,
+    verify,
 )
 from .css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, compare_ops
 from .ot_core import (
@@ -93,4 +94,5 @@ __all__ = [
     "to_text",
     "trace_to_json",
     "transform",
+    "verify",
 ]

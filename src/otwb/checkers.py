@@ -1,6 +1,7 @@
 """Builds abstract executions from traces and decides the list
 specifications (convergence, weak, strong) and the structural graph
-properties of recorded runs.
+properties of recorded runs; `verify` is the one pipeline that replays a
+schedule and runs them.
 
 All checkers are pure functions over immutable trace snapshots; a Verdict
 either confirms a property or carries a minimal witness of its failure.
@@ -13,9 +14,10 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from . import simnet
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, materialize
 from .ot_core import to_text
-from .simnet import OpRecord, RunResult, Trace, bit_positions, causal_masks
+from .simnet import OpRecord, RunResult, Schedule, Trace, bit_positions, causal_masks
 
 _tuple_new = tuple.__new__
 _value = attrgetter("value")
@@ -971,3 +973,69 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
                 )
             prev2d, prev_nary = v2d, v_nary
     return Verdict("client_subgraph", True)
+
+
+# --------------------------------------------------------------------------
+# The verify pipeline
+
+CHECKS = ("convergence", "weak", "strong", "compat", "structural", "equivalence")
+_SPEC_CHECKS = {
+    "convergence": check_convergence,
+    "weak": check_weak_spec,
+    "strong": check_strong_spec,
+    "compat": lambda A: check_pairwise_compatibility([e.value for e in A.H]),
+}
+
+
+class Checked(NamedTuple):
+    check: str  # the requested check, one of CHECKS
+    protocol: Optional[str]  # the run decided (structural: the first run checked); None for equivalence
+    verdict: Verdict
+
+
+@dataclass(frozen=True)
+class Report:
+    results: Dict[str, RunResult]  # each protocol's one replay: the selected ones, then companions
+    verdicts: Tuple[Checked, ...]  # in request order: by check, then by protocol
+
+
+def verify(
+    schedule: Schedule, checks: Sequence[str] = CHECKS, protocols: Sequence[str] = simnet.PROTOCOLS
+) -> Report:
+    """Replay the schedule under each selected protocol and decide the checks.
+    A spec check decides each selected protocol's abstract execution, built once;
+    structural checks cjupiter's spaces against jupiter's when either is selected,
+    and djupiter's when it is; equivalence compares cjupiter with jupiter. Each
+    replay is made once, with step snapshots only where structural reads them,
+    and checked for FIFO delivery (ProtocolError). ValueError for an unknown check."""
+    for c in checks:
+        if c not in CHECKS:
+            raise ValueError(f"unknown check {c!r}; pick from {', '.join(CHECKS)}")
+    pair = "cjupiter" in protocols or "jupiter" in protocols
+    results: Dict[str, RunResult] = {}
+
+    def replay(p: str) -> RunResult:
+        if p not in results:
+            snapshots = pair and "structural" in checks and p != "djupiter"
+            results[p] = simnet.run(p, schedule, record_snapshots=snapshots)
+            simnet.check_fifo(results[p].trace)
+        return results[p]
+
+    for p in protocols:
+        replay(p)
+    execs: Dict[str, AbstractExecution] = {}
+    out: List[Checked] = []
+    for check in checks:
+        if check in _SPEC_CHECKS:
+            for p in protocols:
+                if p not in execs:
+                    execs[p] = build_abstract_execution(results[p].trace)
+                out.append(Checked(check, p, _SPEC_CHECKS[check](execs[p])))
+        elif check == "structural":
+            runs = [(replay("cjupiter"), replay("jupiter"))] if pair else []
+            runs += [(results["djupiter"],)] if "djupiter" in protocols else []
+            out += (Checked(check, r[0].protocol, v) for r in runs for v in check_structural(*r))
+        else:
+            cj, j = replay("cjupiter"), replay("jupiter")
+            out.append(Checked(check, None, check_equivalence(cj.trace, j.trace)))
+    return Report(results, tuple(out))

@@ -10,32 +10,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import checkers, dot, simnet
 from .ot_core import PriorityRule
-from .simnet import RunResult, Schedule
-
-ALL_CHECKS = ("convergence", "weak", "strong", "compat", "structural", "equivalence")
+from .simnet import Schedule
 
 
 class UsageError(Exception):
     """Input the command cannot act on; main exits 2 with one line."""
 
 
-def _parse_checks(spec: str) -> Tuple[str, ...]:
-    if spec == "all":
-        return ALL_CHECKS
-    checks = tuple(s.strip() for s in spec.split(",") if s.strip())
+def _checks(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The --check list, and each --expect-violation among it."""
+    names = (s.strip() for s in args.check.split(","))
+    checks = checkers.CHECKS if args.check == "all" else tuple(filter(None, names))
+    if not checks:
+        raise UsageError(f"--check {args.check!r} names no check")
     for c in checks:
-        if c not in ALL_CHECKS:
-            raise argparse.ArgumentTypeError(
-                f"unknown check {c!r}; pick from {', '.join(ALL_CHECKS)} or 'all'"
-            )
+        if c not in checkers.CHECKS:
+            raise UsageError(f"unknown check {c!r}; pick from {', '.join(checkers.CHECKS)} or 'all'")
+    for c in args.expect_violation:
+        if c not in checks:
+            raise UsageError(f"--expect-violation {c!r} is not a requested check ({','.join(checks)})")
     return checks
 
 
@@ -49,16 +49,9 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
     if src == "builtin:podc16":
         return simnet.podc16_schedule(rule)
     if src == "random":
-        seed = args.seed
-        env = os.environ.get("OTWB_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise simnet.ScheduleError(f"OTWB_SEED must be an integer, got {env!r}") from None
-        if seed is None:
-            raise UsageError("--schedule random needs --seed (or OTWB_SEED)")
-        return simnet.random_schedule(args.clients, args.ops, seed, rule)
+        if args.seed is None:
+            raise UsageError("--schedule random needs --seed")
+        return simnet.random_schedule(args.clients, args.ops, args.seed, rule)
     try:
         text = Path(src).read_text()
     except OSError as exc:
@@ -69,75 +62,16 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
     return schedule
 
 
-def _run_checks(
-    protocol: str, schedule: Schedule, checks: Tuple[str, ...]
-) -> Tuple[List[checkers.Verdict], Dict[str, RunResult]]:
-    """Execute the protocol plus whatever companion replays the requested
-    checks need, and evaluate each check."""
-    results: Dict[str, RunResult] = {protocol: simnet.run(protocol, schedule)}
-
-    def need(p: str) -> RunResult:
-        if p not in results:
-            results[p] = simnet.run(p, schedule)
-        return results[p]
-
-    primary = results[protocol]
-    verdicts: List[checkers.Verdict] = []
-    A = None
-    for check in checks:
-        if check in ("convergence", "weak", "strong", "compat") and A is None:
-            A = checkers.build_abstract_execution(primary.trace)
-        if check == "convergence":
-            verdicts.append(checkers.check_convergence(A))
-        elif check == "weak":
-            verdicts.append(checkers.check_weak_spec(A))
-        elif check == "strong":
-            verdicts.append(checkers.check_strong_spec(A))
-        elif check == "compat":
-            verdicts.append(checkers.check_pairwise_compatibility([e.value for e in A.H]))
-        elif check == "structural":
-            if protocol == "djupiter":
-                verdicts.extend(checkers.check_structural(primary))
-            else:
-                cj = need("cjupiter")
-                j = need("jupiter")
-                verdicts.extend(checkers.check_structural(cj, j))
-        elif check == "equivalence":
-            cj = need("cjupiter")
-            j = need("jupiter")
-            verdicts.append(checkers.check_equivalence(cj.trace, j.trace))
-    return verdicts, results
+def _evaluate(report: checkers.Report, expect_violation: List[str]) -> bool:
+    return all(c.verdict.satisfied != (c.check in expect_violation) for c in report.verdicts)
 
 
-_VERDICT_TO_CLI = {
-    "convergence": "convergence",
-    "weak_spec": "weak",
-    "strong_spec": "strong",
-    "pairwise_compatibility": "compat",
-    "equivalence": "equivalence",
-}
-
-
-def _cli_name(verdict_check: str) -> str:
-    return _VERDICT_TO_CLI.get(verdict_check, "structural")
-
-
-def _evaluate(verdicts: List[checkers.Verdict], expect_violation: Tuple[str, ...]) -> bool:
-    inverted = set(expect_violation)
-    return all(
-        (not v.satisfied) if _cli_name(v.check) in inverted else v.satisfied
-        for v in verdicts
-    )
-
-
-def _print_verdicts(verdicts: List[checkers.Verdict], expect_violation, as_json: bool) -> None:
+def _print_verdicts(report: checkers.Report, expect_violation: List[str], as_json: bool) -> None:
     if as_json:
-        doc = [v.to_json_dict() for v in verdicts]
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps([c.verdict.to_json_dict() for c in report.verdicts], sort_keys=True, indent=2))
         return
-    inverted = set(expect_violation)
-    for v in verdicts:
-        expected_violation = _cli_name(v.check) in inverted
+    for check, _, v in report.verdicts:
+        expected_violation = check in expect_violation
         if v.satisfied:
             mark = "OK" if not expected_violation else "SATISFIED (violation expected!)"
         else:
@@ -148,50 +82,46 @@ def _print_verdicts(verdicts: List[checkers.Verdict], expect_violation, as_json:
         print(line)
 
 
-def _write_outputs(out_dir: Path, results: Dict[str, RunResult], verdicts) -> None:
+def _write_outputs(out_dir: Path, report: checkers.Report) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for protocol, res in results.items():
+    for protocol, res in report.results.items():
         (out_dir / f"trace_{protocol}.json").write_text(simnet.trace_to_json(res.trace))
-    doc = {"format": 1, "verdicts": [v.to_json_dict() for v in verdicts]}
+    doc = {"format": 1, "verdicts": [c.verdict.to_json_dict() for c in report.verdicts]}
     (out_dir / "verdicts.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    schedule = _load_schedule(args)
-    checks = _parse_checks(args.check) if args.check else ()
-    verdicts, results = _run_checks(args.protocol, schedule, checks)
+    checks = _checks(args)
+    report = checkers.verify(_load_schedule(args), checks, (args.protocol,))
     if args.out:
-        _write_outputs(Path(args.out), results, verdicts)
-    _print_verdicts(verdicts, args.expect_violation, args.format == "json")
-    return 0 if _evaluate(verdicts, tuple(args.expect_violation)) else 1
+        _write_outputs(Path(args.out), report)
+    _print_verdicts(report, args.expect_violation, args.format == "json")
+    return 0 if _evaluate(report, args.expect_violation) else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    checks = _parse_checks(args.check) if args.check else ("equivalence",)
+    checks = _checks(args)
     rule = _rule(args)
     for flag, value in (("--seeds", args.seeds), ("--clients", args.clients), ("--ops", args.ops)):
         if value < 1:
             raise simnet.ScheduleError(f"fuzz {flag} must be at least 1, got {value}")
-    failures = 0
     for i in range(args.seeds):
         seed = args.seed_start + i
         n_clients = 1 + seed % args.clients
         n_updates = 1 + (seed * 7) % args.ops
         schedule = simnet.random_schedule(n_clients, n_updates, seed, rule)
-        verdicts, results = _run_checks(args.protocol, schedule, checks)
-        if not _evaluate(verdicts, tuple(args.expect_violation)):
-            failures += 1
+        report = checkers.verify(schedule, checks, (args.protocol,))
+        if not _evaluate(report, args.expect_violation):
             print(f"seed {seed} (clients={n_clients}, updates={n_updates}): FAILED")
-            _print_verdicts(verdicts, args.expect_violation, False)
+            _print_verdicts(report, args.expect_violation, False)
             if args.out:
                 out = Path(args.out) / f"seed_{seed}"
-                _write_outputs(out, results, verdicts)
+                _write_outputs(out, report)
                 (out / "schedule.json").write_text(simnet.schedule_to_json(schedule))
                 print(f"  wrote failing artifacts under {out}")
-            break
-    if failures == 0:
-        print(f"fuzz: {args.seeds} seeds, checks [{', '.join(checks)}]: all passed")
-    return 0 if failures == 0 else 1
+            return 1
+    print(f"fuzz: {args.seeds} seeds, checks [{', '.join(checks)}]: all passed")
+    return 0
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:

@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The fuzz corpus (the golden scenario plus 1,000 seeded schedules with up
-to 4 clients and 8 updates) is replayed once in a session fixture; each
-criterion asserts on the aggregated outcomes and on the elapsed time of
-the phases attributable to it.
+to 4 clients and 8 updates) is verified once, by `checkers.verify`, in a
+session fixture; each criterion asserts on the aggregated outcomes, and
+criteria 3 and 9 also on the time of the whole pipeline.
 """
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import pytest
@@ -27,58 +27,27 @@ def corpus_shape(seed):
 
 @dataclass
 class CorpusOutcome:
-    seeds: int = 0
-    equivalence_failures: List = field(default_factory=list)
-    union_failures: List = field(default_factory=list)
-    subgraph_failures: List = field(default_factory=list)
-    spec_failures: List = field(default_factory=list)
-    structural_failures: List = field(default_factory=list)
-    t_equivalence: float = 0.0
-    t_structural: float = 0.0
-    t_spec: float = 0.0
+    seeds: int
+    failures: List  # (schedule, requested check, protocol, verdict) of each violated verdict
+    elapsed: float  # the whole pipeline's time, which criteria 3 and 9 bound
+
+    def failed(self, name):
+        """The failures of a requested check, or of one structural lemma."""
+        return [f for f in self.failures if name in (f[1], f[3].check)]
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    out = CorpusOutcome()
     schedules = [("podc16", podc16_schedule())]
     schedules += [
         (f"seed {s}", random_schedule(*corpus_shape(s), seed=s)) for s in range(N_SEEDS)
     ]
+    failures = []
+    t0 = time.perf_counter()
     for name, sched in schedules:
-        out.seeds += 1
-
-        t0 = time.perf_counter()
-        cj = run("cjupiter", sched)
-        j = run("jupiter", sched)
-        verdict = checkers.check_equivalence(cj.trace, j.trace)
-        out.t_equivalence += time.perf_counter() - t0
-        if not verdict.satisfied:
-            out.equivalence_failures.append((name, verdict.witness))
-
-        t0 = time.perf_counter()
-        structural = checkers.check_structural(cj, j)
-        out.t_structural += time.perf_counter() - t0
-        for v in structural:
-            if v.check == "server_union" and not v.satisfied:
-                out.union_failures.append((name, v.witness))
-            elif v.check == "client_subgraph" and not v.satisfied:
-                out.subgraph_failures.append((name, v.witness))
-            elif not v.satisfied:
-                out.structural_failures.append((name, v.check, v.witness))
-
-        t0 = time.perf_counter()
-        dj = run("djupiter", sched, record_snapshots=False)
-        for res in (cj, j, dj):
-            A = checkers.build_abstract_execution(res.trace)
-            weak = checkers.check_weak_spec(A)
-            conv = checkers.check_convergence(A)
-            if not weak.satisfied:
-                out.spec_failures.append((name, res.protocol, "weak", weak.witness))
-            if not conv.satisfied:
-                out.spec_failures.append((name, res.protocol, "convergence", conv.witness))
-        out.t_spec += time.perf_counter() - t0
-    return out
+        report = checkers.verify(sched, ("equivalence", "structural", "weak", "convergence"))
+        failures += [(name, *c) for c in report.verdicts if not c.verdict.satisfied]
+    return CorpusOutcome(len(schedules), failures, time.perf_counter() - t0)
 
 
 def report(criterion, ok, detail):
@@ -148,26 +117,27 @@ class TestCriterion2Compactness:
 
 class TestCriterion3Equivalence:
     def test_jupiter_equals_cjupiter_on_corpus(self, corpus):
-        ok = not corpus.equivalence_failures and corpus.t_equivalence < 60.0
+        mismatches = corpus.failed("equivalence")
+        ok = not mismatches and corpus.elapsed < 60.0
         report(
             3,
             ok,
-            f"{corpus.seeds} schedules, {len(corpus.equivalence_failures)} mismatches, "
-            f"{corpus.t_equivalence:.1f}s < 60s",
+            f"{corpus.seeds} schedules, {len(mismatches)} mismatches, "
+            f"{corpus.elapsed:.1f}s < 60s",
         )
 
 
 class TestCriterion4ServerUnion:
     def test_server_union_on_corpus(self, corpus):
-        ok = not corpus.union_failures
-        report(4, ok, f"{corpus.seeds} schedules, {len(corpus.union_failures)} union mismatches")
+        failed = corpus.failed("server_union")
+        report(4, not failed, f"{corpus.seeds} schedules, {len(failed)} union mismatches")
 
 
 class TestCriterion5ClientSubgraph:
     def test_client_subgraph_on_corpus(self, corpus):
-        ok = not corpus.subgraph_failures
+        failed = corpus.failed("client_subgraph")
         report(
-            5, ok, f"{corpus.seeds} schedules, {len(corpus.subgraph_failures)} subgraph violations"
+            5, not failed, f"{corpus.seeds} schedules, {len(failed)} subgraph violations"
         )
 
 
@@ -209,11 +179,11 @@ class TestCriterion6Cp1Exhaustive:
 
 class TestCriterion7WeakSpecAndConvergence:
     def test_specs_hold_under_all_three_protocols(self, corpus):
-        ok = not corpus.spec_failures
-        detail = f"{corpus.seeds} schedules x 3 protocols, {len(corpus.spec_failures)} failures"
-        if corpus.spec_failures:
-            detail += f"; first: {corpus.spec_failures[0]}"
-        report(7, ok, detail)
+        failed = corpus.failed("weak") + corpus.failed("convergence")
+        detail = f"{corpus.seeds} schedules x 3 protocols, {len(failed)} failures"
+        if failed:
+            detail += f"; first: {failed[0]}"
+        report(7, not failed, detail)
 
 
 class TestCriterion8StrongSpecCounterexample:
@@ -226,13 +196,15 @@ class TestCriterion8StrongSpecCounterexample:
 
 class TestCriterion9StructuralLemmas:
     def test_structural_lemmas_on_corpus(self, corpus):
-        ok = not corpus.structural_failures and corpus.t_structural < 120.0
+        others = ("server_union", "client_subgraph")  # criteria 4 and 5
+        lemmas = [f for f in corpus.failed("structural") if f[3].check not in others]
+        ok = not lemmas and corpus.elapsed < 120.0
         detail = (
-            f"{corpus.seeds} schedules, {len(corpus.structural_failures)} lemma failures, "
-            f"{corpus.t_structural:.1f}s < 120s"
+            f"{corpus.seeds} schedules, {len(lemmas)} lemma failures, "
+            f"{corpus.elapsed:.1f}s < 120s"
         )
-        if corpus.structural_failures:
-            detail += f"; first: {corpus.structural_failures[0][:2]}"
+        if lemmas:
+            detail += f"; first: {lemmas[0][:3]}, {lemmas[0][3].check}"
         report(9, ok, detail)
 
 

@@ -5,7 +5,9 @@ and 1,000 small schedules) weighs on the trace bytes, `wide` on the
 structural lemmas, `observe` on the spec checkers and the ot_sequence
 lemma. `wide` and `observe` are also checked on their held-out blocks at
 offset 1; `observe` is read-heavy, and its reads share the list objects
-that the trace encoder writes once.
+that the trace encoder writes once. perfbench's own copy of the verify
+pipeline is compared with `checkers.verify`, verdict by verdict, on
+`corpus` and `wide`.
 perfbench/ is only imported, never changed, and the digests are never
 re-recorded here."""
 
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from otwb import checkers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +53,21 @@ def test_held_out_wide_matches_recorded_digest(verify):
 
 def test_held_out_observe_matches_recorded_digest(verify):
     assert_matches_recorded_digest(verify, "observe", 1)
+
+
+@pytest.mark.parametrize("workload", ["corpus", "wide"])
+def test_perfbench_pipeline_agrees_with_checkers_verify(verify, workload):
+    # perfbench keeps its own copy of the pipeline; check by check, it must
+    # reach the verdicts and witnesses of checkers.verify. It runs no
+    # djupiter structural bundle, so that one is left out.
+    for _, schedule in verify.generate(verify.WORKLOADS[workload], 0, seed=0):
+        out = verify.verify(schedule, verify.no_span)
+        theirs = [("equivalence", None, out.equivalence)]
+        theirs += [("structural", "cjupiter", v) for v in out.structural]
+        for t in out.per_trace:
+            spec = ("convergence", "weak", "strong", "compat")
+            theirs += zip(spec, [t.protocol] * 4, (t.convergence, t.weak, t.strong, t.pairwise))
+        ours = checkers.verify(schedule).verdicts
+        assert {(c, p, v.check): v for c, p, v in ours if (c, p) != ("structural", "djupiter")} == {
+            (c, p, v.check): v for c, p, v in theirs
+        }

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from conftest import seen_masks
-from otwb import checkers
+from otwb import checkers, simnet
 from otwb.checkers import (
+    CHECKS,
     AbstractExecution,
     DoEvent,
     build_abstract_execution,
@@ -23,6 +24,8 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
+from otwb.cli import main
+from otwb.css_space import ProtocolError
 from otwb.simnet import PROTOCOLS, OpRecord, podc16_schedule, random_schedule, run
 
 
@@ -430,25 +433,89 @@ class TestStructural:
         assert "client_subgraph" not in names
 
 
+def compat(A):
+    return check_pairwise_compatibility([e.value for e in A.H])
+
+
+SPEC = {"convergence": check_convergence, "weak": check_weak_spec, "strong": check_strong_spec, "compat": compat}
+SCHEDULES = {
+    "corpus": [podc16_schedule(), *(random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(50))],
+    "wide": [random_schedule(4, 16, seed=s) for s in range(10)],
+    "observe": [random_schedule(3, 12, seed=s, read_probability=1.0) for s in range(10)],
+}
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """(protocol, record_snapshots) of every simnet.run call."""
+    real, seen = simnet.run, []
+
+    def spy(protocol, schedule, record_snapshots=True):
+        seen.append((protocol, record_snapshots))
+        return real(protocol, schedule, record_snapshots)
+
+    monkeypatch.setattr(simnet, "run", spy)
+    return seen
+
+
+class TestVerify:
+    @pytest.mark.parametrize("shape", sorted(SCHEDULES))
+    @pytest.mark.parametrize("protocols", [(p,) for p in PROTOCOLS] + [PROTOCOLS])
+    def test_verdicts_equal_the_direct_calls(self, shape, protocols):
+        for sched in SCHEDULES[shape]:
+            cj, j, dj = runs = [run(p, sched) for p in PROTOCOLS]
+            As = {r.protocol: build_abstract_execution(r.trace) for r in runs if r.protocol in protocols}
+            want = [(c, p, f(As[p])) for c, f in SPEC.items() for p in protocols]
+            if "cjupiter" in protocols or "jupiter" in protocols:
+                want += [("structural", "cjupiter", v) for v in check_structural(cj, j)]
+            if "djupiter" in protocols:
+                want += [("structural", "djupiter", v) for v in check_structural(dj)]
+            want.append(("equivalence", None, check_equivalence(cj.trace, j.trace)))
+            assert list(checkers.verify(sched, protocols=protocols).verdicts) == want
+
+    def test_unknown_check_is_a_value_error(self, replays):
+        with pytest.raises(ValueError, match="unknown check 'weak_spec'"):
+            checkers.verify(podc16_schedule(), ("weak", "weak_spec"))
+        assert replays == []
+
+    @pytest.mark.parametrize("protocols", [(p,) for p in PROTOCOLS] + [PROTOCOLS])
+    @pytest.mark.parametrize("checks", [CHECKS, ("weak",), ("structural",), ("equivalence", "strong")])
+    def test_each_replay_once_and_snapshots_only_for_structural(self, replays, checks, protocols):
+        report = checkers.verify(podc16_schedule(), checks, protocols)
+        structural = "structural" in checks and ("cjupiter" in protocols or "jupiter" in protocols)
+        pair = ("cjupiter", "jupiter") if structural or "equivalence" in checks else ()
+        assert [p for p, _ in replays] == list(report.results) == list(dict.fromkeys(protocols + pair))
+        assert all(snaps == (structural and p != "djupiter") for p, snaps in replays)
+
+    def test_fuzz_default_replays_without_snapshots(self, replays, capsys):
+        assert main(["fuzz", "--seeds", "3"]) == 0
+        assert replays == [("cjupiter", False), ("jupiter", False)] * 3
+
+    def test_replay_that_breaks_fifo_is_a_protocol_error(self, monkeypatch):
+        real = simnet.run
+
+        def swapped(protocol, schedule, record_snapshots=True):
+            res = real(protocol, schedule, record_snapshots)
+            events = list(res.trace.events)
+            a, b = [i for i, e in enumerate(events) if e.kind == "receive" and (e.src, e.dst) == (0, 1)]
+            events[a], events[b] = events[b]._replace(index=a), events[a]._replace(index=b)
+            return dataclasses.replace(res, trace=dataclasses.replace(res.trace, events=tuple(events)))
+
+        monkeypatch.setattr(simnet, "run", swapped)
+        with pytest.raises(ProtocolError, match=r"FIFO violation on channel \(0, 1\)"):
+            checkers.verify(podc16_schedule(), ("weak",), ("cjupiter",))
+
+
 class TestOptimizedInterpreter:
     def test_verdicts_unchanged_under_dash_O(self):
         # No verdict may rest on an assert, which python -O strips.
         script = (
             "import json\n"
             "from otwb import checkers, simnet\n"
-            "out = []\n"
             "scheds = [simnet.podc16_schedule()]\n"
             "scheds += [simnet.random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(30)]\n"
-            "for sched in scheds:\n"
-            "    cj, j, dj = (simnet.run(p, sched) for p in simnet.PROTOCOLS)\n"
-            "    vs = checkers.check_structural(cj, j) + checkers.check_structural(dj)\n"
-            "    vs.append(checkers.check_equivalence(cj.trace, j.trace))\n"
-            "    for r in (cj, j, dj):\n"
-            "        A = checkers.build_abstract_execution(r.trace)\n"
-            "        vs += [checkers.check_convergence(A), checkers.check_weak_spec(A),\n"
-            "               checkers.check_strong_spec(A),\n"
-            "               checkers.check_pairwise_compatibility([e.value for e in A.H])]\n"
-            "    out.append([v.to_json_dict() for v in vs])\n"
+            "out = [[(c, p, v.to_json_dict()) for c, p, v in checkers.verify(s).verdicts]\n"
+            "       for s in scheds]\n"
             "print(json.dumps(out, sort_keys=True))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -462,8 +529,8 @@ class TestOptimizedInterpreter:
             assert proc.returncode == 0, proc.stderr
             outs.append(json.loads(proc.stdout))
         assert outs[0] == outs[1]
-        strong = [v for v in outs[1][0] if v["check"] == "strong_spec"]
-        assert [v["satisfied"] for v in strong] == [False, False, False]
+        strong = [(p, v["satisfied"]) for c, p, v in outs[1][0] if c == "strong"]
+        assert strong == [("cjupiter", False), ("jupiter", False), ("djupiter", False)]
 
     def test_broken_replay_invariants_caught_under_dash_O(self):
         # An edge order that is not antisymmetric, and a server whose

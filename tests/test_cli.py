@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from otwb import simnet
+from otwb.checkers import CHECKS
 from otwb.cli import main
 from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
 
@@ -95,27 +96,18 @@ class TestRun:
         assert joined[0] == 0 and "strong_spec: OK" in joined[1]
         assert invoke(base, capsys)[0] == 1  # the file's own smaller_wins
 
-    def test_random_schedule_via_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("OTWB_SEED", "19")
+    def test_random_schedule_via_seed_flag(self, capsys):
         code, _, _ = invoke(
-            ["run", "--schedule", "random", "--clients", "3", "--ops", "5", "--check", "weak"],
+            ["run", "--schedule", "random", "--seed", "19", "--clients", "3", "--ops", "5", "--check", "weak"],
             capsys,
         )
         assert code == 0
 
-    def test_non_integer_env_seed_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("OTWB_SEED", "abc")
+    def test_random_schedule_without_seed_is_a_usage_error(self, capsys):
         code, out, err = invoke(["run", "--schedule", "random"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "schedule error: OTWB_SEED must be an integer, got 'abc'\n"
-
-    def test_random_schedule_without_seed_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.delenv("OTWB_SEED", raising=False)
-        code, out, err = invoke(["run", "--schedule", "random"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "usage error: --schedule random needs --seed (or OTWB_SEED)\n"
+        assert err == "usage error: --schedule random needs --seed\n"
 
     def test_unreadable_schedule_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
@@ -124,6 +116,27 @@ class TestRun:
         assert out == ""
         assert err.startswith(f"usage error: cannot read schedule file {path}: ")
         assert err.count("\n") == 1
+
+
+class TestCheckSelection:
+    @pytest.mark.parametrize("command", [["run", "--schedule", "builtin:podc16"], ["fuzz", "--seeds", "3"]])
+    @pytest.mark.parametrize(
+        "check, expect, err",
+        [
+            (",", [], "--check ',' names no check"),
+            ("", [], "--check '' names no check"),
+            ("weak,strng", [], f"unknown check 'strng'; pick from {', '.join(CHECKS)} or 'all'"),
+            ("weak", ["strong"], "--expect-violation 'strong' is not a requested check (weak)"),
+            ("all", ["strng"], f"--expect-violation 'strng' is not a requested check ({','.join(CHECKS)})"),
+        ],
+        ids=["comma", "empty", "unknown", "expect-unrequested", "expect-unknown"],
+    )
+    def test_refused_before_any_replay(self, command, check, expect, err, capsys, monkeypatch):
+        flags = ["--check", check, *(f"--expect-violation={c}" for c in expect)]
+        calls = []
+        monkeypatch.setattr(simnet, "run", lambda *a, **k: calls.append(a))
+        assert invoke(command + flags, capsys) == (2, "", f"usage error: {err}\n")
+        assert calls == []
 
 
 class TestFuzz:
