@@ -29,7 +29,6 @@ from .ot_core import (
     Priority,
     PriorityRule,
     apply,
-    check_cp1,
     priority_of,
     to_text,
     transform,
@@ -40,7 +39,6 @@ from .simnet import (
     ScheduleError,
     Simulation,
     Trace,
-    empty_schedule,
     podc16_schedule,
     random_schedule,
     run,
@@ -77,14 +75,12 @@ __all__ = [
     "build_abstract_execution",
     "build_list_order",
     "check_convergence",
-    "check_cp1",
     "check_equivalence",
     "check_pairwise_compatibility",
     "check_strong_spec",
     "check_structural",
     "check_weak_spec",
     "compare_ops",
-    "empty_schedule",
     "podc16_schedule",
     "priority_of",
     "random_schedule",

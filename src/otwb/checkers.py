@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import simnet
-from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, materialize
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, StepHistory, materialize
 from .ot_core import to_text
 from .simnet import OpRecord, RunResult, Schedule, Trace, bit_positions, causal_masks
 
@@ -625,11 +626,8 @@ def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
     for rid, snap in sorted(snapshots.items()):
         for key, edges in snap.vertices.items():
             if len(edges) > n:
-                return Verdict(
-                    "nary_out_degree",
-                    False,
-                    {"replica": rid, "vertex": snap.index.fmt_oids(key), "out_degree": len(edges)},
-                )
+                witness = {"replica": rid, "vertex": snap.index.fmt_oids(key), "out_degree": len(edges)}
+                return Verdict("nary_out_degree", False, witness)
     return Verdict("nary_out_degree", True)
 
 
@@ -642,16 +640,9 @@ def _check_simple_path(snapshots: Dict[int, CssSnapshot]) -> Verdict:
             for e in edges:
                 target_ok = e.target == src | e.op.bit and e.target in snap.vertices
                 if e.op.bit & src or not target_ok or e.op.ctx != src:
-                    return Verdict(
-                        "simple_path",
-                        False,
-                        {
-                            "replica": rid,
-                            "vertex": snap.index.fmt_oids(src),
-                            "edge": e.op.oid.token(),
-                            "target": snap.index.fmt_oids(e.target),
-                        },
-                    )
+                    fmt = snap.index.fmt_oids
+                    witness = {"replica": rid, "vertex": fmt(src), "edge": e.op.oid.token(), "target": fmt(e.target)}
+                    return Verdict("simple_path", False, witness)
     return Verdict("simple_path", True)
 
 
@@ -682,73 +673,71 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                 else:
                     continue
                 return Verdict("css_closure", False, {
-                    "replica": rid,
-                    "vertex": snap.index.fmt_oids(src),
-                    "first": first.op.oid.token(),
-                    "sibling": other.op.oid.token(),
-                    "missing": missing,
-                })
+                    "replica": rid, "vertex": snap.index.fmt_oids(src), "first": first.op.oid.token(),
+                    "sibling": other.op.oid.token(), "missing": missing})
     return Verdict("css_closure", True)
 
 
 def _check_first_rule(result: RunResult) -> Verdict:
     """After the server's k-th step, the first-edge path from any vertex
     carries exactly the arrived oids missing from it, in arrival order.
-
-    While the arrivals so far are distinct, a step is decided from first
-    edges alone (_first_edges_follow_arrivals); a step that this test
-    does not pass is decided by walking every path, which finds the
-    witness."""
+    Decided in one pass (_first_rule_holds); a history that it does not
+    accept is decided by walking every path of every step."""
     steps = result.css_server_steps
     if result.protocol == "cjupiter" and not steps:
         return Verdict("first_rule", True, {"vacuous": "no step snapshots recorded"})
-    arrivals = result.arrival_log
-    # The run's oid bit of each arrival -> 1 << its arrival index, up to
-    # the first repeat. Every step snapshot holds the run's one index.
-    oid_bits = steps[0].index.bits if steps else {}
-    bit: Dict[int, int] = {}
-    for o in arrivals:
-        b = oid_bits.get(o, 0)
-        if not b or b in bit:
-            break
-        bit[b] = 1 << len(bit)
-    present: Dict[int, int] = {}  # vertex -> bitset of the arrivals it holds
+    if steps and _first_rule_holds(steps, result.arrival_log):
+        return Verdict("first_rule", True)
     for k, snap in enumerate(steps):
-        if k <= len(bit) and _first_edges_follow_arrivals(snap, (1 << k) - 1, bit, present):
-            continue
-        witness = _first_paths_mismatch(snap, arrivals[:k])
+        witness = _first_paths_mismatch(snap, result.arrival_log[:k])
         if witness is not None:
             return Verdict("first_rule", False, {"step": k, **witness})
     return Verdict("first_rule", True)
 
 
-def _first_edges_follow_arrivals(
-    snap: CssSnapshot, arrived: int, bit: Dict[int, int], present: Dict[int, int]
-) -> bool:
-    """Whether every first-edge path of snap carries exactly the missing
-    arrivals, in order, when the arrivals `arrived` (a bitset) are
-    distinct. It does if cur is the only vertex that misses none, and every
-    other vertex has a first edge that carries its earliest missing
-    arrival to a vertex missing exactly the rest: each hop then drops the
-    earliest missing arrival, and the path ends at cur. (The hops also
-    show that some vertex misses none, so cur is a vertex.) O(V) for the
-    vertices whose `present` bitset is cached."""
-    miss: Dict[int, int] = {}
-    for key in snap.vertices:
-        held = present.get(key)
-        if held is None:
-            held = present[key] = sum(a for b, a in bit.items() if key & b)
-        miss[key] = arrived & ~held
-    for key, m in miss.items():
-        if not m:
-            if key != snap.cur:
+def _first_rule_holds(history: StepHistory, arrivals: Sequence[Oid]) -> bool:
+    """Whether every step of the server's history passes the first rule,
+    from one pass over its final space. L is the last step, b(x) the birth
+    step of vertex x, cur_k the cur of step k, and arrival i is arrivals[i];
+    the arrivals below L must be distinct oids of the run, or this returns
+    False. f(u) is the first arrival below L that vertex u lacks (L if
+    none), so u misses no arrival at a step k <= f(u). It accepts when
+    every vertex u meets (A) and (B), which a vertex without edges meets
+    only if b(u) = f(u) = L:
+    (A) if b(u) <= f(u), then b(u) = f(u) and u = cur_b(u);
+    (B) if K0 = max(b(u), f(u) + 1) <= L, u's first final edge carries
+        arrival f(u) to t = u | its bit, and b(t) <= K0.
+    Proof, at a step k, by induction on how many arrivals a vertex u of
+    view k misses. None: k <= f(u), so (A) gives k = b(u) = f(u) and u =
+    cur_k. Some: f(u) < k, so K0 <= k and (B) holds. Then t is in view k,
+    and the edge to t is u's first edge there, since a view keeps the final
+    edge order. t misses what u misses but f(u), the earliest, so by
+    induction its path carries the rest in order and ends at cur_k. u is
+    not cur_k: first edges lead from u to a vertex of view k that misses
+    nothing, which is cur_k, and u misses f(u). So u's path is f(u), then
+    t's."""
+    final, marks, births = history.final, history.marks, history.births
+    last = len(marks) - 1
+    seen = arrivals[:last]
+    at = {o: i for i, o in enumerate(seen)}
+    bit = [final.index.bits.get(o, 0) for o in seen]
+    if len(at) != last or not all(bit):
+        return False
+    held = [0, *accumulate(bit, or_)]  # held[i]: the bits of the first i arrivals
+    for u, edges in final.vertices.items():
+        b = births[u]
+        if not edges:
+            if b != last or u != marks[last].cur or held[last] & ~u:
                 return False
             continue
-        edges = snap.vertices[key]
-        if not edges:
+        e = edges[0]
+        f = at.get(e.op.oid)
+        # f = f(u) if u holds the arrivals before f and lacks f; else (B) fails, or f(u) = L.
+        if f is None or held[f] & ~u or u & bit[f]:
             return False
-        low = m & -m
-        if bit.get(edges[0].op.bit) != low or miss.get(edges[0].target) != m ^ low:
+        if b <= f and (b < f or u != marks[f].cur):
+            return False
+        if e.target != u | bit[f] or births.get(e.target, last + 1) > max(b, f + 1):
             return False
     return True
 
@@ -777,15 +766,11 @@ def _check_ot_sequence(result: RunResult) -> Verdict:
     """At the server, each operation transforms against exactly the earlier
     arrivals concurrent with it, in arrival order. Two operations are
     concurrent when neither do event's causal mask holds the other."""
-    dos = [
-        e for e in result.trace.events if e.kind == "do" and e.op is not None and e.op.oid is not None
-    ]
+    dos = [e for e in result.trace.events if e.kind == "do" and e.op is not None and e.op.oid is not None]
     at = {e.op.oid: p for p, e in enumerate(dos)}
     before = causal_masks(dos)  # before[p]: the do events causally before dos[p]
     arrivals = [o.token() for o in result.arrival_log]
-    server_receives = [
-        e for e in result.trace.events if e.kind == "receive" and e.replica == 0
-    ]
+    server_receives = [e for e in result.trace.events if e.kind == "receive" and e.replica == 0]
     for k, e in enumerate(server_receives):
         op_tok = e.op.oid
         # arrivals[:k] were all checked by the arrivals before this one.
@@ -793,18 +778,11 @@ def _check_ot_sequence(result: RunResult) -> Verdict:
         if unknown:
             return Verdict("ot_sequence", False, {"arrival": k, "oid": unknown[0], "error": "no do event"})
         p = at[op_tok]
-        expected = [
-            tok
-            for tok in arrivals[:k]
-            if not (before[p] >> at[tok] & 1 or before[at[tok]] >> p & 1)
-        ]
+        expected = [tok for tok in arrivals[:k] if not (before[p] >> at[tok] & 1 or before[at[tok]] >> p & 1)]
         got = list(e.ot_seq or ())
         if got != expected:
-            return Verdict(
-                "ot_sequence",
-                False,
-                {"arrival": k, "oid": op_tok, "transformed_against": got, "expected": expected},
-            )
+            witness = {"arrival": k, "oid": op_tok, "transformed_against": got, "expected": expected}
+            return Verdict("ot_sequence", False, witness)
     return Verdict("ot_sequence", True)
 
 
@@ -812,15 +790,8 @@ def _check_unique_lca(graphs: Dict[int, _Graph]) -> Verdict:
     for rid, g in sorted(graphs.items()):
         for i, j, lca, count in g.open_pairs:
             if lca is None:
-                return Verdict(
-                    "unique_lca",
-                    False,
-                    {
-                        "replica": rid,
-                        "vertices": [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])],
-                        "lca_count": count,
-                    },
-                )
+                vertices = [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])]
+                return Verdict("unique_lca", False, {"replica": rid, "vertices": vertices, "lca_count": count})
     return Verdict("unique_lca", True)
 
 
@@ -836,16 +807,9 @@ def _check_disjoint_paths(graphs: Dict[int, _Graph]) -> Verdict:
             base = g.keys[lca]
             overlap = g.keys[i] & g.keys[j] & ~base
             if overlap:
-                return Verdict(
-                    "disjoint_lca_paths",
-                    False,
-                    {
-                        "replica": rid,
-                        "vertices": [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])],
-                        "lca": g.fmt_oids(base),
-                        "overlap": g.fmt_oids(overlap),
-                    },
-                )
+                return Verdict("disjoint_lca_paths", False, {
+                    "replica": rid, "vertices": [g.fmt_oids(g.keys[i]), g.fmt_oids(g.keys[j])],
+                    "lca": g.fmt_oids(base), "overlap": g.fmt_oids(overlap)})
     return Verdict("disjoint_lca_paths", True)
 
 
@@ -856,17 +820,11 @@ def _check_vertex_compatibility(distinct: Dict[int, CssSnapshot]) -> Verdict:
         try:
             states = materialize(snap)
         except ProtocolError as exc:
-            return Verdict(
-                "vertex_compatibility", False, {"replica": rid, "error": str(exc)}
-            )
+            return Verdict("vertex_compatibility", False, {"replica": rid, "error": str(exc)})
         # materialize returns the states in vertex_order.
         verdict = check_pairwise_compatibility(list(states.values()))
         if not verdict.satisfied:
-            return Verdict(
-                "vertex_compatibility",
-                False,
-                {"replica": rid, **(verdict.witness or {})},
-            )
+            return Verdict("vertex_compatibility", False, {"replica": rid, **(verdict.witness or {})})
     return Verdict("vertex_compatibility", True)
 
 
@@ -908,71 +866,58 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
     css_vertices = set(css.vertices)
     css_edges = _edge_set(css)
     if union_vertices != css_vertices or union_edges != css_edges:
-        return Verdict(
-            "server_union",
-            False,
-            {
-                "vertices_only_union": _fmt_sorted(union_vertices - css_vertices, union_index),
-                "vertices_only_css": _fmt_sorted(css_vertices - union_vertices, css.index),
-                "edges_only_union": sorted(e.op.oid.token() for _, e in union_edges - css_edges),
-                "edges_only_css": sorted(e.op.oid.token() for _, e in css_edges - union_edges),
-            },
-        )
+        return Verdict("server_union", False, {
+            "vertices_only_union": _fmt_sorted(union_vertices - css_vertices, union_index),
+            "vertices_only_css": _fmt_sorted(css_vertices - union_vertices, css.index),
+            "edges_only_union": sorted(e.op.oid.token() for _, e in union_edges - css_edges),
+            "edges_only_css": sorted(e.op.oid.token() for _, e in css_edges - union_edges)})
     return Verdict("server_union", True)
 
 
 def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verdict:
     """Per replayed step, each client's 2D space is a subgraph of its
-    n-ary space.
-
-    The extra edges of a step are the union, over source vertices, of those
-    of each source, and step k-1 had none. A snapshot shares the edge tuple
-    of every vertex that did not change, so at step k only the sources
-    whose tuple is not the one of step k-1, on either side, are compared."""
+    n-ary space. Decided in one pass (_subgraph_at_every_step); histories
+    that it does not accept are compared step by step."""
     steps2d_by_client = jupiter_result.cscw_client_steps
     if not any(result.css_client_steps.values()) and not any(steps2d_by_client.values()):
         return Verdict("client_subgraph", True, {"vacuous": "no step snapshots recorded"})
     for cid, steps2d in sorted(steps2d_by_client.items()):
         steps_nary = result.css_client_steps.get(cid, ())
         if len(steps2d) != len(steps_nary):
-            return Verdict(
-                "client_subgraph",
-                False,
-                {"client": cid, "steps_2d": len(steps2d), "steps_nary": len(steps_nary)},
-            )
-        prev2d: dict = {}
-        prev_nary: dict = {}
+            witness = {"client": cid, "steps_2d": len(steps2d), "steps_nary": len(steps_nary)}
+            return Verdict("client_subgraph", False, witness)
+        if not steps2d or _subgraph_at_every_step(steps2d, steps_nary):
+            continue
         for k, (snap2d, snap) in enumerate(zip(steps2d, steps_nary)):
             v2d, v_nary = snap2d.vertices, snap.vertices
             if not v2d.keys() <= v_nary.keys():
-                return Verdict(
-                    "client_subgraph",
-                    False,
-                    {
-                        "client": cid,
-                        "step": k,
-                        "extra_vertices": _fmt_sorted(v2d.keys() - v_nary.keys(), snap2d.index),
-                    },
-                )
-            extra = []
-            for src, edges2d in v2d.items():
-                edges = v_nary[src]
-                if edges2d is prev2d.get(src) and edges is prev_nary.get(src):
-                    continue
-                # Tuple membership by ==; hashing every edge of every step costs more.
-                extra += [e.op.oid.token() for e in edges2d if e not in edges]
+                extra = _fmt_sorted(v2d.keys() - v_nary.keys(), snap2d.index)
+                return Verdict("client_subgraph", False, {"client": cid, "step": k, "extra_vertices": extra})
+            extra = [e.op.oid.token() for src, edges in v2d.items() for e in edges if e not in v_nary[src]]
             if extra:
-                return Verdict(
-                    "client_subgraph",
-                    False,
-                    {
-                        "client": cid,
-                        "step": k,
-                        "extra_edges": sorted(extra),
-                    },
-                )
-            prev2d, prev_nary = v2d, v_nary
+                return Verdict("client_subgraph", False, {"client": cid, "step": k, "extra_edges": sorted(extra)})
     return Verdict("client_subgraph", True)
+
+
+def _subgraph_at_every_step(h2d: StepHistory, h: StepHistory) -> bool:
+    """Whether the 2D history h2d is a subgraph of the n-ary history h at
+    each of their equally many steps, from one pass over the final spaces.
+    b2d and b are the birth steps of the two histories. It accepts when
+    every 2D vertex x is an n-ary vertex with b(x) <= b2d(x), and every 2D
+    edge ends at a 2D vertex and equals an n-ary edge out of the same
+    source. Proof: at step k, a 2D vertex x has b(x) <= b2d(x) <= k, so it
+    is in the n-ary view. A 2D edge out of x shown there ends at a vertex t
+    with b2d(t) <= k; its equal n-ary edge out of x ends at t too, and b(t)
+    <= b2d(t) <= k, so the n-ary view shows it."""
+    b2d, b, never = h2d.births, h.births, len(h)
+    nary = h.final.vertices
+    for x, edges in h2d.final.vertices.items():
+        if b.get(x, never) > b2d[x]:
+            return False
+        for e in edges:
+            if e.target not in b2d or e not in nary[x]:
+                return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -995,7 +940,7 @@ class Checked(NamedTuple):
 
 @dataclass(frozen=True)
 class Report:
-    results: Dict[str, RunResult]  # each protocol's one replay: the selected ones, then companions
+    results: Dict[str, RunResult]  # each replay: the selected protocols a check reads, then companions
     verdicts: Tuple[Checked, ...]  # in request order: by check, then by protocol
 
 
@@ -1005,9 +950,10 @@ def verify(
     """Replay the schedule under each selected protocol and decide the checks.
     A spec check decides each selected protocol's abstract execution, built once;
     structural checks cjupiter's spaces against jupiter's when either is selected,
-    and djupiter's when it is; equivalence compares cjupiter with jupiter. Each
-    replay is made once, with step snapshots only where structural reads them,
-    and checked for FIFO delivery (ProtocolError). ValueError for an unknown check."""
+    and djupiter's when it is; equivalence compares cjupiter with jupiter. Only the
+    protocols that a check reads are replayed, each once, with step snapshots only
+    where structural reads them, and checked for FIFO delivery (ProtocolError).
+    ValueError for an unknown check."""
     for c in checks:
         if c not in CHECKS:
             raise ValueError(f"unknown check {c!r}; pick from {', '.join(CHECKS)}")
@@ -1022,7 +968,8 @@ def verify(
         return results[p]
 
     for p in protocols:
-        replay(p)
+        if any(c != "equivalence" or p != "djupiter" for c in checks):
+            replay(p)
     execs: Dict[str, AbstractExecution] = {}
     out: List[Checked] = []
     for check in checks:

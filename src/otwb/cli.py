@@ -3,7 +3,9 @@ seed sweeps, run the specification checkers, and export DOT drawings.
 
 Exit status is 0 only when every requested check lands as expected; an
 --expect-violation flag inverts the expectation for a named check, which
-is how the golden counterexample scenario is asserted in CI.
+is how the golden counterexample scenario is asserted in CI. A check that
+does not land exits 1, a usage or schedule error 2, and a replay that
+breaks a protocol invariant (ProtocolError) 3.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import checkers, dot, simnet
+from .css_space import ProtocolError
 from .ot_core import PriorityRule
 from .simnet import Schedule
 
@@ -82,19 +85,24 @@ def _print_verdicts(report: checkers.Report, expect_violation: List[str], as_jso
         print(line)
 
 
-def _write_outputs(out_dir: Path, report: checkers.Report) -> None:
+def _write_outputs(out_dir: Path, report: checkers.Report, schedule: Schedule, protocol: str) -> None:
+    """The verdicts and every replay's trace, the selected protocol's too when no check read it."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for protocol, res in report.results.items():
-        (out_dir / f"trace_{protocol}.json").write_text(simnet.trace_to_json(res.trace))
+    results = report.results
+    if protocol not in results:
+        results = {protocol: simnet.run(protocol, schedule, record_snapshots=False), **results}
+    for p, res in results.items():
+        (out_dir / f"trace_{p}.json").write_text(simnet.trace_to_json(res.trace))
     doc = {"format": 1, "verdicts": [c.verdict.to_json_dict() for c in report.verdicts]}
     (out_dir / "verdicts.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     checks = _checks(args)
-    report = checkers.verify(_load_schedule(args), checks, (args.protocol,))
+    schedule = _load_schedule(args)
+    report = checkers.verify(schedule, checks, (args.protocol,))
     if args.out:
-        _write_outputs(Path(args.out), report)
+        _write_outputs(Path(args.out), report, schedule, args.protocol)
     _print_verdicts(report, args.expect_violation, args.format == "json")
     return 0 if _evaluate(report, args.expect_violation) else 1
 
@@ -110,13 +118,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         n_clients = 1 + seed % args.clients
         n_updates = 1 + (seed * 7) % args.ops
         schedule = simnet.random_schedule(n_clients, n_updates, seed, rule)
-        report = checkers.verify(schedule, checks, (args.protocol,))
+        try:
+            report = checkers.verify(schedule, checks, (args.protocol,))
+        except ProtocolError as exc:
+            raise ProtocolError(f"seed {seed}: {exc}") from None
         if not _evaluate(report, args.expect_violation):
             print(f"seed {seed} (clients={n_clients}, updates={n_updates}): FAILED")
             _print_verdicts(report, args.expect_violation, False)
             if args.out:
                 out = Path(args.out) / f"seed_{seed}"
-                _write_outputs(out, report)
+                _write_outputs(out, report, schedule, args.protocol)
                 (out / "schedule.json").write_text(simnet.schedule_to_json(schedule))
                 print(f"  wrote failing artifacts under {out}")
             return 1
@@ -226,6 +237,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except ProtocolError as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

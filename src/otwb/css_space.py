@@ -14,9 +14,11 @@ OidIndex records. Every space and snapshot of a run shares that one
 append-only index, so a mask means the same set everywhere in the run,
 and oids are decoded only to format output and to order vertices. A
 vertex's out-edges are kept as SnapEdge(op, target mask), the encoding its
-snapshots use. Checkers work on immutable snapshots taken via snapshot();
-each snapshot shares the edge tuple of every vertex that did not change
-since the one before it, and every snapshot shares each SnapEdge.
+snapshots use. Checkers work on immutable snapshots taken via snapshot(),
+which copies the space; every snapshot shares each SnapEdge. A space only
+grows, so each of its steps is a prefix of its final space: a StepHistory
+keeps one Mark (cur, vertex and edge counts) per step, not a copy, and
+rebuilds a step's view from the final snapshot when it is read.
 
 xform makes each OT square in one pass of its walk loop, under either
 policy: the policy only picks the walk edge and where a new edge goes.
@@ -34,9 +36,11 @@ that they agree.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import accumulate, chain, islice, repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
 
@@ -244,6 +248,63 @@ class CssSnapshot:
         return path
 
 
+class Mark(NamedTuple):
+    """One recorded step of a space: its cur, and how many vertices and
+    edges it held."""
+
+    cur: int
+    vertices: int
+    edges: int
+
+
+class StepHistory(Sequence[CssSnapshot]):
+    """A space's snapshot after each recorded step, held as one Mark per
+    step over the final snapshot; a view is rebuilt each time it is read.
+
+    A space keeps its vertices in creation order. Every edge that xform or
+    append links ends at a vertex made by the same call, and an insert
+    keeps the order of the other edges. So the view at step k is the first
+    marks[k].vertices vertices of the final snapshot, each with its final
+    edges in order, less those whose target is a vertex born after step k;
+    births checks this premise against the marks' counts."""
+
+    def __init__(self, final: CssSnapshot, marks: Sequence[Mark]):
+        self.final, self.marks = final, tuple(marks)
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def __getitem__(self, k: int) -> CssSnapshot:  # type: ignore[override]
+        k = range(len(self.marks))[operator.index(k)]
+        births, (cur, n, _), final = self.births, self.marks[k], self.final
+        items = islice(final.vertices.items(), n)
+        vertices = {m: tuple(e for e in es if births.get(e.target, 0) <= k) for m, es in items}
+        return CssSnapshot(final.rid, cur, vertices, final.index, final.two_d)
+
+    @cached_property
+    def births(self) -> Dict[int, int]:
+        """Each vertex's birth step, the first step whose view holds it.
+        Raises ProtocolError unless the vertex counts never fall and end at
+        the final size, and each view shows its mark's count of edges (an
+        edge is shown from the later of its two ends' births on)."""
+        final, marks, misfit = self.final, self.marks, f"history of replica {self.final.rid}:"
+        counts = [m.vertices for m in marks]
+        if counts != sorted(counts) or counts[-1:] != [len(final.vertices)] or counts[:1] < [0]:
+            raise ProtocolError(f"{misfit} vertex counts {counts} do not grow to {len(final.vertices)}")
+        steps = map(repeat, range(len(counts)), map(operator.sub, counts, [0, *counts]))
+        births = dict(zip(final.vertices, chain.from_iterable(steps)))
+        shown, get = [0] * len(marks), births.get
+        for src, edges in final.vertices.items():
+            b = births[src]
+            for _, target in edges:
+                t = get(target, 0)
+                shown[t if t > b else b] += 1
+        for k, (count, mark) in enumerate(zip(accumulate(shown), marks)):
+            if count != mark.edges:
+                raise ProtocolError(f"{misfit} step {k} shows {count} edges, but its mark counts {mark.edges}")
+        return births
+
+
 class CssSpace:
     """The mutable ordered state space owned by replica rid.
 
@@ -264,15 +325,12 @@ class CssSpace:
         self.vertices: Dict[int, List[SnapEdge]] = {0: []}
         self.cur = 0
         self.last_ot_sequence: Tuple[Oid, ...] = ()
-        # The vertices of the last snapshot, and the vertices created or
-        # given an edge since, in the order they were first touched.
-        self._snap: Dict[int, Tuple[SnapEdge, ...]] = {}
-        self._touched: Dict[int, List[SnapEdge]] = {0: self.vertices[0]}
+        self.n_edges = 0
 
     def _new_vertex(self, mask: int) -> int:
         if mask in self.vertices:
             raise ProtocolError(f"vertex {self.index.fmt_oids(mask)} already exists")
-        self.vertices[mask] = self._touched[mask] = []
+        self.vertices[mask] = []
         return mask
 
     def locate(self, op: ProtoOp) -> int:
@@ -309,7 +367,7 @@ class CssSpace:
         else:
             # Nothing to order against: the fresh vertex of every square.
             edges.append(_tuple_new(SnapEdge, (op, v)))
-            self._touched[u] = edges
+            self.n_edges += 1
 
     def _place(self, u: int, edges: List[SnapEdge], op: ProtoOp, v: int) -> None:
         """Insert the edge (op, v) into u's non-empty edge list where the
@@ -369,7 +427,7 @@ class CssSpace:
             if at is None:
                 at = len(edges)
         edges.insert(at, _tuple_new(SnapEdge, (op, v)))
-        self._touched[u] = edges
+        self.n_edges += 1
 
     def xform(self, op: ProtoOp) -> ProtoOp:
         """Transform op along the path the policy walks from its context
@@ -388,7 +446,7 @@ class CssSpace:
         """
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
-        vertices, touched, fmt, place = self.vertices, self._touched, self.index.fmt_oids, self._place
+        vertices, fmt, place = self.vertices, self.index.fmt_oids, self._place
         v_edges = vertices[v]
         cur, rid, two_d = self.cur, self.rid, self.two_d
         o, oid, bit, ctx, sctx = op
@@ -427,7 +485,7 @@ class CssSpace:
             v2 = v | bit2
             if v2 in vertices:
                 raise ProtocolError(f"vertex {fmt(v2)} already exists")
-            vertices[v2] = touched[v2] = v2_edges = []
+            vertices[v2] = v2_edges = []
             if ctx2 | bit != v:
                 raise ProtocolError(f"link: ctx of {oid2.token()} does not match source vertex")
             v_edges.append(_tuple_new(SnapEdge, (op2_t, v2)))
@@ -437,6 +495,7 @@ class CssSpace:
             ot_seq.append(oid2)
             u, v, v_edges, o, ctx = u2, v2, v2_edges, o_t, ctx | bit2
             op = _tuple_new(ProtoOp, (o, oid, bit, ctx, sctx))
+        self.n_edges += len(ot_seq)  # each square's edge out of its fresh vertex
         self.link(u, v, op)
         self.cur = v
         self.last_ot_sequence = tuple(ot_seq)
@@ -452,18 +511,12 @@ class CssSpace:
         self.cur = v
 
     def snapshot(self) -> CssSnapshot:
-        """Copy the last snapshot's vertex dict and turn into tuples only
-        the edge lists of the vertices touched since, so the cost is O(V)
-        pointer copies plus the touched edges. New vertices were touched in
-        creation order, so the keys keep the order of self.vertices. A
-        dict once handed out is never mutated."""
-        if self._touched:
-            verts = self._snap.copy()
-            for mask, edges in self._touched.items():
-                verts[mask] = tuple(edges)
-            self._snap = verts
-            self._touched = {}
-        return CssSnapshot(self.rid, self.cur, self._snap, self.index, self.two_d)
+        """A copy of the space, its vertices in creation order."""
+        vertices = {mask: tuple(edges) for mask, edges in self.vertices.items()}
+        return CssSnapshot(self.rid, self.cur, vertices, self.index, self.two_d)
+
+    def mark(self) -> Mark:
+        return Mark(self.cur, len(self.vertices), self.n_edges)
 
 
 def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:

@@ -228,10 +228,3 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
     if p1 > p2:
         return _tuple_new(ListOp, (k1, o1.element, p1 - 1, o1.priority))
     return _NOP_OP
-
-
-def check_cp1(o1: ListOp, o2: ListOp, state: ListState) -> bool:
-    """True iff applying o1 then o2' equals applying o2 then o1' on state."""
-    left, _ = apply(apply(state, o1)[0], transform(o2, o1))
-    right, _ = apply(apply(state, o2)[0], transform(o1, o2))
-    return left == right

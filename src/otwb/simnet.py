@@ -2,9 +2,9 @@
 
 A Schedule fixes an execution completely: which client generates what, and
 in which order the FIFO channels (or the broadcast) deliver. run() replays
-a schedule under one protocol and records a Trace of do/send/receive
-events with vector-time metadata. Identical inputs produce byte-identical
-trace JSON.
+a schedule under one protocol, records a Trace of do/send/receive events
+with vector-time metadata, and keeps each space's steps as a StepHistory of
+marks over its final snapshot. Identical inputs give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError
+from .css_space import CssSnapshot, Mark, Oid, OidIndex, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, PriorityRule, to_text
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
 
@@ -352,14 +352,14 @@ class RunResult:
     final_values: Dict[int, ListState]
     arrival_log: Tuple[Oid, ...]
     quiescent: bool
-    # cjupiter / djupiter artifacts
+    # cjupiter / djupiter artifacts; each *_steps is a StepHistory, or () without step snapshots
     css_final: Dict[int, CssSnapshot] = field(default_factory=dict)
-    css_server_steps: Tuple[CssSnapshot, ...] = ()
-    css_client_steps: Dict[int, Tuple[CssSnapshot, ...]] = field(default_factory=dict)
+    css_server_steps: Sequence[CssSnapshot] = ()
+    css_client_steps: Dict[int, Sequence[CssSnapshot]] = field(default_factory=dict)
     # jupiter artifacts: 2D snapshots
     cscw_client_final: Dict[int, CssSnapshot] = field(default_factory=dict)
     cscw_server_final: Dict[int, CssSnapshot] = field(default_factory=dict)
-    cscw_client_steps: Dict[int, Tuple[CssSnapshot, ...]] = field(default_factory=dict)
+    cscw_client_steps: Dict[int, Sequence[CssSnapshot]] = field(default_factory=dict)
 
 
 class Simulation:
@@ -523,18 +523,17 @@ class Simulation:
 
 def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> RunResult:
     """Replay a schedule under a protocol; deterministic in its arguments.
-    Raises ScheduleError at the first step that cannot run."""
+    Raises ScheduleError at the first step that cannot run. With
+    record_snapshots, each recorded space's history holds its snapshot
+    before the first step and after every step that changed it."""
     sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
     spaces = {SERVER_ID: sim.hub.space} if protocol == "cjupiter" else {}
     spaces.update((c, cl.space) for c, cl in sim.clients.items())
-    steps: Dict[int, list] = {rid: [] for rid in spaces}
-    if record_snapshots:
-        for rid, space in spaces.items():
-            steps[rid].append(space.snapshot())
+    marks: Dict[int, List[Mark]] = {rid: [s.mark()] if record_snapshots else [] for rid, s in spaces.items()}
     for i, step in enumerate(schedule.steps):
         rid = sim.step(step, i)
         if record_snapshots and rid in spaces:
-            steps[rid].append(spaces[rid].snapshot())
+            marks[rid].append(spaces[rid].mark())
 
     trace = Trace(
         protocol=protocol,
@@ -554,14 +553,16 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
         arrival_log=tuple(sim.hub.arrival_log),
         quiescent=sim.quiescent(),
     )
-    client_steps = {c: tuple(steps[c]) for c in sim.clients}
+    finals = {rid: space.snapshot() for rid, space in spaces.items()}
+    steps = {rid: StepHistory(finals[rid], m) if m else () for rid, m in marks.items()}
+    client_steps = {c: steps[c] for c in sim.clients}
     if protocol == "jupiter":
-        result.cscw_client_final = {c: cl.space.snapshot() for c, cl in sim.clients.items()}
+        result.cscw_client_final = finals
         result.cscw_server_final = {c: s.snapshot() for c, s in sim.hub.spaces.items()}
         result.cscw_client_steps = client_steps
     else:
-        result.css_final = {rid: space.snapshot() for rid, space in spaces.items()}
-        result.css_server_steps = tuple(steps.get(SERVER_ID, ()))
+        result.css_final = finals
+        result.css_server_steps = steps.get(SERVER_ID, ())
         result.css_client_steps = client_steps
     return result
 
@@ -646,7 +647,3 @@ def podc16_schedule(priority_rule: PriorityRule = PriorityRule.SMALLER_WINS) -> 
         GenerateStep(3, OpSpec("read")),
     )
     return Schedule(3, steps, priority_rule)
-
-
-def empty_schedule(n_clients: int = 1) -> Schedule:
-    return Schedule(n_clients, ())

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from otwb import checkers
-from otwb.css_space import Oid, Ord, ProtocolError, ProtoOp, SnapEdge, compare_ops
-from otwb.ot_core import ListOp, OpKind, transform
-from otwb.simnet import BROADCAST, Simulation, bit_positions, causal_masks, podc16_schedule, run
+from otwb.css_space import Mark, Oid, Ord, ProtocolError, ProtoOp, SnapEdge, StepHistory, compare_ops
+from otwb.ot_core import ListOp, ListState, OpKind, apply, transform
+from otwb.simnet import BROADCAST, Schedule, Simulation, bit_positions, causal_masks, podc16_schedule, run
 
 # The golden scenario's four operations by identity.
 O1 = Oid(1, 1)  # ins x at 0, client 1
@@ -70,6 +71,38 @@ def applicable(o, state):
     if o.kind is OpKind.DEL:
         return o.position < len(state)
     return True
+
+
+def check_cp1(o1, o2, state: ListState) -> bool:
+    """True iff applying o1 then o2' equals applying o2 then o1' on state."""
+    left, _ = apply(apply(state, o1)[0], transform(o2, o1))
+    right, _ = apply(apply(state, o2)[0], transform(o1, o2))
+    return left == right
+
+
+def empty_schedule(n_clients=1):
+    return Schedule(n_clients, ())
+
+
+def swapped_receives(real_run):
+    """simnet.run, but with the first two receives of the lowest client
+    that receives twice from the server swapped in the trace, which breaks
+    FIFO delivery on that channel."""
+
+    def run(protocol, schedule, record_snapshots=True):
+        res = real_run(protocol, schedule, record_snapshots)
+        events = list(res.trace.events)
+        got = {}
+        for i, e in enumerate(events):
+            if e.kind == "receive" and e.src == 0:
+                got.setdefault(e.dst, []).append(i)
+        twice = [got[c][:2] for c in sorted(got) if len(got[c]) > 1]
+        if twice:
+            a, b = twice[0]
+            events[a], events[b] = events[b]._replace(index=a), events[a]._replace(index=b)
+        return dataclasses.replace(res, trace=dataclasses.replace(res.trace, events=tuple(events)))
+
+    return run
 
 
 def vc_less(a, b):
@@ -173,7 +206,7 @@ def oracle_link(space, u, v, op):
     else:
         at = literal_place(edges, op, rid)
     edges.insert(at, SnapEdge(op, v))
-    space._touched[u] = edges
+    space.n_edges += 1
 
 
 def literal_place(edges, op, rid):
@@ -259,3 +292,46 @@ def literal_condition_2(A):
 def literal_cycle(A):
     """The shortest cycle of the list order built pair by pair, or None."""
     return checkers._shortest_cycle(checkers.build_list_order(A).pairs)
+
+
+# --------------------------------------------------------------------------
+# Step histories: the oracle that steps a Simulation, and histories rewritten
+# on (final snapshot, marks).
+
+
+def plain(vertices):
+    """A vertex dict as ordered (mask, ((tuple(op), target), ...)) items,
+    sctx included, which SnapEdge equality leaves out."""
+    return [(m, tuple((tuple(e.op), e.target) for e in edges)) for m, edges in vertices.items()]
+
+
+def stepped_copies(protocol, schedule):
+    """Per replica whose history run records, (cur, plain vertices) copied
+    from scratch before the first step and after each step that changed the
+    space, while stepping a Simulation."""
+    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    spaces = {0: sim.hub.space} if protocol == "cjupiter" else {}
+    spaces.update((c, cl.space) for c, cl in sim.clients.items())
+    copies = {rid: [(s.cur, plain(s.vertices))] for rid, s in spaces.items()}
+    for i, step in enumerate(schedule.steps):
+        sim.step(step, i)
+        for rid, s in spaces.items():
+            now = (s.cur, plain(s.vertices))
+            if now != copies[rid][-1]:
+                copies[rid].append(now)
+    return copies
+
+
+def history_with(history, vertices=None, births=None, curs=None):
+    """A StepHistory over history's final snapshot with its vertex dict
+    replaced by `vertices` (in birth order), whose marks are recounted from
+    each vertex's birth step (`births`, else the history's own) and keep
+    each step's cur unless `curs` maps the step to another. An edge whose
+    target is not a vertex is shown from its source's birth on."""
+    vertices = history.final.vertices if vertices is None else vertices
+    births = {m: (births or history.births)[m] for m in vertices}
+    marks = []
+    for k, (cur, _, _) in enumerate(history.marks):
+        shown = [e for s, es in vertices.items() if births[s] <= k for e in es if births.get(e.target, 0) <= k]
+        marks.append(Mark((curs or {}).get(k, cur), sum(b <= k for b in births.values()), len(shown)))
+    return StepHistory(dataclasses.replace(history.final, vertices=vertices), marks)

@@ -13,9 +13,9 @@ from typing import List
 
 import pytest
 
-from conftest import O1, O2, O3, O4, applicable, text_of
+from conftest import O1, O2, O3, O4, applicable, check_cp1, text_of
 from otwb import checkers
-from otwb.ot_core import Element, ListOp, check_cp1, priority_of
+from otwb.ot_core import Element, ListOp, priority_of
 from otwb.simnet import podc16_schedule, random_schedule, run, trace_to_json
 
 N_SEEDS = 1000

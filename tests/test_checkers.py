@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import seen_masks
+from conftest import empty_schedule, seen_masks, swapped_receives
 from otwb import checkers, simnet
 from otwb.checkers import (
     CHECKS,
@@ -60,8 +60,6 @@ def hand_execution(rows):
 
 class TestBuildAbstractExecution:
     def test_empty_trace(self):
-        from otwb.simnet import empty_schedule
-
         A = build_abstract_execution(run("cjupiter", empty_schedule()).trace)
         assert A.H == ()
         assert A.vis == frozenset()
@@ -334,8 +332,6 @@ class TestEquivalence:
         assert check_equivalence(podc16_cj.trace, podc16_j.trace).satisfied
 
     def test_empty_equal(self):
-        from otwb.simnet import empty_schedule
-
         sched = empty_schedule()
         assert check_equivalence(
             run("cjupiter", sched).trace, run("jupiter", sched).trace
@@ -395,17 +391,16 @@ class TestStructural:
             assert v.satisfied
 
     def test_corrupted_snapshot_caught(self, podc16_cj, podc16_j):
-        # Splice one client's space in place of the server's: the per-step
+        # Splice client 2's history in place of the server's: client 2
+        # generates o3 where the server receives o2, and the per-step
         # first-edge characterization must notice.
         import copy
 
         broken = copy.copy(podc16_cj)
-        broken.css_server_steps = podc16_cj.css_server_steps[:-1] + (
-            podc16_cj.css_final[0],
-        )
-        broken.arrival_log = podc16_cj.arrival_log[:3] + (podc16_cj.arrival_log[2],)
+        broken.css_server_steps = podc16_cj.css_client_steps[2]
         verdicts = {v.check: v for v in check_structural(broken, podc16_j)}
-        assert not verdicts["first_rule"].satisfied
+        assert verdicts["first_rule"].witness == {
+            "step": 2, "vertex": [], "path": ["1:1", "2:1"], "expected": ["1:1", "1:2"]}
 
     def test_step_lemmas_vacuous_without_snapshots(self, podc16_cj, podc16_j):
         # Without step snapshots no step was checked, and the verdicts say so.
@@ -479,29 +474,29 @@ class TestVerify:
         assert replays == []
 
     @pytest.mark.parametrize("protocols", [(p,) for p in PROTOCOLS] + [PROTOCOLS])
-    @pytest.mark.parametrize("checks", [CHECKS, ("weak",), ("structural",), ("equivalence", "strong")])
+    @pytest.mark.parametrize(
+        "checks", [CHECKS, ("weak",), ("structural",), ("equivalence", "strong"), ("equivalence",)]
+    )
     def test_each_replay_once_and_snapshots_only_for_structural(self, replays, checks, protocols):
         report = checkers.verify(podc16_schedule(), checks, protocols)
         structural = "structural" in checks and ("cjupiter" in protocols or "jupiter" in protocols)
         pair = ("cjupiter", "jupiter") if structural or "equivalence" in checks else ()
-        assert [p for p, _ in replays] == list(report.results) == list(dict.fromkeys(protocols + pair))
+        # Equivalence alone reads no selected djupiter.
+        read = tuple(p for p in protocols if checks != ("equivalence",) or p != "djupiter")
+        assert [p for p, _ in replays] == list(report.results) == list(dict.fromkeys(read + pair))
         assert all(snaps == (structural and p != "djupiter") for p, snaps in replays)
 
     def test_fuzz_default_replays_without_snapshots(self, replays, capsys):
         assert main(["fuzz", "--seeds", "3"]) == 0
         assert replays == [("cjupiter", False), ("jupiter", False)] * 3
 
+    def test_fuzz_replays_no_protocol_that_no_check_reads(self, replays, capsys):
+        # Equivalence reads cjupiter and jupiter only, so djupiter is not replayed.
+        assert main(["fuzz", "--protocol", "djupiter", "--seeds", "2"]) == 0
+        assert replays == [("cjupiter", False), ("jupiter", False)] * 2
+
     def test_replay_that_breaks_fifo_is_a_protocol_error(self, monkeypatch):
-        real = simnet.run
-
-        def swapped(protocol, schedule, record_snapshots=True):
-            res = real(protocol, schedule, record_snapshots)
-            events = list(res.trace.events)
-            a, b = [i for i, e in enumerate(events) if e.kind == "receive" and (e.src, e.dst) == (0, 1)]
-            events[a], events[b] = events[b]._replace(index=a), events[a]._replace(index=b)
-            return dataclasses.replace(res, trace=dataclasses.replace(res.trace, events=tuple(events)))
-
-        monkeypatch.setattr(simnet, "run", swapped)
+        monkeypatch.setattr(simnet, "run", swapped_receives(simnet.run))
         with pytest.raises(ProtocolError, match=r"FIFO violation on channel \(0, 1\)"):
             checkers.verify(podc16_schedule(), ("weak",), ("cjupiter",))
 

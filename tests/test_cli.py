@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import empty_schedule, swapped_receives
 from otwb import simnet
 from otwb.checkers import CHECKS
 from otwb.cli import main
-from otwb.simnet import empty_schedule, podc16_schedule, schedule_to_json
+from otwb.simnet import podc16_schedule, schedule_to_json
 
 
 def invoke(argv, capsys):
@@ -116,6 +117,30 @@ class TestRun:
         assert out == ""
         assert err.startswith(f"usage error: cannot read schedule file {path}: ")
         assert err.count("\n") == 1
+
+
+class TestProtocolError:
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["run", "--schedule", "builtin:podc16"], ""), (["fuzz", "--seeds", "2"], "seed 1: ")],
+        ids=["run", "fuzz"],
+    )
+    def test_exits_3_with_one_line(self, argv, prefix, capsys, monkeypatch):
+        # A replay whose trace breaks FIFO delivery: no traceback, status 3.
+        monkeypatch.setattr(simnet, "run", swapped_receives(simnet.run))
+        code, _, err = invoke(argv, capsys)
+        assert code == 3
+        assert err.startswith(f"protocol error: {prefix}FIFO violation on channel (0, ")
+        assert err.count("\n") == 1
+
+    def test_out_writes_the_trace_of_a_protocol_no_check_reads(self, tmp_path, capsys):
+        argv = ["run", "--protocol", "djupiter", "--check", "equivalence", "--schedule", "builtin:podc16"]
+        code, _, _ = invoke(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 0
+        names = ["trace_cjupiter.json", "trace_djupiter.json", "trace_jupiter.json", "verdicts.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        want = simnet.trace_to_json(simnet.run("djupiter", podc16_schedule()).trace)
+        assert (tmp_path / "trace_djupiter.json").read_text() == want
 
 
 class TestCheckSelection:

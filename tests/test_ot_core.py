@@ -4,14 +4,13 @@ import itertools
 
 import pytest
 
-from conftest import EMPTY_STATE, applicable
+from conftest import EMPTY_STATE, applicable, check_cp1
 from otwb.ot_core import (
     Element,
     ListOp,
     OpKind,
     PriorityRule,
     apply,
-    check_cp1,
     priority_of,
     to_text,
     transform,

@@ -2,11 +2,11 @@
 
 import pytest
 
-from conftest import O1, O2, O3, O4, mask, text_of
+from conftest import O1, O2, O3, O4, mask, plain, text_of
 from otwb.css_space import Oid, OidIndex, ProtoOp, ProtocolError
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import CJClient, CJServer, DJReplica, JClient, JServer
-from otwb.simnet import random_schedule, run
+from otwb.simnet import podc16_schedule, random_schedule, run
 
 
 def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
@@ -264,6 +264,32 @@ class TestDJupiter:
                     if e.kind == "do" and e.replica == r
                 ]
                 assert cj_dos == dj_dos
+
+
+def client_events(result):
+    """Per client, its (event kind, oid, list) sequence of do and receive
+    events."""
+    out = {}
+    for e in result.trace.events:
+        if e.replica and e.kind in ("do", "receive"):
+            out.setdefault(e.replica, []).append((e.kind, e.op.oid, e.value))
+    return out
+
+
+class TestDJupiterMatchesCJupiter:
+    def test_client_sequences_and_final_spaces(self):
+        # DJReplica is a CJClient, so this pins the Sequencer's stamps and
+        # order against CJServer's: each client sees the same events and
+        # lists, and ends with the same space, edge order and sctx included.
+        schedules = [podc16_schedule()]
+        schedules += [random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(300)]
+        schedules += [random_schedule(4, 16, seed=s) for s in range(20)]
+        schedules += [random_schedule(3, 12, seed=s, read_probability=1.0) for s in range(20)]
+        for sched in schedules:
+            cj, dj = (run(p, sched, record_snapshots=False) for p in ("cjupiter", "djupiter"))
+            assert client_events(dj) == client_events(cj)
+            for c in range(1, sched.n_clients + 1):
+                assert plain(dj.css_final[c].vertices) == plain(cj.css_final[c].vertices)
 
 
 class TestPriorityKnob:

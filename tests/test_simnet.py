@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
+from conftest import empty_schedule, happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
 from otwb.ot_core import Element, PriorityRule
 from otwb.simnet import (
     BROADCAST,
@@ -21,7 +21,6 @@ from otwb.simnet import (
     Trace,
     TraceEvent,
     check_fifo,
-    empty_schedule,
     podc16_schedule,
     random_schedule,
     run,

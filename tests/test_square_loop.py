@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import literal_place, oracle_link, oracle_xform
+from conftest import literal_place, oracle_link, oracle_xform, plain
 from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError, SnapEdge
 from otwb.ot_core import ListOp
 from otwb.simnet import PROTOCOLS, podc16_schedule, random_schedule, run, trace_to_json
@@ -27,33 +27,18 @@ def schedules():
         yield f"observe seed {s}", random_schedule(3, 12, seed=s, read_probability=1.0)
 
 
-class Edges:
-    """Each snapshot as plain tuples: rid, cur, policy, and per vertex in
-    key order its edges as (tuple(op), target). SnapEdge equality leaves
-    sctx out, tuple(op) keeps it. Snapshots share unchanged edge tuples,
-    so each is expanded once."""
+def snapshot(snap):
+    """A snapshot as plain tuples: rid, cur, policy, and its vertices as
+    plain() writes them, sctx included."""
+    return snap.rid, snap.cur, snap.two_d, plain(snap.vertices)
 
-    def __init__(self):
-        self.expanded = {}
 
-    def edges(self, edges):
-        key = id(edges)
-        if key not in self.expanded:
-            self.expanded[key] = (edges, tuple((tuple(e.op), e.target) for e in edges))
-        return self.expanded[key][1]
-
-    def snapshot(self, snap):
-        vertices = tuple((mask, self.edges(edges)) for mask, edges in snap.vertices.items())
-        return snap.rid, snap.cur, snap.two_d, vertices
-
-    def result(self, res):
-        out = {}
-        for name in FINAL_FIELDS:
-            out[name] = {rid: self.snapshot(s) for rid, s in getattr(res, name).items()}
-        out["css_server_steps"] = tuple(map(self.snapshot, res.css_server_steps))
-        for name in STEP_FIELDS[1:]:
-            out[name] = {rid: tuple(map(self.snapshot, s)) for rid, s in getattr(res, name).items()}
-        return out
+def result(res):
+    out = {name: {rid: snapshot(s) for rid, s in getattr(res, name).items()} for name in FINAL_FIELDS}
+    out["css_server_steps"] = list(map(snapshot, res.css_server_steps))
+    for name in STEP_FIELDS[1:]:
+        out[name] = {rid: list(map(snapshot, s)) for rid, s in getattr(res, name).items()}
+    return out
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -63,7 +48,7 @@ def test_snapshots_and_traces_equal_the_oracle(protocol, monkeypatch):
     monkeypatch.setattr(CssSpace, "link", oracle_link)
     for name, schedule, got in runs:
         want = run(protocol, schedule)
-        assert Edges().result(got) == Edges().result(want), name
+        assert result(got) == result(want), name
         assert trace_to_json(got.trace) == trace_to_json(want.trace), name
 
 

@@ -1,7 +1,8 @@
 """The LCA, compatibility and per-step lemmas, the visibility bitsets and
-the shared step snapshots: their fast paths against literal oracles, and
+the step histories: their fast paths against literal oracles, and
 each lemma shown to fire on a hand-broken space."""
 
+import collections
 import copy
 import dataclasses
 from collections import namedtuple
@@ -10,7 +11,20 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O3, O4, causal_pairs, literal_condition_2, literal_cycle, mask, seen_masks, vc_less
+from conftest import (
+    O1,
+    O3,
+    O4,
+    causal_pairs,
+    history_with,
+    literal_condition_2,
+    literal_cycle,
+    mask,
+    plain,
+    seen_masks,
+    stepped_copies,
+    vc_less,
+)
 from otwb import checkers, simnet
 from otwb.checkers import (
     AbstractExecution,
@@ -23,12 +37,11 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, SnapEdge
+from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, SnapEdge, StepHistory
 from otwb.ot_core import Element, ListOp, priority_of
 from otwb.simnet import (
     PROTOCOLS,
     OpRecord,
-    Simulation,
     bit_positions,
     causal_masks,
     podc16_schedule,
@@ -358,11 +371,13 @@ class TestLabelOnlyDifference:
             "edges_only_union": ["2:1"], "edges_only_css": ["2:1"]}}
 
     def test_client_subgraph(self, podc16_cj, podc16_j):
+        # Client 2's 2D edge o1 from {} is relabelled; its step 1, the
+        # receipt of o1, is the first to show it.
         broken = copy.copy(podc16_j)
         steps = podc16_j.cscw_client_steps
-        broken.cscw_client_steps = {**steps, 2: (*steps[2][:-1], relabel(steps[2][-1], oids(), O1, 1))}
+        broken.cscw_client_steps = {**steps, 2: history_with(steps[2], relabel(steps[2].final, oids(), O1, 1).vertices)}
         failed = {v.check: v.witness for v in check_structural(podc16_cj, broken) if not v.satisfied}
-        assert failed == {"client_subgraph": {"client": 2, "step": len(steps[2]) - 1, "extra_edges": ["1:1"]}}
+        assert failed == {"client_subgraph": {"client": 2, "step": 1, "extra_edges": ["1:1"]}}
 
 
 def server_receives(result):
@@ -472,27 +487,29 @@ class TestDanglingEdge:
             "simple_path", "css_closure", "disjoint_lca_paths", "space_isomorphism", "server_union"}
 
     def test_vertex_emptied_in_last_server_step(self, podc16_cj, podc16_j):
-        # {1:1,2:1} keeps its key but loses its one edge, so its own
-        # first-edge path stalls; the error lists it as tokens.
+        # {1:1,2:1} keeps its key but loses its one edge in the final space,
+        # so from its birth at step 3 (the arrival of o3) its own first-edge
+        # path stalls; the error lists it as tokens.
         broken = copy.copy(podc16_cj)
         steps = podc16_cj.css_server_steps
-        key = mask(steps[-1].index, oids(1, 2))
-        broken.css_server_steps = (*steps[:-1], dataclasses.replace(
-            steps[-1], vertices={**steps[-1].vertices, key: ()}))
+        key = mask(steps.final.index, oids(1, 2))
+        broken.css_server_steps = history_with(steps, {**steps.final.vertices, key: ()})
         failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
         assert failed == {"first_rule": {
-            "step": len(steps) - 1,
+            "step": 3,
             "vertex": ["1:1", "2:1"],
             "error": "first-edge path from ['1:1', '2:1'] stalled before cur",
         }}
 
     def test_vertex_dropped_from_last_server_step(self, podc16_cj, podc16_j):
+        # {1:1} leaves the final space, so the edge from {} dangles. Step 1
+        # ends at cur {1:1}; step 2, the arrival of o2, walks past it.
         broken = copy.copy(podc16_cj)
         steps = podc16_cj.css_server_steps
-        broken.css_server_steps = (*steps[:-1], self.without(steps[-1], self.DROP))
+        broken.css_server_steps = history_with(steps, self.without(steps.final, self.DROP).vertices)
         failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
         assert failed == {"first_rule": {
-            "step": len(steps) - 1,
+            "step": 2,
             "vertex": [],
             "error": "first-edge path from [] reaches ['1:1'], which is not a vertex",
         }}
@@ -939,44 +956,41 @@ def recorded():
     return [(run("cjupiter", s), run("jupiter", s)) for s in scheds]
 
 
-def _mutate_vertices(draw, snap, kind):
-    """A copy of snap's vertex dict with one vertex changed; the dict itself
-    may be shared with other snapshots, so it is not touched."""
-    out = dict(snap.vertices)
-    key = draw(st.sampled_from(list(out)))
-    edges = out[key]
+def _mutate_history(draw, history, donors):
+    """history rewritten on (final snapshot, marks): two edges of a final
+    vertex swapped, a final vertex dropped or emptied, the vertices born at
+    one step born a step later, or the cur of one step or of every step
+    from it onwards moved, each with the marks recounted; or one mark's
+    vertex or edge count off by one, which breaks the history's premise;
+    or a history from `donors` (other replicas) in its place."""
+    kind = draw(st.sampled_from(["swap", "drop", "empty", "late", "cur", "count", "splice"]))
+    if kind == "splice":
+        return draw(st.sampled_from(donors))
+    vertices, births, marks = dict(history.final.vertices), history.births, history.marks
+    k = draw(st.integers(0, len(marks) - 1))
+    if kind == "count":
+        field = draw(st.sampled_from(["vertices", "edges"]))
+        mark = marks[k]._replace(**{field: getattr(marks[k], field) + draw(st.sampled_from([-1, 1]))})
+        return StepHistory(history.final, (*marks[:k], mark, *marks[k + 1 :]))
+    if kind == "cur":
+        view = list(history[k].vertices)
+        last = draw(st.sampled_from([k, len(marks) - 1]))
+        return history_with(history, curs={at: draw(st.sampled_from(view)) for at in range(k, last + 1)})
+    if kind == "late":
+        later = {m: b + (b == k and k < len(marks) - 1) for m, b in births.items()}
+        return history_with(history, births=later)
+    key = draw(st.sampled_from(list(vertices)))
+    edges = vertices[key]
     if kind == "drop":
-        del out[key]
+        del vertices[key]
     elif kind == "empty":
-        out[key] = ()
-    elif kind == "swap" and len(edges) >= 2:
+        vertices[key] = ()
+    elif len(edges) >= 2:
         i, j = sorted(draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True)))
         edges = list(edges)
         edges[i], edges[j] = edges[j], edges[i]
-        out[key] = tuple(edges)
-    return out
-
-
-def _mutate_steps(draw, steps, donors):
-    """steps mutated at one step, or at each step from it onwards: two
-    edges of a vertex swapped, a vertex dropped or emptied, or cur moved;
-    or one step replaced by a snapshot from `donors` (other steps or
-    replicas)."""
-    steps = list(steps)
-    kind = draw(st.sampled_from(["swap", "drop", "empty", "cur", "splice"]))
-    k = draw(st.integers(0, len(steps) - 1))
-    if kind == "splice":
-        steps[k] = draw(st.sampled_from(donors))
-        return tuple(steps)
-    last = draw(st.sampled_from([k, len(steps) - 1]))
-    for at in range(k, last + 1):
-        snap = steps[at]
-        if kind == "cur":
-            snap = dataclasses.replace(snap, cur=draw(st.sampled_from(list(snap.vertices))))
-        else:
-            snap = dataclasses.replace(snap, vertices=_mutate_vertices(draw, snap, kind))
-        steps[at] = snap
-    return tuple(steps)
+        vertices[key] = tuple(edges)
+    return history_with(history, vertices)
 
 
 class TestStepLemmasMatchOracle:
@@ -988,9 +1002,8 @@ class TestStepLemmasMatchOracle:
         arrivals = list(cj.arrival_log)
         kind = data.draw(st.sampled_from(["steps", "swap_arrivals", "repeat_arrival"]))
         if kind == "steps":
-            donors = list(cj.css_server_steps) + list(cj.css_final.values())
-            donors += [s for ss in cj.css_client_steps.values() for s in ss]
-            broken.css_server_steps = _mutate_steps(data.draw, cj.css_server_steps, donors)
+            donors = list(cj.css_client_steps.values())
+            broken.css_server_steps = _mutate_history(data.draw, cj.css_server_steps, donors)
         elif arrivals:
             i = data.draw(st.integers(0, len(arrivals) - 1))
             j = data.draw(st.integers(0, len(arrivals) - 1))
@@ -1012,8 +1025,7 @@ class TestStepLemmasMatchOracle:
             side, history = broken_cj, "css_client_steps"
         per_client = dict(getattr(side, history))
         cid = data.draw(st.sampled_from(sorted(per_client)))
-        donors = [s for ss in per_client.values() for s in ss]
-        per_client[cid] = _mutate_steps(data.draw, per_client[cid], donors)
+        per_client[cid] = _mutate_history(data.draw, per_client[cid], list(per_client.values()))
         setattr(side, history, per_client)
         assert outcome(_check_client_subgraph, broken_cj, broken_j) == outcome(
             oracle_client_subgraph, broken_cj, broken_j
@@ -1028,48 +1040,53 @@ class TestStepLemmasMatchOracle:
 
 
 # --------------------------------------------------------------------------
-# Shared step snapshots against a from-scratch rebuild.
+# Step histories against from-scratch copies taken while stepping.
 
 
-def rebuild(space):
-    """The vertex dict a snapshot of space must equal, built from scratch."""
-    return {key: tuple(edges) for key, edges in space.vertices.items()}
-
-
-class TestSnapshotSharing:
+class TestStepHistory:
     @FAST
-    @given(st.sampled_from(PROTOCOLS), st.integers(0, 199), st.integers(1, 3))
-    def test_snapshot_equals_rebuild_and_shares_the_rest(self, protocol, seed, stride):
-        sched = random_schedule(1 + seed % 4, 1 + (seed * 7) % 8, seed=seed)
-        sim = Simulation(protocol, sched.n_clients, sched.priority_rule)
-        spaces = [cl.space for cl in sim.clients.values()]
-        if protocol == "cjupiter":
-            spaces.append(sim.hub.space)
-        elif protocol == "jupiter":
-            spaces += list(sim.hub.spaces.values())
-        assert all(space.index is sim.index for space in spaces)
-        last = [None] * len(spaces)
-        taken = []  # (snapshot, its ordered items when taken)
-        for i, step in enumerate(sched.steps):
-            sim.step(step, i)
-            if i % stride:
-                continue
-            for s, space in enumerate(spaces):
-                snap = space.snapshot()
-                items = list(snap.vertices.items())
-                assert items == list(rebuild(space).items())
-                assert (snap.cur, snap.rid, snap.two_d) == (space.cur, space.rid, space.two_d)
-                assert snap.index is sim.index
-                if last[s] is not None:
-                    # Every step that touches a vertex changes its edges, so
-                    # an unchanged vertex is one the steps did not touch.
-                    for key, edges in last[s].vertices.items():
-                        if snap.vertices[key] == edges:
-                            assert snap.vertices[key] is edges
-                        # An edge, once linked, is the same object from then on.
-                        now = {id(e) for e in snap.vertices[key]}
-                        assert all(id(e) in now for e in edges)
-                last[s] = snap
-                taken.append((snap, items))
-        for snap, items in taken:
-            assert list(snap.vertices.items()) == items
+    @given(st.sampled_from(PROTOCOLS), st.integers(1, 4), st.integers(0, 10), st.integers(0, 10**6))
+    def test_views_equal_copies_taken_while_stepping(self, protocol, n, u, seed):
+        sched = random_schedule(n, u, seed=seed)
+        res = run(protocol, sched)
+        histories = {0: res.css_server_steps} if protocol == "cjupiter" else {}
+        histories.update(res.cscw_client_steps if protocol == "jupiter" else res.css_client_steps)
+        want = stepped_copies(protocol, sched)
+        assert sorted(histories) == sorted(want)
+        assert len({id(h.final.index) for h in histories.values()}) == 1  # the run's one OidIndex
+        for rid, history in histories.items():
+            assert len(history.marks) == len(want[rid])
+            assert [(snap.cur, plain(snap.vertices)) for snap in history] == want[rid]
+            assert all(snap.index is history.final.index and snap.rid == rid for snap in history)
+            assert all(snap.two_d is (protocol == "jupiter") for snap in history)
+
+    def test_history_that_does_not_fit_its_final_space(self, podc16_cj):
+        # An edge linked to a vertex born before its call would show in the
+        # views before it was made: the marks' edge counts catch it.
+        history = podc16_cj.css_server_steps
+        root = history.final.vertices[0]
+        late = SnapEdge(root[0].op._replace(oid=Oid(9, 9)), root[0].target)
+        broken = StepHistory(dataclasses.replace(history.final, vertices={
+            **history.final.vertices, 0: (*root, late)}), history.marks)
+        with pytest.raises(ProtocolError, match="history of replica 0: step 1 shows 2 edges, but its mark counts 1"):
+            broken[1]
+        short = StepHistory(history.final, history.marks[:-1])
+        with pytest.raises(ProtocolError, match=r"vertex counts \[1, 2, 3, 5\] do not grow to 8"):
+            short.births
+
+    def test_ladder_rung_8_48_matches_the_oracles(self):
+        # V = 544 on the ladder's first rung: one mark before the first step
+        # and one per update or receive event of the replica, and both
+        # lemmas agree with the literal oracles.
+        sched = random_schedule(8, 48, seed=7)
+        cj, j = run("cjupiter", sched), run("jupiter", sched)
+        assert len(cj.css_final[0].vertices) == 544
+        changes = collections.Counter(
+            e.replica for e in cj.trace.events if e.kind == "receive" or e.kind == "do" and e.op.oid)
+        assert len(cj.css_server_steps.marks) == 1 + changes[0]
+        for c, history in cj.css_client_steps.items():
+            assert len(history.marks) == 1 + changes[c] == len(j.cscw_client_steps[c].marks)
+        assert _check_first_rule(cj).to_json_dict() == oracle_first_rule(cj) == {
+            "check": "first_rule", "satisfied": True}
+        assert _check_client_subgraph(cj, j).to_json_dict() == oracle_client_subgraph(cj, j) == {
+            "check": "client_subgraph", "satisfied": True}
