@@ -97,6 +97,11 @@ def _write_outputs(out_dir: Path, report: checkers.Report, schedule: Schedule, p
     (out_dir / "verdicts.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _write_schedule(out_dir: Path, schedule: Schedule) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "schedule.json").write_text(simnet.schedule_to_json(schedule))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     checks = _checks(args)
     schedule = _load_schedule(args)
@@ -118,17 +123,19 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         n_clients = 1 + seed % args.clients
         n_updates = 1 + (seed * 7) % args.ops
         schedule = simnet.random_schedule(n_clients, n_updates, seed, rule)
+        out = Path(args.out) / f"seed_{seed}" if args.out else None
         try:
             report = checkers.verify(schedule, checks, (args.protocol,))
         except ProtocolError as exc:
+            if out:  # the schedule that broke the invariant is all there is to keep
+                _write_schedule(out, schedule)
             raise ProtocolError(f"seed {seed}: {exc}") from None
         if not _evaluate(report, args.expect_violation):
             print(f"seed {seed} (clients={n_clients}, updates={n_updates}): FAILED")
             _print_verdicts(report, args.expect_violation, False)
-            if args.out:
-                out = Path(args.out) / f"seed_{seed}"
+            if out:
+                _write_schedule(out, schedule)
                 _write_outputs(out, report, schedule, args.protocol)
-                (out / "schedule.json").write_text(simnet.schedule_to_json(schedule))
                 print(f"  wrote failing artifacts under {out}")
             return 1
     print(f"fuzz: {args.seeds} seeds, checks [{', '.join(checks)}]: all passed")

@@ -5,6 +5,8 @@ in which order the FIFO channels (or the broadcast) deliver. run() replays
 a schedule under one protocol, records a Trace of do/send/receive events
 with vector-time metadata, and keeps each space's steps as a StepHistory of
 marks over its final snapshot. Identical inputs give byte-identical JSON.
+random_schedule draws seeded schedules over BufferJupiter, a 1D-buffer
+Jupiter that needs ot_core alone.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Mark, Oid, OidIndex, ProtocolError, StepHistory
-from .ot_core import Element, ListOp, ListState, PriorityRule, to_text
-from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
+from .ot_core import Element, ListOp, ListState, PriorityRule, apply, priority_of, to_text, transform
+from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer, _fill_del
 
 SCHEDULE_FORMAT = 1
 TRACE_FORMAT = 1
@@ -396,18 +398,6 @@ class Simulation:
         self.messages = 0
         self.glyphs = 0
 
-    def enabled(self) -> List[DeliverStep]:
-        """The deliveries that can run now: per client in id order, its
-        up-channel then its down-channel. Generators index into this list,
-        so the order is part of every seeded schedule."""
-        acts: List[DeliverStep] = []
-        for c in self.clients:
-            if self.up[c]:
-                acts.append(DeliverStep(SERVER_ID, c))
-            if self.down[c]:
-                acts.append(DeliverStep(c, SERVER_ID))
-        return acts
-
     def quiescent(self) -> bool:
         return not any(self.up.values()) and not any(self.down.values())
 
@@ -571,6 +561,89 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
 # Schedule generation
 
 
+class _BufferEnd:
+    """One end of a client-server link: the messages it sent and received,
+    its channel of messages (op, count received from the other end) in
+    flight, and its sent ops that the other end has not acknowledged, as
+    (own message number, op) transformed up to this end's list."""
+
+    __slots__ = ("sent", "received", "buffer", "channel")
+
+    def __init__(self) -> None:
+        self.sent, self.received, self.buffer, self.channel = 0, 0, [], collections.deque()
+
+    def send(self, o: ListOp) -> None:
+        self.sent += 1
+        self.buffer.append((self.sent, o))
+        self.channel.append((o, self.received))
+
+    def receive(self, peer: "_BufferEnd") -> ListOp:
+        """The peer's next op, transformed against the ops it has not
+        acknowledged as CssSpace.xform pairs them: o' = transform(o, b) and
+        b' = transform(b, o)."""
+        o, acked = peer.channel.popleft()
+        self.received += 1
+        buffer = []
+        for k, b in self.buffer:
+            if k > acked:
+                buffer.append((k, transform(b, o)))
+                o = transform(o, b)
+        self.buffer = buffer
+        return o
+
+
+class BufferJupiter:
+    """Jupiter over 1D buffers (Nichols, Curtis, Dixon & Lamping, UIST
+    1995) on ot_core alone, with the lists that a jupiter replay of the
+    same steps keeps. Client c and the server each hold one _BufferEnd of
+    their link. It checks no step: it runs valid schedules whose inserts
+    carry glyphs."""
+
+    def __init__(self, n_clients: int, rule: PriorityRule):
+        if n_clients < 1:
+            raise ScheduleError("need at least one client")
+        self.rule = rule
+        self.lists: List[ListState] = [()] * (n_clients + 1)  # by replica id
+        self.links = {c: (_BufferEnd(), _BufferEnd()) for c in range(1, n_clients + 1)}  # (client's, server's)
+
+    def enabled(self) -> List[DeliverStep]:
+        """The deliveries that can run now: per client in id order, its
+        up-channel then its down-channel. Generators index into this list,
+        so the order is part of every seeded schedule."""
+        acts: List[DeliverStep] = []
+        for c, (client, server) in self.links.items():
+            if client.channel:
+                acts.append(DeliverStep(SERVER_ID, c))
+            if server.channel:
+                acts.append(DeliverStep(c, SERVER_ID))
+        return acts
+
+    def step(self, step: Step) -> int:
+        """Run one step: apply its op at the replica it runs at, whose id
+        it returns, and send the op on."""
+        if isinstance(step, GenerateStep):
+            rid, spec = step.cid, step.op
+            if spec.kind == "read":
+                return rid
+            own, priority = self.links[rid][0], priority_of(rid, self.rule)
+            if spec.kind == "ins":
+                o = ListOp.ins(Element(spec.glyph, rid, own.sent + 1), spec.pos, priority)
+            else:
+                o = _fill_del(ListOp.del_(spec.pos, priority), self.lists[rid])
+            ends = [own]
+        elif step.to != SERVER_ID:
+            rid, (client, server) = step.to, self.links[step.to]
+            o, ends = client.receive(server), []
+        else:
+            rid, (client, server) = SERVER_ID, self.links[step.frm]
+            o = server.receive(client)
+            ends = [other for c, (_, other) in self.links.items() if c != step.frm]
+        self.lists[rid] = apply(self.lists[rid], o)[0]
+        for end in ends:
+            end.send(o)
+        return rid
+
+
 def random_schedule(
     n_clients: int,
     n_updates: int,
@@ -581,15 +654,15 @@ def random_schedule(
     """Seeded-deterministic schedule: updates with in-range positions,
     arbitrary FIFO-respecting interleaving, full drain, and final reads.
 
-    A live replay tracks every client's actual list so deletion positions
-    always target an existing element. The replay runs jupiter, the
-    cheapest of the three protocols: its clients' lists equal those of a
-    cjupiter or djupiter replay (the equivalence check_equivalence tests),
-    so the draws are the same as under either.
+    Each drawn step runs on a BufferJupiter, which tracks every client's
+    list so that a deletion always targets an existing element. Its lists
+    are those of a jupiter replay, and so of cjupiter and djupiter ones
+    (the equivalence check_equivalence tests), so the draws depend on
+    ot_core alone and on none of the three protocols' replays.
     """
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
-    sim = Simulation("jupiter", n_clients, priority_rule)
+    sim = BufferJupiter(n_clients, priority_rule)
     rng = random.Random(seed)
     steps: List[Step] = []
     generated = 0
@@ -606,7 +679,7 @@ def random_schedule(
         act = rng.choice(actions)
         if act == "generate":
             cid = rng.randint(1, n_clients)
-            length = len(sim.clients[cid].state)
+            length = len(sim.lists[cid])
             if length > 0 and rng.random() < 0.4:
                 spec = OpSpec("del", pos=rng.randint(0, length - 1))
             else:
@@ -615,7 +688,7 @@ def random_schedule(
             act = GenerateStep(cid, spec)
             generated += 1
         steps.append(act)
-        sim.step(act, len(steps) - 1)
+        sim.step(act)
 
     for c in range(1, n_clients + 1):
         steps.append(GenerateStep(c, OpSpec("read")))

@@ -1,12 +1,28 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
 from otwb import checkers
 from otwb.css_space import Mark, Oid, Ord, ProtocolError, ProtoOp, SnapEdge, StepHistory, compare_ops
-from otwb.ot_core import ListOp, ListState, OpKind, apply, transform
-from otwb.simnet import BROADCAST, Schedule, Simulation, bit_positions, causal_masks, podc16_schedule, run
+from otwb.ot_core import ListOp, ListState, OpKind, PriorityRule, apply, transform
+from otwb.protocols import SERVER_ID
+from otwb.simnet import (
+    BROADCAST,
+    GLYPH_POOL,
+    PRNG_NAME,
+    DeliverStep,
+    GenerateStep,
+    OpSpec,
+    Schedule,
+    ScheduleError,
+    Simulation,
+    bit_positions,
+    causal_masks,
+    podc16_schedule,
+    run,
+)
 
 # The golden scenario's four operations by identity.
 O1 = Oid(1, 1)  # ins x at 0, client 1
@@ -133,6 +149,57 @@ def validate_schedule(schedule, protocol):
     sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
     for i, step in enumerate(schedule.steps):
         sim.step(step, i)
+
+
+def enabled_deliveries(sim):
+    """The deliveries a Simulation can run now, read off its channels: per
+    client in id order, its up-channel then its down-channel."""
+    acts = []
+    for c in sim.clients:
+        if sim.up[c]:
+            acts.append(DeliverStep(SERVER_ID, c))
+        if sim.down[c]:
+            acts.append(DeliverStep(c, SERVER_ID))
+    return acts
+
+
+def oracle_random_schedule(
+    n_clients, n_updates, seed, priority_rule=PriorityRule.SMALLER_WINS, read_probability=0.15
+):
+    """random_schedule drawn over a replay of Simulation("jupiter"), whose
+    clients' 2D spaces track the lists that the library's BufferJupiter
+    tracks over 1D buffers."""
+    if n_updates < 0:
+        raise ScheduleError("updates cannot be negative")
+    sim = Simulation("jupiter", n_clients, priority_rule)
+    rng = random.Random(seed)
+    steps = []
+    generated = 0
+    glyphs = 0
+    while True:
+        actions = enabled_deliveries(sim)
+        if generated < n_updates:
+            actions += ["generate", "generate"]
+        if not actions:
+            break
+        if rng.random() < read_probability:
+            steps.append(GenerateStep(rng.randint(1, n_clients), OpSpec("read")))
+        act = rng.choice(actions)
+        if act == "generate":
+            cid = rng.randint(1, n_clients)
+            length = len(sim.clients[cid].state)
+            if length > 0 and rng.random() < 0.4:
+                spec = OpSpec("del", pos=rng.randint(0, length - 1))
+            else:
+                spec = OpSpec("ins", glyph=GLYPH_POOL[glyphs % len(GLYPH_POOL)], pos=rng.randint(0, length))
+                glyphs += 1
+            act = GenerateStep(cid, spec)
+            generated += 1
+        steps.append(act)
+        sim.step(act, len(steps) - 1)
+    for c in range(1, n_clients + 1):
+        steps.append(GenerateStep(c, OpSpec("read")))
+    return Schedule(n_clients, tuple(steps), priority_rule, prng=(PRNG_NAME, seed))
 
 
 def oracle_trace_to_json(trace):

@@ -133,6 +133,16 @@ class TestProtocolError:
         assert err.startswith(f"protocol error: {prefix}FIFO violation on channel (0, ")
         assert err.count("\n") == 1
 
+    def test_fuzz_keeps_the_schedule_that_broke_the_invariant(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simnet, "run", swapped_receives(simnet.run))
+        code, _, err = invoke(["fuzz", "--seeds", "2", "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith("protocol error: seed 1: FIFO violation on channel (0, ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed_1"]
+        kept = simnet.schedule_from_json((tmp_path / "seed_1" / "schedule.json").read_text())
+        assert kept == simnet.random_schedule(2, 8, 1)
+
     def test_out_writes_the_trace_of_a_protocol_no_check_reads(self, tmp_path, capsys):
         argv = ["run", "--protocol", "djupiter", "--check", "equivalence", "--schedule", "builtin:podc16"]
         code, _, _ = invoke(argv + ["--out", str(tmp_path)], capsys)

@@ -4,9 +4,9 @@ import pytest
 
 from conftest import O1, O2, O3, O4, mask, plain, text_of
 from otwb.css_space import Oid, OidIndex, ProtoOp, ProtocolError
-from otwb.ot_core import Element, ListOp, priority_of, to_text
+from otwb.ot_core import Element, ListOp, PriorityRule, priority_of, to_text
 from otwb.protocols import CJClient, CJServer, DJReplica, JClient, JServer
-from otwb.simnet import podc16_schedule, random_schedule, run
+from otwb.simnet import BufferJupiter, DeliverStep, GenerateStep, OpSpec, Schedule, podc16_schedule, random_schedule, run
 
 
 def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
@@ -290,6 +290,59 @@ class TestDJupiterMatchesCJupiter:
             assert client_events(dj) == client_events(cj)
             for c in range(1, sched.n_clients + 1):
                 assert plain(dj.css_final[c].vertices) == plain(cj.css_final[c].vertices)
+
+
+def buffer_events(schedule):
+    """Per replica, server included, the (event kind, list) sequence of a
+    BufferJupiter run of the schedule."""
+    sim = BufferJupiter(schedule.n_clients, schedule.priority_rule)
+    out = {}
+    for step in schedule.steps:
+        rid = sim.step(step)
+        out.setdefault(rid, []).append(("do" if isinstance(step, GenerateStep) else "receive", sim.lists[rid]))
+    return out
+
+
+def replica_events(trace):
+    """Per replica, the (event kind, list) sequence of a trace's do and
+    receive events."""
+    out = {}
+    for e in trace.events:
+        if e.kind in ("do", "receive"):
+            out.setdefault(e.replica, []).append((e.kind, e.value or ()))
+    return out
+
+
+class TestBufferJupiterMatchesJupiter:
+    # The 1D-buffer Jupiter shares only ot_core with the jupiter replay, so
+    # this pins every replica's lists, the server's included, against an
+    # independent implementation.
+    def test_replica_sequences(self):
+        schedules = [podc16_schedule(rule) for rule in PriorityRule]
+        schedules += [random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(300)]
+        schedules += [random_schedule(4, 16, seed=s) for s in range(20)]
+        schedules += [random_schedule(3, 12, seed=s, read_probability=1.0) for s in range(20)]
+        for sched in schedules:
+            assert buffer_events(sched) == replica_events(run("jupiter", sched, record_snapshots=False).trace)
+
+    def test_concurrent_deletes_of_one_element_become_nop(self):
+        steps = (
+            GenerateStep(1, OpSpec("ins", "x", 0)),
+            DeliverStep(0, 1),
+            DeliverStep(2, 0),
+            GenerateStep(1, OpSpec("del", pos=0)),
+            GenerateStep(2, OpSpec("del", pos=0)),
+            DeliverStep(0, 1),
+            DeliverStep(0, 2),
+            DeliverStep(2, 0),
+            DeliverStep(1, 0),
+        )
+        sched = Schedule(2, steps)
+        trace = run("jupiter", sched, record_snapshots=False).trace
+        assert [e.op.kind for e in trace.events if e.kind == "receive"][-3:] == ["nop", "nop", "nop"]
+        events = buffer_events(sched)
+        assert events == replica_events(trace)
+        assert [events[rid][-1][1] for rid in (0, 1, 2)] == [(), (), ()]
 
 
 class TestPriorityKnob:

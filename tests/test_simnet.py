@@ -4,10 +4,20 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_schedule, happens_before, oracle_trace_to_json, text_of, validate_schedule, vc_less
+from conftest import (
+    empty_schedule,
+    enabled_deliveries,
+    happens_before,
+    oracle_random_schedule,
+    oracle_trace_to_json,
+    text_of,
+    validate_schedule,
+    vc_less,
+)
+from otwb import simnet
 from otwb.ot_core import Element, PriorityRule
 from otwb.simnet import (
     BROADCAST,
@@ -106,6 +116,19 @@ class TestScheduleValidation:
             validate_schedule(sched, protocol)
 
 
+GENERATED_DIGEST = "1ce9f774dd1d70e950a10af680d00e63eaa9276225ccc379bbec507e6a3fd8c7"
+
+
+def generated_digest():
+    h = hashlib.sha256()
+    for s in range(50):
+        h.update(schedule_to_json(random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s)).encode() + b"\n")
+    for s in range(5):
+        h.update(schedule_to_json(random_schedule(4, 16, seed=s)).encode() + b"\n")
+        h.update(schedule_to_json(random_schedule(3, 12, seed=s, read_probability=1.0)).encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestRandomSchedule:
     def test_reproducible_across_calls(self):
         a = schedule_to_json(random_schedule(3, 4, seed=9))
@@ -149,15 +172,34 @@ class TestRandomSchedule:
     def test_generated_bytes_match_recorded_digest(self):
         # One sha256 over the schedule JSON of the benchmark's corpus shapes
         # for seeds 0-49 and of its `wide` and `observe` shapes for seeds
-        # 0-4. The generator replays every step on a Simulation, so an
-        # engine change that alters any generated schedule fails here.
-        h = hashlib.sha256()
-        for s in range(50):
-            h.update(schedule_to_json(random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s)).encode() + b"\n")
-        for s in range(5):
-            h.update(schedule_to_json(random_schedule(4, 16, seed=s)).encode() + b"\n")
-            h.update(schedule_to_json(random_schedule(3, 12, seed=s, read_probability=1.0)).encode() + b"\n")
-        assert h.hexdigest() == "1ce9f774dd1d70e950a10af680d00e63eaa9276225ccc379bbec507e6a3fd8c7"
+        # 0-4. The generator draws over a BufferJupiter's lists, so a change
+        # to it, or to the ot_core functions it calls, that alters any
+        # generated schedule fails here.
+        assert generated_digest() == GENERATED_DIGEST
+
+    def test_generated_bytes_need_no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_schedule replayed a Simulation")
+
+        monkeypatch.setattr(simnet, "Simulation", refuse)
+        assert generated_digest() == GENERATED_DIGEST
+
+    # Any shape, seed, rule and share of reads draws what the old draw loop
+    # over a Simulation("jupiter") replay drew, and so does the ladder's top
+    # rung.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @example(n=16, u=128, seed=7, rule=PriorityRule.SMALLER_WINS, read_probability=0.15)
+    @given(
+        n=st.integers(1, 6),
+        u=st.integers(0, 30),
+        seed=st.integers(),
+        rule=st.sampled_from(PriorityRule),
+        read_probability=st.sampled_from([0.0, 0.15, 1.0]),
+    )
+    def test_matches_the_oracle(self, n, u, seed, rule, read_probability):
+        assert random_schedule(n, u, seed, rule, read_probability) == oracle_random_schedule(
+            n, u, seed, rule, read_probability
+        )
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ScheduleError):
@@ -492,6 +534,6 @@ class TestSimulation:
             sim = Simulation(protocol, sched.n_clients, sched.priority_rule)
             for i, step in enumerate(sched.steps):
                 if isinstance(step, DeliverStep):
-                    assert step in sim.enabled()
+                    assert step in enabled_deliveries(sim)
                 sim.step(step, i)
-            assert sim.enabled() == [] and sim.quiescent()
+            assert sim.quiescent()
