@@ -56,8 +56,8 @@ def _load_schedule(args: argparse.Namespace) -> Schedule:
             raise UsageError("--schedule random needs --seed")
         return simnet.random_schedule(args.clients, args.ops, args.seed, rule)
     try:
-        text = Path(src).read_text()
-    except OSError as exc:
+        text = Path(src).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read schedule file {src}: {exc}") from None
     schedule = simnet.schedule_from_json(text)
     if args.priority is not None:

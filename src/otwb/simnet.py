@@ -6,7 +6,8 @@ a schedule under one protocol, records a Trace of do/send/receive events
 with vector-time metadata, and keeps each space's steps as a StepHistory of
 marks over its final snapshot. Identical inputs give byte-identical JSON.
 random_schedule draws seeded schedules over BufferJupiter, a 1D-buffer
-Jupiter that needs ot_core alone.
+Jupiter that needs ot_core alone. Steps are slotted frozen records, and
+the schedules built here share equal deliveries and equal reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Mark, Oid, OidIndex, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, PriorityRule, apply, priority_of, to_text, transform
@@ -41,26 +42,33 @@ class ScheduleError(ValueError):
     or a FIFO channel drawn below empty."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpSpec:
     kind: str  # "ins" | "del" | "read"
     glyph: Optional[str] = None
     pos: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerateStep:
     cid: int
     op: OpSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverStep:
     to: int  # replica id, 0 = server
     frm: int
 
 
 Step = Union[GenerateStep, DeliverStep]
+
+
+def _shared(steps: Iterable[Step]) -> Tuple[Step, ...]:
+    """The steps, with equal deliveries one object and equal reads one
+    object: n clients have at most 2n deliveries and n plain reads."""
+    one: Dict[Step, Step] = {}
+    return tuple(s if isinstance(s, GenerateStep) and s.op.kind != "read" else one.setdefault(s, s) for s in steps)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,8 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
+    """The schedule a document holds; ScheduleError if it is malformed.
+    Equal deliveries and equal reads of one document are one object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -156,7 +166,7 @@ def schedule_from_json(text: str) -> Schedule:
                 raise ScheduleError(f"unknown step type {raw.get('type')!r}")
         rule = PriorityRule(doc.get("priority_rule", "smaller_wins"))
         prng = tuple(doc["prng"]) if "prng" in doc else None
-        return Schedule(_whole(doc["n_clients"], 1, "n_clients"), tuple(steps), rule, prng)
+        return Schedule(_whole(doc["n_clients"], 1, "n_clients"), _shared(steps), rule, prng)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScheduleError):
             raise
@@ -564,13 +574,15 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
 class _BufferEnd:
     """One end of a client-server link: the messages it sent and received,
     its channel of messages (op, count received from the other end) in
-    flight, and its sent ops that the other end has not acknowledged, as
-    (own message number, op) transformed up to this end's list."""
+    flight, its sent ops that the other end has not acknowledged, as
+    (own message number, op) transformed up to this end's list, and the
+    one DeliverStep that takes its channel's next message."""
 
-    __slots__ = ("sent", "received", "buffer", "channel")
+    __slots__ = ("sent", "received", "buffer", "channel", "delivery")
 
-    def __init__(self) -> None:
+    def __init__(self, to: int, frm: int) -> None:
         self.sent, self.received, self.buffer, self.channel = 0, 0, [], collections.deque()
+        self.delivery = DeliverStep(to, frm)
 
     def send(self, o: ListOp) -> None:
         self.sent += 1
@@ -604,19 +616,16 @@ class BufferJupiter:
             raise ScheduleError("need at least one client")
         self.rule = rule
         self.lists: List[ListState] = [()] * (n_clients + 1)  # by replica id
-        self.links = {c: (_BufferEnd(), _BufferEnd()) for c in range(1, n_clients + 1)}  # (client's, server's)
+        self.links = {  # (client's end, server's end)
+            c: (_BufferEnd(SERVER_ID, c), _BufferEnd(c, SERVER_ID)) for c in range(1, n_clients + 1)
+        }
 
     def enabled(self) -> List[DeliverStep]:
         """The deliveries that can run now: per client in id order, its
         up-channel then its down-channel. Generators index into this list,
-        so the order is part of every seeded schedule."""
-        acts: List[DeliverStep] = []
-        for c, (client, server) in self.links.items():
-            if client.channel:
-                acts.append(DeliverStep(SERVER_ID, c))
-            if server.channel:
-                acts.append(DeliverStep(c, SERVER_ID))
-        return acts
+        so the order is part of every seeded schedule. Each is the one
+        step its channel's end holds."""
+        return [end.delivery for link in self.links.values() for end in link if end.channel]
 
     def step(self, step: Step) -> int:
         """Run one step: apply its op at the replica it runs at, whose id
@@ -658,11 +667,15 @@ def random_schedule(
     list so that a deletion always targets an existing element. Its lists
     are those of a jupiter replay, and so of cjupiter and djupiter ones
     (the equivalence check_equivalence tests), so the draws depend on
-    ot_core alone and on none of the three protocols' replays.
+    ot_core alone and on none of the three protocols' replays. Every
+    delivery is the one step of its channel direction that the
+    BufferJupiter holds, and every read the one read step of its client.
     """
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
     sim = BufferJupiter(n_clients, priority_rule)
+    read = OpSpec("read")
+    reads = {c: GenerateStep(c, read) for c in range(1, n_clients + 1)}  # one read step per client
     rng = random.Random(seed)
     steps: List[Step] = []
     generated = 0
@@ -675,7 +688,7 @@ def random_schedule(
             break
         if rng.random() < read_probability:
             # Reads change no state, so they need not run here.
-            steps.append(GenerateStep(rng.randint(1, n_clients), OpSpec("read")))
+            steps.append(reads[rng.randint(1, n_clients)])
         act = rng.choice(actions)
         if act == "generate":
             cid = rng.randint(1, n_clients)
@@ -690,8 +703,7 @@ def random_schedule(
         steps.append(act)
         sim.step(act)
 
-    for c in range(1, n_clients + 1):
-        steps.append(GenerateStep(c, OpSpec("read")))
+    steps += reads.values()
     return Schedule(n_clients, tuple(steps), priority_rule, prng=(PRNG_NAME, seed))
 
 
@@ -719,4 +731,4 @@ def podc16_schedule(priority_rule: PriorityRule = PriorityRule.SMALLER_WINS) -> 
         GenerateStep(2, OpSpec("read")),
         GenerateStep(3, OpSpec("read")),
     )
-    return Schedule(3, steps, priority_rule)
+    return Schedule(3, _shared(steps), priority_rule)

@@ -118,6 +118,19 @@ class TestRun:
         assert err.startswith(f"usage error: cannot read schedule file {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "export-dot"])
+    def test_schedule_file_that_is_not_utf8_is_a_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+        argv = [command, "--schedule", str(path)]
+        if command == "export-dot":
+            argv += ["--out", str(tmp_path / "dots")]
+        code, out, err = invoke(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot read schedule file {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestProtocolError:
     @pytest.mark.parametrize(
