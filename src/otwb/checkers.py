@@ -401,20 +401,20 @@ def check_strong_spec(A: AbstractExecution) -> Verdict:
     """A single global list order consistent with every returned list must
     exist and be acyclic; the union order is the only candidate. Unless
     _list_order_acyclic, the shortest cycle of the list order is the
-    witness."""
+    witness; a cycle that _shortest_cycle cannot find raises ProtocolError."""
     if _list_order_acyclic(A):
         return Verdict("strong_spec", True)
     cycle = _shortest_cycle(A.list_order.pairs)
-    if cycle is not None:
-        return Verdict(
-            "strong_spec",
-            False,
-            {
-                "cycle": [f"{g}@{c}:{s}" for g, c, s in cycle],
-                "elements": sorted(g for g, _, _ in cycle),
-            },
-        )
-    return Verdict("strong_spec", True)
+    if cycle is None:
+        raise ProtocolError("strong_spec: the list order has a cycle, but no shortest cycle was found")
+    return Verdict(
+        "strong_spec",
+        False,
+        {
+            "cycle": [f"{g}@{c}:{s}" for g, c, s in cycle],
+            "elements": sorted(g for g, _, _ in cycle),
+        },
+    )
 
 
 def check_pairwise_compatibility(states: Sequence[Value]) -> Verdict:

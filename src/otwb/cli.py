@@ -49,12 +49,17 @@ def _rule(args: argparse.Namespace) -> PriorityRule:
 def _load_schedule(args: argparse.Namespace) -> Schedule:
     src = args.schedule
     rule = _rule(args)
-    if src == "builtin:podc16":
-        return simnet.podc16_schedule(rule)
     if src == "random":
         if args.seed is None:
             raise UsageError("--schedule random needs --seed")
-        return simnet.random_schedule(args.clients, args.ops, args.seed, rule)
+        clients = 3 if args.clients is None else args.clients
+        ops = 6 if args.ops is None else args.ops
+        return simnet.random_schedule(clients, ops, args.seed, rule)
+    flags = [f for f, v in (("--seed", args.seed), ("--clients", args.clients), ("--ops", args.ops)) if v is not None]
+    if flags:
+        raise UsageError(f"--schedule {src} takes no {', '.join(flags)}; only random does")
+    if src == "builtin:podc16":
+        return simnet.podc16_schedule(rule)
     try:
         text = Path(src).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -205,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def schedule(p: argparse.ArgumentParser) -> None:
         p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--clients", type=int, default=3)
-        p.add_argument("--ops", type=int, default=6)
+        p.add_argument("--seed", type=int, help="random: seed (>= 0)")
+        p.add_argument("--clients", type=int, help="random: clients (default 3)")
+        p.add_argument("--ops", type=int, help="random: updates (default 6)")
 
     run_p = sub.add_parser("run", help="replay one schedule and check it")
     replay(run_p)

@@ -20,13 +20,15 @@ grows, so each of its steps is a prefix of its final space: a StepHistory
 keeps one Mark (cur, vertex and edge counts) per step, not a copy, and
 rebuilds a step's view from the final snapshot when it is read.
 
+A space grows only at cur: append, and the end of xform, add the
+operation's edge as the only edge out of cur and move cur along it.
 xform makes each OT square in one pass of its walk loop, under either
 policy: the policy only picks the walk edge and where a new edge goes.
 The loop builds both transformed operations with tuple.__new__, makes the
 fresh vertex with its single edge, and places the operation's edge with
-_place, the helper link uses too. Every check that ProtoOp and link make
-is kept: the loop makes the ones its induction does not settle inline,
-with their messages. _place orders a new edge against an existing one
+_place. Every check that ProtoOp and an edge's ends need is kept: the
+loop makes the ones its induction does not settle inline, with their
+messages. _place orders a new edge against an existing one
 from the two server-context bit tests when exactly one of them fires, where
 compare_ops provably gives opposite orders both ways (the proof is in
 _place's docstring); otherwise it calls compare_ops both ways and checks
@@ -262,7 +264,7 @@ class StepHistory(Sequence[CssSnapshot]):
     step over the final snapshot; a view is rebuilt each time it is read.
 
     A space keeps its vertices in creation order. Every edge that xform or
-    append links ends at a vertex made by the same call, and an insert
+    append adds ends at a vertex made by the same call, and an insert
     keeps the order of the other edges. So the view at step k is the first
     marks[k].vertices vertices of the final snapshot, each with its final
     edges in order, less those whose target is a vertex born after step k;
@@ -346,33 +348,23 @@ class CssSpace:
             )
         return op.ctx
 
-    def link(self, u: int, v: int, op: ProtoOp) -> None:
-        """Insert the edge (op, v) into u's ordered edge list, where the
-        policy puts it.
-
-        Idempotent when an edge with the same oid is already present.
-        """
-        edges = self.vertices.get(u)
-        if edges is None or v not in self.vertices:
-            raise ProtocolError(
-                f"link: {self.index.fmt_oids(u if edges is None else v)} "
-                f"is not a vertex of replica {self.rid}"
-            )
-        if op.ctx != u:
-            raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
-        if v != u | op.bit:
-            raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
+    def _grow(self, op: ProtoOp, v: int) -> None:
+        """Add the edge (op, v) as the only edge out of cur, and move cur to
+        v. cur never has an edge of its own in a replay; vertices is public,
+        so that is checked."""
+        edges = self.vertices[self.cur]
         if edges:
-            self._place(u, edges, op, v)
-        else:
-            # Nothing to order against: the fresh vertex of every square.
-            edges.append(_tuple_new(SnapEdge, (op, v)))
-            self.n_edges += 1
+            raise ProtocolError(
+                f"cur {self.index.fmt_oids(self.cur)} of replica {self.rid} already has an edge"
+            )
+        edges.append(_tuple_new(SnapEdge, (op, v)))
+        self.n_edges += 1
+        self.cur = v
 
     def _place(self, u: int, edges: List[SnapEdge], op: ProtoOp, v: int) -> None:
         """Insert the edge (op, v) into u's non-empty edge list where the
-        policy puts it, unless an edge of op's oid is there already: every
-        edge of op's oid out of u ends at u | op.bit, so it is the same edge.
+        policy puts it. None of u's edges has op's bit: v = u | op.bit is a
+        vertex that xform has just made.
 
         Under the n-ary policy compare_ops must be a strict total order on
         every co-existing edge set, and that is not proved, so it is
@@ -394,11 +386,7 @@ class CssSpace:
         finds LEFT twice, which breaks the order) or neither is, or when e
         has op's oid (it then raises before any test).
         """
-        bit = op.bit
-        for e in edges:
-            if e[0].bit == bit:
-                return
-        rid = self.rid
+        bit, rid = op.bit, self.rid
         if self.two_d:
             own = op.oid.cid == rid
             for e in edges:
@@ -439,7 +427,7 @@ class CssSpace:
         v2 = v | op2.bit, gives v its single edge (op2 transformed by op,
         v2), places op's edge (op, v) at u, and goes on with op transformed
         by op2. Both transformed ops are built by tuple.__new__, and _place
-        serves both policies.
+        serves both policies. At cur, _grow adds op's last edge.
 
         The sequence of oids transformed against is kept in
         last_ot_sequence for the structural checkers.
@@ -454,9 +442,9 @@ class CssSpace:
         ot_seq: List[Oid] = []
         # Along the walk v == ctx | bit, with bit not in ctx: that holds at
         # the start (op is a valid ProtoOp) and each square adds op2's bit
-        # to both. So of the checks that ProtoOp and link would make, three
-        # are left, made inline with their messages: op2's bit is not op's
-        # (op transformed would list itself in its context), op2
+        # to both. So of the checks that ProtoOp and an edge's ends need,
+        # three are left, made inline with their messages: op2's bit is
+        # not op's (op transformed would list itself in its context), op2
         # transformed has context v, and op has context u (the last walk
         # edge ended where it should). The others hold by construction:
         # op's and op2's bits are single bits of valid ops, v2 extends v by
@@ -496,8 +484,9 @@ class CssSpace:
             u, v, v_edges, o, ctx = u2, v2, v2_edges, o_t, ctx | bit2
             op = _tuple_new(ProtoOp, (o, oid, bit, ctx, sctx))
         self.n_edges += len(ot_seq)  # each square's edge out of its fresh vertex
-        self.link(u, v, op)
-        self.cur = v
+        if ctx != u:
+            raise ProtocolError(f"link: ctx of {oid.token()} does not match source vertex")
+        self._grow(op, v)
         self.last_ot_sequence = tuple(ot_seq)
         return op
 
@@ -506,9 +495,7 @@ class CssSpace:
         must equal cur)."""
         if op.ctx != self.cur:
             raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
-        v = self._new_vertex(self.cur | op.bit)
-        self.link(self.cur, v, op)
-        self.cur = v
+        self._grow(op, self._new_vertex(self.cur | op.bit))
 
     def snapshot(self) -> CssSnapshot:
         """A copy of the space, its vertices in creation order."""

@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional, Tuple
 class OpKind(enum.Enum):
     INS = "ins"
     DEL = "del"
-    READ = "read"
     NOP = "nop"
 
 
@@ -68,7 +67,7 @@ class Priority(NamedTuple):
         return self.cid > other.cid
 
 
-_INS, _DEL, _READ, _NOP = OpKind.INS, OpKind.DEL, OpKind.READ, OpKind.NOP
+_INS, _NOP = OpKind.INS, OpKind.NOP
 _tuple_new = tuple.__new__
 
 
@@ -86,11 +85,11 @@ class _ListOpFields(NamedTuple):
 
 
 class ListOp(_ListOpFields):
-    """One list operation: Ins, Del, Read, or Nop.
+    """One list operation: Ins, Del, or Nop.
 
     Ins carries the inserted element; Del records the element it deleted,
-    filled in by the generating replica (None until then). Read and Nop
-    carry no payload at all.
+    filled in by the generating replica (None until then). Nop carries no
+    payload at all.
 
     A validating NamedTuple: it equals its (kind, element, position,
     priority) tuple, and _replace checks the new fields too.
@@ -105,7 +104,7 @@ class ListOp(_ListOpFields):
         position: Optional[int] = None,
         priority: Optional[Priority] = None,
     ) -> "ListOp":
-        if kind is _READ or kind is _NOP:
+        if kind is _NOP:
             if element is not None or position is not None or priority is not None:
                 raise ValueError(f"{kind.value} carries no element, position, or priority")
         else:
@@ -128,10 +127,6 @@ class ListOp(_ListOpFields):
     @classmethod
     def del_(cls, position: int, priority: Priority, element: Optional[Element] = None) -> "ListOp":
         return cls(OpKind.DEL, element, position, priority)
-
-    @classmethod
-    def read(cls) -> "ListOp":
-        return cls(OpKind.READ)
 
     @classmethod
     def nop(cls) -> "ListOp":
@@ -166,7 +161,7 @@ def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
     last element. Del on an empty list does nothing.
     """
     kind = o.kind
-    if kind is _READ or kind is _NOP:
+    if kind is _NOP:
         return state, state
     if kind is _INS:
         element = o.element
@@ -191,18 +186,15 @@ _NOP_OP = ListOp.nop()  # immutable, so every degenerate deletion shares it
 def transform(o1: ListOp, o2: ListOp) -> ListOp:
     """Transform o1 against a concurrent o2, returning o1'.
 
-    Nop absorbs: transform(Nop, _) = Nop and transform(o, Nop) = o. Read
-    is local-only and never transforms. An Ins/Del keeps its kind and
-    element and only moves position, except two deletions of the same
-    position, where o1 degenerates to Nop.
+    Nop absorbs: transform(Nop, _) = Nop and transform(o, Nop) = o. An
+    Ins/Del keeps its kind and element and only moves position, except two
+    deletions of the same position, where o1 degenerates to Nop.
 
     A moved o1 is built without re-validating: it keeps o1's kind,
     element and priority, which ListOp checked when o1 was made, and its
     position is p1 + 1 or p1 - 1 with p1 > p2 >= 0, never negative.
     """
     k1, k2 = o1.kind, o2.kind
-    if k1 is _READ or k2 is _READ:
-        raise ValueError("read operations do not transform")
     if k1 is _NOP or k2 is _NOP:
         return o1
 

@@ -76,12 +76,7 @@ class CJClient:
     def make_del(self, position: int) -> ListOp:
         return ListOp.del_(position, priority_of(self.cid, self.rule))
 
-    def read(self) -> ListState:
-        return self.state
-
     def do(self, o: ListOp) -> DoResult:
-        if o.kind is OpKind.READ:
-            raise ProtocolError("route reads through read(), not do()")
         if o.kind is OpKind.INS and (o.element.origin_cid, o.element.origin_seq) != (
             self.cid,
             self.seq + 1,
@@ -136,9 +131,6 @@ class CJServer(Sequencer):
         self.state, value = apply(self.state, applied.o)
         return stamped._replace(value=value, applied=applied, ot_seq=self.space.last_ot_sequence)
 
-    def read(self) -> ListState:
-        return self.state
-
 
 class JClient(CJClient):
     """A jupiter client: the same steps over a 2D space."""
@@ -173,9 +165,6 @@ class JServer:
         if len({s.cur for s in self.spaces.values()}) != 1:
             raise ProtocolError("per-client server spaces diverged")
         return RecvResult(value, applied, self.spaces[origin].last_ot_sequence, tuple(fanout))
-
-    def read(self) -> ListState:
-        return self.state
 
 
 class DJReplica(CJClient):

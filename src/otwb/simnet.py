@@ -97,7 +97,7 @@ def _replica_id(name: object) -> int:
 
 
 def _whole(value: object, least: int, what: str) -> int:
-    """A JSON integer >= least; booleans are not integers here."""
+    """An integer >= least; booleans are not integers here."""
     if type(value) is not int or value < least:
         raise ScheduleError(f"{what} must be an integer >= {least}, got {value!r}")
     return value
@@ -165,7 +165,11 @@ def schedule_from_json(text: str) -> Schedule:
             else:
                 raise ScheduleError(f"unknown step type {raw.get('type')!r}")
         rule = PriorityRule(doc.get("priority_rule", "smaller_wins"))
-        prng = tuple(doc["prng"]) if "prng" in doc else None
+        prng = doc.get("prng")
+        if "prng" in doc:
+            if type(prng) is not list or len(prng) != 2 or type(prng[0]) is not str:
+                raise ScheduleError(f"prng must be [generator name, seed], got {prng!r}")
+            prng = (prng[0], _whole(prng[1], 0, "prng seed"))
         return Schedule(_whole(doc["n_clients"], 1, "n_clients"), _shared(steps), rule, prng)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScheduleError):
@@ -673,6 +677,8 @@ def random_schedule(
     """
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
+    # random.Random(-s) draws what Random(s) draws.
+    _whole(seed, 0, "seed")
     sim = BufferJupiter(n_clients, priority_rule)
     read = OpSpec("read")
     reads = {c: GenerateStep(c, read) for c in range(1, n_clients + 1)}  # one read step per client

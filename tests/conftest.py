@@ -246,8 +246,10 @@ def oracle_trace_to_json(trace):
 
 
 def oracle_link(space, u, v, op):
-    """CssSpace.link spelled out: every check on every call, and
-    compare_ops run both ways against every existing edge."""
+    """Insert the edge (op, v) at any vertex u where the policy puts it:
+    every check on every call, and compare_ops run both ways against every
+    existing edge. A replay adds edges only where xform and append do;
+    tests use this to hand-build spaces, and the oracles below use it."""
     edges = space.vertices.get(u)
     if edges is None or v not in space.vertices:
         raise ProtocolError(
@@ -327,6 +329,15 @@ def oracle_xform(space, op):
     space.cur = v
     space.last_ot_sequence = tuple(ot_seq)
     return op
+
+
+def oracle_append(space, op):
+    """CssSpace.append as an oracle_link from cur."""
+    if op.ctx != space.cur:
+        raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
+    v = space._new_vertex(space.cur | op.bit)
+    oracle_link(space, space.cur, v, op)
+    space.cur = v
 
 
 def literal_condition_2(A):

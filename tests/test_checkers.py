@@ -263,6 +263,13 @@ class TestStrongSpec:
         assert not verdict.satisfied
         assert set(verdict.witness["elements"]) == {"a", "x", "b"}
 
+    def test_cycle_without_a_witness_is_a_protocol_error(self, podc16_cj, monkeypatch):
+        # Kahn's pass finds podc16's cycle; a search that then finds none
+        # must not turn into a satisfied verdict.
+        monkeypatch.setattr(checkers, "_shortest_cycle", lambda pairs: None)
+        with pytest.raises(ProtocolError, match="no shortest cycle"):
+            check_strong_spec(build_abstract_execution(podc16_cj.trace))
+
     def test_single_replica_satisfies(self):
         A = build_abstract_execution(run("cjupiter", random_schedule(1, 6, 4)).trace)
         assert check_strong_spec(A).satisfied

@@ -104,6 +104,30 @@ class TestRun:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["run", "export-dot"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--seed", "3", "--clients", "9"], "--seed, --clients"), (["--ops", "6"], "--ops")],
+        ids=["seed-clients", "ops"],
+    )
+    def test_random_only_flags_on_another_schedule_are_a_usage_error(self, command, flags, named, tmp_path, capsys):
+        path = tmp_path / "podc16.json"
+        path.write_text(schedule_to_json(podc16_schedule()))
+        for src in ("builtin:podc16", str(path)):
+            argv = [command, "--schedule", src, *flags]
+            if command == "export-dot":
+                argv += ["--out", str(tmp_path / "dots")]
+            err = f"usage error: --schedule {src} takes no {named}; only random does\n"
+            assert invoke(argv, capsys) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--schedule", "random", "--seed", "-5"], ["fuzz", "--seeds", "2", "--seed-start", "-5"]],
+        ids=["run", "fuzz"],
+    )
+    def test_negative_seed_is_a_schedule_error(self, argv, capsys):
+        assert invoke(argv, capsys) == (2, "", "schedule error: seed must be an integer >= 0, got -5\n")
+
     def test_random_schedule_without_seed_is_a_usage_error(self, capsys):
         code, out, err = invoke(["run", "--schedule", "random"], capsys)
         assert code == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, O3, O4, mask
+from conftest import O1, O2, O3, O4, mask, oracle_link
 from otwb.css_space import (
     CssSpace,
     Oid,
@@ -18,6 +18,7 @@ from otwb.css_space import (
 )
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import CJClient, CJServer
+from otwb.simnet import PROTOCOLS, Simulation, podc16_schedule, random_schedule
 
 
 def ins(glyph, pos, cid, seq):
@@ -148,50 +149,16 @@ class TestLink:
         v1 = snap.vertices[mask(snap.index, [O1])]
         assert [e.op.oid for e in v1] == [O2, O3, O4]
 
-    def test_double_link_is_idempotent(self):
-        s = CssSpace(rid=1)
-        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
-        s.append(o)
-        u, v = 0, s.cur
-        s.link(u, v, o)
-        assert len(s.vertices[u]) == 1
-
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1)
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(9, 9)})
         with pytest.raises(ProtocolError):
             s.locate(o)
         with pytest.raises(ProtocolError):
-            s.link(0, 0, o)
-
-    def test_source_or_target_not_a_vertex_rejected(self):
-        # The oid sets extend each other correctly, but one end is not a
-        # vertex of the space: a ProtocolError, never a KeyError.
-        s = CssSpace(rid=1)
-        ix = s.index
-        o = op(ix, ins("x", 0, 1, 1), Oid(1, 1))
-        with pytest.raises(ProtocolError, match="is not a vertex"):
-            s.link(0, mask(ix, [Oid(1, 1)]), o)
-        s.append(o)
-        o2 = op(ix, ins("y", 0, 1, 2), Oid(1, 2), ctx={Oid(2, 1)})
-        with pytest.raises(ProtocolError, match="is not a vertex"):
-            s.link(mask(ix, [Oid(2, 1)]), mask(ix, [Oid(2, 1), Oid(1, 2)]), o2)
+            s.append(o)
 
 
 class TestIntegrityChecks:
-    def test_link_to_vertex_that_does_not_extend_source(self):
-        # {2:1} is a vertex, but not the root plus 1:1.
-        s = CssSpace(rid=1)
-        o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
-        s.append(o)
-        other = s._new_vertex(mask(s.index, [Oid(2, 1)]))
-        with pytest.raises(ProtocolError, match="target oids do not extend source by 1:1"):
-            s.link(0, other, o)
-        # Nor does the source itself.
-        with pytest.raises(ProtocolError, match="target oids do not extend source by 1:1"):
-            s.link(0, 0, o)
-        assert [e.target for e in s.vertices[0]] == [mask(s.index, [Oid(1, 1)])]
-
     def test_append_away_from_cur(self):
         # An op generated at the root is appended after cur moved on.
         s = CssSpace(rid=1)
@@ -296,6 +263,22 @@ class TestInvariants:
         assert states[mask(ix, [O1, O2, O3])] == "a"
         assert states[mask(ix, [O1, O2, O4])] == "b"
         assert states[mask(ix, [O1, O2, O3, O4])] == "ba"
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_cur_has_no_edge_after_every_step(self, protocol):
+        # The premise of append and of xform's last edge: a replay adds an
+        # edge at cur only as cur's one edge, and moves cur along it.
+        corpus = (random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(100))
+        for schedule in (podc16_schedule(), *corpus):
+            sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+            spaces = [c.space for c in sim.clients.values()]
+            if protocol == "cjupiter":
+                spaces.append(sim.hub.space)
+            elif protocol == "jupiter":
+                spaces += sim.hub.spaces.values()
+            for i, step in enumerate(schedule.steps):
+                sim.step(step, i)
+                assert all(not s.vertices[s.cur] for s in spaces), (schedule.prng, i)
 
     def test_self_context_rejected(self):
         ix = OidIndex()
@@ -422,24 +405,19 @@ class TestReplayIntegrityErrors:
             s.append(op(ix, ins("x", 0, 3, 1), Oid(3, 1)))
             assert self.raised(s.xform, op(ix, ins("y", 0, *oid), oid)) == f"xform: no {side} edge at []"
 
-    def test_edge_already_occupied_on_either_side(self):
-        # The server's space for client 2 has a local edge at cur, and an
-        # own op arriving there needs that side. A client's space has a
-        # global edge at cur, and a remote op arriving there needs it.
-        s = CssSpace(rid=2, two_d=True)
-        ix = s.index
-        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 9)])),
-               op(ix, ins("w", 0, 2, 9), Oid(2, 9), ctx={Oid(1, 1)}))
-        own = op(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
-        assert self.raised(s.xform, own) == "link: local edge already occupied at ['1:1']"
-        s = CssSpace(rid=1, two_d=True)
-        ix = s.index
-        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(3, 9)])),
-               op(ix, ins("w", 0, 3, 9), Oid(3, 9), ctx={Oid(1, 1)}))
-        remote = op(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
-        assert self.raised(s.xform, remote) == "link: global edge already occupied at ['1:1']"
+    def test_cur_already_has_an_edge(self):
+        # A hand-built edge leaves cur: in a 2D space on either side, and
+        # in an n-ary one. Neither xform nor append can then add an op's
+        # edge as cur's only one.
+        for owner, two_d, other in ((2, True, Oid(2, 9)), (1, True, Oid(3, 9)), (0, False, Oid(3, 9))):
+            s = CssSpace(rid=owner, two_d=two_d)
+            ix = s.index
+            s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+            w = op(ix, ins("w", 0, *other), other, ctx={Oid(1, 1)})
+            oracle_link(s, s.cur, s._new_vertex(w.ctx | w.bit), w)
+            message = f"cur ['1:1'] of replica {owner} already has an edge"
+            for add, oid in ((s.xform, Oid(2, 1)), (s.append, Oid(4, 1))):
+                assert self.raised(add, op(ix, ins("y", 0, *oid), oid, ctx={Oid(1, 1)})) == message
 
     def test_link_ctx_does_not_match_source_vertex(self):
         # The walk edge's op names a context that is not its source, so
@@ -504,7 +482,7 @@ class TestReplayIntegrityErrors:
         s = CssSpace(rid=0)
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)}))
-        s.link(0, s._new_vertex(mask(ix, [Oid(3, 1)])), op(ix, ins("w", 0, 3, 1), Oid(3, 1), sctx={Oid(1, 1)}))
+        oracle_link(s, 0, s._new_vertex(mask(ix, [Oid(3, 1)])), op(ix, ins("w", 0, 3, 1), Oid(3, 1), sctx={Oid(1, 1)}))
         incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1), sctx={Oid(3, 1)})
         assert self.raised(s.xform, incoming) == "edge order at replica 0: 2:1 and 3:1 break a strict total order"
 

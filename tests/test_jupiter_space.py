@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import O1, O2, O3, O4, mask
+from conftest import O1, O2, O3, O4, mask, oracle_link
 from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, priority_of, to_text
 from otwb.protocols import JClient, JServer
@@ -56,8 +56,7 @@ class TestAdd:
         assert len(s.vertices) == 2
         assert [(e.op.oid, e.target) for e in s.vertices[0]] == [(Oid(1, 1), s.cur)]
         # An edge of another client's op goes after the owner's own.
-        g = op2d(ix, ins("y", 0, 2, 1), Oid(2, 1))
-        s.link(0, s._new_vertex(mask(ix, [Oid(2, 1)])), g)
+        s.xform(op2d(ix, ins("y", 0, 2, 1), Oid(2, 1)))
         assert [e.op.oid for e in s.vertices[0]] == [Oid(1, 1), Oid(2, 1)]
 
     def test_mismatched_context_rejected(self):
@@ -66,18 +65,22 @@ class TestAdd:
         bad = op2d(ix, ins("x", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)})
         with pytest.raises(ProtocolError):
             s.append(bad)
-        with pytest.raises(ProtocolError):
-            s.link(0, s._new_vertex(mask(ix, [Oid(1, 1), Oid(1, 2)])), bad)
 
     def test_occupied_dimension_rejected(self):
         # Two ops of client 1 (local to owner 1) or of clients 1 and 2
-        # (both global to owner 3) compete for one slot at the root.
-        for owner, second, side in ((1, Oid(1, 2), "local"), (3, Oid(2, 1), "global")):
+        # (both global to owner 3) compete for one slot at the root, where
+        # the second one's walk starts along a hand-built edge of the
+        # other side.
+        for owner, second, walked, side in (
+            (1, Oid(1, 2), Oid(2, 1), "local"),
+            (3, Oid(2, 1), Oid(3, 1), "global"),
+        ):
             s = CssSpace(rid=owner, two_d=True)
             ix = s.index
             s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-            with pytest.raises(ProtocolError, match=f"{side} edge already occupied"):
-                s.link(0, s._new_vertex(mask(ix, [second])), op2d(ix, ins("y", 0, *second), second))
+            oracle_link(s, 0, s._new_vertex(mask(ix, [walked])), op2d(ix, ins("w", 0, *walked), walked))
+            with pytest.raises(ProtocolError, match=f"{side} edge already occupied at \\[\\]"):
+                s.xform(op2d(ix, ins("y", 0, *second), second))
 
     def test_server_saves_transformed_op_along_global(self):
         server, _, fwd = replay_podc16_jupiter()
@@ -121,15 +124,15 @@ class TestXform2D:
         with pytest.raises(ProtocolError, match="no global edge"):
             s.xform(incoming)
 
-    def test_occupied_square_edge_is_integrity_error(self):
-        # cur already holds a global edge, so the square that a remote op's
-        # walk closes at cur has no free slot for its rung.
+    def test_cur_with_an_edge_is_integrity_error(self):
+        # cur already holds a hand-built global edge, so the walk of a
+        # remote op ends at a cur it cannot grow from.
         s = CssSpace(rid=1, two_d=True)
         ix = s.index
         s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         g = op2d(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
-        s.link(s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 1)])), g)
-        with pytest.raises(ProtocolError, match="global edge already occupied"):
+        oracle_link(s, s.cur, s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 1)])), g)
+        with pytest.raises(ProtocolError, match=r"cur \['1:1'\] of replica 1 already has an edge"):
             s.xform(op2d(ix, ins("z", 0, 3, 1), Oid(3, 1)))
 
 

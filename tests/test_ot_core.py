@@ -38,10 +38,9 @@ class TestApply:
         assert to_text(new) == "x"
         assert val == new
 
-    def test_nop_and_read_leave_state_unchanged(self):
+    def test_nop_leaves_state_unchanged(self):
         st = state_of("x")
         assert apply(st, ListOp.nop()) == (st, st)
-        assert apply(st, ListOp.read()) == (st, st)
 
     def test_delete_clamps_to_last_element(self):
         # Derived from the clamp rule min(p, len-1) on a 5-element list.
@@ -118,13 +117,6 @@ class TestTransform:
         assert transform(ListOp.nop(), o) == ListOp.nop()
         assert transform(o, ListOp.nop()) == o
         assert transform(ListOp.nop(), ListOp.nop()) == ListOp.nop()
-
-    def test_read_never_transforms(self):
-        o = ListOp.ins(elem("q"), 1, PR1)
-        with pytest.raises(ValueError):
-            transform(ListOp.read(), o)
-        with pytest.raises(ValueError):
-            transform(o, ListOp.read())
 
     def test_kind_and_element_preserved(self):
         # Except for Del/Del at equal positions, a transform never changes
@@ -215,9 +207,9 @@ class TestPriority:
 
 
 class TestListOpValidation:
-    def test_read_and_nop_carry_nothing(self):
+    def test_nop_carries_nothing(self):
         with pytest.raises(ValueError):
-            ListOp(OpKind.READ, position=1)
+            ListOp(OpKind.NOP, position=1)
         with pytest.raises(ValueError):
             ListOp(OpKind.NOP, priority=PR1)
 

@@ -41,11 +41,6 @@ class TestCJClientDo:
         assert to_text(value) == "xb"
         assert msg.ctx == mask(c3.space.index, [O1])
 
-    def test_read_routed_through_do_is_rejected(self):
-        c1 = CJClient(1)
-        with pytest.raises(ProtocolError):
-            c1.do(ListOp.read())
-
     def test_delete_records_the_victim(self):
         c1 = CJClient(1)
         c1.do(c1.make_ins("x", 0))
@@ -139,14 +134,14 @@ class TestCJClientReceive:
 
 class TestRead:
     def test_empty_replica_reads_empty(self):
-        assert CJClient(1).read() == ()
-        assert CJServer(1).read() == ()
+        assert CJClient(1).state == ()
+        assert CJServer(1).state == ()
 
     def test_c2_intermediate_read(self):
         c2 = CJClient(2)
         c2.receive(remote_ins(c2, "x", 0, 1, 1))
         c2.do(c2.make_ins("a", 0))
-        assert to_text(c2.read()) == "ax"
+        assert to_text(c2.state) == "ax"
 
     def test_server_reads_final_list(self, podc16_cj):
         # The server's state after its last receive is the converged list.

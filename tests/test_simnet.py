@@ -195,7 +195,7 @@ class TestRandomSchedule:
     @given(
         n=st.integers(1, 6),
         u=st.integers(0, 30),
-        seed=st.integers(),
+        seed=st.integers(min_value=0),
         rule=st.sampled_from(PriorityRule),
         read_probability=st.sampled_from([0.0, 0.15, 1.0]),
     )
@@ -209,6 +209,12 @@ class TestRandomSchedule:
             random_schedule(0, 4, seed=1)
         with pytest.raises(ScheduleError):
             random_schedule(2, -1, seed=1)
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-5) draws what Random(5) draws: -5 would be seed 5
+        # under another prng tag and schedule digest.
+        with pytest.raises(ScheduleError, match="seed must be an integer >= 0, got -5"):
+            random_schedule(3, 6, seed=-5)
 
 
 class TestScheduleJson:
@@ -238,6 +244,15 @@ class TestScheduleJson:
     def test_malformed_json_rejected(self):
         with pytest.raises(ScheduleError):
             schedule_from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "prng", ["ab", ["py-mt19937/v1"], ["py-mt19937/v1", {}], [1, 2], ["py-mt19937/v1", -1], ["x", True], None]
+    )
+    def test_prng_must_be_a_name_and_a_seed(self, prng):
+        doc = json.loads(schedule_to_json(random_schedule(2, 2, seed=3)))
+        doc["prng"] = prng
+        with pytest.raises(ScheduleError, match="prng"):
+            schedule_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "doc",
@@ -517,7 +532,7 @@ class TestTraceBytesMatchOracle:
         protocol=st.sampled_from(PROTOCOLS),
         n=st.integers(1, 4),
         u=st.integers(0, 10),
-        seed=st.integers(),
+        seed=st.integers(min_value=0),
         rule=st.sampled_from(PriorityRule),
         read_probability=st.floats(0, 1),
     )

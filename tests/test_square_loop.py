@@ -1,13 +1,13 @@
-"""The one-pass square loop of CssSpace.xform and its placement helper
-against the method-call oracles in conftest: the same snapshots at every
-step, sctx included, the same traces, and the same edge order or the same
-ProtocolError."""
+"""The one-pass square loop of CssSpace.xform, CssSpace.append and the
+placement helper against the method-call oracles in conftest: the same
+snapshots at every step, sctx included, the same traces, and the same
+edge order or the same ProtocolError."""
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import literal_place, oracle_link, oracle_xform, plain
+from conftest import literal_place, oracle_append, oracle_xform, plain
 from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError, SnapEdge
 from otwb.ot_core import ListOp
 from otwb.simnet import PROTOCOLS, podc16_schedule, random_schedule, run, trace_to_json
@@ -45,7 +45,7 @@ def result(res):
 def test_snapshots_and_traces_equal_the_oracle(protocol, monkeypatch):
     runs = [(name, schedule, run(protocol, schedule)) for name, schedule in schedules()]
     monkeypatch.setattr(CssSpace, "xform", oracle_xform)
-    monkeypatch.setattr(CssSpace, "link", oracle_link)
+    monkeypatch.setattr(CssSpace, "append", oracle_append)
     for name, schedule, got in runs:
         want = run(protocol, schedule)
         assert result(got) == result(want), name
