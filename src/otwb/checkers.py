@@ -951,8 +951,8 @@ def verify(
     A spec check decides each selected protocol's abstract execution, built once;
     structural checks cjupiter's spaces against jupiter's when either is selected,
     and djupiter's when it is; equivalence compares cjupiter with jupiter. Only the
-    protocols that a check reads are replayed, each once, with step snapshots only
-    where structural reads them, and checked for FIFO delivery (ProtocolError).
+    protocols that a check reads are replayed, each once, and checked for FIFO
+    delivery (ProtocolError).
     ValueError for an unknown check."""
     for c in checks:
         if c not in CHECKS:
@@ -962,8 +962,7 @@ def verify(
 
     def replay(p: str) -> RunResult:
         if p not in results:
-            snapshots = pair and "structural" in checks and p != "djupiter"
-            results[p] = simnet.run(p, schedule, record_snapshots=snapshots)
+            results[p] = simnet.run(p, schedule)
             simnet.check_fifo(results[p].trace)
         return results[p]
 

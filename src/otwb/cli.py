@@ -90,12 +90,26 @@ def _print_verdicts(report: checkers.Report, expect_violation: List[str], as_jso
         print(line)
 
 
+def _out_dir(path: str) -> Path:
+    """The directory at path, made if missing; UsageError unless a file can
+    be written in it. Called before any replay."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write_probe"
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise UsageError(f"cannot write to {out_dir}: {exc}") from None
+    return out_dir
+
+
 def _write_outputs(out_dir: Path, report: checkers.Report, schedule: Schedule, protocol: str) -> None:
     """The verdicts and every replay's trace, the selected protocol's too when no check read it."""
     out_dir.mkdir(parents=True, exist_ok=True)
     results = report.results
     if protocol not in results:
-        results = {protocol: simnet.run(protocol, schedule, record_snapshots=False), **results}
+        results = {protocol: simnet.run(protocol, schedule), **results}
     for p, res in results.items():
         (out_dir / f"trace_{p}.json").write_text(simnet.trace_to_json(res.trace))
     doc = {"format": 1, "verdicts": [c.verdict.to_json_dict() for c in report.verdicts]}
@@ -110,9 +124,10 @@ def _write_schedule(out_dir: Path, schedule: Schedule) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     checks = _checks(args)
     schedule = _load_schedule(args)
+    out = _out_dir(args.out) if args.out else None
     report = checkers.verify(schedule, checks, (args.protocol,))
-    if args.out:
-        _write_outputs(Path(args.out), report, schedule, args.protocol)
+    if out:
+        _write_outputs(out, report, schedule, args.protocol)
     _print_verdicts(report, args.expect_violation, args.format == "json")
     return 0 if _evaluate(report, args.expect_violation) else 1
 
@@ -123,12 +138,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     for flag, value in (("--seeds", args.seeds), ("--clients", args.clients), ("--ops", args.ops)):
         if value < 1:
             raise simnet.ScheduleError(f"fuzz {flag} must be at least 1, got {value}")
+    out_root = _out_dir(args.out) if args.out else None
     for i in range(args.seeds):
         seed = args.seed_start + i
         n_clients = 1 + seed % args.clients
         n_updates = 1 + (seed * 7) % args.ops
         schedule = simnet.random_schedule(n_clients, n_updates, seed, rule)
-        out = Path(args.out) / f"seed_{seed}" if args.out else None
+        out = out_root / f"seed_{seed}" if out_root else None
         try:
             report = checkers.verify(schedule, checks, (args.protocol,))
         except ProtocolError as exc:
@@ -149,16 +165,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise UsageError(f"cannot write to {out_dir}: {exc}") from None
-    # Step snapshots are written only under --steps.
-    res = simnet.run(args.protocol, schedule, record_snapshots=args.steps)
+    out_dir = _out_dir(args.out)
+    res = simnet.run(args.protocol, schedule)
 
     written: List[Path] = []
 

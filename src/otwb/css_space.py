@@ -16,9 +16,9 @@ and oids are decoded only to format output and to order vertices. A
 vertex's out-edges are kept as SnapEdge(op, target mask), the encoding its
 snapshots use. Checkers work on immutable snapshots taken via snapshot(),
 which copies the space; every snapshot shares each SnapEdge. A space only
-grows, so each of its steps is a prefix of its final space: a StepHistory
-keeps one Mark (cur, vertex and edge counts) per step, not a copy, and
-rebuilds a step's view from the final snapshot when it is read.
+grows, so each of its steps is a prefix of its final space: it records
+one Mark (cur, vertex and edge counts) per step, not a copy, and a
+StepHistory rebuilds a step's view from the final snapshot when it is read.
 
 A space grows only at cur: append, and the end of xform, add the
 operation's edge as the only edge out of cur and move cur along it.
@@ -326,8 +326,8 @@ class CssSpace:
         self.index = OidIndex() if index is None else index
         self.vertices: Dict[int, List[SnapEdge]] = {0: []}
         self.cur = 0
-        self.last_ot_sequence: Tuple[Oid, ...] = ()
         self.n_edges = 0
+        self.marks: List[Mark] = [_tuple_new(Mark, (0, 1, 0))]  # the empty space's, then one per step
 
     def _new_vertex(self, mask: int) -> int:
         if mask in self.vertices:
@@ -349,9 +349,9 @@ class CssSpace:
         return op.ctx
 
     def _grow(self, op: ProtoOp, v: int) -> None:
-        """Add the edge (op, v) as the only edge out of cur, and move cur to
-        v. cur never has an edge of its own in a replay; vertices is public,
-        so that is checked."""
+        """Add the edge (op, v) as the only edge out of cur, move cur to v,
+        and mark the step. cur never has an edge of its own in a replay;
+        vertices is public, so that is checked."""
         edges = self.vertices[self.cur]
         if edges:
             raise ProtocolError(
@@ -360,6 +360,7 @@ class CssSpace:
         edges.append(_tuple_new(SnapEdge, (op, v)))
         self.n_edges += 1
         self.cur = v
+        self.marks.append(_tuple_new(Mark, (v, len(self.vertices), self.n_edges)))
 
     def _place(self, u: int, edges: List[SnapEdge], op: ProtoOp, v: int) -> None:
         """Insert the edge (op, v) into u's non-empty edge list where the
@@ -417,10 +418,11 @@ class CssSpace:
         edges.insert(at, _tuple_new(SnapEdge, (op, v)))
         self.n_edges += 1
 
-    def xform(self, op: ProtoOp) -> ProtoOp:
+    def xform(self, op: ProtoOp) -> Tuple[ProtoOp, Tuple[Oid, ...]]:
         """Transform op along the path the policy walks from its context
         vertex to cur, materializing every intermediate OT square, and
-        advance cur.
+        advance cur. Returns op transformed, and the oids it was
+        transformed against, in walk order, for the structural checkers.
 
         Each pass of the loop makes one OT square u -> v -> v2 <- u2 <- u:
         it reads the walk edge (op2, u2) out of u, creates the fresh vertex
@@ -428,9 +430,6 @@ class CssSpace:
         v2), places op's edge (op, v) at u, and goes on with op transformed
         by op2. Both transformed ops are built by tuple.__new__, and _place
         serves both policies. At cur, _grow adds op's last edge.
-
-        The sequence of oids transformed against is kept in
-        last_ot_sequence for the structural checkers.
         """
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
@@ -487,8 +486,7 @@ class CssSpace:
         if ctx != u:
             raise ProtocolError(f"link: ctx of {oid.token()} does not match source vertex")
         self._grow(op, v)
-        self.last_ot_sequence = tuple(ot_seq)
-        return op
+        return op, tuple(ot_seq)
 
     def append(self, op: ProtoOp) -> None:
         """Extend cur with an op generated or transformed to cur (its ctx
@@ -501,9 +499,6 @@ class CssSpace:
         """A copy of the space, its vertices in creation order."""
         vertices = {mask: tuple(edges) for mask, edges in self.vertices.items()}
         return CssSnapshot(self.rid, self.cur, vertices, self.index, self.two_d)
-
-    def mark(self) -> Mark:
-        return Mark(self.cur, len(self.vertices), self.n_edges)
 
 
 def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:

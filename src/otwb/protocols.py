@@ -91,9 +91,9 @@ class CJClient:
         return DoResult(value, op)
 
     def receive(self, op: ProtoOp) -> RecvResult:
-        applied = self.space.xform(op)
+        applied, ot_seq = self.space.xform(op)
         self.state, value = apply(self.state, applied.o)
-        return RecvResult(value, applied, self.space.last_ot_sequence)
+        return RecvResult(value, applied, ot_seq)
 
 
 class Sequencer:
@@ -127,9 +127,9 @@ class CJServer(Sequencer):
 
     def receive(self, op: ProtoOp) -> RecvResult:
         stamped = super().receive(op)
-        applied = self.space.xform(stamped.applied)
+        applied, ot_seq = self.space.xform(stamped.applied)
         self.state, value = apply(self.state, applied.o)
-        return stamped._replace(value=value, applied=applied, ot_seq=self.space.last_ot_sequence)
+        return stamped._replace(value=value, applied=applied, ot_seq=ot_seq)
 
 
 class JClient(CJClient):
@@ -154,7 +154,7 @@ class JServer:
     def receive(self, op: ProtoOp) -> RecvResult:
         origin = op.oid.cid
         self.arrival_log.append(op.oid)
-        applied = self.spaces[origin].xform(op)
+        applied, ot_seq = self.spaces[origin].xform(op)
         self.state, value = apply(self.state, applied.o)
         fanout = []
         for c in range(1, self.n_clients + 1):
@@ -164,7 +164,7 @@ class JServer:
             fanout.append((c, applied))
         if len({s.cur for s in self.spaces.values()}) != 1:
             raise ProtocolError("per-client server spaces diverged")
-        return RecvResult(value, applied, self.spaces[origin].last_ot_sequence, tuple(fanout))
+        return RecvResult(value, applied, ot_seq, tuple(fanout))
 
 
 class DJReplica(CJClient):

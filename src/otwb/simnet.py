@@ -3,8 +3,8 @@
 A Schedule fixes an execution completely: which client generates what, and
 in which order the FIFO channels (or the broadcast) deliver. run() replays
 a schedule under one protocol, records a Trace of do/send/receive events
-with vector-time metadata, and keeps each space's steps as a StepHistory of
-marks over its final snapshot. Identical inputs give byte-identical JSON.
+with vector-time metadata, and returns each space's steps as a StepHistory
+of its marks over its final snapshot. Identical inputs give byte-identical JSON.
 random_schedule draws seeded schedules over BufferJupiter, a 1D-buffer
 Jupiter that needs ot_core alone. Steps are slotted frozen records, and
 the schedules built here share equal deliveries and equal reads.
@@ -21,7 +21,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .css_space import CssSnapshot, Mark, Oid, OidIndex, ProtocolError, StepHistory
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, PriorityRule, apply, priority_of, to_text, transform
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer, _fill_del
 
@@ -89,9 +89,10 @@ def _replica_name(rid: int) -> str:
 
 
 def _replica_id(name: object) -> int:
+    """Only names that _replica_name writes: c0, c01 or a non-ASCII digit would be written back as another."""
     if name == "server":
         return SERVER_ID
-    if isinstance(name, str) and name.startswith("c") and name[1:].isdigit():
+    if isinstance(name, str) and name[1:].isdecimal() and _replica_name(int(name[1:])) == name:
         return int(name[1:])
     raise ScheduleError(f"unknown replica name {name!r}")
 
@@ -410,7 +411,6 @@ class Simulation:
         self.down = {c: collections.deque() for c in self.clients}
         self.log: List[tuple] = []
         self.messages = 0
-        self.glyphs = 0
 
     def quiescent(self) -> bool:
         return not any(self.up.values()) and not any(self.down.values())
@@ -420,9 +420,8 @@ class Simulation:
         self.log.append(("send", rid, self.messages, dst))
         return self.messages
 
-    def step(self, step: Step, i: int) -> Optional[int]:
-        """Run step `i` of a schedule. Returns the replica whose state
-        changed, or None for a read; raises ScheduleError if the step
+    def step(self, step: Step, i: int) -> None:
+        """Run step `i` of a schedule; raises ScheduleError if the step
         cannot run."""
         if isinstance(step, GenerateStep):
             cid, spec = step.cid, step.op
@@ -431,23 +430,21 @@ class Simulation:
             client = self.clients[cid]
             if spec.kind == "read":
                 self.log.append(("do", cid, None, client.state))
-                return None
+                return
             if spec.kind not in ("ins", "del"):
                 raise ScheduleError(f"step {i}: unknown op kind {spec.kind!r}")
             if not isinstance(spec.pos, int) or spec.pos < 0:
                 raise ScheduleError(f"step {i}: {spec.kind} needs a non-negative position")
             if spec.kind == "ins":
-                glyph = spec.glyph
-                if glyph is None:
-                    glyph = GLYPH_POOL[self.glyphs % len(GLYPH_POOL)]
-                    self.glyphs += 1
-                o = client.make_ins(glyph, spec.pos)
+                if spec.glyph is None:
+                    raise ScheduleError(f"step {i}: ins needs a glyph")
+                o = client.make_ins(spec.glyph, spec.pos)
             else:
                 o = client.make_del(spec.pos)
             result = client.do(o)
             self.log.append(("do", cid, result.message, result.value))
             self.up[cid].append((self._send(cid, self.hub_id), result.message))
-            return cid
+            return
         to, frm = step.to, step.frm
         if to == SERVER_ID and frm in self.up:
             queue = self.up[frm]
@@ -463,7 +460,7 @@ class Simulation:
         if to != SERVER_ID:
             result = self.clients[to].receive(op)
             self.log.append(("receive", to, msg, self.hub_id, op.oid, result))
-            return to
+            return
         result = self.hub.receive(op)
         if self.hub_id == BROADCAST:
             # The sequencer relays the original message and records nothing.
@@ -473,7 +470,6 @@ class Simulation:
             self.log.append(("receive", SERVER_ID, msg, frm, op.oid, result))
             for dst, payload in result.fanout:
                 self.down[dst].append((self._send(SERVER_ID, dst), payload))
-        return SERVER_ID
 
     def events(self) -> Tuple[TraceEvent, ...]:
         """The log as trace events. Every event ticks its replica's own
@@ -528,16 +524,11 @@ class Simulation:
 def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> RunResult:
     """Replay a schedule under a protocol; deterministic in its arguments.
     Raises ScheduleError at the first step that cannot run. With
-    record_snapshots, each recorded space's history holds its snapshot
-    before the first step and after every step that changed it."""
+    record_snapshots, the result carries each recorded space's history:
+    its snapshot before the first step and after every step that changed it."""
     sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
-    spaces = {SERVER_ID: sim.hub.space} if protocol == "cjupiter" else {}
-    spaces.update((c, cl.space) for c, cl in sim.clients.items())
-    marks: Dict[int, List[Mark]] = {rid: [s.mark()] if record_snapshots else [] for rid, s in spaces.items()}
     for i, step in enumerate(schedule.steps):
-        rid = sim.step(step, i)
-        if record_snapshots and rid in spaces:
-            marks[rid].append(spaces[rid].mark())
+        sim.step(step, i)
 
     trace = Trace(
         protocol=protocol,
@@ -557,8 +548,9 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
         arrival_log=tuple(sim.hub.arrival_log),
         quiescent=sim.quiescent(),
     )
+    spaces = {rid: r.space for rid, r in holders.items() if rid != SERVER_ID or protocol == "cjupiter"}
     finals = {rid: space.snapshot() for rid, space in spaces.items()}
-    steps = {rid: StepHistory(finals[rid], m) if m else () for rid, m in marks.items()}
+    steps = {rid: StepHistory(finals[rid], s.marks) if record_snapshots else () for rid, s in spaces.items()}
     client_steps = {c: steps[c] for c in sim.clients}
     if protocol == "jupiter":
         result.cscw_client_final = finals

@@ -312,7 +312,7 @@ def oracle_walk_edge(space, u, op):
 def oracle_xform(space, op):
     """CssSpace.xform as one method call per step of each square: the
     walk edge, two validating transforms and ProtoOps, a new vertex and
-    two oracle_links."""
+    two oracle_links; it marks the step and returns what xform does."""
     u = space.locate(op)
     v = space._new_vertex(u | op.bit)
     ot_seq = []
@@ -327,17 +327,18 @@ def oracle_xform(space, op):
         u, v, op = u2, v2, op_t
     oracle_link(space, u, v, op)
     space.cur = v
-    space.last_ot_sequence = tuple(ot_seq)
-    return op
+    space.marks.append(Mark(v, len(space.vertices), space.n_edges))
+    return op, tuple(ot_seq)
 
 
 def oracle_append(space, op):
-    """CssSpace.append as an oracle_link from cur."""
+    """CssSpace.append as an oracle_link from cur, and the step's mark."""
     if op.ctx != space.cur:
         raise ProtocolError(f"appended op {op.oid.token()} not generated at cur")
     v = space._new_vertex(space.cur | op.bit)
     oracle_link(space, space.cur, v, op)
     space.cur = v
+    space.marks.append(Mark(v, len(space.vertices), space.n_edges))
 
 
 def literal_condition_2(A):
@@ -383,21 +384,34 @@ def plain(vertices):
     return [(m, tuple((tuple(e.op), e.target) for e in edges)) for m, edges in vertices.items()]
 
 
+def held_spaces(sim):
+    """Every CssSpace a Simulation holds: cjupiter's server space, the
+    clients' spaces, then the jupiter server's space for each client."""
+    hub = sim.hub
+    own = [hub.space] if hasattr(hub, "space") else []
+    return [*own, *(c.space for c in sim.clients.values()), *getattr(hub, "spaces", {}).values()]
+
+
+def step_copying(sim, schedule, spaces):
+    """Step sim through the schedule, and return per space (cur, plain
+    vertices) copied from scratch before the first step and after each step
+    that changed the space. Simulation.step returns nothing."""
+    copies = [[(s.cur, plain(s.vertices))] for s in spaces]
+    for i, step in enumerate(schedule.steps):
+        assert sim.step(step, i) is None
+        for s, kept in zip(spaces, copies):
+            now = (s.cur, plain(s.vertices))
+            if now != kept[-1]:
+                kept.append(now)
+    return copies
+
+
 def stepped_copies(protocol, schedule):
-    """Per replica whose history run records, (cur, plain vertices) copied
-    from scratch before the first step and after each step that changed the
-    space, while stepping a Simulation."""
+    """step_copying's copies per replica whose history run records."""
     sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
     spaces = {0: sim.hub.space} if protocol == "cjupiter" else {}
     spaces.update((c, cl.space) for c, cl in sim.clients.items())
-    copies = {rid: [(s.cur, plain(s.vertices))] for rid, s in spaces.items()}
-    for i, step in enumerate(schedule.steps):
-        sim.step(step, i)
-        for rid, s in spaces.items():
-            now = (s.cur, plain(s.vertices))
-            if now != copies[rid][-1]:
-                copies[rid].append(now)
-    return copies
+    return dict(zip(spaces, step_copying(sim, schedule, list(spaces.values()))))
 
 
 def history_with(history, vertices=None, births=None, curs=None):

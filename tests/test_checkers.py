@@ -449,12 +449,13 @@ SCHEDULES = {
 
 @pytest.fixture
 def replays(monkeypatch):
-    """(protocol, record_snapshots) of every simnet.run call."""
+    """The protocol of every simnet.run call; a call that passes
+    record_snapshots is a TypeError, since every replay keeps its history."""
     real, seen = simnet.run, []
 
-    def spy(protocol, schedule, record_snapshots=True):
-        seen.append((protocol, record_snapshots))
-        return real(protocol, schedule, record_snapshots)
+    def spy(protocol, schedule):
+        seen.append(protocol)
+        return real(protocol, schedule)
 
     monkeypatch.setattr(simnet, "run", spy)
     return seen
@@ -484,23 +485,22 @@ class TestVerify:
     @pytest.mark.parametrize(
         "checks", [CHECKS, ("weak",), ("structural",), ("equivalence", "strong"), ("equivalence",)]
     )
-    def test_each_replay_once_and_snapshots_only_for_structural(self, replays, checks, protocols):
+    def test_each_replay_once(self, replays, checks, protocols):
         report = checkers.verify(podc16_schedule(), checks, protocols)
         structural = "structural" in checks and ("cjupiter" in protocols or "jupiter" in protocols)
         pair = ("cjupiter", "jupiter") if structural or "equivalence" in checks else ()
         # Equivalence alone reads no selected djupiter.
         read = tuple(p for p in protocols if checks != ("equivalence",) or p != "djupiter")
-        assert [p for p, _ in replays] == list(report.results) == list(dict.fromkeys(read + pair))
-        assert all(snaps == (structural and p != "djupiter") for p, snaps in replays)
+        assert replays == list(report.results) == list(dict.fromkeys(read + pair))
 
-    def test_fuzz_default_replays_without_snapshots(self, replays, capsys):
+    def test_fuzz_default_replays_cjupiter_and_jupiter_per_seed(self, replays, capsys):
         assert main(["fuzz", "--seeds", "3"]) == 0
-        assert replays == [("cjupiter", False), ("jupiter", False)] * 3
+        assert replays == ["cjupiter", "jupiter"] * 3
 
     def test_fuzz_replays_no_protocol_that_no_check_reads(self, replays, capsys):
         # Equivalence reads cjupiter and jupiter only, so djupiter is not replayed.
         assert main(["fuzz", "--protocol", "djupiter", "--seeds", "2"]) == 0
-        assert replays == [("cjupiter", False), ("jupiter", False)] * 2
+        assert replays == ["cjupiter", "jupiter"] * 2
 
     def test_replay_that_breaks_fifo_is_a_protocol_error(self, monkeypatch):
         monkeypatch.setattr(simnet, "run", swapped_receives(simnet.run))

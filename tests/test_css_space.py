@@ -175,8 +175,7 @@ class TestFirstEdgeAndPath:
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
         incoming = op(s.index, ins("y", 0, 2, 1), Oid(2, 1))
-        s.xform(incoming)
-        assert s.last_ot_sequence == (Oid(1, 1),)
+        assert s.xform(incoming)[1] == (Oid(1, 1),)
 
     def test_final_vertex_has_no_first_edge(self):
         # {2:1} is a vertex but not cur and has no edges, so the walk of an

@@ -273,6 +273,16 @@ class TestScheduleJson:
         with pytest.raises(ScheduleError):
             schedule_from_json(doc)
 
+    @pytest.mark.parametrize("end", ["to", "from"])
+    @pytest.mark.parametrize("name", ["c0", "c01", "c\uff11"], ids=["c0", "c01", "fullwidth-c1"])
+    def test_replica_names_that_alias_are_rejected(self, name, end):
+        # c0 would read as the server and c01 or c１ as c1, so the schedule
+        # written back, and its sha256, would not be the file's.
+        doc = json.loads(schedule_to_json(podc16_schedule()))
+        doc["steps"][1][end] = name
+        with pytest.raises(ScheduleError, match="unknown replica name"):
+            schedule_from_json(json.dumps(doc))
+
 
 def shared_steps(schedule):
     """The schedule's deliveries and plain reads, after asserting that
@@ -619,6 +629,12 @@ class TestSimulation:
     def test_run_rejects_malformed_step(self, step):
         with pytest.raises(ScheduleError):
             run("cjupiter", Schedule(2, (step,)))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_insert_without_a_glyph_is_rejected(self, protocol):
+        # No glyph is made up: BufferJupiter would insert the element (None, 1, 1).
+        with pytest.raises(ScheduleError, match="step 0: ins needs a glyph"):
+            run(protocol, Schedule(1, (GenerateStep(1, OpSpec("ins", pos=0)),)))
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_generated_deliveries_are_enabled(self, protocol):

@@ -16,12 +16,14 @@ from conftest import (
     O3,
     O4,
     causal_pairs,
+    held_spaces,
     history_with,
     literal_condition_2,
     literal_cycle,
     mask,
     plain,
     seen_masks,
+    step_copying,
     stepped_copies,
     vc_less,
 )
@@ -42,6 +44,7 @@ from otwb.ot_core import Element, ListOp, priority_of
 from otwb.simnet import (
     PROTOCOLS,
     OpRecord,
+    Simulation,
     bit_positions,
     causal_masks,
     podc16_schedule,
@@ -1059,6 +1062,25 @@ class TestStepHistory:
             assert [(snap.cur, plain(snap.vertices)) for snap in history] == want[rid]
             assert all(snap.index is history.final.index and snap.rid == rid for snap in history)
             assert all(snap.two_d is (protocol == "jupiter") for snap in history)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_hand_stepped_simulation_keeps_the_histories_run_returns(self, protocol):
+        # Each space records its own marks, so a Simulation stepped without
+        # run holds a history for every space, the jupiter server's too.
+        small = [random_schedule(n, u, seed=s) for n in (1, 2, 3, 4) for u in (0, 3, 8) for s in range(3)]
+        for sched in (podc16_schedule(), *small):
+            n = sched.n_clients
+            sim = Simulation(protocol, n, sched.priority_rule)
+            spaces = held_spaces(sim)
+            assert len(spaces) == {"cjupiter": n + 1, "jupiter": 2 * n, "djupiter": n}[protocol]
+            for space, want in zip(spaces, step_copying(sim, sched, spaces)):
+                history = StepHistory(space.snapshot(), space.marks)
+                assert [(snap.cur, plain(snap.vertices)) for snap in history] == want, (sched.prng, space.rid)
+            if protocol != "djupiter":
+                res = run(protocol, sched)
+                histories = [res.css_server_steps] if protocol == "cjupiter" else []
+                histories += (res.cscw_client_steps if protocol == "jupiter" else res.css_client_steps).values()
+                assert [h.marks for h in histories] == [tuple(s.marks) for s in spaces[: len(histories)]]
 
     def test_history_that_does_not_fit_its_final_space(self, podc16_cj):
         # An edge linked to a vertex born before its call would show in the
