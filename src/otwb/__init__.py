@@ -26,10 +26,7 @@ from .ot_core import (
     Element,
     ListOp,
     OpKind,
-    Priority,
-    PriorityRule,
     apply,
-    priority_of,
     to_text,
     transform,
 )
@@ -61,8 +58,6 @@ __all__ = [
     "Oid",
     "OidIndex",
     "OpKind",
-    "Priority",
-    "PriorityRule",
     "ProtoOp",
     "ProtocolError",
     "Schedule",
@@ -82,7 +77,6 @@ __all__ = [
     "check_weak_spec",
     "compare_ops",
     "podc16_schedule",
-    "priority_of",
     "random_schedule",
     "run",
     "schedule_from_json",

@@ -683,6 +683,8 @@ def _check_first_rule(result: RunResult) -> Verdict:
     carries exactly the arrived oids missing from it, in arrival order.
     Decided in one pass (_first_rule_holds); a history that it does not
     accept is decided by walking every path of every step."""
+    if result.protocol == "djupiter":
+        return Verdict("first_rule", True, {"vacuous": "no server space"})
     steps = result.css_server_steps
     if result.protocol == "cjupiter" and not steps:
         return Verdict("first_rule", True, {"vacuous": "no step snapshots recorded"})
@@ -766,6 +768,8 @@ def _check_ot_sequence(result: RunResult) -> Verdict:
     """At the server, each operation transforms against exactly the earlier
     arrivals concurrent with it, in arrival order. Two operations are
     concurrent when neither do event's causal mask holds the other."""
+    if result.protocol == "djupiter":
+        return Verdict("ot_sequence", True, {"vacuous": "no server receive"})
     dos = [e for e in result.trace.events if e.kind == "do" and e.op is not None and e.op.oid is not None]
     at = {e.op.oid: p for p, e in enumerate(dos)}
     before = causal_masks(dos)  # before[p]: the do events causally before dos[p]

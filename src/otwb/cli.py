@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import checkers, dot, simnet
 from .css_space import ProtocolError
-from .ot_core import PriorityRule
 from .simnet import Schedule
 
 
@@ -42,32 +40,24 @@ def _checks(args: argparse.Namespace) -> Tuple[str, ...]:
     return checks
 
 
-def _rule(args: argparse.Namespace) -> PriorityRule:
-    return PriorityRule(args.priority or PriorityRule.SMALLER_WINS.value)
-
-
 def _load_schedule(args: argparse.Namespace) -> Schedule:
     src = args.schedule
-    rule = _rule(args)
     if src == "random":
         if args.seed is None:
             raise UsageError("--schedule random needs --seed")
         clients = 3 if args.clients is None else args.clients
         ops = 6 if args.ops is None else args.ops
-        return simnet.random_schedule(clients, ops, args.seed, rule)
+        return simnet.random_schedule(clients, ops, args.seed)
     flags = [f for f, v in (("--seed", args.seed), ("--clients", args.clients), ("--ops", args.ops)) if v is not None]
     if flags:
         raise UsageError(f"--schedule {src} takes no {', '.join(flags)}; only random does")
     if src == "builtin:podc16":
-        return simnet.podc16_schedule(rule)
+        return simnet.podc16_schedule()
     try:
         text = Path(src).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read schedule file {src}: {exc}") from None
-    schedule = simnet.schedule_from_json(text)
-    if args.priority is not None:
-        schedule = replace(schedule, priority_rule=rule)
-    return schedule
+    return simnet.schedule_from_json(text)
 
 
 def _evaluate(report: checkers.Report, expect_violation: List[str]) -> bool:
@@ -134,7 +124,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     checks = _checks(args)
-    rule = _rule(args)
     for flag, value in (("--seeds", args.seeds), ("--clients", args.clients), ("--ops", args.ops)):
         if value < 1:
             raise simnet.ScheduleError(f"fuzz {flag} must be at least 1, got {value}")
@@ -143,7 +132,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = args.seed_start + i
         n_clients = 1 + seed % args.clients
         n_updates = 1 + (seed * 7) % args.ops
-        schedule = simnet.random_schedule(n_clients, n_updates, seed, rule)
+        schedule = simnet.random_schedule(n_clients, n_updates, seed)
         out = out_root / f"seed_{seed}" if out_root else None
         try:
             report = checkers.verify(schedule, checks, (args.protocol,))
@@ -202,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each option group is declared once, for every subcommand that takes it.
     def replay(p: argparse.ArgumentParser) -> None:
         p.add_argument("--protocol", choices=simnet.PROTOCOLS, default="cjupiter")
-        p.add_argument("--priority", choices=[r.value for r in PriorityRule])
 
     def checking(p: argparse.ArgumentParser, default_check: str) -> None:
         p.add_argument("--check", default=default_check, help="comma list or 'all'")

@@ -18,20 +18,6 @@ class OpKind(enum.Enum):
     NOP = "nop"
 
 
-class PriorityRule(enum.Enum):
-    """Tie-break convention for concurrent inserts at the same position.
-
-    SMALLER_WINS: the client with the smaller id has the higher priority
-    (the default). LARGER_WINS flips the convention.
-    """
-
-    SMALLER_WINS = "smaller_wins"
-    LARGER_WINS = "larger_wins"
-
-
-_SMALLER_WINS = PriorityRule.SMALLER_WINS
-
-
 class Element(NamedTuple):
     """A list element: a printable glyph tagged with its origin, as a triple.
 
@@ -49,39 +35,14 @@ class Element(NamedTuple):
         return f"{self.glyph}@{self.origin_cid}:{self.origin_seq}"
 
 
-class Priority(NamedTuple):
-    """Total-orderable conflict-resolution token derived from a client id.
-
-    Two priorities compare equal only if they come from the same client.
-    """
-
-    cid: int
-    rule: PriorityRule = PriorityRule.SMALLER_WINS
-
-    def beats(self, other: "Priority") -> bool:
-        """True iff self is strictly higher priority than other."""
-        if self.rule is not other.rule:
-            raise ValueError("cannot compare priorities under different rules")
-        if self.rule is _SMALLER_WINS:
-            return self.cid < other.cid
-        return self.cid > other.cid
-
-
 _INS, _NOP = OpKind.INS, OpKind.NOP
 _tuple_new = tuple.__new__
-
-
-def priority_of(cid: int, rule: PriorityRule = PriorityRule.SMALLER_WINS) -> Priority:
-    if cid < 1:
-        raise ValueError(f"client id must be >= 1, got {cid}")
-    return Priority(cid, rule)
 
 
 class _ListOpFields(NamedTuple):
     kind: OpKind
     element: Optional[Element] = None
     position: Optional[int] = None
-    priority: Optional[Priority] = None
 
 
 class ListOp(_ListOpFields):
@@ -91,8 +52,8 @@ class ListOp(_ListOpFields):
     filled in by the generating replica (None until then). Nop carries no
     payload at all.
 
-    A validating NamedTuple: it equals its (kind, element, position,
-    priority) tuple, and _replace checks the new fields too.
+    A validating NamedTuple: it equals its (kind, element, position)
+    tuple, and _replace checks the new fields too.
     """
 
     __slots__ = ()
@@ -102,38 +63,35 @@ class ListOp(_ListOpFields):
         kind: OpKind,
         element: Optional[Element] = None,
         position: Optional[int] = None,
-        priority: Optional[Priority] = None,
     ) -> "ListOp":
         if kind is _NOP:
-            if element is not None or position is not None or priority is not None:
-                raise ValueError(f"{kind.value} carries no element, position, or priority")
+            if element is not None or position is not None:
+                raise ValueError(f"{kind.value} carries no element or position")
         else:
             if position is None or position < 0:
                 raise ValueError(f"{kind.value} needs a non-negative position")
-            if priority is None:
-                raise ValueError(f"{kind.value} needs a priority")
             if kind is _INS and element is None:
                 raise ValueError("ins needs an element")
-        return _tuple_new(cls, (kind, element, position, priority))
+        return _tuple_new(cls, (kind, element, position))
 
     @classmethod
     def _make(cls, iterable) -> "ListOp":
         return cls(*iterable)
 
     @classmethod
-    def ins(cls, element: Element, position: int, priority: Priority) -> "ListOp":
-        return cls(OpKind.INS, element, position, priority)
+    def ins(cls, element: Element, position: int) -> "ListOp":
+        return cls(OpKind.INS, element, position)
 
     @classmethod
-    def del_(cls, position: int, priority: Priority, element: Optional[Element] = None) -> "ListOp":
-        return cls(OpKind.DEL, element, position, priority)
+    def del_(cls, position: int, element: Optional[Element] = None) -> "ListOp":
+        return cls(OpKind.DEL, element, position)
 
     @classmethod
     def nop(cls) -> "ListOp":
         return cls(OpKind.NOP)
 
     def with_element(self, element: Element) -> "ListOp":
-        return ListOp(self.kind, element, self.position, self.priority)
+        return ListOp(self.kind, element, self.position)
 
     def sig(self) -> str:
         """Short human-readable signature, e.g. Ins(x,0) or Del(_,3)."""
@@ -190,9 +148,13 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
     Ins/Del keeps its kind and element and only moves position, except two
     deletions of the same position, where o1 degenerates to Nop.
 
-    A moved o1 is built without re-validating: it keeps o1's kind,
-    element and priority, which ListOp checked when o1 was made, and its
-    position is p1 + 1 or p1 - 1 with p1 > p2 >= 0, never negative.
+    Concurrent inserts at one position are ordered by the origin client
+    of their elements: the smaller client id wins and shifts right, and
+    equal origins shift neither.
+
+    A moved o1 is built without re-validating: it keeps o1's kind and
+    element, which ListOp checked when o1 was made, and its position is
+    p1 + 1 or p1 - 1 with p1 > p2 >= 0, never negative.
     """
     k1, k2 = o1.kind, o2.kind
     if k1 is _NOP or k2 is _NOP:
@@ -203,20 +165,20 @@ def transform(o1: ListOp, o2: ListOp) -> ListOp:
         if k2 is _INS:
             if p1 < p2:
                 return o1
-            if p1 > p2 or o1.priority.beats(o2.priority):
-                return _tuple_new(ListOp, (k1, o1.element, p1 + 1, o1.priority))
+            if p1 > p2 or o1.element[1] < o2.element[1]:  # origin_cid
+                return _tuple_new(ListOp, (k1, o1.element, p1 + 1))
             return o1
         # Ins against Del
         if p1 <= p2:
             return o1
-        return _tuple_new(ListOp, (k1, o1.element, p1 - 1, o1.priority))
+        return _tuple_new(ListOp, (k1, o1.element, p1 - 1))
     if k2 is _INS:  # Del against Ins
         if p1 < p2:
             return o1
-        return _tuple_new(ListOp, (k1, o1.element, p1 + 1, o1.priority))
+        return _tuple_new(ListOp, (k1, o1.element, p1 + 1))
     # Del against Del
     if p1 < p2:
         return o1
     if p1 > p2:
-        return _tuple_new(ListOp, (k1, o1.element, p1 - 1, o1.priority))
+        return _tuple_new(ListOp, (k1, o1.element, p1 - 1))
     return _NOP_OP

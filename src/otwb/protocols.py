@@ -11,15 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError
-from .ot_core import (
-    Element,
-    ListOp,
-    ListState,
-    OpKind,
-    PriorityRule,
-    apply,
-    priority_of,
-)
+from .ot_core import Element, ListOp, ListState, OpKind, apply
 
 SERVER_ID = 0
 
@@ -54,16 +46,10 @@ class CJClient:
 
     two_d = False
 
-    def __init__(
-        self,
-        cid: int,
-        rule: PriorityRule = PriorityRule.SMALLER_WINS,
-        index: Optional[OidIndex] = None,
-    ):
+    def __init__(self, cid: int, index: Optional[OidIndex] = None):
         if cid < 1:
             raise ValueError("client ids start at 1")
         self.cid = cid
-        self.rule = rule
         self.seq = 0
         self.state: ListState = ()
         self.space = CssSpace(rid=cid, two_d=self.two_d, index=index)
@@ -71,10 +57,7 @@ class CJClient:
     def make_ins(self, glyph: str, position: int) -> ListOp:
         """Build an insert carrying the identity do() will expect."""
         element = Element(glyph, self.cid, self.seq + 1)
-        return ListOp.ins(element, position, priority_of(self.cid, self.rule))
-
-    def make_del(self, position: int) -> ListOp:
-        return ListOp.del_(position, priority_of(self.cid, self.rule))
+        return ListOp.ins(element, position)
 
     def do(self, o: ListOp) -> DoResult:
         if o.kind is OpKind.INS and (o.element.origin_cid, o.element.origin_seq) != (
@@ -171,13 +154,8 @@ class DJReplica(CJClient):
     """Peer replica over causal atomic broadcast: generates like a client
     and processes the other replicas' operations in broadcast order."""
 
-    def __init__(
-        self,
-        rid: int,
-        rule: PriorityRule = PriorityRule.SMALLER_WINS,
-        index: Optional[OidIndex] = None,
-    ):
-        super().__init__(rid, rule, index)
+    def __init__(self, rid: int, index: Optional[OidIndex] = None):
+        super().__init__(rid, index)
         self.soids_mirror = 0  # oid mask of the commits delivered or stamped so far
 
     def receive(self, op: ProtoOp) -> RecvResult:

@@ -22,12 +22,15 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, StepHistory
-from .ot_core import Element, ListOp, ListState, PriorityRule, apply, priority_of, to_text, transform
+from .ot_core import Element, ListOp, ListState, apply, to_text, transform
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer, _fill_del
 
 SCHEDULE_FORMAT = 1
 TRACE_FORMAT = 1
 PRNG_NAME = "py-mt19937/v1"
+# The one insert tie-break: the smaller client id wins. Schedules and
+# traces still name it, so that their bytes and digests stay as they were.
+PRIORITY_RULE = "smaller_wins"
 BROADCAST = -1
 
 GLYPH_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -75,7 +78,6 @@ def _shared(steps: Iterable[Step]) -> Tuple[Step, ...]:
 class Schedule:
     n_clients: int
     steps: Tuple[Step, ...]
-    priority_rule: PriorityRule = PriorityRule.SMALLER_WINS
     prng: Optional[Tuple[str, int]] = None  # (generator name, seed)
 
     @cached_property
@@ -127,7 +129,7 @@ def schedule_to_json(schedule: Schedule) -> str:
     doc = {
         "format": SCHEDULE_FORMAT,
         "n_clients": schedule.n_clients,
-        "priority_rule": schedule.priority_rule.value,
+        "priority_rule": PRIORITY_RULE,
         "steps": steps,
     }
     if schedule.prng is not None:
@@ -165,13 +167,14 @@ def schedule_from_json(text: str) -> Schedule:
                 steps.append(DeliverStep(_replica_id(raw["to"]), _replica_id(raw["from"])))
             else:
                 raise ScheduleError(f"unknown step type {raw.get('type')!r}")
-        rule = PriorityRule(doc.get("priority_rule", "smaller_wins"))
+        if doc.get("priority_rule", PRIORITY_RULE) != PRIORITY_RULE:
+            raise ScheduleError(f"priority_rule must be {PRIORITY_RULE!r}, got {doc['priority_rule']!r}")
         prng = doc.get("prng")
         if "prng" in doc:
             if type(prng) is not list or len(prng) != 2 or type(prng[0]) is not str:
                 raise ScheduleError(f"prng must be [generator name, seed], got {prng!r}")
             prng = (prng[0], _whole(prng[1], 0, "prng seed"))
-        return Schedule(_whole(doc["n_clients"], 1, "n_clients"), _shared(steps), rule, prng)
+        return Schedule(_whole(doc["n_clients"], 1, "n_clients"), _shared(steps), prng)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScheduleError):
             raise
@@ -208,7 +211,6 @@ class TraceEvent(NamedTuple):
 class Trace:
     protocol: str
     n_clients: int
-    priority_rule: str
     schedule_sha256: str
     events: Tuple[TraceEvent, ...]
     prng: Optional[Tuple[str, int]] = None
@@ -245,7 +247,7 @@ def trace_to_json(trace: Trace) -> str:
     head = json.dumps({
         "format": TRACE_FORMAT,
         "n_clients": trace.n_clients,
-        "priority_rule": trace.priority_rule,
+        "priority_rule": PRIORITY_RULE,
         "prng": list(trace.prng) if trace.prng else None,
         "protocol": trace.protocol,
         "schedule_sha256": trace.schedule_sha256,
@@ -391,7 +393,7 @@ class Simulation:
     events with vector clocks in one pass.
     """
 
-    def __init__(self, protocol: str, n_clients: int, rule: PriorityRule):
+    def __init__(self, protocol: str, n_clients: int):
         if protocol not in PROTOCOLS:
             raise ScheduleError(f"unknown protocol {protocol!r}")
         if n_clients < 1:
@@ -406,7 +408,7 @@ class Simulation:
             self.hub, client = Sequencer(n_clients), DJReplica
         # The peer at the other end of every client channel, as traced.
         self.hub_id = BROADCAST if protocol == "djupiter" else SERVER_ID
-        self.clients = {c: client(c, rule, self.index) for c in range(1, n_clients + 1)}
+        self.clients = {c: client(c, self.index) for c in range(1, n_clients + 1)}
         self.up = {c: collections.deque() for c in self.clients}
         self.down = {c: collections.deque() for c in self.clients}
         self.log: List[tuple] = []
@@ -440,7 +442,7 @@ class Simulation:
                     raise ScheduleError(f"step {i}: ins needs a glyph")
                 o = client.make_ins(spec.glyph, spec.pos)
             else:
-                o = client.make_del(spec.pos)
+                o = ListOp.del_(spec.pos)
             result = client.do(o)
             self.log.append(("do", cid, result.message, result.value))
             self.up[cid].append((self._send(cid, self.hub_id), result.message))
@@ -526,14 +528,13 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
     Raises ScheduleError at the first step that cannot run. With
     record_snapshots, the result carries each recorded space's history:
     its snapshot before the first step and after every step that changed it."""
-    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    sim = Simulation(protocol, schedule.n_clients)
     for i, step in enumerate(schedule.steps):
         sim.step(step, i)
 
     trace = Trace(
         protocol=protocol,
         n_clients=schedule.n_clients,
-        priority_rule=schedule.priority_rule.value,
         schedule_sha256=schedule.sha256,
         events=sim.events(),
         prng=schedule.prng,
@@ -607,10 +608,9 @@ class BufferJupiter:
     their link. It checks no step: it runs valid schedules whose inserts
     carry glyphs."""
 
-    def __init__(self, n_clients: int, rule: PriorityRule):
+    def __init__(self, n_clients: int):
         if n_clients < 1:
             raise ScheduleError("need at least one client")
-        self.rule = rule
         self.lists: List[ListState] = [()] * (n_clients + 1)  # by replica id
         self.links = {  # (client's end, server's end)
             c: (_BufferEnd(SERVER_ID, c), _BufferEnd(c, SERVER_ID)) for c in range(1, n_clients + 1)
@@ -630,11 +630,11 @@ class BufferJupiter:
             rid, spec = step.cid, step.op
             if spec.kind == "read":
                 return rid
-            own, priority = self.links[rid][0], priority_of(rid, self.rule)
+            own = self.links[rid][0]
             if spec.kind == "ins":
-                o = ListOp.ins(Element(spec.glyph, rid, own.sent + 1), spec.pos, priority)
+                o = ListOp.ins(Element(spec.glyph, rid, own.sent + 1), spec.pos)
             else:
-                o = _fill_del(ListOp.del_(spec.pos, priority), self.lists[rid])
+                o = _fill_del(ListOp.del_(spec.pos), self.lists[rid])
             ends = [own]
         elif step.to != SERVER_ID:
             rid, (client, server) = step.to, self.links[step.to]
@@ -653,7 +653,6 @@ def random_schedule(
     n_clients: int,
     n_updates: int,
     seed: int,
-    priority_rule: PriorityRule = PriorityRule.SMALLER_WINS,
     read_probability: float = 0.15,
 ) -> Schedule:
     """Seeded-deterministic schedule: updates with in-range positions,
@@ -671,7 +670,7 @@ def random_schedule(
         raise ScheduleError("updates cannot be negative")
     # random.Random(-s) draws what Random(s) draws.
     _whole(seed, 0, "seed")
-    sim = BufferJupiter(n_clients, priority_rule)
+    sim = BufferJupiter(n_clients)
     read = OpSpec("read")
     reads = {c: GenerateStep(c, read) for c in range(1, n_clients + 1)}  # one read step per client
     rng = random.Random(seed)
@@ -702,10 +701,10 @@ def random_schedule(
         sim.step(act)
 
     steps += reads.values()
-    return Schedule(n_clients, tuple(steps), priority_rule, prng=(PRNG_NAME, seed))
+    return Schedule(n_clients, tuple(steps), prng=(PRNG_NAME, seed))
 
 
-def podc16_schedule(priority_rule: PriorityRule = PriorityRule.SMALLER_WINS) -> Schedule:
+def podc16_schedule() -> Schedule:
     """The golden four-operation scenario: one insert seen everywhere, then
     three concurrent updates serialized by the server in a fixed order."""
     steps: Tuple[Step, ...] = (
@@ -729,4 +728,4 @@ def podc16_schedule(priority_rule: PriorityRule = PriorityRule.SMALLER_WINS) -> 
         GenerateStep(2, OpSpec("read")),
         GenerateStep(3, OpSpec("read")),
     )
-    return Schedule(3, _shared(steps), priority_rule)
+    return Schedule(3, _shared(steps))

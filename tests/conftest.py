@@ -6,7 +6,7 @@ import pytest
 
 from otwb import checkers
 from otwb.css_space import Mark, Oid, Ord, ProtocolError, ProtoOp, SnapEdge, StepHistory, compare_ops
-from otwb.ot_core import ListOp, ListState, OpKind, PriorityRule, apply, transform
+from otwb.ot_core import ListOp, ListState, OpKind, apply, transform
 from otwb.protocols import SERVER_ID
 from otwb.simnet import (
     BROADCAST,
@@ -146,7 +146,7 @@ def validate_schedule(schedule, protocol):
     """Raise ScheduleError unless every step of the schedule can run under
     the protocol: known ids, well-formed ops, no delivery from an empty
     channel."""
-    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    sim = Simulation(protocol, schedule.n_clients)
     for i, step in enumerate(schedule.steps):
         sim.step(step, i)
 
@@ -163,15 +163,13 @@ def enabled_deliveries(sim):
     return acts
 
 
-def oracle_random_schedule(
-    n_clients, n_updates, seed, priority_rule=PriorityRule.SMALLER_WINS, read_probability=0.15
-):
+def oracle_random_schedule(n_clients, n_updates, seed, read_probability=0.15):
     """random_schedule drawn over a replay of Simulation("jupiter"), whose
     clients' 2D spaces track the lists that the library's BufferJupiter
     tracks over 1D buffers."""
     if n_updates < 0:
         raise ScheduleError("updates cannot be negative")
-    sim = Simulation("jupiter", n_clients, priority_rule)
+    sim = Simulation("jupiter", n_clients)
     rng = random.Random(seed)
     steps = []
     generated = 0
@@ -199,7 +197,7 @@ def oracle_random_schedule(
         sim.step(act, len(steps) - 1)
     for c in range(1, n_clients + 1):
         steps.append(GenerateStep(c, OpSpec("read")))
-    return Schedule(n_clients, tuple(steps), priority_rule, prng=(PRNG_NAME, seed))
+    return Schedule(n_clients, tuple(steps), prng=(PRNG_NAME, seed))
 
 
 def oracle_trace_to_json(trace):
@@ -237,7 +235,7 @@ def oracle_trace_to_json(trace):
         "format": 1,
         "protocol": trace.protocol,
         "n_clients": trace.n_clients,
-        "priority_rule": trace.priority_rule,
+        "priority_rule": "smaller_wins",
         "schedule_sha256": trace.schedule_sha256,
         "prng": list(trace.prng) if trace.prng else None,
         "events": events,
@@ -408,7 +406,7 @@ def step_copying(sim, schedule, spaces):
 
 def stepped_copies(protocol, schedule):
     """step_copying's copies per replica whose history run records."""
-    sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+    sim = Simulation(protocol, schedule.n_clients)
     spaces = {0: sim.hub.space} if protocol == "cjupiter" else {}
     spaces.update((c, cl.space) for c, cl in sim.clients.items())
     return dict(zip(spaces, step_copying(sim, schedule, list(spaces.values()))))

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import O1, O2, O3, O4, applicable, check_cp1, text_of
 from otwb import checkers
-from otwb.ot_core import Element, ListOp, priority_of
+from otwb.ot_core import Element, ListOp, OpKind
 from otwb.simnet import podc16_schedule, random_schedule, run, trace_to_json
 
 N_SEEDS = 1000
@@ -144,14 +144,15 @@ class TestCriterion5ClientSubgraph:
 class TestCriterion6Cp1Exhaustive:
     def test_exhaustive_cp1(self):
         t0 = time.perf_counter()
-        priorities = [priority_of(c) for c in (1, 2, 3)]
 
-        def ops(tag, base_cid):
+        def ops(tag):
+            # Each insert's element originates at the client whose
+            # priority breaks its ties.
             yield ListOp.nop()
             for pos in range(6):
-                for pr in priorities:
-                    yield ListOp.ins(Element(tag, base_cid, pos * 10 + pr.cid), pos, pr)
-                    yield ListOp.del_(pos, pr)
+                for cid in (1, 2, 3):
+                    yield ListOp.ins(Element(tag, cid, pos + 1), pos)
+                yield ListOp.del_(pos)
 
         checked = 0
         failures = 0
@@ -159,13 +160,9 @@ class TestCriterion6Cp1Exhaustive:
             tuple(Element(g, 9, i + 1) for i, g in enumerate("wxyz"[:length]))
             for length in range(5)
         ]
-        for o1, o2 in itertools.product(list(ops("u", 90)), list(ops("v", 91))):
-            if (
-                o1.priority is not None
-                and o2.priority is not None
-                and o1.priority.cid == o2.priority.cid
-            ):
-                continue  # concurrent updates always originate at distinct clients
+        for o1, o2 in itertools.product(list(ops("u")), list(ops("v"))):
+            if o1.kind is o2.kind is OpKind.INS and o1.element.origin_cid == o2.element.origin_cid:
+                continue  # concurrent inserts always originate at distinct clients
             for base in bases:
                 if not (applicable(o1, base) and applicable(o2, base)):
                     continue

@@ -419,12 +419,16 @@ class TestStructural:
         for name in ("first_rule", "client_subgraph"):
             assert verdicts[name].satisfied
             assert verdicts[name].witness == vacuous
-        # Recorded runs and djupiter, which has no server steps, keep no marker.
+        # Recorded runs keep no marker.
         recorded = {v.check: v for v in check_structural(podc16_cj, podc16_j)}
-        dj = run("djupiter", sched, record_snapshots=False)
-        unrecorded_dj = {v.check: v for v in check_structural(dj)}
-        for verdict in (recorded["first_rule"], recorded["client_subgraph"], unrecorded_dj["first_rule"]):
+        for verdict in (recorded["first_rule"], recorded["client_subgraph"]):
             assert verdict.satisfied and verdict.witness is None
+        # djupiter has no server space and no server receive, recorded or not.
+        for dj in (run("djupiter", sched, record_snapshots=False), run("djupiter", sched)):
+            verdicts = {v.check: v for v in check_structural(dj)}
+            assert verdicts["first_rule"].witness == {"vacuous": "no server space"}
+            assert verdicts["ot_sequence"].witness == {"vacuous": "no server receive"}
+            assert verdicts["first_rule"].satisfied and verdicts["ot_sequence"].satisfied
 
     def test_djupiter_bundle_passes_without_server_checks(self, podc16_dj):
         verdicts = check_structural(podc16_dj)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from conftest import empty_schedule, swapped_receives
 from otwb import simnet
 from otwb.checkers import CHECKS
-from otwb.cli import main
+from otwb.cli import build_parser, main
 from otwb.simnet import podc16_schedule, schedule_to_json
 
 
@@ -87,15 +89,17 @@ class TestRun:
         assert verdicts["format"] == 1
         assert (out_dir / "trace_cjupiter.json").exists()
 
-    def test_priority_spellings_agree_on_schedule_file(self, tmp_path, capsys):
-        path = tmp_path / "podc16.json"
-        path.write_text(schedule_to_json(podc16_schedule()))
-        base = ["run", "--schedule", str(path), "--check", "strong"]
-        joined = invoke(base + ["--priority=larger_wins"], capsys)
-        split = invoke(base + ["--priority", "larger_wins"], capsys)
-        assert joined == split
-        assert joined[0] == 0 and "strong_spec: OK" in joined[1]
-        assert invoke(base, capsys)[0] == 1  # the file's own smaller_wins
+    def test_other_priority_rule_is_a_schedule_error(self, tmp_path, capsys):
+        # The smaller client id always wins an insert tie; a file naming
+        # another rule would replay under a rule it does not ask for.
+        doc = json.loads(schedule_to_json(podc16_schedule()))
+        path = tmp_path / "s.json"
+        for rule in ("larger_wins", 1):
+            doc["priority_rule"] = rule
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = invoke(["run", "--schedule", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"schedule error: priority_rule must be 'smaller_wins', got {rule!r}\n"
 
     def test_random_schedule_via_seed_flag(self, capsys):
         code, _, _ = invoke(
@@ -398,7 +402,7 @@ GOLDEN = {
     ("run", "jupiter", "podc16"):
         "e545579443f3bf3f4adcd1e79f33b3021a37db7ad62cdfcd53812aecd2c3e376",
     ("run", "djupiter", "podc16"):
-        "3bcafd100005eaa43906ba5f1cc29cb8c79f1f128897bb1921ef2f9c9da2a3b5",
+        "2e82bf67ff8315d4c233fcbde8f6c58d4787a4c0ae993e9d496c3eab8a3194d2",
 }
 SCHEDULES = {
     "podc16": ["--schedule", "builtin:podc16"],
@@ -464,3 +468,19 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])[0]["witness"]["elements"] == ["a", "b", "x"]
+
+
+class TestReadme:
+    def test_usage_commands_parse(self):
+        # Every command in README's CLI usage block parses, so a removed
+        # or renamed flag cannot stay documented.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [c for c in block.replace("\\\n", " ").splitlines() if c.startswith("otwb ")]
+        assert commands
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")

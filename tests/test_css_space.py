@@ -16,13 +16,13 @@ from otwb.css_space import (
     compare_ops,
     materialize,
 )
-from otwb.ot_core import Element, ListOp, priority_of, to_text
+from otwb.ot_core import Element, ListOp, to_text
 from otwb.protocols import CJClient, CJServer
 from otwb.simnet import PROTOCOLS, Simulation, podc16_schedule, random_schedule
 
 
 def ins(glyph, pos, cid, seq):
-    return ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid))
+    return ListOp.ins(Element(glyph, cid, seq), pos)
 
 
 def op(index, o, oid, ctx=(), sctx=()):
@@ -42,7 +42,7 @@ def replay_podc16():
     sent[1] = server.receive(op1)
     for i in (2, 3):
         c[i].receive(sent[1].fanout[0][1])
-    _, op2 = c[1].do(c[1].make_del(0))
+    _, op2 = c[1].do(ListOp.del_(0))
     _, op3 = c[2].do(c[2].make_ins("a", 0))
     _, op4 = c[3].do(c[3].make_ins("b", 1))
     r2 = server.receive(op2)
@@ -70,7 +70,7 @@ class TestCompareOps:
         # At client 2: a redirected operation with silent contexts orders
         # before the client's own unacknowledged one.
         ix = OidIndex()
-        remote = op(ix, ListOp.del_(0, priority_of(1)), O2, ctx={O1}, sctx={O1})
+        remote = op(ix, ListOp.del_(0), O2, ctx={O1}, sctx={O1})
         local = op(ix, ins("a", 0, 2, 1), O3, ctx={O1})
         assert compare_ops(remote, local, 2) is Ord.LEFT
         assert compare_ops(local, remote, 2) is Ord.RIGHT
@@ -207,7 +207,7 @@ class TestXform:
         c3.receive(op(ix, ins("x", 0, 1, 1), O1))
         c3.do(c3.make_ins("b", 1))
         incoming = op(
-            ix, ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)), O2, ctx={O1}, sctx={O1}
+            ix, ListOp.del_(0, element=Element("x", 1, 1)), O2, ctx={O1}, sctx={O1}
         )
         result = c3.receive(incoming)
         assert result.applied.o.sig() == "Del(x,0)"
@@ -269,7 +269,7 @@ class TestInvariants:
         # edge at cur only as cur's one edge, and moves cur along it.
         corpus = (random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(100))
         for schedule in (podc16_schedule(), *corpus):
-            sim = Simulation(protocol, schedule.n_clients, schedule.priority_rule)
+            sim = Simulation(protocol, schedule.n_clients)
             spaces = [c.space for c in sim.clients.values()]
             if protocol == "cjupiter":
                 spaces.append(sim.hub.space)

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import O1, O2, O3, O4, mask, oracle_link
 from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, materialize
-from otwb.ot_core import Element, ListOp, priority_of, to_text
+from otwb.ot_core import Element, ListOp, to_text
 from otwb.protocols import JClient, JServer
 
 
 def ins(glyph, pos, cid, seq):
-    return ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid))
+    return ListOp.ins(Element(glyph, cid, seq), pos)
 
 
 def op2d(index, o, oid, ctx=()):
@@ -26,7 +26,7 @@ def replay_podc16_jupiter():
     r1 = server.receive(op1)
     for i in (2, 3):
         c[i].receive(r1.fanout[0][1])
-    _, op2 = c[1].do(c[1].make_del(0))
+    _, op2 = c[1].do(ListOp.del_(0))
     _, op3 = c[2].do(c[2].make_ins("a", 0))
     _, op4 = c[3].do(c[3].make_ins("b", 1))
     r2 = server.receive(op2)

@@ -5,16 +5,8 @@ import itertools
 import pytest
 
 from conftest import EMPTY_STATE, applicable, check_cp1
-from otwb.ot_core import (
-    Element,
-    ListOp,
-    OpKind,
-    PriorityRule,
-    apply,
-    priority_of,
-    to_text,
-    transform,
-)
+from otwb.ot_core import Element, ListOp, OpKind, apply, to_text, transform
+from otwb.protocols import CJClient, DJReplica
 
 
 def elem(glyph, cid=1, seq=None):
@@ -27,14 +19,9 @@ def state_of(*glyphs):
     return tuple(elem(g, cid=9, seq=i + 1) for i, g in enumerate(glyphs))
 
 
-PR1 = priority_of(1)
-PR2 = priority_of(2)
-PR3 = priority_of(3)
-
-
 class TestApply:
     def test_insert_into_empty_list(self):
-        new, val = apply(EMPTY_STATE, ListOp.ins(elem("x"), 0, PR1))
+        new, val = apply(EMPTY_STATE, ListOp.ins(elem("x"), 0))
         assert to_text(new) == "x"
         assert val == new
 
@@ -45,17 +32,17 @@ class TestApply:
     def test_delete_clamps_to_last_element(self):
         # Derived from the clamp rule min(p, len-1) on a 5-element list.
         st = state_of("a", "b", "c", "d", "e")
-        new, val = apply(st, ListOp.del_(5, PR1))
+        new, val = apply(st, ListOp.del_(5))
         assert to_text(new) == "abcd"
         assert val == new
 
     def test_insert_clamps_to_end(self):
         st = state_of("a", "b")
-        new, _ = apply(st, ListOp.ins(elem("z"), 7, PR1))
+        new, _ = apply(st, ListOp.ins(elem("z"), 7))
         assert to_text(new) == "abz"
 
     def test_delete_on_empty_list_is_noop(self):
-        assert apply(EMPTY_STATE, ListOp.del_(0, PR1)) == (EMPTY_STATE, EMPTY_STATE)
+        assert apply(EMPTY_STATE, ListOp.del_(0)) == (EMPTY_STATE, EMPTY_STATE)
 
     def test_position_clamping_oracle(self):
         # Brute-force oracle: apply(s, o) equals apply with the position
@@ -63,57 +50,57 @@ class TestApply:
         for length in range(5):
             st = state_of(*"abcde"[:length])
             for p in range(7):
-                ins = ListOp.ins(elem("z"), p, PR1)
-                clamped_ins = ListOp.ins(elem("z"), min(p, length), PR1)
+                ins = ListOp.ins(elem("z"), p)
+                clamped_ins = ListOp.ins(elem("z"), min(p, length))
                 assert apply(st, ins) == apply(st, clamped_ins)
                 if length > 0:
-                    dl = ListOp.del_(p, PR1)
-                    clamped_dl = ListOp.del_(min(p, length - 1), PR1)
+                    dl = ListOp.del_(p)
+                    clamped_dl = ListOp.del_(min(p, length - 1))
                     assert apply(st, dl) == apply(st, clamped_dl)
 
     def test_duplicate_insert_rejected(self):
         st = (elem("x", cid=1, seq=1),)
         with pytest.raises(ValueError):
-            apply(st, ListOp.ins(elem("y", cid=1, seq=1), 0, PR1))
+            apply(st, ListOp.ins(elem("y", cid=1, seq=1), 0))
 
 
 class TestTransform:
     def test_ins_del_pair_from_buffer_example(self):
         # Ins(f,1) / Del(_,5) on a 6-element list: the deletion shifts right.
-        o1 = ListOp.ins(elem("f"), 1, PR1)
-        o2 = ListOp.del_(5, PR2)
+        o1 = ListOp.ins(elem("f"), 1)
+        o2 = ListOp.del_(5)
         assert transform(o1, o2) == o1
-        assert transform(o2, o1) == ListOp.del_(6, PR2)
+        assert transform(o2, o1) == ListOp.del_(6)
 
     def test_del_ins_pair_at_distinct_positions(self):
         # Del(x,0) against Ins(b,1): Del unchanged, Ins shifts left past it.
         x = elem("x")
-        o2 = ListOp.del_(0, PR1, element=x)
-        o4 = ListOp.ins(elem("b"), 1, PR3)
+        o2 = ListOp.del_(0, element=x)
+        o4 = ListOp.ins(elem("b"), 1)
         assert transform(o2, o4) == o2
-        assert transform(o4, o2) == ListOp.ins(elem("b"), 0, PR3)
+        assert transform(o4, o2) == ListOp.ins(elem("b"), 0)
 
     def test_ins_del_pair_at_same_position(self):
         # Ins(a,0) against Del(x,0): insert keeps its slot, delete shifts.
         x = elem("x")
-        o3 = ListOp.ins(elem("a"), 0, PR2)
-        o2 = ListOp.del_(0, PR1, element=x)
+        o3 = ListOp.ins(elem("a"), 0)
+        o2 = ListOp.del_(0, element=x)
         assert transform(o3, o2) == o3
-        assert transform(o2, o3) == ListOp.del_(1, PR1, element=x)
+        assert transform(o2, o3) == ListOp.del_(1, element=x)
 
     def test_del_del_same_position_yields_nop(self):
-        assert transform(ListOp.del_(3, PR1), ListOp.del_(3, PR2)) == ListOp.nop()
+        assert transform(ListOp.del_(3), ListOp.del_(3)) == ListOp.nop()
 
     def test_ins_ins_same_position_priority_shift(self):
-        # Higher priority shifts right; under the default rule the smaller
-        # client id is the higher priority.
-        hi = ListOp.ins(elem("a"), 2, PR2)
-        lo = ListOp.ins(elem("b"), 2, PR3)
-        assert transform(hi, lo) == ListOp.ins(elem("a"), 3, PR2)
+        # The insert whose element comes from the smaller client id has
+        # the higher priority and shifts right.
+        hi = ListOp.ins(elem("a", cid=2), 2)
+        lo = ListOp.ins(elem("b", cid=3), 2)
+        assert transform(hi, lo) == ListOp.ins(elem("a", cid=2), 3)
         assert transform(lo, hi) == lo
 
     def test_nop_is_absorbing(self):
-        o = ListOp.ins(elem("q"), 1, PR1)
+        o = ListOp.ins(elem("q"), 1)
         assert transform(ListOp.nop(), o) == ListOp.nop()
         assert transform(o, ListOp.nop()) == o
         assert transform(ListOp.nop(), ListOp.nop()) == ListOp.nop()
@@ -136,37 +123,35 @@ class TestTransform:
                 assert t.element == o1.element
 
 
-def _update_ops(max_pos, priorities, tag):
+def _update_ops(max_pos, tag):
+    """Nop, then at every position a deletion and an insert from each of
+    clients 1-3, its element's origin."""
     ops = [ListOp.nop()]
     for p in range(max_pos + 1):
-        for pr in priorities:
-            ops.append(ListOp.ins(Element(tag, 90 + ord(tag), p * 10 + pr.cid), p, pr))
-            ops.append(ListOp.del_(p, pr))
+        ops += (ListOp.ins(Element(tag, cid, p + 1), p) for cid in (1, 2, 3))
+        ops.append(ListOp.del_(p))
     return ops
 
 
 def _update_pairs(max_pos):
-    prios = [PR1, PR2, PR3]
-    for o1, o2 in itertools.product(
-        _update_ops(max_pos, prios, "u"), _update_ops(max_pos, prios, "v")
-    ):
-        if o1.priority is not None and o2.priority is not None and o1.priority.cid == o2.priority.cid:
-            continue  # concurrent updates always come from distinct clients
+    for o1, o2 in itertools.product(_update_ops(max_pos, "u"), _update_ops(max_pos, "v")):
+        if o1.kind is o2.kind is OpKind.INS and o1.element.origin_cid == o2.element.origin_cid:
+            continue  # concurrent inserts always come from distinct clients
         yield o1, o2
 
 
 class TestCp1:
     def test_buffer_scenario_converges(self):
         st = state_of(*"buffer")
-        assert check_cp1(ListOp.ins(elem("f"), 1, PR1), ListOp.del_(5, PR2), st)
+        assert check_cp1(ListOp.ins(elem("f"), 1), ListOp.del_(5), st)
 
     def test_nop_pair_trivially_converges(self):
         assert check_cp1(ListOp.nop(), ListOp.nop(), state_of("x"))
 
     def test_exhaustive_small_sweep(self):
-        # Enumeration is the oracle: every applicable distinct-priority
-        # update pair over every short base list must commute through its
-        # transforms.
+        # Enumeration is the oracle: every applicable update pair, its
+        # inserts from distinct clients, over every short base list must
+        # commute through its transforms.
         for length in range(4):
             st = state_of(*"wxyz"[:length])
             for o1, o2 in _update_pairs(max_pos=4):
@@ -177,33 +162,33 @@ class TestCp1:
     def test_clamped_operations_fall_outside_the_guarantee(self):
         # A deletion aimed past the end of an empty list diverges against a
         # concurrent insert; the applicability guard is what excludes it.
-        o1 = ListOp.ins(elem("u"), 0, PR1)
-        o2 = ListOp.del_(0, PR2)
+        o1 = ListOp.ins(elem("u"), 0)
+        o2 = ListOp.del_(0)
         assert not applicable(o2, EMPTY_STATE)
         assert not check_cp1(o1, o2, EMPTY_STATE)
 
 
 class TestPriority:
+    # Concurrent inserts at one position are ordered by the origin client
+    # of their elements alone, not by glyph or sequence number.
     def test_smaller_id_wins_by_default(self):
-        assert priority_of(2).beats(priority_of(3))
-        assert not priority_of(3).beats(priority_of(2))
+        small = ListOp.ins(elem("z", cid=1, seq=9), 0)
+        large = ListOp.ins(elem("a", cid=3, seq=1), 0)
+        assert transform(small, large) == ListOp.ins(elem("z", cid=1, seq=9), 1)
+        assert transform(large, small) == large
 
     def test_equal_ids_tie(self):
-        assert not priority_of(4).beats(priority_of(4))
-
-    def test_larger_wins_rule_flips(self):
-        a = priority_of(2, PriorityRule.LARGER_WINS)
-        b = priority_of(3, PriorityRule.LARGER_WINS)
-        assert b.beats(a)
-        assert not a.beats(b)
-
-    def test_mixed_rules_rejected(self):
-        with pytest.raises(ValueError):
-            priority_of(1).beats(priority_of(2, PriorityRule.LARGER_WINS))
+        # Equal origins at one position shift neither.
+        a = ListOp.ins(elem("a", cid=4, seq=1), 2)
+        b = ListOp.ins(elem("b", cid=4, seq=2), 2)
+        assert transform(a, b) == a
+        assert transform(b, a) == b
 
     def test_invalid_cid_rejected(self):
-        with pytest.raises(ValueError):
-            priority_of(0)
+        # Origins, and so insert priorities, are client ids, which start at 1.
+        for replica in (CJClient, DJReplica):
+            with pytest.raises(ValueError, match="client ids start at 1"):
+                replica(0)
 
 
 class TestListOpValidation:
@@ -211,30 +196,31 @@ class TestListOpValidation:
         with pytest.raises(ValueError):
             ListOp(OpKind.NOP, position=1)
         with pytest.raises(ValueError):
-            ListOp(OpKind.NOP, priority=PR1)
+            ListOp(OpKind.NOP, element=elem("a"))
 
-    def test_updates_need_position_and_priority(self):
+    def test_updates_need_position(self):
         with pytest.raises(ValueError):
             ListOp(OpKind.INS, element=elem("a"))
         with pytest.raises(ValueError):
-            ListOp(OpKind.DEL, position=-1, priority=PR1)
-        with pytest.raises(ValueError):
-            ListOp(OpKind.INS, position=0, priority=PR1)
+            ListOp(OpKind.DEL, position=-1)
+        with pytest.raises(ValueError, match="ins needs an element"):
+            ListOp(OpKind.INS, position=0)
 
     def test_replace_validates(self):
-        o = ListOp.ins(elem("a"), 0, PR1)
+        o = ListOp.ins(elem("a"), 0)
         with pytest.raises(ValueError, match="non-negative position"):
             o._replace(position=-1)
         moved = o._replace(position=2)
         assert type(moved) is ListOp and moved.position == 2
 
     def test_equals_its_tuple(self):
-        o = ListOp.ins(elem("a"), 0, PR1)
-        assert o == (OpKind.INS, elem("a"), 0, PR1)
-        assert hash(o) == hash((OpKind.INS, elem("a"), 0, PR1))
+        o = ListOp.ins(elem("a"), 0)
+        assert ListOp._fields == ("kind", "element", "position")
+        assert o == (OpKind.INS, elem("a"), 0)
+        assert hash(o) == hash((OpKind.INS, elem("a"), 0))
 
     def test_del_element_filled_later(self):
-        d = ListOp.del_(2, PR1)
+        d = ListOp.del_(2)
         assert d.element is None
         filled = d.with_element(elem("k"))
         assert filled.element == elem("k")

@@ -4,9 +4,20 @@ import pytest
 
 from conftest import O1, O2, O3, O4, mask, plain, text_of
 from otwb.css_space import Oid, OidIndex, ProtoOp, ProtocolError
-from otwb.ot_core import Element, ListOp, PriorityRule, priority_of, to_text
+from otwb.checkers import build_abstract_execution, check_strong_spec
+from otwb.ot_core import Element, ListOp, to_text
 from otwb.protocols import CJClient, CJServer, DJReplica, JClient, JServer
-from otwb.simnet import BufferJupiter, DeliverStep, GenerateStep, OpSpec, Schedule, podc16_schedule, random_schedule, run
+from otwb.simnet import (
+    PROTOCOLS,
+    BufferJupiter,
+    DeliverStep,
+    GenerateStep,
+    OpSpec,
+    Schedule,
+    podc16_schedule,
+    random_schedule,
+    run,
+)
 
 
 def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
@@ -15,7 +26,7 @@ def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
     index = replica.space.index
     oid = Oid(cid, seq)
     return ProtoOp(
-        ListOp.ins(Element(glyph, cid, seq), pos, priority_of(cid)),
+        ListOp.ins(Element(glyph, cid, seq), pos),
         oid,
         index.bit(oid),
         mask(index, ctx),
@@ -44,19 +55,19 @@ class TestCJClientDo:
     def test_delete_records_the_victim(self):
         c1 = CJClient(1)
         c1.do(c1.make_ins("x", 0))
-        _, msg = c1.do(c1.make_del(0))
+        _, msg = c1.do(ListOp.del_(0))
         assert msg.o.element == Element("x", 1, 1)
 
     def test_degenerate_delete_becomes_nop(self):
         c1 = CJClient(1)
-        value, msg = c1.do(c1.make_del(0))
+        value, msg = c1.do(ListOp.del_(0))
         assert value == ()
         assert msg.o == ListOp.nop()
         assert msg.oid == Oid(1, 1)
 
     def test_foreign_element_identity_rejected(self):
         c1 = CJClient(1)
-        alien = ListOp.ins(Element("x", 2, 1), 0, priority_of(1))
+        alien = ListOp.ins(Element("x", 2, 1), 0)
         with pytest.raises(ProtocolError):
             c1.do(alien)
 
@@ -80,7 +91,7 @@ class TestCJServerReceive:
         s.receive(remote_ins(s, "x", 0, 1, 1))
         r = s.receive(
             ProtoOp(
-                ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)),
+                ListOp.del_(0, element=Element("x", 1, 1)),
                 O2,
                 mask(s.space.index, [O2]),
                 mask(s.space.index, [O1]),
@@ -107,7 +118,7 @@ class TestCJClientReceive:
         c3.do(c3.make_ins("b", 1))
         r = c3.receive(
             ProtoOp(
-                ListOp.del_(0, priority_of(1), element=Element("x", 1, 1)),
+                ListOp.del_(0, element=Element("x", 1, 1)),
                 O2,
                 mask(c3.space.index, [O2]),
                 mask(c3.space.index, [O1]),
@@ -157,7 +168,7 @@ class TestJupiter:
         _, op1 = c1.do(c1.make_ins("x", 0))
         r1 = s.receive(op1)
         c2.receive(r1.fanout[0][1])
-        _, op2 = c1.do(c1.make_del(0))
+        _, op2 = c1.do(ListOp.del_(0))
         s.receive(op2)
         _, op3 = c2.do(c2.make_ins("a", 0))
         r3 = s.receive(op3)
@@ -287,10 +298,25 @@ class TestDJupiterMatchesCJupiter:
                 assert plain(dj.css_final[c].vertices) == plain(cj.css_final[c].vertices)
 
 
+def mirrored(schedule):
+    """The schedule with each client c renamed n + 1 - c; the server keeps
+    its id 0."""
+    n = schedule.n_clients
+
+    def flip(rid):
+        return rid and n + 1 - rid
+
+    steps = tuple(
+        GenerateStep(flip(s.cid), s.op) if isinstance(s, GenerateStep) else DeliverStep(flip(s.to), flip(s.frm))
+        for s in schedule.steps
+    )
+    return Schedule(n, steps)
+
+
 def buffer_events(schedule):
     """Per replica, server included, the (event kind, list) sequence of a
     BufferJupiter run of the schedule."""
-    sim = BufferJupiter(schedule.n_clients, schedule.priority_rule)
+    sim = BufferJupiter(schedule.n_clients)
     out = {}
     for step in schedule.steps:
         rid = sim.step(step)
@@ -313,7 +339,7 @@ class TestBufferJupiterMatchesJupiter:
     # this pins every replica's lists, the server's included, against an
     # independent implementation.
     def test_replica_sequences(self):
-        schedules = [podc16_schedule(rule) for rule in PriorityRule]
+        schedules = [podc16_schedule(), mirrored(podc16_schedule())]
         schedules += [random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(300)]
         schedules += [random_schedule(4, 16, seed=s) for s in range(20)]
         schedules += [random_schedule(3, 12, seed=s, read_probability=1.0) for s in range(20)]
@@ -340,18 +366,16 @@ class TestBufferJupiterMatchesJupiter:
         assert [events[rid][-1][1] for rid in (0, 1, 2)] == [(), (), ()]
 
 
-class TestPriorityKnob:
-    def test_larger_wins_flips_the_golden_outcome(self):
-        # Under the flipped tie-break the same schedule converges to "ab"
-        # instead of "ba", and the element order stays globally acyclic.
-        from otwb.checkers import build_abstract_execution, check_strong_spec
-        from otwb.ot_core import PriorityRule
-        from otwb.simnet import podc16_schedule
-
-        res = run("cjupiter", podc16_schedule(PriorityRule.LARGER_WINS))
-        assert {text_of(v) for v in res.final_values.values()} == {"ab"}
-        A = build_abstract_execution(res.trace)
-        assert check_strong_spec(A).satisfied
+class TestMirroredClients:
+    def test_mirrored_podc16_converges_to_ab(self):
+        # Client ids only break insert ties, so mirroring them (c1 <-> c3)
+        # flips the golden tie: every protocol converges to "ab" instead of
+        # "ba", and the element order stays globally acyclic.
+        sched = mirrored(podc16_schedule())
+        for protocol in PROTOCOLS:
+            res = run(protocol, sched)
+            assert {text_of(v) for v in res.final_values.values()} == {"ab"}, protocol
+            assert check_strong_spec(build_abstract_execution(res.trace)).satisfied, protocol
 
 
 class TestCompactness:
@@ -399,7 +423,7 @@ class TestFanoutDiscipline:
 
     @staticmethod
     def _do(client, kind, glyph, pos):
-        o = client.make_ins(glyph, pos) if kind == "ins" else client.make_del(pos)
+        o = client.make_ins(glyph, pos) if kind == "ins" else ListOp.del_(pos)
         return client.do(o)
 
     def test_cjupiter_forwards_the_stamped_original(self):

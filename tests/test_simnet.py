@@ -21,13 +21,14 @@ from conftest import (
     vc_less,
 )
 from otwb import simnet
-from otwb.ot_core import Element, PriorityRule
+from otwb.ot_core import Element
 from otwb.simnet import (
     BROADCAST,
     DeliverStep,
     GenerateStep,
     OpRecord,
     OpSpec,
+    PRNG_NAME,
     Schedule,
     ScheduleError,
     Simulation,
@@ -187,22 +188,18 @@ class TestRandomSchedule:
         monkeypatch.setattr(simnet, "Simulation", refuse)
         assert generated_digest() == GENERATED_DIGEST
 
-    # Any shape, seed, rule and share of reads draws what the old draw loop
-    # over a Simulation("jupiter") replay drew, and so does the ladder's top
-    # rung.
+    # Any shape, seed and share of reads draws what the old draw loop over
+    # a Simulation("jupiter") replay drew, and so does the ladder's top rung.
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @example(n=16, u=128, seed=7, rule=PriorityRule.SMALLER_WINS, read_probability=0.15)
+    @example(n=16, u=128, seed=7, read_probability=0.15)
     @given(
         n=st.integers(1, 6),
         u=st.integers(0, 30),
         seed=st.integers(min_value=0),
-        rule=st.sampled_from(PriorityRule),
         read_probability=st.sampled_from([0.0, 0.15, 1.0]),
     )
-    def test_matches_the_oracle(self, n, u, seed, rule, read_probability):
-        assert random_schedule(n, u, seed, rule, read_probability) == oracle_random_schedule(
-            n, u, seed, rule, read_probability
-        )
+    def test_matches_the_oracle(self, n, u, seed, read_probability):
+        assert random_schedule(n, u, seed, read_probability) == oracle_random_schedule(n, u, seed, read_probability)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ScheduleError):
@@ -219,7 +216,7 @@ class TestRandomSchedule:
 
 class TestScheduleJson:
     def test_round_trip(self):
-        sched = random_schedule(3, 5, seed=77, priority_rule=PriorityRule.LARGER_WINS)
+        sched = random_schedule(3, 5, seed=77)
         text = schedule_to_json(sched)
         back = schedule_from_json(text)
         assert back == sched
@@ -239,6 +236,19 @@ class TestScheduleJson:
         doc = json.loads(schedule_to_json(podc16_schedule()))
         doc["format"] = 99
         with pytest.raises(ScheduleError):
+            schedule_from_json(json.dumps(doc))
+
+    def test_priority_rule_is_smaller_wins_or_absent(self):
+        doc = json.loads(schedule_to_json(podc16_schedule()))
+        assert doc["priority_rule"] == "smaller_wins"
+        del doc["priority_rule"]
+        assert schedule_from_json(json.dumps(doc)) == podc16_schedule()
+
+    @pytest.mark.parametrize("rule", ["larger_wins", 1, None, ["smaller_wins"]])
+    def test_other_priority_rules_rejected(self, rule):
+        doc = json.loads(schedule_to_json(podc16_schedule()))
+        doc["priority_rule"] = rule
+        with pytest.raises(ScheduleError, match="priority_rule must be 'smaller_wins'"):
             schedule_from_json(json.dumps(doc))
 
     def test_malformed_json_rejected(self):
@@ -334,7 +344,7 @@ class TestCompactSteps:
         assert dataclasses.replace(self.STEPS[1], cid=2) == GenerateStep(2, OpSpec("read"))
         sched = podc16_schedule()
         digest = sched.sha256
-        other = dataclasses.replace(sched, priority_rule=PriorityRule.LARGER_WINS)
+        other = dataclasses.replace(sched, prng=(PRNG_NAME, 7))
         assert other.steps is sched.steps
         assert other.sha256 != digest == sched.sha256
 
@@ -520,7 +530,7 @@ class TestTraceBytesMatchOracle:
             TraceEvent(3, 0, "receive", (3, 1), insert, copy, "m1", 1, 0, ("5:1",)),
             TraceEvent(4, 0, "do", (3, 2), OpRecord("del", "1:2", elements[0], 0), shared[1:]),
         )
-        trace = Trace("cjupiter", 1, "smaller_wins", "0" * 64, events, ("py-mt19937/v1", 7))
+        trace = Trace("cjupiter", 1, "0" * 64, events, ("py-mt19937/v1", 7))
         text = trace_to_json(trace)
         assert text == oracle_trace_to_json(trace)
         assert text.count('"text":"\\"\\\\\\u00e9\\u0001\\ud83d\\ude00"') == 3
@@ -536,18 +546,17 @@ class TestTraceBytesMatchOracle:
         for escaped in ('"\\""', '"\\\\"', '"\\u00e9"', '"\\u0001"'):
             assert escaped in text
 
-    # Small random schedules under both rules and any share of reads.
+    # Small random schedules with any share of reads.
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(
         protocol=st.sampled_from(PROTOCOLS),
         n=st.integers(1, 4),
         u=st.integers(0, 10),
         seed=st.integers(min_value=0),
-        rule=st.sampled_from(PriorityRule),
         read_probability=st.floats(0, 1),
     )
-    def test_random_schedules_match_the_oracle(self, protocol, n, u, seed, rule, read_probability):
-        trace = run(protocol, random_schedule(n, u, seed, rule, read_probability), record_snapshots=False).trace
+    def test_random_schedules_match_the_oracle(self, protocol, n, u, seed, read_probability):
+        trace = run(protocol, random_schedule(n, u, seed, read_probability), record_snapshots=False).trace
         assert trace_to_json(trace) == oracle_trace_to_json(trace)
 
 
@@ -640,7 +649,7 @@ class TestSimulation:
     def test_generated_deliveries_are_enabled(self, protocol):
         for seed in (2, 11, 29):
             sched = random_schedule(3, 8, seed)
-            sim = Simulation(protocol, sched.n_clients, sched.priority_rule)
+            sim = Simulation(protocol, sched.n_clients)
             for i, step in enumerate(sched.steps):
                 if isinstance(step, DeliverStep):
                     assert step in enabled_deliveries(sim)

@@ -40,7 +40,7 @@ from otwb.checkers import (
     check_weak_spec,
 )
 from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, SnapEdge, StepHistory
-from otwb.ot_core import Element, ListOp, priority_of
+from otwb.ot_core import Element, ListOp
 from otwb.simnet import (
     PROTOCOLS,
     OpRecord,
@@ -61,7 +61,7 @@ def oids(*ks):
 
 def ins(cid, pos=0):
     """Insert of client cid's first element, glyph a, b, c... by cid."""
-    return ListOp.ins(Element("abcdef"[cid - 1], cid, 1), pos, priority_of(cid))
+    return ListOp.ins(Element("abcdef"[cid - 1], cid, 1), pos)
 
 
 # The oid index of the hand-built snapshots. It holds the oids k:1 in
@@ -1070,7 +1070,7 @@ class TestStepHistory:
         small = [random_schedule(n, u, seed=s) for n in (1, 2, 3, 4) for u in (0, 3, 8) for s in range(3)]
         for sched in (podc16_schedule(), *small):
             n = sched.n_clients
-            sim = Simulation(protocol, n, sched.priority_rule)
+            sim = Simulation(protocol, n)
             spaces = held_spaces(sim)
             assert len(spaces) == {"cjupiter": n + 1, "jupiter": 2 * n, "djupiter": n}[protocol]
             for space, want in zip(spaces, step_copying(sim, sched, spaces)):
