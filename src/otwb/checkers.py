@@ -16,7 +16,7 @@ from operator import attrgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import simnet
-from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, SnapEdge, StepHistory, materialize
+from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, StepHistory, materialize
 from .ot_core import to_text
 from .simnet import OpRecord, RunResult, Schedule, Trace, bit_positions, causal_masks
 
@@ -519,7 +519,7 @@ def _fmt_step(step) -> Optional[dict]:
 # Structural checks over state-space snapshots
 
 
-def _edge_set(snap: CssSnapshot) -> Set[Tuple[int, SnapEdge]]:
+def _edge_set(snap: CssSnapshot) -> Set[Tuple[int, ProtoOp]]:
     return {(src, e) for src, edges in snap.vertices.items() for e in edges}
 
 
@@ -534,8 +534,9 @@ class _Graph:
         parents: List[List[int]] = [[] for _ in self.keys]
         for src, edges in snap.vertices.items():
             for e in edges:
-                if e.target in idx:  # a dangling edge fails simple_path
-                    parents[idx[e.target]].append(idx[src])
+                t = idx.get(src | e.bit)
+                if t is not None:  # a dangling edge fails simple_path
+                    parents[t].append(idx[src])
         # reflexive ancestor masks, computed in |oids| order (parents first)
         self.anc = [0] * len(self.keys)
         for i, ps in enumerate(parents):
@@ -595,7 +596,8 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     # The lemmas that read only a space give replicas with equal spaces the
     # same verdict, and report the first failing replica in id order; so
     # they check only the first replica holding each space (at quiescence,
-    # one replica in all). SnapEdge equality is the edge identity.
+    # one replica in all). An edge is its source and its op, and ProtoOp
+    # equality is the edge identity.
     distinct: Dict[int, CssSnapshot] = {}
     for rid, snap in sorted(result.css_final.items()):
         if all(snap.vertices != d.vertices for d in distinct.values()):
@@ -632,23 +634,26 @@ def _check_out_degree(snapshots: Dict[int, CssSnapshot], n: int) -> Verdict:
 
 
 def _check_simple_path(snapshots: Dict[int, CssSnapshot]) -> Verdict:
-    # The edge/vertex matching constraints force oids to grow by exactly
-    # the edge label along every edge, so no path can repeat an oid. An
+    # An edge ends at src | op.bit, so the edge/vertex matching constraints
+    # (op's bit not in src, op's context src) force oids to grow by exactly
+    # the edge label along every edge, and no path can repeat an oid. An
     # edge must also end at a vertex of the snapshot.
     for rid, snap in sorted(snapshots.items()):
         for src, edges in snap.vertices.items():
             for e in edges:
-                target_ok = e.target == src | e.op.bit and e.target in snap.vertices
-                if e.op.bit & src or not target_ok or e.op.ctx != src:
+                target = src | e.bit
+                if e.bit & src or target not in snap.vertices or e.ctx != src:
                     fmt = snap.index.fmt_oids
-                    witness = {"replica": rid, "vertex": fmt(src), "edge": e.op.oid.token(), "target": fmt(e.target)}
+                    witness = {"replica": rid, "vertex": fmt(src), "edge": e.oid.token(), "target": fmt(target)}
                     return Verdict("simple_path", False, witness)
     return Verdict("simple_path", True)
 
 
 def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
     """Square completion: wherever a vertex has two or more children, the
-    first edge and each sibling close into the transformed square."""
+    first edge and each sibling close into the transformed square. An edge
+    with the sibling's oid out of the first child ends at the square's
+    corner, and so does one with the first's oid out of the sibling child."""
     for rid, snap in sorted(snapshots.items()):
         vertices = snap.vertices
         for src, edges in vertices.items():
@@ -656,25 +661,18 @@ def _check_closure(snapshots: Dict[int, CssSnapshot]) -> Verdict:
                 continue
             first = edges[0]
             for other in edges[1:]:
-                target_oids = src | first.op.bit | other.op.bit
-                if target_oids not in vertices:
+                if src | first.bit | other.bit not in vertices:
                     missing = "vertex"
                 # A child that is not a vertex has no edge to close with.
-                elif not any(
-                    e.target == target_oids and e.op.oid == other.op.oid
-                    for e in vertices.get(first.target, ())
-                ):
+                elif not any(e.oid == other.oid for e in vertices.get(src | first.bit, ())):
                     missing = "edge from first child"
-                elif not any(
-                    e.target == target_oids and e.op.oid == first.op.oid
-                    for e in vertices.get(other.target, ())
-                ):
+                elif not any(e.oid == first.oid for e in vertices.get(src | other.bit, ())):
                     missing = "edge from sibling child"
                 else:
                     continue
                 return Verdict("css_closure", False, {
-                    "replica": rid, "vertex": snap.index.fmt_oids(src), "first": first.op.oid.token(),
-                    "sibling": other.op.oid.token(), "missing": missing})
+                    "replica": rid, "vertex": snap.index.fmt_oids(src), "first": first.oid.token(),
+                    "sibling": other.oid.token(), "missing": missing})
     return Verdict("css_closure", True)
 
 
@@ -733,13 +731,13 @@ def _first_rule_holds(history: StepHistory, arrivals: Sequence[Oid]) -> bool:
                 return False
             continue
         e = edges[0]
-        f = at.get(e.op.oid)
+        f = at.get(e.oid)
         # f = f(u) if u holds the arrivals before f and lacks f; else (B) fails, or f(u) = L.
         if f is None or held[f] & ~u or u & bit[f]:
             return False
         if b <= f and (b < f or u != marks[f].cur):
             return False
-        if e.target != u | bit[f] or births.get(e.target, last + 1) > max(b, f + 1):
+        if e.bit != bit[f] or births.get(u | e.bit, last + 1) > max(b, f + 1):
             return False
     return True
 
@@ -752,7 +750,7 @@ def _first_paths_mismatch(snap: CssSnapshot, seen: Sequence[Oid]) -> Optional[di
     for key in snap.vertices:
         want = [o for o in seen if not key & bits.get(o, 0)]
         try:
-            got = [e.op.oid for e in snap.first_path(key)]
+            got = [op.oid for op in snap.first_path(key)]
         except ProtocolError as exc:
             return {"vertex": snap.index.fmt_oids(key), "error": str(exc)}
         if got != want:
@@ -861,7 +859,7 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
         return Verdict("server_union", True, {"vacuous": "run not quiescent"})
     css = result.css_final[0]
     union_vertices: Set[int] = set()
-    union_edges: Set[Tuple[int, SnapEdge]] = set()
+    union_edges: Set[Tuple[int, ProtoOp]] = set()
     union_index = css.index
     for snap in jupiter_result.cscw_server_final.values():
         union_vertices |= snap.vertices.keys()
@@ -873,8 +871,8 @@ def _check_server_union(result: RunResult, jupiter_result: RunResult) -> Verdict
         return Verdict("server_union", False, {
             "vertices_only_union": _fmt_sorted(union_vertices - css_vertices, union_index),
             "vertices_only_css": _fmt_sorted(css_vertices - union_vertices, css.index),
-            "edges_only_union": sorted(e.op.oid.token() for _, e in union_edges - css_edges),
-            "edges_only_css": sorted(e.op.oid.token() for _, e in css_edges - union_edges)})
+            "edges_only_union": sorted(e.oid.token() for _, e in union_edges - css_edges),
+            "edges_only_css": sorted(e.oid.token() for _, e in css_edges - union_edges)})
     return Verdict("server_union", True)
 
 
@@ -897,7 +895,7 @@ def _check_client_subgraph(result: RunResult, jupiter_result: RunResult) -> Verd
             if not v2d.keys() <= v_nary.keys():
                 extra = _fmt_sorted(v2d.keys() - v_nary.keys(), snap2d.index)
                 return Verdict("client_subgraph", False, {"client": cid, "step": k, "extra_vertices": extra})
-            extra = [e.op.oid.token() for src, edges in v2d.items() for e in edges if e not in v_nary[src]]
+            extra = [e.oid.token() for src, edges in v2d.items() for e in edges if e not in v_nary[src]]
             if extra:
                 return Verdict("client_subgraph", False, {"client": cid, "step": k, "extra_edges": sorted(extra)})
     return Verdict("client_subgraph", True)
@@ -919,7 +917,7 @@ def _subgraph_at_every_step(h2d: StepHistory, h: StepHistory) -> bool:
         if b.get(x, never) > b2d[x]:
             return False
         for e in edges:
-            if e.target not in b2d or e not in nary[x]:
+            if x | e.bit not in b2d or e not in nary[x]:
                 return False
     return True
 

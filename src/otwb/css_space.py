@@ -13,12 +13,13 @@ bitmask: bit k stands for the k-th oid generated in the run, as an
 OidIndex records. Every space and snapshot of a run shares that one
 append-only index, so a mask means the same set everywhere in the run,
 and oids are decoded only to format output and to order vertices. A
-vertex's out-edges are kept as SnapEdge(op, target mask), the encoding its
-snapshots use. Checkers work on immutable snapshots taken via snapshot(),
-which copies the space; every snapshot shares each SnapEdge. A space only
-grows, so each of its steps is a prefix of its final space: it records
-one Mark (cur, vertex and edge counts) per step, not a copy, and a
-StepHistory rebuilds a step's view from the final snapshot when it is read.
+vertex's out-edges are its ordered operations: the edge labelled op leads
+from src to src | op.bit, as a vertex is the set of oids it has executed.
+Checkers work on immutable snapshots taken via snapshot(), which copies
+the space's edge lists and shares every operation. A space only grows,
+so each of its steps is a prefix of its final space: it records one Mark
+(cur, vertex and edge counts) per step, not a copy, and a StepHistory
+rebuilds a step's view from the final snapshot when it is read.
 
 A space grows only at cur: append, and the end of xform, add the
 operation's edge as the only edge out of cur and move cur along it.
@@ -124,8 +125,8 @@ class ProtoOp(_ProtoOpFields):
 
     A validating NamedTuple; _replace checks the new fields too. Equality
     and hash leave sctx out, because two copies of one operation differ
-    only in the server's stamp. So two SnapEdges are the same edge to the
-    structural lemmas exactly when they are equal.
+    only in the server's stamp. So two edges out of one vertex are the
+    same edge to the structural lemmas exactly when their ops are equal.
     """
 
     __slots__ = ()
@@ -206,19 +207,15 @@ def _order_broken(rid: int, op: ProtoOp, other: ProtoOp) -> ProtocolError:
     )
 
 
-class SnapEdge(NamedTuple):
-    op: ProtoOp
-    target: int
-
-
 @dataclass(frozen=True)
 class CssSnapshot:
-    """Immutable copy of a space: per-vertex ordered edge tuples keyed by
-    oid mask, the run's oid index, and the policy that ordered them."""
+    """Immutable copy of a space: per-vertex ordered tuples of edge
+    operations keyed by oid mask (op's edge out of src ends at
+    src | op.bit), the run's oid index, and the policy that ordered them."""
 
     rid: int
     cur: int
-    vertices: Dict[int, Tuple[SnapEdge, ...]]
+    vertices: Dict[int, Tuple[ProtoOp, ...]]
     index: OidIndex
     two_d: bool = False
 
@@ -228,9 +225,9 @@ class CssSnapshot:
         parents; sorted once per snapshot, since each key decodes a mask."""
         return sorted(self.vertices, key=self.index.vertex_order)
 
-    def first_path(self, start: int) -> List[SnapEdge]:
-        """Edges along repeated first-edge hops from start to cur."""
-        path: List[SnapEdge] = []
+    def first_path(self, start: int) -> List[ProtoOp]:
+        """The ops of repeated first-edge hops from start to cur."""
+        path: List[ProtoOp] = []
         at = start
         while at != self.cur:
             edges = self.vertices.get(at)
@@ -244,7 +241,7 @@ class CssSnapshot:
                     f"first-edge path from {self.index.fmt_oids(start)} stalled before cur"
                 )
             path.append(edges[0])
-            at = edges[0].target
+            at |= edges[0].bit
             if len(path) > len(self.vertices):
                 raise ProtocolError("first-edge path does not terminate")
         return path
@@ -280,7 +277,7 @@ class StepHistory(Sequence[CssSnapshot]):
         k = range(len(self.marks))[operator.index(k)]
         births, (cur, n, _), final = self.births, self.marks[k], self.final
         items = islice(final.vertices.items(), n)
-        vertices = {m: tuple(e for e in es if births.get(e.target, 0) <= k) for m, es in items}
+        vertices = {m: tuple(e for e in es if births.get(m | e.bit, 0) <= k) for m, es in items}
         return CssSnapshot(final.rid, cur, vertices, final.index, final.two_d)
 
     @cached_property
@@ -298,8 +295,8 @@ class StepHistory(Sequence[CssSnapshot]):
         shown, get = [0] * len(marks), births.get
         for src, edges in final.vertices.items():
             b = births[src]
-            for _, target in edges:
-                t = get(target, 0)
+            for e in edges:
+                t = get(src | e.bit, 0)
                 shown[t if t > b else b] += 1
         for k, (count, mark) in enumerate(zip(accumulate(shown), marks)):
             if count != mark.edges:
@@ -324,7 +321,7 @@ class CssSpace:
         self.rid = rid
         self.two_d = two_d
         self.index = OidIndex() if index is None else index
-        self.vertices: Dict[int, List[SnapEdge]] = {0: []}
+        self.vertices: Dict[int, List[ProtoOp]] = {0: []}
         self.cur = 0
         self.n_edges = 0
         self.marks: List[Mark] = [_tuple_new(Mark, (0, 1, 0))]  # the empty space's, then one per step
@@ -349,23 +346,23 @@ class CssSpace:
         return op.ctx
 
     def _grow(self, op: ProtoOp, v: int) -> None:
-        """Add the edge (op, v) as the only edge out of cur, move cur to v,
-        and mark the step. cur never has an edge of its own in a replay;
-        vertices is public, so that is checked."""
+        """Add op's edge as the only edge out of cur, move cur to its
+        target v = cur | op.bit, and mark the step. cur never has an edge of
+        its own in a replay; vertices is public, so that is checked."""
         edges = self.vertices[self.cur]
         if edges:
             raise ProtocolError(
                 f"cur {self.index.fmt_oids(self.cur)} of replica {self.rid} already has an edge"
             )
-        edges.append(_tuple_new(SnapEdge, (op, v)))
+        edges.append(op)
         self.n_edges += 1
         self.cur = v
         self.marks.append(_tuple_new(Mark, (v, len(self.vertices), self.n_edges)))
 
-    def _place(self, u: int, edges: List[SnapEdge], op: ProtoOp, v: int) -> None:
-        """Insert the edge (op, v) into u's non-empty edge list where the
-        policy puts it. None of u's edges has op's bit: v = u | op.bit is a
-        vertex that xform has just made.
+    def _place(self, u: int, edges: List[ProtoOp], op: ProtoOp) -> None:
+        """Insert op's edge into u's non-empty edge list where the policy
+        puts it. None of u's edges has op's bit: u | op.bit is a vertex that
+        xform has just made.
 
         Under the n-ary policy compare_ops must be a strict total order on
         every co-existing edge set, and that is not proved, so it is
@@ -391,7 +388,7 @@ class CssSpace:
         if self.two_d:
             own = op.oid.cid == rid
             for e in edges:
-                if (e[0].oid.cid == rid) is own:
+                if (e.oid.cid == rid) is own:
                     raise ProtocolError(
                         f"link: {'local' if own else 'global'} edge already occupied at "
                         f"{self.index.fmt_oids(u)}"
@@ -400,8 +397,7 @@ class CssSpace:
         else:
             oid, sctx = op.oid, op.sctx
             at = None
-            for i, e in enumerate(edges):
-                other = e[0]
+            for i, other in enumerate(edges):
                 left = bit & other.sctx
                 if (not left) is (not other.bit & sctx) or other.oid == oid:
                     order = compare_ops(op, other, rid)
@@ -415,7 +411,7 @@ class CssSpace:
                     raise _order_broken(rid, op, other)
             if at is None:
                 at = len(edges)
-        edges.insert(at, _tuple_new(SnapEdge, (op, v)))
+        edges.insert(at, op)
         self.n_edges += 1
 
     def xform(self, op: ProtoOp) -> Tuple[ProtoOp, Tuple[Oid, ...]]:
@@ -425,46 +421,46 @@ class CssSpace:
         transformed against, in walk order, for the structural checkers.
 
         Each pass of the loop makes one OT square u -> v -> v2 <- u2 <- u:
-        it reads the walk edge (op2, u2) out of u, creates the fresh vertex
-        v2 = v | op2.bit, gives v its single edge (op2 transformed by op,
-        v2), places op's edge (op, v) at u, and goes on with op transformed
-        by op2. Both transformed ops are built by tuple.__new__, and _place
-        serves both policies. At cur, _grow adds op's last edge.
+        it reads the walk edge op2 out of u, which ends at u2 = u | op2.bit,
+        creates the fresh vertex v2 = v | op2.bit, gives v its single edge
+        (op2 transformed by op), places op's edge at u, and goes on with op
+        transformed by op2, whose context is u2. Both transformed ops are
+        built by tuple.__new__, and _place serves both policies. At cur,
+        _grow adds op's last edge.
         """
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
         vertices, fmt, place = self.vertices, self.index.fmt_oids, self._place
         v_edges = vertices[v]
         cur, rid, two_d = self.cur, self.rid, self.two_d
-        o, oid, bit, ctx, sctx = op
+        o, oid, bit, _, sctx = op
         own = oid.cid == rid  # 2D: the side of op; its walk follows the other side
         ot_seq: List[Oid] = []
-        # Along the walk v == ctx | bit, with bit not in ctx: that holds at
-        # the start (op is a valid ProtoOp) and each square adds op2's bit
-        # to both. So of the checks that ProtoOp and an edge's ends need,
-        # three are left, made inline with their messages: op2's bit is
-        # not op's (op transformed would list itself in its context), op2
-        # transformed has context v, and op has context u (the last walk
-        # edge ended where it should). The others hold by construction:
-        # op's and op2's bits are single bits of valid ops, v2 extends v by
-        # op2's bit, and v, made by this walk, has no edge before the one
-        # to v2.
+        # Along the walk op's context is u and v == u | bit, with bit not
+        # in u: that holds at the start (op is a valid ProtoOp) and each
+        # square adds op2's bit to both. So of the checks that ProtoOp and
+        # an edge's ends need, two are left, made inline with their
+        # messages: op2's bit is not op's (op transformed would list itself
+        # in its context), and op2 transformed has context v. The others
+        # hold by construction: op's and op2's bits are single bits of
+        # valid ops, v2 extends v by op2's bit, and v, made by this walk,
+        # has no edge before the one to v2.
         while u != cur:
             edges = vertices[u]
             if two_d:
-                for e in edges:
-                    if (e[0].oid.cid == rid) is not own:
+                for op2 in edges:
+                    if (op2.oid.cid == rid) is not own:
                         break
                 else:
                     raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {fmt(u)}")
             elif edges:
-                e = edges[0]
+                op2 = edges[0]
             else:
                 raise ProtocolError(f"xform: final vertex {fmt(u)} has no first edge")
-            op2, u2 = e
+            o2, oid2, bit2, ctx2, sctx2 = op2
+            u2 = u | bit2
             if u2 not in vertices:
                 raise ProtocolError(f"xform: walk from {fmt(u)} reaches {fmt(u2)}, which is not a vertex")
-            o2, oid2, bit2, ctx2, sctx2 = op2
             o_t = transform(o, o2)
             if bit2 & bit:
                 raise ProtocolError(f"operation {oid.token()} lists itself in its context")
@@ -475,16 +471,12 @@ class CssSpace:
             vertices[v2] = v2_edges = []
             if ctx2 | bit != v:
                 raise ProtocolError(f"link: ctx of {oid2.token()} does not match source vertex")
-            v_edges.append(_tuple_new(SnapEdge, (op2_t, v2)))
-            if ctx != u:
-                raise ProtocolError(f"link: ctx of {oid.token()} does not match source vertex")
-            place(u, edges, op, v)
+            v_edges.append(op2_t)
+            place(u, edges, op)
             ot_seq.append(oid2)
-            u, v, v_edges, o, ctx = u2, v2, v2_edges, o_t, ctx | bit2
-            op = _tuple_new(ProtoOp, (o, oid, bit, ctx, sctx))
+            u, v, v_edges, o = u2, v2, v2_edges, o_t
+            op = _tuple_new(ProtoOp, (o, oid, bit, u, sctx))
         self.n_edges += len(ot_seq)  # each square's edge out of its fresh vertex
-        if ctx != u:
-            raise ProtocolError(f"link: ctx of {oid.token()} does not match source vertex")
         self._grow(op, v)
         return op, tuple(ot_seq)
 
@@ -511,8 +503,8 @@ def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:
     states: Dict[int, ListState] = {0: ()}
     in_edges: Dict[int, List[Tuple[int, ProtoOp]]] = {}
     for src, edges in snapshot.vertices.items():
-        for e in edges:
-            in_edges.setdefault(e.target, []).append((src, e.op))
+        for op in edges:
+            in_edges.setdefault(src | op.bit, []).append((src, op))
     for mask in snapshot.order:
         if not mask:
             continue

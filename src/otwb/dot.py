@@ -43,12 +43,12 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
     for key in keys:
         for rank, e in enumerate(snapshot.vertices[key]):
             if snapshot.two_d:
-                attr = "style=solid" if e.op.oid.cid == snapshot.rid else "style=dashed"
+                attr = "style=solid" if e.oid.cid == snapshot.rid else "style=dashed"
             else:
                 attr = f"taillabel={_quote(str(rank))}"
             lines.append(
-                f"  {_node_name(oids[key])} -> {_node_name(snapshot.index.decode(e.target))} "
-                f"[label={_quote(e.op.label())}, {attr}];"
+                f"  {_node_name(oids[key])} -> {_node_name(snapshot.index.decode(key | e.bit))} "
+                f"[label={_quote(e.label())}, {attr}];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

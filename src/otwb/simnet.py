@@ -437,6 +437,12 @@ class Simulation:
                 raise ScheduleError(f"step {i}: unknown op kind {spec.kind!r}")
             if not isinstance(spec.pos, int) or spec.pos < 0:
                 raise ScheduleError(f"step {i}: {spec.kind} needs a non-negative position")
+            # An ins may go at the end of the list, a del must name an element.
+            n = len(client.state)
+            if spec.pos > n or spec.kind == "del" and spec.pos == n:
+                raise ScheduleError(
+                    f"step {i}: {spec.kind} at position {spec.pos} is out of range for c{cid}'s list of length {n}"
+                )
             if spec.kind == "ins":
                 if spec.glyph is None:
                     raise ScheduleError(f"step {i}: ins needs a glyph")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from otwb import checkers
-from otwb.css_space import Mark, Oid, Ord, ProtocolError, ProtoOp, SnapEdge, StepHistory, compare_ops
+from otwb.css_space import Mark, Oid, Ord, ProtocolError, ProtoOp, StepHistory, compare_ops
 from otwb.ot_core import ListOp, ListState, OpKind, apply, transform
 from otwb.protocols import SERVER_ID
 from otwb.simnet import (
@@ -244,7 +244,7 @@ def oracle_trace_to_json(trace):
 
 
 def oracle_link(space, u, v, op):
-    """Insert the edge (op, v) at any vertex u where the policy puts it:
+    """Insert op's edge to v at any vertex u where the policy puts it:
     every check on every call, and compare_ops run both ways against every
     existing edge. A replay adds edges only where xform and append do;
     tests use this to hand-build spaces, and the oracles below use it."""
@@ -258,13 +258,13 @@ def oracle_link(space, u, v, op):
         raise ProtocolError(f"link: ctx of {op.oid.token()} does not match source vertex")
     if v != u | op.bit:
         raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
-    if any(e.op.bit == op.bit for e in edges):
+    if any(e.bit == op.bit for e in edges):
         return
     rid = space.rid
     if space.two_d:
         own = op.oid.cid == rid
         for e in edges:
-            if (e.op.oid.cid == rid) is own:
+            if (e.oid.cid == rid) is own:
                 raise ProtocolError(
                     f"link: {'local' if own else 'global'} edge already occupied at "
                     f"{space.index.fmt_oids(u)}"
@@ -272,7 +272,7 @@ def oracle_link(space, u, v, op):
         at = 0 if own else len(edges)
     else:
         at = literal_place(edges, op, rid)
-    edges.insert(at, SnapEdge(op, v))
+    edges.insert(at, op)
     space.n_edges += 1
 
 
@@ -282,11 +282,11 @@ def literal_place(edges, op, rid):
     pair. Raises ProtocolError as compare_ops or the order check does."""
     at = None
     for i, e in enumerate(edges):
-        order = compare_ops(op, e.op, rid)
-        if compare_ops(e.op, op, rid) is order or (order is Ord.RIGHT and at is not None):
+        order = compare_ops(op, e, rid)
+        if compare_ops(e, op, rid) is order or (order is Ord.RIGHT and at is not None):
             raise ProtocolError(
                 f"edge order at replica {rid}: {op.oid.token()} and "
-                f"{e.op.oid.token()} break a strict total order"
+                f"{e.oid.token()} break a strict total order"
             )
         if order is Ord.LEFT and at is None:
             at = i
@@ -302,7 +302,7 @@ def oracle_walk_edge(space, u, op):
         return edges[0]
     own = op.oid.cid == space.rid
     for e in edges:
-        if (e.op.oid.cid == space.rid) is not own:
+        if (e.oid.cid == space.rid) is not own:
             return e
     raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {space.index.fmt_oids(u)}")
 
@@ -315,14 +315,14 @@ def oracle_xform(space, op):
     v = space._new_vertex(u | op.bit)
     ot_seq = []
     while u != space.cur:
-        op2, u2 = oracle_walk_edge(space, u, op)
+        op2 = oracle_walk_edge(space, u, op)
         op_t = ProtoOp(ListOp(*transform(op.o, op2.o)), op.oid, op.bit, op.ctx | op2.bit, op.sctx)
         op2_t = ProtoOp(ListOp(*transform(op2.o, op.o)), op2.oid, op2.bit, op2.ctx | op.bit, op2.sctx)
         v2 = space._new_vertex(v | op2.bit)
         oracle_link(space, v, v2, op2_t)
         oracle_link(space, u, v, op)
         ot_seq.append(op2.oid)
-        u, v, op = u2, v2, op_t
+        u, v, op = u | op2.bit, v2, op_t
     oracle_link(space, u, v, op)
     space.cur = v
     space.marks.append(Mark(v, len(space.vertices), space.n_edges))
@@ -377,9 +377,9 @@ def literal_cycle(A):
 
 
 def plain(vertices):
-    """A vertex dict as ordered (mask, ((tuple(op), target), ...)) items,
-    sctx included, which SnapEdge equality leaves out."""
-    return [(m, tuple((tuple(e.op), e.target) for e in edges)) for m, edges in vertices.items()]
+    """A vertex dict as ordered (mask, (tuple(op), ...)) items, sctx
+    included, which ProtoOp equality leaves out."""
+    return [(m, tuple(map(tuple, edges))) for m, edges in vertices.items()]
 
 
 def held_spaces(sim):
@@ -422,6 +422,6 @@ def history_with(history, vertices=None, births=None, curs=None):
     births = {m: (births or history.births)[m] for m in vertices}
     marks = []
     for k, (cur, _, _) in enumerate(history.marks):
-        shown = [e for s, es in vertices.items() if births[s] <= k for e in es if births.get(e.target, 0) <= k]
+        shown = [e for s, es in vertices.items() if births[s] <= k for e in es if births.get(s | e.bit, 0) <= k]
         marks.append(Mark((curs or {}).get(k, cur), sum(b <= k for b in births.values()), len(shown)))
     return StepHistory(dataclasses.replace(history.final, vertices=vertices), marks)

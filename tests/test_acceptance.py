@@ -106,7 +106,7 @@ class TestCriterion2Compactness:
 
         def shape(snap):
             return {
-                key: tuple((e.op.oid, e.op.o.sig(), e.target) for e in edges)
+                key: tuple((e.oid, e.o.sig()) for e in edges)
                 for key, edges in snap.vertices.items()
             }
 

@@ -64,6 +64,12 @@ class TestRun:
         assert code == 2
         assert "schedule error" in err
 
+    def test_delete_past_the_end_is_a_schedule_error(self, tmp_path, capsys):
+        path = tmp_path / "past.json"
+        path.write_text('{"format":1,"n_clients":1,"steps":[{"type":"generate","cid":1,"op":{"kind":"del","pos":0}}]}')
+        assert invoke(["run", "--schedule", str(path)], capsys) == (
+            2, "", "schedule error: step 0: del at position 0 is out of range for c1's list of length 0\n")
+
     def test_json_output_and_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code, out, _ = invoke(

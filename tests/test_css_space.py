@@ -12,7 +12,6 @@ from otwb.css_space import (
     Ord,
     ProtoOp,
     ProtocolError,
-    SnapEdge,
     compare_ops,
     materialize,
 )
@@ -78,7 +77,7 @@ class TestCompareOps:
     def test_server_replay_orders_by_arrival(self, podc16_cj):
         snap = podc16_cj.css_final[0]
         v1 = snap.vertices[mask(snap.index, [O1])]
-        assert [e.op.oid for e in v1] == [O2, O3, O4]
+        assert [e.oid for e in v1] == [O2, O3, O4]
 
     def test_server_orders_by_sctx_membership(self):
         # o4 arrived after o3, so o3 appears in o4's server context.
@@ -147,7 +146,7 @@ class TestLink:
         # server order.
         snap = podc16_cj.css_final[3]
         v1 = snap.vertices[mask(snap.index, [O1])]
-        assert [e.op.oid for e in v1] == [O2, O3, O4]
+        assert [e.oid for e in v1] == [O2, O3, O4]
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1)
@@ -189,8 +188,8 @@ class TestFirstEdgeAndPath:
     def test_server_first_paths_follow_arrival_order(self):
         server, _, _ = replay_podc16()
         snap = server.space.snapshot()
-        assert [e.op.oid for e in snap.first_path(mask(snap.index, [O1]))] == [O2, O3, O4]
-        assert [e.op.oid for e in snap.first_path(mask(snap.index, [O1, O3]))] == [O2, O4]
+        assert [e.oid for e in snap.first_path(mask(snap.index, [O1]))] == [O2, O3, O4]
+        assert [e.oid for e in snap.first_path(mask(snap.index, [O1, O3]))] == [O2, O4]
 
     def test_path_from_cur_is_empty(self):
         server, _, _ = replay_podc16()
@@ -228,7 +227,7 @@ class TestXform:
         snap = server.space.snapshot()
         v123 = mask(snap.index, [O1, O2, O3])
         final_edges = snap.vertices[v123]
-        assert [ (e.op.oid, e.op.o.sig()) for e in final_edges ] == [(O4, "Ins(b,0)")]
+        assert [ (e.oid, e.o.sig()) for e in final_edges ] == [(O4, "Ins(b,0)")]
         assert to_text(server.state) == "ba"
 
     def test_byproduct_vertices_are_retained(self):
@@ -246,9 +245,9 @@ class TestInvariants:
         for snap in podc16_cj.css_final.values():
             for src, edges in snap.vertices.items():
                 for e in edges:
-                    assert e.op.ctx == src
-                    assert e.target == src | e.op.bit
-                    assert not e.op.bit & src
+                    assert e.ctx == src
+                    assert src | e.bit in snap.vertices
+                    assert not e.bit & src
 
     def test_materialized_lists_match_figure(self, podc16_cj):
         snap = podc16_cj.css_final[0]
@@ -424,40 +423,18 @@ class TestReplayIntegrityErrors:
         s = CssSpace(rid=1)
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-        s.vertices[0][0] = SnapEdge(op(ix, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(3, 3)}), s.cur)
+        s.vertices[0][0] = op(ix, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(3, 3)})
         incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
         assert self.raised(s.xform, incoming) == "link: ctx of 1:1 does not match source vertex"
-        # The walk edge leads past the vertex its op extends the root by,
-        # so the transformed op's context is not where the walk arrives.
-        s = CssSpace(rid=1)
-        ix = s.index
-        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-        s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
-        s.vertices[0][0] = s.vertices[0][0]._replace(target=s.cur)
-        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
-        assert self.raised(s.xform, incoming) == "link: ctx of 2:1 does not match source vertex"
-        # The same mid-walk: the next walk edge's op names the context the
-        # transformed op has, not the vertex the walk arrived at.
-        s = CssSpace(rid=1)
-        ix = s.index
-        s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
-        s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
-        mid = s.cur
-        s.append(op(ix, ins("w", 0, 1, 3), Oid(1, 3), ctx={Oid(1, 1), Oid(1, 2)}))
-        s.vertices[0][0] = s.vertices[0][0]._replace(target=mid)
-        s.vertices[mid][0] = SnapEdge(op(ix, ins("w", 0, 1, 3), Oid(1, 3), ctx={Oid(1, 1)}), s.cur)
-        incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
-        assert self.raised(s.xform, incoming) == "link: ctx of 2:1 does not match source vertex"
-        # The walk stopped there: no edge of 2:1 leaves the wrong vertex.
-        assert [e.op.oid for e in s.vertices[mid]] == [Oid(1, 3)]
 
     def test_walk_edge_with_the_ops_own_bit(self):
         # The root's edge carries the bit of the incoming op under another
-        # oid and leads to a vertex that does not extend the root by it.
+        # oid, and dangles until the incoming op makes the vertex it leads
+        # to; cur is another vertex.
         s = CssSpace(rid=1)
         ix = s.index
-        s.vertices[0].append(SnapEdge(op(ix, ins("x", 0, 1, 1), Oid(1, 1)), s._new_vertex(mask(ix, [Oid(1, 2)]))))
-        s.cur = mask(ix, [Oid(1, 2)])
+        s.vertices[0].append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
+        s.cur = s._new_vertex(mask(ix, [Oid(1, 2)]))
         incoming = ProtoOp(ins("y", 0, 2, 1), Oid(2, 1), ix.bit(Oid(1, 1)))
         assert self.raised(s.xform, incoming) == "operation 2:1 lists itself in its context"
 
@@ -466,9 +443,9 @@ class TestReplayIntegrityErrors:
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
-        s.vertices[0][0] = s.vertices[0][0]._replace(target=mask(ix, [Oid(9, 9)]))
+        del s.vertices[mask(ix, [Oid(1, 1)])]
         incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
-        assert self.raised(s.xform, incoming) == "xform: walk from [] reaches ['9:9'], which is not a vertex"
+        assert self.raised(s.xform, incoming) == "xform: walk from [] reaches ['1:1'], which is not a vertex"
 
     def test_edge_order_breaks_a_strict_total_order(self):
         # Both server contexts name the other op, so each orders first.

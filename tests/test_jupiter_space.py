@@ -54,10 +54,10 @@ class TestAdd:
         ix = s.index
         s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
-        assert [(e.op.oid, e.target) for e in s.vertices[0]] == [(Oid(1, 1), s.cur)]
+        assert [(e.oid, e.bit) for e in s.vertices[0]] == [(Oid(1, 1), s.cur)]
         # An edge of another client's op goes after the owner's own.
         s.xform(op2d(ix, ins("y", 0, 2, 1), Oid(2, 1)))
-        assert [e.op.oid for e in s.vertices[0]] == [Oid(1, 1), Oid(2, 1)]
+        assert [e.oid for e in s.vertices[0]] == [Oid(1, 1), Oid(2, 1)]
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1, two_d=True)
@@ -89,7 +89,7 @@ class TestAdd:
         assert fwd[3].ctx == mask(ix, [O1, O2])
         snap3 = server.spaces[3].snapshot()
         # o4 is c3's own op, so its edge is the local one and comes first.
-        assert [e.op.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O4, O3]
+        assert [e.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O4, O3]
         assert snap3.rid == 3 and snap3.two_d
 
 
@@ -143,7 +143,7 @@ class TestStructure:
         for snap in all_snapshots(server, clients):
             assert snap.two_d
             for edges in snap.vertices.values():
-                sides = [e.op.oid.cid == snap.rid for e in edges]
+                sides = [e.oid.cid == snap.rid for e in edges]
                 assert sides in ([], [True], [False], [True, False])
 
     def test_square_closure(self):
@@ -155,12 +155,12 @@ class TestStructure:
                 if len(edges) < 2:
                     continue
                 local, global_ = edges
-                corner = src | local.op.bit | global_.op.bit
+                corner = src | local.bit | global_.bit
                 assert corner in snap.vertices
-                via_local = snap.vertices[local.target]
-                via_global = snap.vertices[global_.target]
-                assert any(e.op.oid == global_.op.oid and e.target == corner for e in via_local)
-                assert any(e.op.oid == local.op.oid and e.target == corner for e in via_global)
+                via_local = snap.vertices[src | local.bit]
+                via_global = snap.vertices[src | global_.bit]
+                assert any(e.oid == global_.oid and e.bit == global_.bit for e in via_local)
+                assert any(e.oid == local.oid and e.bit == local.bit for e in via_global)
 
     def test_materialized_lists_match_figure(self):
         _, clients, _ = replay_podc16_jupiter()

@@ -8,7 +8,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import literal_place, oracle_append, oracle_xform, plain
-from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError, SnapEdge
+from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError
 from otwb.ot_core import ListOp
 from otwb.simnet import PROTOCOLS, podc16_schedule, random_schedule, run, trace_to_json
 
@@ -75,11 +75,10 @@ def placements(draw):
     chosen = draw(st.permutations(range(BITS)))
     n = draw(st.integers(0, BITS - 1))
     op = ops[chosen[0]]
-    edges = [SnapEdge(ops[k], 1 << k) for k in chosen[1 : n + 1]]
+    edges = [ops[k] for k in chosen[1 : n + 1]]
     if draw(st.booleans()) and edges:
         i = draw(st.integers(0, len(edges) - 1))
-        twin = edges[i].op._replace(oid=op.oid)
-        edges[i] = SnapEdge(twin, twin.bit)
+        edges[i] = edges[i]._replace(oid=op.oid)
     return rid, op, edges
 
 
@@ -93,8 +92,8 @@ def outcome(place, rid, op, edges):
 def by_helper(rid, op, edges):
     space = CssSpace(rid)
     edges = list(edges)
-    space._place(0, edges, op, op.bit)
-    return [e.op for e in edges].index(op)
+    space._place(0, edges, op)
+    return edges.index(op)
 
 
 def by_literal_loop(rid, op, edges):
@@ -102,7 +101,7 @@ def by_literal_loop(rid, op, edges):
 
 
 def bit_tests(op, e):
-    return bool(op.bit & e.op.sctx), bool(e.op.bit & op.sctx)
+    return bool(op.bit & e.sctx), bool(e.bit & op.sctx)
 
 
 @FAST

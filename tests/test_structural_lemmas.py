@@ -39,7 +39,7 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, SnapEdge, StepHistory
+from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, StepHistory
 from otwb.ot_core import Element, ListOp
 from otwb.simnet import (
     PROTOCOLS,
@@ -72,15 +72,16 @@ for k in range(9, 0, -1):
 
 
 def snapshot(edges, ops=None, extra=()):
-    """A CssSnapshot from (src, target) pairs of oid sets plus the vertices
-    `extra`, keyed by their masks in INDEX; `ops` maps a target to the
-    ListOp on its in-edges (default: insert at 0)."""
+    """A CssSnapshot from (src, target) pairs of oid sets, each target one
+    oid larger than its source, plus the vertices `extra`, keyed by their
+    masks in INDEX; `ops` maps a target to the ListOp on its in-edges
+    (default: insert at 0)."""
     vertices = {k: [] for k in (frozenset(), *extra)}
     for src, dst in dict.fromkeys(edges):
-        oid = min(dst - src)
+        (oid,) = dst - src
         op = ProtoOp((ops or {}).get(dst, ins(oid.cid)), oid, INDEX.bit(oid), mask(INDEX, src))
         vertices.setdefault(dst, [])
-        vertices.setdefault(src, []).append(SnapEdge(op, mask(INDEX, dst)))
+        vertices.setdefault(src, []).append(op)
     cur = max(vertices, key=len)
     return CssSnapshot(
         0, mask(INDEX, cur), {mask(INDEX, k): tuple(v) for k, v in vertices.items()}, INDEX
@@ -91,7 +92,7 @@ def as_sets(snap):
     """snap's vertices as oid sets: {vertex: [(edge oid, target)]}."""
     oids_of = {k: frozenset(snap.index.decode(k)) for k in snap.vertices}
     return {
-        oids_of[k]: [(e.op.oid, frozenset(snap.index.decode(e.target))) for e in edges]
+        oids_of[k]: [(e.oid, frozenset(snap.index.decode(k | e.bit))) for e in edges]
         for k, edges in snap.vertices.items()
     }
 
@@ -105,6 +106,13 @@ def chain(*steps):
 # The paths from the unique LCA {1} to {1,2,3} and to {1,2,4} both pick
 # up oid 2.
 DISJOINT_COUNTEREXAMPLE = chain((), (1,), (1, 3), (1, 2, 3)) + chain((1,), (1, 4), (1, 2, 4))
+
+# Every single-oid step among {}, a, b, c, ac, bc, abc, d, ad, bd, abd
+# (oids 1-4): abc and abd have the two lowest common ancestors a and b,
+# since their intersection ab is not a vertex.
+FOUR_OID_FAMILY = [oids(*s) for s in ((), (1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3),
+                                      (4,), (1, 4), (2, 4), (1, 2, 4))]
+FOUR_OID_EDGES = [(u, v) for u in FOUR_OID_FAMILY for v in FOUR_OID_FAMILY if u < v and len(v - u) == 1]
 
 
 # --------------------------------------------------------------------------
@@ -180,10 +188,10 @@ def oracle_compatibility(states):
 
 
 # --------------------------------------------------------------------------
-# Random oid-set DAGs: vertices are subsets of six oids, every edge goes
-# from a proper subset to a superset (single-oid steps or larger jumps).
-# Half of them give every vertex an in-edge, so that not every space has
-# an unreachable vertex, which fails unique_lca at once.
+# Random oid-set DAGs: vertices are subsets of six oids, and every edge
+# adds one oid, as in a replay. Half of them give every vertex an in-edge,
+# adding its source where it is missing, so that not every space has an
+# unreachable vertex, which fails unique_lca at once.
 
 POOL = [Oid(c, 1) for c in range(1, 7)]
 
@@ -193,19 +201,23 @@ def oid_dags(draw):
     sets = draw(st.lists(st.frozensets(st.sampled_from(POOL), min_size=1, max_size=4),
                          min_size=1, max_size=9, unique=True))
     keys = [frozenset()] + sets
-    pairs = [(u, v) for u in keys for v in keys if u < v]
+    in_edges = []
     if draw(st.booleans()):
-        pairs = [(u, v) for u, v in pairs if len(v - u) == 1]
+        for v in keys:  # a source added here is reached, and gets an in-edge too
+            if v:
+                u = v - {draw(st.sampled_from(sorted(v)))}
+                keys += [u] if u not in keys else []
+                in_edges.append((u, v))
+    pairs = [(u, v) for u in keys for v in keys if u < v and len(v - u) == 1]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
-    if draw(st.booleans()):
-        chosen += [(draw(st.sampled_from([u for u in keys if u < v])), v) for v in sets]
-    return snapshot(chosen, extra=sets)
+    return snapshot(chosen + in_edges, extra=keys[1:])
 
 
 class TestLcaFastPathsMatchOracle:
     @FAST
     @given(oid_dags(), st.one_of(st.none(), oid_dags()))
     @example(snapshot(DISJOINT_COUNTEREXAMPLE), None)
+    @example(snapshot(FOUR_OID_EDGES), None)
     def test_unique_lca_and_disjoint_paths(self, podc16_cj, snap, other):
         # Through check_structural, so that the grouping of replicas by
         # space is checked with the lemmas.
@@ -313,13 +325,14 @@ class TestLemmasFire:
         assert verdict.witness == {"replica": 0, "vertex": [], "first": "1:1", "sibling": "2:1", "missing": missing}
 
     def test_simple_path_names_the_first_replica_of_a_shared_broken_space(self, podc16_cj, podc16_j):
-        # Replicas 1 and 2 hold one space, whose edge from {} jumps to {1,2}.
+        # Replicas 1 and 2 hold one space, whose edge from {} dangles: {1}
+        # is not a vertex.
         good = snapshot(chain((), (1,), (1, 2)))
-        bad = snapshot(chain((), (1, 2)))
+        bad = dataclasses.replace(good, vertices={k: v for k, v in good.vertices.items() if k != mask(INDEX, oids(1))})
         broken = copy.copy(podc16_cj)
         broken.css_final = {0: good, 1: bad, 2: bad, 3: good}
         verdict = {v.check: v for v in check_structural(broken, podc16_j)}["simple_path"]
-        assert verdict.witness == {"replica": 1, "vertex": [], "edge": "1:1", "target": ["1:1", "2:1"]}
+        assert verdict.witness == {"replica": 1, "vertex": [], "edge": "1:1", "target": ["1:1"]}
 
     def test_space_isomorphism_names_vertex_whose_edges_differ(self, podc16_cj, podc16_j):
         # Replica 1 holds the same vertices as the server, with the edges at
@@ -340,11 +353,11 @@ class TestLemmasFire:
 
 def relabel(snap, vertex, oid, position):
     """snap with the ListOp position of oid's edge out of `vertex` (an oid
-    set) changed; the edge keeps its oid, contexts and target."""
+    set) changed; the edge keeps its oid, bit and contexts."""
     key = mask(snap.index, vertex)
     edges = tuple(
-        SnapEdge(e.op._replace(o=e.op.o._replace(position=position)), e.target)
-        if e.op.oid == oid else e
+        e._replace(o=e.o._replace(position=position))
+        if e.oid == oid else e
         for e in snap.vertices[key]
     )
     return dataclasses.replace(snap, vertices={**snap.vertices, key: edges})
@@ -904,7 +917,7 @@ def oracle_first_rule(result):
             held = set(snap.index.decode(key))
             want = [o for o in seen if o not in held]
             try:
-                got = [e.op.oid for e in snap.first_path(key)]
+                got = [op.oid for op in snap.first_path(key)]
             except ProtocolError as exc:
                 return {"check": "first_rule", "satisfied": False, "witness": {
                     "step": k, "vertex": _fmt(held), "error": str(exc)}}
@@ -916,10 +929,10 @@ def oracle_first_rule(result):
 
 
 def _edge_tuple(snap, src, e):
-    o = e.op.o
+    o = e.o
     elem = None if o.element is None else (o.element.glyph, o.element.origin_cid, o.element.origin_seq)
     decode = snap.index.decode
-    return (frozenset(decode(src)), e.op.oid, frozenset(decode(e.target)), (o.kind.value, elem, o.position))
+    return (frozenset(decode(src)), e.oid, frozenset(decode(src | e.bit)), (o.kind.value, elem, o.position))
 
 
 def oracle_client_subgraph(result, jresult):
@@ -1087,7 +1100,7 @@ class TestStepHistory:
         # views before it was made: the marks' edge counts catch it.
         history = podc16_cj.css_server_steps
         root = history.final.vertices[0]
-        late = SnapEdge(root[0].op._replace(oid=Oid(9, 9)), root[0].target)
+        late = root[0]._replace(oid=Oid(9, 9))
         broken = StepHistory(dataclasses.replace(history.final, vertices={
             **history.final.vertices, 0: (*root, late)}), history.marks)
         with pytest.raises(ProtocolError, match="history of replica 0: step 1 shows 2 edges, but its mark counts 1"):
