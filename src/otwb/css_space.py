@@ -1,11 +1,13 @@
 """The ordered state space: a rooted DAG of list states whose edges are
 labeled with contextualized operations, kept in order at every vertex.
 
-One class serves both protocols; they differ only in the edge-order
-policy. The n-ary space (CJupiter) orders each vertex's edges by the
-server serialization order. The 2D space (Jupiter) is the n-ary space
-restricted to at most two edges per vertex, one on each side: the owner's
-own operations and everyone else's.
+One class and one edge rule serve every protocol: compare_ops orders each
+vertex's edges by the server serialization order, and a walk follows the
+first edge. The 2D space (Jupiter) is that space with at most two edges
+per vertex, one of everyone else's operations (global) and one of the
+owner's own (local), in that order: no jupiter operation carries a server
+stamp, so compare_ops puts the remote one first and rejects two of one
+side. two_d only labels a space for drawing.
 
 A space is single-owner mutable: it is driven by exactly one replica state
 machine. It keys each vertex by its set of executed oids, held as an int
@@ -23,17 +25,12 @@ rebuilds a step's view from the final snapshot when it is read.
 
 A space grows only at cur: append, and the end of xform, add the
 operation's edge as the only edge out of cur and move cur along it.
-xform makes each OT square in one pass of its walk loop, under either
-policy: the policy only picks the walk edge and where a new edge goes.
-The loop builds both transformed operations with tuple.__new__, makes the
-fresh vertex with its single edge, and places the operation's edge with
-_place. Every check that ProtoOp and an edge's ends need is kept: the
-loop makes the ones its induction does not settle inline, with their
-messages. _place orders a new edge against an existing one
-from the two server-context bit tests when exactly one of them fires, where
-compare_ops provably gives opposite orders both ways (the proof is in
-_place's docstring); otherwise it calls compare_ops both ways and checks
-that they agree.
+xform makes each OT square in one pass of its walk loop. The loop builds
+both transformed operations with tuple.__new__, makes the fresh vertex
+with its single edge, and places the operation's edge with _place, which
+calls compare_ops once against each existing edge. Every check that
+ProtoOp and an edge's ends need is kept: the loop makes the ones its
+induction does not settle inline, with their messages.
 """
 
 from __future__ import annotations
@@ -166,20 +163,32 @@ class Ord(enum.IntEnum):
     RIGHT = 1
 
 
-_LEFT, _RIGHT = Ord.LEFT, Ord.RIGHT
+_LEFT = Ord.LEFT
+
+
+def _order_broken(rid: int, op: ProtoOp, other: ProtoOp) -> ProtocolError:
+    return ProtocolError(
+        f"edge order at replica {rid}: {op.oid.token()} and "
+        f"{other.oid.token()} break a strict total order"
+    )
 
 
 def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
     """Decide the server order between two operations as visible at replica
     rid (0 is the server).
 
-    The server contexts decide when they can; otherwise exactly one of the
-    two must be local to a client replica, and the redirected one orders
-    first. Any other configuration is unreachable over FIFO channels.
+    The server contexts decide when they can, and must not each hold the
+    other operation. Otherwise exactly one of the two must be local to a
+    client replica, and the redirected one orders first. Any other
+    configuration is unreachable over FIFO channels. Swapping the
+    arguments swaps the two context tests and the local side, so the two
+    calls on a pair both raise or return opposite orders.
     """
     if op.oid == op2.oid:
         raise ProtocolError("compare_ops needs two distinct operations")
     if op.bit & op2.sctx:
+        if op2.bit & op.sctx:
+            raise _order_broken(rid, op, op2)
         return Ord.LEFT
     if op2.bit & op.sctx:
         return Ord.RIGHT
@@ -200,18 +209,11 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
     )
 
 
-def _order_broken(rid: int, op: ProtoOp, other: ProtoOp) -> ProtocolError:
-    return ProtocolError(
-        f"edge order at replica {rid}: {op.oid.token()} and "
-        f"{other.oid.token()} break a strict total order"
-    )
-
-
 @dataclass(frozen=True)
 class CssSnapshot:
     """Immutable copy of a space: per-vertex ordered tuples of edge
     operations keyed by oid mask (op's edge out of src ends at
-    src | op.bit), the run's oid index, and the policy that ordered them."""
+    src | op.bit), the run's oid index, and the two_d drawing label."""
 
     rid: int
     cur: int
@@ -307,14 +309,14 @@ class StepHistory(Sequence[CssSnapshot]):
 class CssSpace:
     """The mutable ordered state space owned by replica rid.
 
-    Under the n-ary policy compare_ops places each edge, and a walk
-    follows the first edge. Under the 2D policy (two_d) a vertex holds at
-    most one edge of rid's own operations (local), first, and one of
-    everyone else's (global), and a walk follows the edge on the other
-    side from the incoming operation. A jupiter client's space is owned by its client
-    id; the server keeps one space per client, owned by that client's id.
-    The replicas of a run pass the run's OidIndex; a space built without
-    one makes its own.
+    compare_ops places each edge, and a walk follows the first edge. A
+    jupiter client's space is owned by its client id; the server keeps one
+    space per client, owned by that client's id. Their operations carry no
+    server stamp, so a vertex holds at most one edge of everyone else's
+    operations (global), first, and one of rid's own (local). two_d marks
+    such a space for dot.css_to_dot and changes nothing here. The replicas
+    of a run pass the run's OidIndex; a space built without one makes its
+    own.
     """
 
     def __init__(self, rid: int, two_d: bool = False, index: Optional[OidIndex] = None):
@@ -360,63 +362,31 @@ class CssSpace:
         self.marks.append(_tuple_new(Mark, (v, len(self.vertices), self.n_edges)))
 
     def _place(self, u: int, edges: List[ProtoOp], op: ProtoOp) -> None:
-        """Insert op's edge into u's non-empty edge list where the policy
-        puts it. None of u's edges has op's bit: u | op.bit is a vertex that
+        """Insert op's edge into u's non-empty edge list in compare_ops
+        order. None of u's edges has op's bit: u | op.bit is a vertex that
         xform has just made.
 
-        Under the n-ary policy compare_ops must be a strict total order on
-        every co-existing edge set, and that is not proved, so it is
-        checked. Only the pairs with the new edge need it: every other pair
-        was checked when the later of its two edges came, compare_ops is
-        pure, and an insert keeps the order of the others. The new edge
-        goes before the first edge it orders LEFT of, and must order RIGHT
-        of every edge before it.
-
-        Most pairs are decided by the server contexts alone. For an
-        existing edge's op e of another oid, let L = op.bit & e.sctx and
-        R = e.bit & op.sctx. compare_ops(op, e) returns LEFT if L, else
-        RIGHT if R; compare_ops(e, op) returns LEFT if R, else RIGHT if L;
-        only when both tests are silent do they read rid. So when exactly
-        one of L and R is set, both calls return at a bit test: L alone
-        gives LEFT and RIGHT, R alone gives RIGHT and LEFT. The two calls
-        then agree, neither raises, and op orders LEFT of e exactly when
-        L. compare_ops runs both ways only when both tests are set (it then
-        finds LEFT twice, which breaks the order) or neither is, or when e
-        has op's oid (it then raises before any test).
+        compare_ops must be a strict total order on every co-existing edge
+        set, and that is not proved, so it is checked. Only the pairs with
+        the new edge need it: every other pair was checked when the later
+        of its two edges came, compare_ops is pure and antisymmetric, and
+        an insert keeps the order of the others. The new edge goes before
+        the first edge it orders LEFT of, and must order RIGHT of every
+        edge before it.
         """
-        bit, rid = op.bit, self.rid
-        if self.two_d:
-            own = op.oid.cid == rid
-            for e in edges:
-                if (e.oid.cid == rid) is own:
-                    raise ProtocolError(
-                        f"link: {'local' if own else 'global'} edge already occupied at "
-                        f"{self.index.fmt_oids(u)}"
-                    )
-            at = 0 if own else len(edges)
-        else:
-            oid, sctx = op.oid, op.sctx
-            at = None
-            for i, other in enumerate(edges):
-                left = bit & other.sctx
-                if (not left) is (not other.bit & sctx) or other.oid == oid:
-                    order = compare_ops(op, other, rid)
-                    if compare_ops(other, op, rid) is order:
-                        raise _order_broken(rid, op, other)
-                    left = order is _LEFT
-                if left:
-                    if at is None:
-                        at = i
-                elif at is not None:
-                    raise _order_broken(rid, op, other)
-            if at is None:
-                at = len(edges)
-        edges.insert(at, op)
+        rid, at = self.rid, None
+        for i, other in enumerate(edges):
+            if compare_ops(op, other, rid) is _LEFT:
+                if at is None:
+                    at = i
+            elif at is not None:
+                raise _order_broken(rid, op, other)
+        edges.insert(len(edges) if at is None else at, op)
         self.n_edges += 1
 
     def xform(self, op: ProtoOp) -> Tuple[ProtoOp, Tuple[Oid, ...]]:
-        """Transform op along the path the policy walks from its context
-        vertex to cur, materializing every intermediate OT square, and
+        """Transform op along the first-edge path from its context vertex
+        to cur, materializing every intermediate OT square, and
         advance cur. Returns op transformed, and the oids it was
         transformed against, in walk order, for the structural checkers.
 
@@ -425,16 +395,14 @@ class CssSpace:
         creates the fresh vertex v2 = v | op2.bit, gives v its single edge
         (op2 transformed by op), places op's edge at u, and goes on with op
         transformed by op2, whose context is u2. Both transformed ops are
-        built by tuple.__new__, and _place serves both policies. At cur,
-        _grow adds op's last edge.
+        built by tuple.__new__. At cur, _grow adds op's last edge.
         """
         u = self.locate(op)
         v = self._new_vertex(u | op.bit)
         vertices, fmt, place = self.vertices, self.index.fmt_oids, self._place
         v_edges = vertices[v]
-        cur, rid, two_d = self.cur, self.rid, self.two_d
+        cur = self.cur
         o, oid, bit, _, sctx = op
-        own = oid.cid == rid  # 2D: the side of op; its walk follows the other side
         ot_seq: List[Oid] = []
         # Along the walk op's context is u and v == u | bit, with bit not
         # in u: that holds at the start (op is a valid ProtoOp) and each
@@ -447,16 +415,9 @@ class CssSpace:
         # has no edge before the one to v2.
         while u != cur:
             edges = vertices[u]
-            if two_d:
-                for op2 in edges:
-                    if (op2.oid.cid == rid) is not own:
-                        break
-                else:
-                    raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {fmt(u)}")
-            elif edges:
-                op2 = edges[0]
-            else:
+            if not edges:
                 raise ProtocolError(f"xform: final vertex {fmt(u)} has no first edge")
+            op2 = edges[0]
             o2, oid2, bit2, ctx2, sctx2 = op2
             u2 = u | bit2
             if u2 not in vertices:
@@ -511,7 +472,7 @@ def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:
         candidates = []
         for src, op in in_edges.get(mask, []):
             if src in states:
-                candidates.append(apply(states[src], op.o)[0])
+                candidates.append(apply(states[src], op.o))
         if not candidates:
             raise ProtocolError(f"vertex {snapshot.index.fmt_oids(mask)} unreachable from root")
         if any(c != candidates[0] for c in candidates[1:]):

@@ -112,15 +112,15 @@ def to_text(state: ListState) -> str:
     return "".join(map(_glyph, state))
 
 
-def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
-    """Apply one operation to a list state, returning (new state, contents).
+def apply(state: ListState, o: ListOp) -> ListState:
+    """Apply one operation to a list state, returning the new state.
 
     Out-of-range positions are legal: Ins clamps to the end, Del to the
     last element. Del on an empty list does nothing.
     """
     kind = o.kind
     if kind is _NOP:
-        return state, state
+        return state
     if kind is _INS:
         element = o.element
         cid, seq = element[1], element[2]  # origin_cid, origin_seq
@@ -128,14 +128,12 @@ def apply(state: ListState, o: ListOp) -> Tuple[ListState, ListState]:
             if existing[2] == seq and existing[1] == cid:
                 raise ValueError(f"duplicate element {element.token()}")
         p = min(o.position, len(state))
-        new = state[:p] + (element,) + state[p:]
-        return new, new
+        return state[:p] + (element,) + state[p:]
     # Del
     if not state:
-        return state, state
+        return state
     p = min(o.position, len(state) - 1)
-    new = state[:p] + state[p + 1 :]
-    return new, new
+    return state[:p] + state[p + 1 :]
 
 
 _NOP_OP = ListOp.nop()  # immutable, so every degenerate deletion shares it

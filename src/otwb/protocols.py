@@ -66,17 +66,17 @@ class CJClient:
         ):
             raise ProtocolError("inserted element identity does not match this client")
         o = _fill_del(o, self.state)
-        self.state, value = apply(self.state, o)
+        self.state = apply(self.state, o)
         self.seq += 1
         oid = Oid(self.cid, self.seq)
         op = ProtoOp(o, oid, self.space.index.bit(oid), self.space.cur)
         self.space.append(op)
-        return DoResult(value, op)
+        return DoResult(self.state, op)
 
     def receive(self, op: ProtoOp) -> RecvResult:
         applied, ot_seq = self.space.xform(op)
-        self.state, value = apply(self.state, applied.o)
-        return RecvResult(value, applied, ot_seq)
+        self.state = apply(self.state, applied.o)
+        return RecvResult(self.state, applied, ot_seq)
 
 
 class Sequencer:
@@ -111,8 +111,8 @@ class CJServer(Sequencer):
     def receive(self, op: ProtoOp) -> RecvResult:
         stamped = super().receive(op)
         applied, ot_seq = self.space.xform(stamped.applied)
-        self.state, value = apply(self.state, applied.o)
-        return stamped._replace(value=value, applied=applied, ot_seq=ot_seq)
+        self.state = apply(self.state, applied.o)
+        return stamped._replace(value=self.state, applied=applied, ot_seq=ot_seq)
 
 
 class JClient(CJClient):
@@ -138,7 +138,7 @@ class JServer:
         origin = op.oid.cid
         self.arrival_log.append(op.oid)
         applied, ot_seq = self.spaces[origin].xform(op)
-        self.state, value = apply(self.state, applied.o)
+        self.state = apply(self.state, applied.o)
         fanout = []
         for c in range(1, self.n_clients + 1):
             if c == origin:
@@ -147,7 +147,7 @@ class JServer:
             fanout.append((c, applied))
         if len({s.cur for s in self.spaces.values()}) != 1:
             raise ProtocolError("per-client server spaces diverged")
-        return RecvResult(value, applied, ot_seq, tuple(fanout))
+        return RecvResult(self.state, applied, ot_seq, tuple(fanout))
 
 
 class DJReplica(CJClient):

@@ -649,7 +649,7 @@ class BufferJupiter:
             rid, (client, server) = SERVER_ID, self.links[step.frm]
             o = server.receive(client)
             ends = [other for c, (_, other) in self.links.items() if c != step.frm]
-        self.lists[rid] = apply(self.lists[rid], o)[0]
+        self.lists[rid] = apply(self.lists[rid], o)
         for end in ends:
             end.send(o)
         return rid

@@ -91,8 +91,8 @@ def applicable(o, state):
 
 def check_cp1(o1, o2, state: ListState) -> bool:
     """True iff applying o1 then o2' equals applying o2 then o1' on state."""
-    left, _ = apply(apply(state, o1)[0], transform(o2, o1))
-    right, _ = apply(apply(state, o2)[0], transform(o1, o2))
+    left = apply(apply(state, o1), transform(o2, o1))
+    right = apply(apply(state, o2), transform(o1, o2))
     return left == right
 
 
@@ -244,7 +244,7 @@ def oracle_trace_to_json(trace):
 
 
 def oracle_link(space, u, v, op):
-    """Insert op's edge to v at any vertex u where the policy puts it:
+    """Insert op's edge to v at any vertex u where compare_ops puts it:
     every check on every call, and compare_ops run both ways against every
     existing edge. A replay adds edges only where xform and append do;
     tests use this to hand-build spaces, and the oracles below use it."""
@@ -260,24 +260,12 @@ def oracle_link(space, u, v, op):
         raise ProtocolError(f"link: target oids do not extend source by {op.oid.token()}")
     if any(e.bit == op.bit for e in edges):
         return
-    rid = space.rid
-    if space.two_d:
-        own = op.oid.cid == rid
-        for e in edges:
-            if (e.oid.cid == rid) is own:
-                raise ProtocolError(
-                    f"link: {'local' if own else 'global'} edge already occupied at "
-                    f"{space.index.fmt_oids(u)}"
-                )
-        at = 0 if own else len(edges)
-    else:
-        at = literal_place(edges, op, rid)
-    edges.insert(at, op)
+    edges.insert(literal_place(edges, op, space.rid), op)
     space.n_edges += 1
 
 
 def literal_place(edges, op, rid):
-    """Where the n-ary policy puts op among edges, none of op's bit: before
+    """Where compare_ops puts op among edges, none of op's bit: before
     the first edge it orders LEFT of, after checking both orders of every
     pair. Raises ProtocolError as compare_ops or the order check does."""
     at = None
@@ -293,18 +281,12 @@ def literal_place(edges, op, rid):
     return len(edges) if at is None else at
 
 
-def oracle_walk_edge(space, u, op):
-    """The edge out of u that an xform walk of op follows."""
+def oracle_walk_edge(space, u):
+    """The edge out of u that an xform walk follows: the first."""
     edges = space.vertices[u]
-    if not space.two_d:
-        if not edges:
-            raise ProtocolError(f"xform: final vertex {space.index.fmt_oids(u)} has no first edge")
-        return edges[0]
-    own = op.oid.cid == space.rid
-    for e in edges:
-        if (e.oid.cid == space.rid) is not own:
-            return e
-    raise ProtocolError(f"xform: no {'global' if own else 'local'} edge at {space.index.fmt_oids(u)}")
+    if not edges:
+        raise ProtocolError(f"xform: final vertex {space.index.fmt_oids(u)} has no first edge")
+    return edges[0]
 
 
 def oracle_xform(space, op):
@@ -315,7 +297,7 @@ def oracle_xform(space, op):
     v = space._new_vertex(u | op.bit)
     ot_seq = []
     while u != space.cur:
-        op2 = oracle_walk_edge(space, u, op)
+        op2 = oracle_walk_edge(space, u)
         op_t = ProtoOp(ListOp(*transform(op.o, op2.o)), op.oid, op.bit, op.ctx | op2.bit, op.sctx)
         op2_t = ProtoOp(ListOp(*transform(op2.o, op.o)), op2.oid, op2.bit, op2.ctx | op.bit, op2.sctx)
         v2 = space._new_vertex(v | op2.bit)

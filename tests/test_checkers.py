@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import empty_schedule, seen_masks, swapped_receives
-from otwb import checkers, simnet
+from otwb import checkers, css_space, simnet
 from otwb.checkers import (
     CHECKS,
     AbstractExecution,
@@ -25,7 +25,7 @@ from otwb.checkers import (
     check_weak_spec,
 )
 from otwb.cli import main
-from otwb.css_space import ProtocolError
+from otwb.css_space import Ord, ProtocolError
 from otwb.simnet import PROTOCOLS, OpRecord, podc16_schedule, random_schedule, run
 
 
@@ -539,10 +539,10 @@ class TestOptimizedInterpreter:
         assert strong == [("cjupiter", False), ("jupiter", False), ("djupiter", False)]
 
     def test_broken_replay_invariants_caught_under_dash_O(self):
-        # An edge order that is not antisymmetric, and a server whose
-        # per-client spaces stop agreeing (it drops the ops it appends to a
-        # 2D space they are global to), end in ProtocolError without
-        # asserts.
+        # An edge order with a cycle (client 2's ops before 1's, 3's
+        # before 2's, 1's before 3's), and a server whose per-client spaces
+        # stop agreeing (it drops the ops it appends to a 2D space they
+        # are global to), end in ProtocolError without asserts.
         script = (
             "from otwb import css_space, simnet\n"
             "from otwb.css_space import Ord, ProtocolError\n"
@@ -552,7 +552,8 @@ class TestOptimizedInterpreter:
             "    except ProtocolError as exc:\n"
             "        return str(exc)\n"
             "    return 'no error'\n"
-            "css_space.compare_ops = lambda op, op2, rid: Ord.LEFT\n"
+            "css_space.compare_ops = lambda op, op2, rid: (\n"
+            "    Ord.LEFT if (op.oid.cid - op2.oid.cid) % 3 == 1 else Ord.RIGHT)\n"
             "print(attempt('cjupiter'))\n"
             "append = css_space.CssSpace.append\n"
             "def skip_global(self, op):\n"
@@ -568,5 +569,19 @@ class TestOptimizedInterpreter:
         )
         assert proc.returncode == 0, proc.stderr
         edge_order, spaces = proc.stdout.splitlines()
-        assert "break a strict total order" in edge_order
+        assert edge_order == "edge order at replica 0: 3:1 and 1:2 break a strict total order"
         assert spaces == "per-client server spaces diverged"
+
+    def test_always_left_edge_order_fails_the_verdicts(self, monkeypatch):
+        # An edge order that puts every new edge first raises nothing in a
+        # replay; the verdicts on podc16 catch it instead.
+        watched = {("convergence", "cjupiter"), ("equivalence", None),
+                   ("first_rule", "cjupiter"), ("space_isomorphism", "cjupiter")}
+
+        def violated():
+            verdicts = checkers.verify(podc16_schedule()).verdicts
+            return {(v.check, p) for _, p, v in verdicts if not v.satisfied} & watched
+
+        assert violated() == set()
+        monkeypatch.setattr(css_space, "compare_ops", lambda op, op2, rid: Ord.LEFT)
+        assert violated() == watched

@@ -394,13 +394,13 @@ GOLDEN = {
     ("export-dot", "cjupiter", "podc16"):
         "0ef89c5053a9819120d7ae93d2a052a4e0b2bd9dd55f8c96dae674a575bd4279",
     ("export-dot", "jupiter", "podc16"):
-        "5211e317f9f685fbc2d22cc94e128546ae6436d79cafaead2c74ee5d7a2aa80f",
+        "0306a34799b99f05eb8b490a0fd38212553de4246f9016f7b0a6510194c30d57",
     ("export-dot", "djupiter", "podc16"):
         "73770f4f07e7344d2d72ded7b1c9182728548b8c0e54ba679d22598d1a671731",
     ("export-dot", "cjupiter", "random"):
         "b587957ef7bbd877a3b98f4a48876dd2ea89ef3fe66ea4bd8ff17b33920aa8f3",
     ("export-dot", "jupiter", "random"):
-        "3dd46499286689f607dcc8c63469e70adfcb14c2d4c650e84ec7b2626c1ea678",
+        "d3682bde929d5038d6d5201d5add233f57d2da7bb478401e283f1d3528a245e1",
     ("export-dot", "djupiter", "random"):
         "308cd7fb1296cf8bc3b812a9263243d5701285d42fb66738b1af0bfd2ef3d8c8",
     ("run", "cjupiter", "podc16"):

@@ -106,6 +106,16 @@ class TestCompareOps:
         with pytest.raises(ProtocolError):
             compare_ops(a, a, 1)
 
+    def test_each_in_the_others_server_context_rejected(self):
+        # Both server-context tests fire: each op claims the server had
+        # executed the other first, so neither order holds, both ways.
+        ix = OidIndex()
+        a = op(ix, ins("p", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)})
+        b = op(ix, ins("q", 0, 2, 1), Oid(2, 1), sctx={Oid(1, 1)})
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(ProtocolError, match="break a strict total order"):
+                compare_ops(first, second, 0)
+
 
 class TestLocate:
     def test_root_matches_empty_context(self):
@@ -394,14 +404,18 @@ class TestReplayIntegrityErrors:
         assert self.raised(s.xform, incoming) == "xform: final vertex ['2:1'] has no first edge"
 
     def test_no_walk_edge_on_either_side(self):
-        # Owner 1 holds only an op of client 3 at the root: an own op must
-        # walk a global edge and finds one, a remote op must walk a local
-        # one and finds none. Under owner 3 the sides swap.
-        for owner, oid, side in ((1, Oid(2, 1), "local"), (3, Oid(3, 2), "global")):
+        # The root holds only an op of client 3, and a second op of its
+        # side arrives: under owner 1 both are remote, under owner 3 both
+        # are own. The walk takes the root edge, and compare_ops cannot
+        # order the two ops where the incoming one is placed.
+        for owner, oid in ((1, Oid(2, 1)), (3, Oid(3, 2))):
             s = CssSpace(rid=owner, two_d=True)
             ix = s.index
             s.append(op(ix, ins("x", 0, 3, 1), Oid(3, 1)))
-            assert self.raised(s.xform, op(ix, ins("y", 0, *oid), oid)) == f"xform: no {side} edge at []"
+            assert self.raised(s.xform, op(ix, ins("y", 0, *oid), oid)) == (
+                f"cannot order {oid.token()} and 3:1 at replica {owner}: "
+                "neither context decides and the pair is not one local, one remote"
+            )
 
     def test_cur_already_has_an_edge(self):
         # A hand-built edge leaves cur: in a 2D space on either side, and

@@ -1,4 +1,4 @@
-"""Tests for the 2D state space: the ordered space under the 2D policy."""
+"""Tests for the 2D state space: the ordered space as jupiter grows it."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from conftest import O1, O2, O3, O4, mask, oracle_link
 from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, to_text
 from otwb.protocols import JClient, JServer
+from otwb.simnet import random_schedule, run
 
 
 def ins(glyph, pos, cid, seq):
@@ -55,9 +56,9 @@ class TestAdd:
         s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
         assert [(e.oid, e.bit) for e in s.vertices[0]] == [(Oid(1, 1), s.cur)]
-        # An edge of another client's op goes after the owner's own.
+        # An edge of another client's op goes before the owner's own.
         s.xform(op2d(ix, ins("y", 0, 2, 1), Oid(2, 1)))
-        assert [e.oid for e in s.vertices[0]] == [Oid(1, 1), Oid(2, 1)]
+        assert [e.oid for e in s.vertices[0]] == [Oid(2, 1), Oid(1, 1)]
 
     def test_mismatched_context_rejected(self):
         s = CssSpace(rid=1, two_d=True)
@@ -68,18 +69,16 @@ class TestAdd:
 
     def test_occupied_dimension_rejected(self):
         # Two ops of client 1 (local to owner 1) or of clients 1 and 2
-        # (both global to owner 3) compete for one slot at the root, where
-        # the second one's walk starts along a hand-built edge of the
-        # other side.
-        for owner, second, walked, side in (
-            (1, Oid(1, 2), Oid(2, 1), "local"),
-            (3, Oid(2, 1), Oid(3, 1), "global"),
-        ):
+        # (both global to owner 3) compete for one slot at the root, next
+        # to a hand-built edge of the other side. No jupiter op carries a
+        # server stamp, so compare_ops cannot order two ops of one side.
+        for owner, second, walked in ((1, Oid(1, 2), Oid(2, 1)), (3, Oid(2, 1), Oid(3, 1))):
             s = CssSpace(rid=owner, two_d=True)
             ix = s.index
             s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
             oracle_link(s, 0, s._new_vertex(mask(ix, [walked])), op2d(ix, ins("w", 0, *walked), walked))
-            with pytest.raises(ProtocolError, match=f"{side} edge already occupied at \\[\\]"):
+            message = f"cannot order {second.token()} and 1:1 at replica {owner}: .* not one local, one remote"
+            with pytest.raises(ProtocolError, match=message):
                 s.xform(op2d(ix, ins("y", 0, *second), second))
 
     def test_server_saves_transformed_op_along_global(self):
@@ -88,8 +87,8 @@ class TestAdd:
         # The forwarded o3 carries the server-transformed context {o1,o2}.
         assert fwd[3].ctx == mask(ix, [O1, O2])
         snap3 = server.spaces[3].snapshot()
-        # o4 is c3's own op, so its edge is the local one and comes first.
-        assert [e.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O4, O3]
+        # o3 is global to c3's space, so its edge comes before c3's own o4.
+        assert [e.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O3, O4]
         assert snap3.rid == 3 and snap3.two_d
 
 
@@ -119,9 +118,10 @@ class TestXform2D:
     def test_missing_dimension_edge_is_integrity_error(self):
         s = CssSpace(rid=1, two_d=True)
         s.append(op2d(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
-        # An own op located at the root must walk global edges; none exist.
+        # An own op located at the root walks the local edge there, and
+        # compare_ops cannot order two local ops.
         incoming = op2d(s.index, ins("y", 0, 1, 2), Oid(1, 2))
-        with pytest.raises(ProtocolError, match="no global edge"):
+        with pytest.raises(ProtocolError, match="cannot order 1:2 and 1:1 at replica 1: .* not one local, one remote"):
             s.xform(incoming)
 
     def test_cur_with_an_edge_is_integrity_error(self):
@@ -136,15 +136,26 @@ class TestXform2D:
             s.xform(op2d(ix, ins("z", 0, 3, 1), Oid(3, 1)))
 
 
+def jupiter_spaces():
+    """Every final client and server space of jupiter runs: podc16 by hand,
+    and the schedules of corpus seeds 0-99 and wide seeds 0-9."""
+    server, clients, _ = replay_podc16_jupiter()
+    yield "podc16", all_snapshots(server, clients)
+    shapes = [(1 + s % 4, 1 + (s * 7) % 8, s) for s in range(100)] + [(4, 16, s) for s in range(10)]
+    for n, k, s in shapes:
+        res = run("jupiter", random_schedule(n, k, seed=s))
+        yield f"({n},{k}) seed {s}", [*res.cscw_client_final.values(), *res.cscw_server_final.values()]
+
+
 class TestStructure:
     def test_at_most_one_edge_per_dimension(self):
-        # At most one own (local) edge, first, and one global edge.
-        server, clients, _ = replay_podc16_jupiter()
-        for snap in all_snapshots(server, clients):
-            assert snap.two_d
-            for edges in snap.vertices.values():
-                sides = [e.oid.cid == snap.rid for e in edges]
-                assert sides in ([], [True], [False], [True, False])
+        # At most one global edge, first, and one own (local) edge.
+        for name, snaps in jupiter_spaces():
+            for snap in snaps:
+                assert snap.two_d
+                for edges in snap.vertices.values():
+                    sides = [e.oid.cid == snap.rid for e in edges]
+                    assert sides in ([], [True], [False], [False, True]), name
 
     def test_square_closure(self):
         # Wherever both dimensions leave a vertex, the transformed square
@@ -154,7 +165,7 @@ class TestStructure:
             for src, edges in snap.vertices.items():
                 if len(edges) < 2:
                     continue
-                local, global_ = edges
+                global_, local = edges
                 corner = src | local.bit | global_.bit
                 assert corner in snap.vertices
                 via_local = snap.vertices[src | local.bit]

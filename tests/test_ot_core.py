@@ -21,28 +21,23 @@ def state_of(*glyphs):
 
 class TestApply:
     def test_insert_into_empty_list(self):
-        new, val = apply(EMPTY_STATE, ListOp.ins(elem("x"), 0))
-        assert to_text(new) == "x"
-        assert val == new
+        assert to_text(apply(EMPTY_STATE, ListOp.ins(elem("x"), 0))) == "x"
 
     def test_nop_leaves_state_unchanged(self):
         st = state_of("x")
-        assert apply(st, ListOp.nop()) == (st, st)
+        assert apply(st, ListOp.nop()) == st
 
     def test_delete_clamps_to_last_element(self):
         # Derived from the clamp rule min(p, len-1) on a 5-element list.
         st = state_of("a", "b", "c", "d", "e")
-        new, val = apply(st, ListOp.del_(5))
-        assert to_text(new) == "abcd"
-        assert val == new
+        assert to_text(apply(st, ListOp.del_(5))) == "abcd"
 
     def test_insert_clamps_to_end(self):
         st = state_of("a", "b")
-        new, _ = apply(st, ListOp.ins(elem("z"), 7))
-        assert to_text(new) == "abz"
+        assert to_text(apply(st, ListOp.ins(elem("z"), 7))) == "abz"
 
     def test_delete_on_empty_list_is_noop(self):
-        assert apply(EMPTY_STATE, ListOp.del_(0)) == (EMPTY_STATE, EMPTY_STATE)
+        assert apply(EMPTY_STATE, ListOp.del_(0)) == EMPTY_STATE
 
     def test_position_clamping_oracle(self):
         # Brute-force oracle: apply(s, o) equals apply with the position

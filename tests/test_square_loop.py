@@ -8,7 +8,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import literal_place, oracle_append, oracle_xform, plain
-from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError
+from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError, compare_ops
 from otwb.ot_core import ListOp
 from otwb.simnet import PROTOCOLS, podc16_schedule, random_schedule, run, trace_to_json
 
@@ -28,7 +28,7 @@ def schedules():
 
 
 def snapshot(snap):
-    """A snapshot as plain tuples: rid, cur, policy, and its vertices as
+    """A snapshot as plain tuples: rid, cur, two_d label, and its vertices as
     plain() writes them, sctx included."""
     return snap.rid, snap.cur, snap.two_d, plain(snap.vertices)
 
@@ -109,6 +109,27 @@ def bit_tests(op, e):
 def test_placement_equals_the_literal_loop(case):
     rid, op, edges = case
     assert outcome(by_helper, rid, op, edges) == outcome(by_literal_loop, rid, op, edges)
+
+
+@FAST
+@given(placements())
+def test_compare_ops_is_antisymmetric(case):
+    # Swapping the arguments swaps the two bit tests and the local side:
+    # both calls raise, or they return opposite orders.
+    rid, op, edges = case
+
+    def order(a, b):
+        try:
+            return compare_ops(a, b, rid)
+        except ProtocolError:
+            return None
+
+    for e in edges:
+        there, back = order(op, e), order(e, op)
+        if there is None or back is None:
+            assert there is back
+        else:
+            assert there == -back
 
 
 @pytest.mark.parametrize(
