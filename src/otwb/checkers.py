@@ -45,8 +45,7 @@ class AbstractExecution:
     (i, j) is in vis). An event's index is its position in H.
 
     Derived from them, for the checkers: updates, the bitset of the list
-    updates in H, and, on first use, visibility_error, lists and
-    list_order.
+    updates in H, and, on first use, lists and list_order.
     vis, the relation as index pairs, is spelled out only when read; no
     checker reads it.
     """
@@ -65,16 +64,6 @@ class AbstractExecution:
             if s < 0 or s >> n:
                 raise ValueError(f"event {j} sees an event outside H")
         object.__setattr__(self, "updates", sum(1 << e.index for e in self.H if e.is_update()))
-
-    @cached_property
-    def visibility_error(self) -> Optional[str]:
-        """The message of the first visibility axiom that seen breaks, as
-        _validate_visibility raises it, or None; tested once per A."""
-        try:
-            _validate_visibility(self)
-        except ProtocolError as exc:
-            return str(exc)
-        return None
 
     @cached_property
     def vis(self) -> FrozenSet[Tuple[int, int]]:
@@ -123,8 +112,7 @@ def build_abstract_execution(trace: Trace) -> AbstractExecution:
             # A DoEvent checks nothing, so tuple.__new__ builds it with no frame.
             H.append(_tuple_new(DoEvent, (len(H), e.replica, e.op, e.value or (), e.vclock)))
     A = AbstractExecution(tuple(H), tuple(causal_masks(H)))
-    if A.visibility_error is not None:
-        raise ProtocolError(A.visibility_error)
+    _validate_visibility(A)
     return A
 
 
@@ -192,6 +180,12 @@ def _distinct_values(A: AbstractExecution) -> Iterator[Tuple[DoEvent, Value]]:
     return ((e, w) for w, e in first.items())
 
 
+def _fmt_elem(x: Elem) -> str:
+    """An element as witnesses spell it, glyph@cid:seq; a plain triple of a
+    hand-built execution too, so not Element.token()."""
+    return f"{x[0]}@{x[1]}:{x[2]}"
+
+
 def build_list_order(A: AbstractExecution) -> ListOrder:
     """Every ordered pair of every returned list; a list returned again
     adds no pair."""
@@ -204,132 +198,93 @@ def build_list_order(A: AbstractExecution) -> ListOrder:
 
 
 def _shortest_cycle(pairs: Iterable[Tuple[Elem, Elem]]) -> Optional[List[Elem]]:
-    # Sorted, so that the witness does not depend on set iteration order
-    # (and with it on PYTHONHASHSEED).
+    """The shortest cycle of the relation, or None: a BFS with parent
+    pointers from each element in sorted order stops at the first frontier
+    node with an edge back to the start, and a later start wins only with
+    a shorter cycle. Sorted, so that the witness does not depend on set
+    iteration order (and with it on PYTHONHASHSEED)."""
     adj: Dict[Elem, List[Elem]] = {}
     for a, b in sorted(pairs):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, [])
     best: Optional[List[Elem]] = None
     for start in sorted(adj):
-        # BFS for the shortest path back to start
-        frontier = [(start, [start])]
-        seen = {start}
+        parent: Dict[Elem, Optional[Elem]] = {start: None}
+        frontier = [start]
         while frontier:
-            nxt = []
-            for node, path in frontier:
-                for succ in adj[node]:
-                    if succ == start:
-                        cycle = path
-                        if best is None or len(cycle) < len(best):
-                            best = cycle
-                        nxt = []
-                        frontier = []
-                        break
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append((succ, path + [succ]))
-                else:
-                    continue
+            end = next((u for u in frontier if start in adj[u]), None)
+            if end is not None:
+                cycle = [end]
+                while parent[cycle[-1]] is not None:
+                    cycle.append(parent[cycle[-1]])
+                if best is None or len(cycle) < len(best):
+                    best = cycle[::-1]
                 break
-            else:
-                frontier = nxt
-                continue
-            break
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
     return best
-
-
-def _condition_1a_holds(A: AbstractExecution) -> bool:
-    """True only if every event e passes condition 1a; False decides
-    nothing. Let m = (seen[e] | e) & updates, and ins[x], dels[x] be the
-    events that insert and delete element x. It asks that (T) A pass
-    _validate_visibility, (S) no element be inserted twice and (P) each
-    delete see an insert of its element; then, per e, that (a) each x in
-    e's list have ins[x] & m and not dels[x] & m, and (b) popcount(m &
-    inserts) less the elements deleted in m equal |set(list)|. Proof: by
-    (T) and (P) an insert of each element deleted in m is in m, so by (S)
-    the left side of (b) counts the elements inserted and not deleted in
-    m. (a) puts the list among them and (b) equates the sizes. (b) costs
-    popcounts and one test per element deleted more than once."""
-    if A.visibility_error is not None:
-        return False
-    ins, dels = {}, {}  # element -> bitset of the events that insert, delete it
-    for e in A.H:
-        x = e.op.element
-        if e.op.kind == "ins":
-            if x in ins:
-                return False
-            ins[x] = 1 << e.index
-        elif e.op.kind == "del":
-            if not ins.get(x, 0) & A.seen[e.index]:  # (P); by (T) e sees only earlier events
-                return False
-            dels[x] = dels.get(x, 0) | 1 << e.index
-    inserts = sum(ins.values())
-    once = sum(d for d in dels.values() if not d & (d - 1))
-    again = [d for d in dels.values() if d & (d - 1)]
-    for e in A.H:
-        m = (A.seen[e.index] | 1 << e.index) & A.updates
-        for x in e.value:
-            if not ins.get(x, 0) & m or dels.get(x, 0) & m:
-                return False
-        gone = (m & once).bit_count() + sum(1 for d in again if d & m)
-        if (m & inserts).bit_count() - gone != len(set(e.value)):
-            return False
-    return True
 
 
 def check_weak_spec(A: AbstractExecution) -> Verdict:
     """The three per-event conditions plus acyclicity of the constructed
-    list order. Unless _condition_1a_holds, 1a is tested event by event;
-    unless _condition_2_holds, condition 2 is tested list by list for a
-    repeated element, then pair by pair on the list order, which finds the
-    witness."""
-    literal = not _condition_1a_holds(A)
+    list order. Condition 1a, for any execution: with ins[x] and dels[x]
+    the events that insert and delete element x, and m the updates an
+    event sees, itself included, the elements inserted and not deleted in
+    m are the x with ins[x] & m and not dels[x] & m."""
+    ins: Dict[Elem, int] = {}
+    dels: Dict[Elem, int] = {}
     for e in A.H:
-        if literal:
-            visible = [A.H[i] for i in bit_positions((A.seen[e.index] | 1 << e.index) & A.updates)]
-            inserted = {u.op.element for u in visible if u.op.kind == "ins"}
-            deleted = {u.op.element for u in visible if u.op.kind == "del"}
-            expected = inserted - deleted
-            got = set(e.value)
-            if got != expected:
-                return Verdict(
-                    "weak_spec",
-                    False,
-                    {
-                        "condition": "1a",
-                        "event": e.index,
-                        "replica": e.replica,
-                        "list": to_text(e.value),
-                        "missing": sorted(map(str, expected - got)),
-                        "extra": sorted(map(str, got - expected)),
-                    },
-                )
+        if e.op.kind == "ins":
+            ins[e.op.element] = ins.get(e.op.element, 0) | 1 << e.index
+        elif e.op.kind == "del":
+            dels[e.op.element] = dels.get(e.op.element, 0) | 1 << e.index
+    bits = [(x, b, dels.get(x, 0)) for x, b in ins.items()]
+    for e in A.H:
+        m = (A.seen[e.index] | 1 << e.index) & A.updates
+        expected = {x for x, b, d in bits if b & m and not d & m}
+        got = set(e.value)
+        if got != expected:
+            return Verdict(
+                "weak_spec",
+                False,
+                {
+                    "condition": "1a",
+                    "event": e.index,
+                    "replica": e.replica,
+                    "list": to_text(e.value),
+                    "missing": sorted(map(str, expected - got)),
+                    "extra": sorted(map(str, got - expected)),
+                },
+            )
         if e.op.kind == "ins":
             n = len(e.value)
             at = min(e.op.pos, n - 1)
             if n == 0 or e.value[at] != e.op.element:
-                return Verdict(
-                    "weak_spec",
-                    False,
-                    {"condition": "1c", "event": e.index, "list": to_text(e.value)},
-                )
+                return Verdict("weak_spec", False, {"condition": "1c", "event": e.index, "list": to_text(e.value)})
         # 1b holds by construction: build_list_order takes every ordered
         # pair of every returned list, this one included.
     # Condition 2: the list order is irreflexive, and transitive and total
     # on each returned list's elements. Totality holds by construction;
     # transitivity plus irreflexivity on a list fail exactly when some
     # other returned list contradicts its internal order. A list returned
-    # again fails exactly as it did at its first occurrence.
-    if _condition_2_holds(A):
-        return Verdict("weak_spec", True)
-    # A list that repeats an element puts both orders of a pair into the
-    # list order, so repeats are looked for first, in every list: blamed
-    # as a conflict, a repeat would name another list and no second event.
+    # again fails exactly as it did at its first occurrence. A list that
+    # repeats an element puts both orders of a pair into the list order,
+    # so repeats are looked for first, in every list: blamed as a
+    # conflict, a repeat would name another list and no second event.
     for e, w in _distinct_values(A):
-        for i, x in enumerate(w):
-            if x in w[i + 1 :]:
-                return Verdict("weak_spec", False, {"condition": "2", "event": e.index, "duplicate": str(x)})
+        if len(set(w)) < len(w):
+            x = next(x for i, x in enumerate(w) if x in w[i + 1 :])
+            return Verdict("weak_spec", False, {"condition": "2", "event": e.index, "duplicate": str(x)})
+    # With no repeat, (y, x) is in the list order exactly when some list
+    # holds y before x, so the pair scan fails exactly when some pair is
+    # in the order both ways, which is what _orders_conflict decides.
+    if not _orders_conflict(A.lists):
+        return Verdict("weak_spec", True)
     lo = A.list_order
     for e, w in _distinct_values(A):
         for i in range(len(w)):
@@ -351,25 +306,11 @@ def check_weak_spec(A: AbstractExecution) -> Verdict:
                         {
                             "condition": "2",
                             "events": [e.index, other],
-                            "elements": [
-                                f"{w[i][0]}@{w[i][1]}:{w[i][2]}",
-                                f"{w[j][0]}@{w[j][1]}:{w[j][2]}",
-                            ],
+                            "elements": [_fmt_elem(w[i]), _fmt_elem(w[j])],
                             "list": to_text(w),
                         },
                     )
     return Verdict("weak_spec", True)
-
-
-def _condition_2_holds(A: AbstractExecution) -> bool:
-    """Whether the literal condition-2 scan of check_weak_spec finds
-    nothing, in O(sum of the distinct returned lists' lengths) bitset
-    operations. The scan fails on a list w that repeats an element, or on
-    a pair w[i], w[j] (i < j) whose reverse is in the list order. Proof:
-    when no list repeats an element, (y, x) is in the order exactly when
-    some list holds y before x, so the scan fails exactly when some pair
-    is in the order both ways, which is what _orders_conflict decides."""
-    return all(len(set(w)) == len(w) for w in A.lists) and not _orders_conflict(A.lists)
 
 
 def _list_order_acyclic(A: AbstractExecution) -> bool:
@@ -411,7 +352,7 @@ def check_strong_spec(A: AbstractExecution) -> Verdict:
         "strong_spec",
         False,
         {
-            "cycle": [f"{g}@{c}:{s}" for g, c, s in cycle],
+            "cycle": [_fmt_elem(x) for x in cycle],
             "elements": sorted(g for g, _, _ in cycle),
         },
     )
@@ -439,7 +380,7 @@ def check_pairwise_compatibility(states: Sequence[Value]) -> Verdict:
                             False,
                             {
                                 "lists": [to_text(states[i]), to_text(states[j])],
-                                "elements": [f"{a[0]}@{a[1]}:{a[2]}", f"{b[0]}@{b[1]}:{b[2]}"],
+                                "elements": [_fmt_elem(a), _fmt_elem(b)],
                             },
                         )
     return Verdict("pairwise_compatibility", True)

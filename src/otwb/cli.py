@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="exit 0 only if this check reports a violation",
         )
         p.add_argument("--out", help="directory for traces, verdicts, artifacts")
-        p.add_argument("--format", choices=["text", "json"], default="text")
 
     def schedule(p: argparse.ArgumentParser) -> None:
         p.add_argument("--schedule", required=True, help="file | builtin:podc16 | random")
@@ -213,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="replay one schedule and check it")
     replay(run_p)
     checking(run_p, "all")
+    run_p.add_argument("--format", choices=["text", "json"], default="text")
     schedule(run_p)
     run_p.set_defaults(func=cmd_run)
 

@@ -348,9 +348,20 @@ def literal_condition_2(A):
     return None
 
 
-def literal_cycle(A):
-    """The shortest cycle of the list order built pair by pair, or None."""
-    return checkers._shortest_cycle(checkers.build_list_order(A).pairs)
+def shortest_cycles(pairs):
+    """The length k of the shortest cycles of the relation, and the sorted
+    elements that lie on one, found by walks: k is the fewest steps in
+    which some element walks back to itself, and a shortest closed walk
+    is a cycle. (None, []) when the relation is acyclic."""
+    elems = sorted({x for p in pairs for x in p})
+    succ = {x: {b for a, b in pairs if a == x} for x in elems}
+    ends = {x: {x} for x in elems}  # ends[x]: where the walks of k steps from x end
+    for k in range(1, len(elems) + 1):
+        ends = {x: {c for b in ends[x] for c in succ[b]} for x in elems}
+        on = [x for x in elems if x in ends[x]]
+        if on:
+            return k, on
+    return None, []
 
 
 # --------------------------------------------------------------------------

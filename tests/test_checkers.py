@@ -94,10 +94,16 @@ class TestBuildAbstractExecution:
             assert len(validated) == k and validated[-1] is A
 
     def test_hand_built_execution_validated_on_first_use(self):
-        # Event 1 does not see event 0 of its own replica.
-        A = AbstractExecution(tuple(DoEvent(j, 1, OpRecord("read"), (), ()) for j in range(2)), (0, 0))
-        assert A.visibility_error == "per-replica order must be visible"
-        assert not checkers._condition_1a_holds(A)
+        # Event 1 does not see event 0 of its own replica, which inserts a:
+        # the builder's check refuses the execution, and the weak spec,
+        # which needs no visibility axiom, blames the read for listing a.
+        a = ("a", 1, 1)
+        H = (DoEvent(0, 1, OpRecord("ins", "1:1", a, 0), (a,), ()), DoEvent(1, 1, OpRecord("read"), (a,), ()))
+        A = AbstractExecution(H, (0, 0))
+        with pytest.raises(ProtocolError, match="per-replica order must be visible"):
+            checkers._validate_visibility(A)
+        assert check_weak_spec(A).witness == {
+            "condition": "1a", "event": 1, "replica": 1, "list": "a", "missing": [], "extra": [str(a)]}
 
 
 class TestConvergence:
@@ -262,6 +268,7 @@ class TestStrongSpec:
         verdict = check_strong_spec(A)
         assert not verdict.satisfied
         assert set(verdict.witness["elements"]) == {"a", "x", "b"}
+        assert verdict.witness["cycle"] == ["a@2:1", "x@1:1", "b@3:1"]
 
     def test_cycle_without_a_witness_is_a_protocol_error(self, podc16_cj, monkeypatch):
         # Kahn's pass finds podc16's cycle; a search that then finds none

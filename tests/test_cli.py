@@ -242,6 +242,14 @@ class TestFuzz:
         assert out == ""
         assert err == f"schedule error: fuzz {flag} must be at least 1, got {value}\n"
 
+    def test_format_is_a_usage_error(self, capsys):
+        # fuzz prints text lines only, so --format is run's flag alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--seeds", "1", "--check", "strong", "--expect-violation", "strong", "--format", "json"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --format json" in out.err
+
     def test_small_equivalence_sweep(self, capsys):
         code, out, _ = invoke(
             ["fuzz", "--seeds", "25", "--clients", "4", "--ops", "8", "--check", "equivalence"],
