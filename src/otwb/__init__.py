@@ -30,7 +30,7 @@ from .ot_core import (
     to_text,
     transform,
 )
-from .protocols import CJClient, CJServer, DJReplica, JClient, JServer, Sequencer
+from .protocols import CJClient, CJServer, DJReplica, JServer, Sequencer
 from .simnet import (
     Schedule,
     ScheduleError,
@@ -51,7 +51,6 @@ __all__ = [
     "CssSpace",
     "DJReplica",
     "Element",
-    "JClient",
     "JServer",
     "ListOp",
     "ListOrder",

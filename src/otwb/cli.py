@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import checkers, dot, simnet
-from .css_space import ProtocolError
+from .css_space import CssSnapshot, ProtocolError
 from .simnet import Schedule
 
 
@@ -156,27 +156,28 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args)
     out_dir = _out_dir(args.out)
     res = simnet.run(args.protocol, schedule)
+    two_d = args.protocol == "jupiter"
 
     written: List[Path] = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, snap: CssSnapshot, title: str) -> None:
         path = out_dir / f"{name}.dot"
-        path.write_text(text)
+        path.write_text(dot.css_to_dot(snap, title, two_d))
         written.append(path)
 
     # Each protocol fills only its own RunResult fields.
     finals = [("server" if rid == 0 else f"c{rid}", snap) for rid, snap in sorted(res.css_final.items())]
     finals += [(f"c{cid}", snap) for cid, snap in sorted(res.cscw_client_final.items())]
     for name, snap in finals:
-        emit(name, dot.css_to_dot(snap, title=f"{args.protocol} {name}"))
+        emit(name, snap, f"{args.protocol} {name}")
     for cid, snap in sorted(res.cscw_server_final.items()):
-        emit(f"server_c{cid}", dot.css_to_dot(snap, title=f"jupiter server space for c{cid}"))
+        emit(f"server_c{cid}", snap, f"jupiter server space for c{cid}")
     if args.steps:
         for rid, snaps in sorted({**res.css_client_steps, **res.cscw_client_steps}.items()):
             for k, snap in enumerate(snaps):
-                emit(f"c{rid}_step{k}", dot.css_to_dot(snap, title=f"c{rid} step {k}"))
+                emit(f"c{rid}_step{k}", snap, f"c{rid} step {k}")
         for k, snap in enumerate(res.css_server_steps):
-            emit(f"server_step{k}", dot.css_to_dot(snap, title=f"server step {k}"))
+            emit(f"server_step{k}", snap, f"server step {k}")
     for path in written:
         print(path)
     return 0

@@ -7,7 +7,8 @@ first edge. The 2D space (Jupiter) is that space with at most two edges
 per vertex, one of everyone else's operations (global) and one of the
 owner's own (local), in that order: no jupiter operation carries a server
 stamp, so compare_ops puts the remote one first and rejects two of one
-side. two_d only labels a space for drawing.
+side. Nothing here tells the two apart; dot.css_to_dot is told which
+drawing to make.
 
 A space is single-owner mutable: it is driven by exactly one replica state
 machine. It keys each vertex by its set of executed oids, held as an int
@@ -35,12 +36,13 @@ induction does not settle inline, with their messages.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .ot_core import ListOp, ListState, apply, transform
 
@@ -213,13 +215,12 @@ def compare_ops(op: ProtoOp, op2: ProtoOp, rid: int) -> Ord:
 class CssSnapshot:
     """Immutable copy of a space: per-vertex ordered tuples of edge
     operations keyed by oid mask (op's edge out of src ends at
-    src | op.bit), the run's oid index, and the two_d drawing label."""
+    src | op.bit), and the run's oid index."""
 
     rid: int
     cur: int
     vertices: Dict[int, Tuple[ProtoOp, ...]]
     index: OidIndex
-    two_d: bool = False
 
     @cached_property
     def order(self) -> List[int]:
@@ -258,7 +259,7 @@ class Mark(NamedTuple):
     edges: int
 
 
-class StepHistory(Sequence[CssSnapshot]):
+class StepHistory(collections.abc.Sequence):
     """A space's snapshot after each recorded step, held as one Mark per
     step over the final snapshot; a view is rebuilt each time it is read.
 
@@ -280,7 +281,7 @@ class StepHistory(Sequence[CssSnapshot]):
         births, (cur, n, _), final = self.births, self.marks[k], self.final
         items = islice(final.vertices.items(), n)
         vertices = {m: tuple(e for e in es if births.get(m | e.bit, 0) <= k) for m, es in items}
-        return CssSnapshot(final.rid, cur, vertices, final.index, final.two_d)
+        return CssSnapshot(final.rid, cur, vertices, final.index)
 
     @cached_property
     def births(self) -> Dict[int, int]:
@@ -313,16 +314,13 @@ class CssSpace:
     jupiter client's space is owned by its client id; the server keeps one
     space per client, owned by that client's id. Their operations carry no
     server stamp, so a vertex holds at most one edge of everyone else's
-    operations (global), first, and one of rid's own (local). two_d marks
-    such a space for dot.css_to_dot and changes nothing here. The replicas
-    of a run pass the run's OidIndex; a space built without one makes its
-    own.
+    operations (global), first, and one of rid's own (local). index is
+    the run's OidIndex, which every space of the run shares.
     """
 
-    def __init__(self, rid: int, two_d: bool = False, index: Optional[OidIndex] = None):
+    def __init__(self, rid: int, index: OidIndex):
         self.rid = rid
-        self.two_d = two_d
-        self.index = OidIndex() if index is None else index
+        self.index = index
         self.vertices: Dict[int, List[ProtoOp]] = {0: []}
         self.cur = 0
         self.n_edges = 0
@@ -451,7 +449,7 @@ class CssSpace:
     def snapshot(self) -> CssSnapshot:
         """A copy of the space, its vertices in creation order."""
         vertices = {mask: tuple(edges) for mask, edges in self.vertices.items()}
-        return CssSnapshot(self.rid, self.cur, vertices, self.index, self.two_d)
+        return CssSnapshot(self.rid, self.cur, vertices, self.index)
 
 
 def materialize(snapshot: CssSnapshot) -> Dict[int, ListState]:

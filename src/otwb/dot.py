@@ -1,8 +1,9 @@
 """Graphviz DOT rendering of state-space snapshots.
 
 Nodes show the sorted oids plus the materialized list; out-edges keep
-their order (the first edge is drawn leftmost). 2D snapshots draw the
-owner's own (local) edges solid and the others' (global) edges dashed.
+their order (the first edge is drawn leftmost). A 2D drawing, of a
+jupiter space, shows the owner's own (local) edges solid and the others'
+(global) edges dashed; an n-ary one numbers each vertex's edges.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ def _node_label(oids: List[Oid], text: str) -> str:
     return f"{ids}\\n'{text}'"
 
 
-def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
+def css_to_dot(snapshot: CssSnapshot, title: str, two_d: bool) -> str:
     states = materialize(snapshot)
-    lines: List[str] = ["digraph cscw {" if snapshot.two_d else "digraph css {"]
+    lines: List[str] = ["digraph cscw {" if two_d else "digraph css {"]
     if title:
         lines.append(f"  label={_quote(title)};")
     lines.append("  rankdir=TB;")
@@ -42,7 +43,7 @@ def css_to_dot(snapshot: CssSnapshot, title: str = "") -> str:
         lines.append(f"  {_node_name(oids[key])} [{attrs}];")
     for key in keys:
         for rank, e in enumerate(snapshot.vertices[key]):
-            if snapshot.two_d:
+            if two_d:
                 attr = "style=solid" if e.oid.cid == snapshot.rid else "style=dashed"
             else:
                 attr = f"taillabel={_quote(str(rank))}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from operator import itemgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 
 class OpKind(enum.Enum):
@@ -35,7 +35,7 @@ class Element(NamedTuple):
         return f"{self.glyph}@{self.origin_cid}:{self.origin_seq}"
 
 
-_INS, _NOP = OpKind.INS, OpKind.NOP
+_INS, _DEL, _NOP = OpKind.INS, OpKind.DEL, OpKind.NOP
 _tuple_new = tuple.__new__
 
 
@@ -67,6 +67,8 @@ class ListOp(_ListOpFields):
         if kind is _NOP:
             if element is not None or position is not None:
                 raise ValueError(f"{kind.value} carries no element or position")
+        elif kind is not _INS and kind is not _DEL:
+            raise ValueError(f"kind must be an OpKind, got {kind!r}")
         else:
             if position is None or position < 0:
                 raise ValueError(f"{kind.value} needs a non-negative position")
@@ -103,7 +105,7 @@ class ListOp(_ListOpFields):
         return self.kind.value.capitalize()
 
 
-ListState = Tuple[Element, ...]
+ListState = tuple[Element, ...]  # a builtin alias: typing's cache would keep Element alive
 _glyph = itemgetter(0)
 
 

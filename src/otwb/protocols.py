@@ -16,11 +16,6 @@ from .ot_core import Element, ListOp, ListState, OpKind, apply
 SERVER_ID = 0
 
 
-class DoResult(NamedTuple):
-    value: ListState
-    message: ProtoOp  # addressed to the server
-
-
 class RecvResult(NamedTuple):
     value: Optional[ListState]  # None at a replica that keeps no list
     applied: ProtoOp  # the fully transformed operation that was executed
@@ -39,27 +34,26 @@ def _fill_del(o: ListOp, state: ListState) -> ListOp:
 
 
 class CJClient:
-    """A client over its n-ary space; the jupiter client is the same over
-    a 2D space. It applies, mints identities and records deletes locally.
-    `index` is the run's OidIndex; a client built without one makes its
-    own."""
+    """A client of either client/server protocol: cjupiter's space holds
+    server-stamped operations, jupiter's the server's transformed ones,
+    which makes it 2D. It applies, mints identities and records deletes
+    locally; do() returns the operation to send to the server. `index` is
+    the run's OidIndex."""
 
-    two_d = False
-
-    def __init__(self, cid: int, index: Optional[OidIndex] = None):
+    def __init__(self, cid: int, index: OidIndex):
         if cid < 1:
             raise ValueError("client ids start at 1")
         self.cid = cid
         self.seq = 0
         self.state: ListState = ()
-        self.space = CssSpace(rid=cid, two_d=self.two_d, index=index)
+        self.space = CssSpace(cid, index)
 
     def make_ins(self, glyph: str, position: int) -> ListOp:
         """Build an insert carrying the identity do() will expect."""
         element = Element(glyph, self.cid, self.seq + 1)
         return ListOp.ins(element, position)
 
-    def do(self, o: ListOp) -> DoResult:
+    def do(self, o: ListOp) -> ProtoOp:
         if o.kind is OpKind.INS and (o.element.origin_cid, o.element.origin_seq) != (
             self.cid,
             self.seq + 1,
@@ -71,7 +65,7 @@ class CJClient:
         oid = Oid(self.cid, self.seq)
         op = ProtoOp(o, oid, self.space.index.bit(oid), self.space.cur)
         self.space.append(op)
-        return DoResult(self.state, op)
+        return op
 
     def receive(self, op: ProtoOp) -> RecvResult:
         applied, ot_seq = self.space.xform(op)
@@ -103,10 +97,10 @@ class CJServer(Sequencer):
     """The serializing server: a sequencer that also transforms each
     stamped operation against its own space; it forwards the original."""
 
-    def __init__(self, n_clients: int, index: Optional[OidIndex] = None):
+    def __init__(self, n_clients: int, index: OidIndex):
         super().__init__(n_clients)
         self.state: ListState = ()
-        self.space = CssSpace(rid=SERVER_ID, index=index)
+        self.space = CssSpace(SERVER_ID, index)
 
     def receive(self, op: ProtoOp) -> RecvResult:
         stamped = super().receive(op)
@@ -115,24 +109,15 @@ class CJServer(Sequencer):
         return stamped._replace(value=self.state, applied=applied, ot_seq=ot_seq)
 
 
-class JClient(CJClient):
-    """A jupiter client: the same steps over a 2D space."""
-
-    two_d = True
-
-
 class JServer:
     """Keeps one 2D space per client, owned by that client's id, and
     forwards transformed operations."""
 
-    def __init__(self, n_clients: int, index: Optional[OidIndex] = None):
+    def __init__(self, n_clients: int, index: OidIndex):
         self.n_clients = n_clients
         self.state: ListState = ()
         self.arrival_log: List[Oid] = []
-        index = OidIndex() if index is None else index
-        self.spaces: Dict[int, CssSpace] = {
-            c: CssSpace(rid=c, two_d=True, index=index) for c in range(1, n_clients + 1)
-        }
+        self.spaces: Dict[int, CssSpace] = {c: CssSpace(c, index) for c in range(1, n_clients + 1)}
 
     def receive(self, op: ProtoOp) -> RecvResult:
         origin = op.oid.cid
@@ -154,7 +139,7 @@ class DJReplica(CJClient):
     """Peer replica over causal atomic broadcast: generates like a client
     and processes the other replicas' operations in broadcast order."""
 
-    def __init__(self, rid: int, index: Optional[OidIndex] = None):
+    def __init__(self, rid: int, index: OidIndex):
         super().__init__(rid, index)
         self.soids_mirror = 0  # oid mask of the commits delivered or stamped so far
 

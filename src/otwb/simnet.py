@@ -19,11 +19,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, apply, to_text, transform
-from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JClient, JServer, Sequencer, _fill_del
+from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JServer, Sequencer, _fill_del
 
 SCHEDULE_FORMAT = 1
 TRACE_FORMAT = 1
@@ -64,7 +64,7 @@ class DeliverStep:
     frm: int
 
 
-Step = Union[GenerateStep, DeliverStep]
+Step = GenerateStep | DeliverStep  # a types.UnionType: typing's cache would keep both classes alive
 
 
 def _shared(steps: Iterable[Step]) -> Tuple[Step, ...]:
@@ -403,7 +403,7 @@ class Simulation:
         if protocol == "cjupiter":
             self.hub, client = CJServer(n_clients, self.index), CJClient
         elif protocol == "jupiter":
-            self.hub, client = JServer(n_clients, self.index), JClient
+            self.hub, client = JServer(n_clients, self.index), CJClient
         else:
             self.hub, client = Sequencer(n_clients), DJReplica
         # The peer at the other end of every client channel, as traced.
@@ -449,9 +449,9 @@ class Simulation:
                 o = client.make_ins(spec.glyph, spec.pos)
             else:
                 o = ListOp.del_(spec.pos)
-            result = client.do(o)
-            self.log.append(("do", cid, result.message, result.value))
-            self.up[cid].append((self._send(cid, self.hub_id), result.message))
+            op = client.do(o)
+            self.log.append(("do", cid, op, client.state))
+            self.up[cid].append((self._send(cid, self.hub_id), op))
             return
         to, frm = step.to, step.frm
         if to == SERVER_ID and frm in self.up:

@@ -564,7 +564,7 @@ class TestOptimizedInterpreter:
             "print(attempt('cjupiter'))\n"
             "append = css_space.CssSpace.append\n"
             "def skip_global(self, op):\n"
-            "    if not (self.two_d and op.oid.cid != self.rid):\n"
+            "    if op.oid.cid == self.rid:\n"
             "        append(self, op)\n"
             "css_space.CssSpace.append = skip_global\n"
             "print(attempt('jupiter'))\n"

@@ -37,13 +37,13 @@ def replay_podc16():
     server = CJServer(3, index)
     c = {i: CJClient(i, index=index) for i in (1, 2, 3)}
     sent = {}
-    _, op1 = c[1].do(c[1].make_ins("x", 0))
+    op1 = c[1].do(c[1].make_ins("x", 0))
     sent[1] = server.receive(op1)
     for i in (2, 3):
         c[i].receive(sent[1].fanout[0][1])
-    _, op2 = c[1].do(ListOp.del_(0))
-    _, op3 = c[2].do(c[2].make_ins("a", 0))
-    _, op4 = c[3].do(c[3].make_ins("b", 1))
+    op2 = c[1].do(ListOp.del_(0))
+    op3 = c[2].do(c[2].make_ins("a", 0))
+    op4 = c[3].do(c[3].make_ins("b", 1))
     r2 = server.receive(op2)
     r3 = server.receive(op3)
     r4 = server.receive(op4)
@@ -119,7 +119,7 @@ class TestCompareOps:
 
 class TestLocate:
     def test_root_matches_empty_context(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         incoming = op(s.index, ins("x", 0, 2, 1), Oid(2, 1))
         assert s.locate(incoming) == 0
 
@@ -127,7 +127,7 @@ class TestLocate:
         # Client 3 after o1, o4, o2: an op with ctx {o1} matches v1.
         server, clients, stamped = replay_podc16()
         ix = server.space.index
-        c3 = CJClient(3, index=ix)
+        c3 = CJClient(3, ix)
         c3.receive(op(ix, ins("x", 0, 1, 1), O1))
         c3.do(c3.make_ins("b", 1))
         c3.receive(stamped[2])
@@ -137,7 +137,7 @@ class TestLocate:
     def test_missing_context_is_integrity_error(self):
         # A FIFO violation hand-built: the op's context names an operation
         # this replica never processed.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         bad = op(s.index, ins("x", 0, 2, 2), Oid(2, 2), ctx={Oid(2, 1)})
         with pytest.raises(ProtocolError):
             s.locate(bad)
@@ -145,7 +145,7 @@ class TestLocate:
 
 class TestLink:
     def test_first_link_makes_one_edge(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
         assert len(s.vertices[0]) == 1
@@ -159,7 +159,7 @@ class TestLink:
         assert [e.oid for e in v1] == [O2, O3, O4]
 
     def test_mismatched_context_rejected(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(9, 9)})
         with pytest.raises(ProtocolError):
             s.locate(o)
@@ -170,7 +170,7 @@ class TestLink:
 class TestIntegrityChecks:
     def test_append_away_from_cur(self):
         # An op generated at the root is appended after cur moved on.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         s.append(op(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
         stale = op(s.index, ins("y", 0, 1, 2), Oid(1, 2))
         with pytest.raises(ProtocolError, match="appended op 1:2 not generated at cur"):
@@ -180,7 +180,7 @@ class TestIntegrityChecks:
 
 class TestFirstEdgeAndPath:
     def test_walk_follows_the_single_edge(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         o = op(s.index, ins("x", 0, 1, 1), Oid(1, 1))
         s.append(o)
         incoming = op(s.index, ins("y", 0, 2, 1), Oid(2, 1))
@@ -189,7 +189,7 @@ class TestFirstEdgeAndPath:
     def test_final_vertex_has_no_first_edge(self):
         # {2:1} is a vertex but not cur and has no edges, so the walk of an
         # op located there cannot leave it.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         s.append(op(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
         s._new_vertex(mask(s.index, [Oid(2, 1)]))
         with pytest.raises(ProtocolError, match="final vertex"):
@@ -211,7 +211,7 @@ class TestXform:
     def test_remote_del_against_local_ins(self):
         # Client 3 holding local o4 transforms the incoming deletion into
         # Del(x,0) with context {o1,o4}, materializing the square vertex.
-        c3 = CJClient(3)
+        c3 = CJClient(3, OidIndex())
         ix = c3.space.index
         c3.receive(op(ix, ins("x", 0, 1, 1), O1))
         c3.do(c3.make_ins("b", 1))
@@ -225,7 +225,7 @@ class TestXform:
         assert mask(ix, [O1, O2, O4]) in c3.space.vertices
 
     def test_op_at_cur_passes_through_unchanged(self):
-        c1 = CJClient(1)
+        c1 = CJClient(1, OidIndex())
         incoming = op(c1.space.index, ins("x", 0, 2, 1), Oid(2, 1))
         result = c1.receive(incoming)
         assert result.applied.o == incoming.o
@@ -383,7 +383,7 @@ class TestReplayIntegrityErrors:
         return str(exc.value)
 
     def test_vertex_already_exists(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s._new_vertex(mask(ix, [Oid(1, 1), Oid(2, 1)]))
@@ -396,7 +396,7 @@ class TestReplayIntegrityErrors:
         assert self.raised(s.append, op(ix, ins("z", 0, 1, 1), Oid(1, 1))) == "vertex ['1:1'] already exists"
 
     def test_final_vertex_has_no_first_edge(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s._new_vertex(mask(ix, [Oid(2, 1)]))
@@ -409,7 +409,7 @@ class TestReplayIntegrityErrors:
         # are own. The walk takes the root edge, and compare_ops cannot
         # order the two ops where the incoming one is placed.
         for owner, oid in ((1, Oid(2, 1)), (3, Oid(3, 2))):
-            s = CssSpace(rid=owner, two_d=True)
+            s = CssSpace(owner, OidIndex())
             ix = s.index
             s.append(op(ix, ins("x", 0, 3, 1), Oid(3, 1)))
             assert self.raised(s.xform, op(ix, ins("y", 0, *oid), oid)) == (
@@ -421,8 +421,8 @@ class TestReplayIntegrityErrors:
         # A hand-built edge leaves cur: in a 2D space on either side, and
         # in an n-ary one. Neither xform nor append can then add an op's
         # edge as cur's only one.
-        for owner, two_d, other in ((2, True, Oid(2, 9)), (1, True, Oid(3, 9)), (0, False, Oid(3, 9))):
-            s = CssSpace(rid=owner, two_d=two_d)
+        for owner, other in ((2, Oid(2, 9)), (1, Oid(3, 9)), (0, Oid(3, 9))):
+            s = CssSpace(owner, OidIndex())
             ix = s.index
             s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
             w = op(ix, ins("w", 0, *other), other, ctx={Oid(1, 1)})
@@ -434,7 +434,7 @@ class TestReplayIntegrityErrors:
     def test_link_ctx_does_not_match_source_vertex(self):
         # The walk edge's op names a context that is not its source, so
         # its transformed copy does not leave the square's fresh vertex.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s.vertices[0][0] = op(ix, ins("x", 0, 1, 1), Oid(1, 1), ctx={Oid(3, 3)})
@@ -445,7 +445,7 @@ class TestReplayIntegrityErrors:
         # The root's edge carries the bit of the incoming op under another
         # oid, and dangles until the incoming op makes the vertex it leads
         # to; cur is another vertex.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.vertices[0].append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s.cur = s._new_vertex(mask(ix, [Oid(1, 2)]))
@@ -453,7 +453,7 @@ class TestReplayIntegrityErrors:
         assert self.raised(s.xform, incoming) == "operation 2:1 lists itself in its context"
 
     def test_walk_edge_leads_to_a_mask_that_is_not_a_vertex(self):
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         s.append(op(ix, ins("z", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)}))
@@ -463,13 +463,13 @@ class TestReplayIntegrityErrors:
 
     def test_edge_order_breaks_a_strict_total_order(self):
         # Both server contexts name the other op, so each orders first.
-        s = CssSpace(rid=0)
+        s = CssSpace(0, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)}))
         incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1), sctx={Oid(1, 1)})
         assert self.raised(s.xform, incoming) == "edge order at replica 0: 2:1 and 1:1 break a strict total order"
         # The op orders before the first edge and after the second.
-        s = CssSpace(rid=0)
+        s = CssSpace(0, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1), sctx={Oid(2, 1)}))
         oracle_link(s, 0, s._new_vertex(mask(ix, [Oid(3, 1)])), op(ix, ins("w", 0, 3, 1), Oid(3, 1), sctx={Oid(1, 1)}))
@@ -477,7 +477,7 @@ class TestReplayIntegrityErrors:
         assert self.raised(s.xform, incoming) == "edge order at replica 0: 2:1 and 3:1 break a strict total order"
 
     def test_server_cannot_order(self):
-        s = CssSpace(rid=0)
+        s = CssSpace(0, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         incoming = op(ix, ins("y", 0, 2, 1), Oid(2, 1))
@@ -487,7 +487,7 @@ class TestReplayIntegrityErrors:
 
     def test_neither_context_decides(self):
         # Two remote ops at client 1, neither stamped with the other.
-        s = CssSpace(rid=1)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op(ix, ins("x", 0, 2, 1), Oid(2, 1)))
         incoming = op(ix, ins("y", 0, 3, 1), Oid(3, 1))

@@ -5,7 +5,7 @@ import pytest
 from conftest import O1, O2, O3, O4, mask, oracle_link
 from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, materialize
 from otwb.ot_core import Element, ListOp, to_text
-from otwb.protocols import JClient, JServer
+from otwb.protocols import CJClient, JServer
 from otwb.simnet import random_schedule, run
 
 
@@ -22,14 +22,14 @@ def op2d(index, o, oid, ctx=()):
 def replay_podc16_jupiter():
     index = OidIndex()
     server = JServer(3, index)
-    c = {i: JClient(i, index=index) for i in (1, 2, 3)}
-    _, op1 = c[1].do(c[1].make_ins("x", 0))
+    c = {i: CJClient(i, index) for i in (1, 2, 3)}
+    op1 = c[1].do(c[1].make_ins("x", 0))
     r1 = server.receive(op1)
     for i in (2, 3):
         c[i].receive(r1.fanout[0][1])
-    _, op2 = c[1].do(ListOp.del_(0))
-    _, op3 = c[2].do(c[2].make_ins("a", 0))
-    _, op4 = c[3].do(c[3].make_ins("b", 1))
+    op2 = c[1].do(ListOp.del_(0))
+    op3 = c[2].do(c[2].make_ins("a", 0))
+    op4 = c[3].do(c[3].make_ins("b", 1))
     r2 = server.receive(op2)
     r3 = server.receive(op3)
     r4 = server.receive(op4)
@@ -51,7 +51,7 @@ def all_snapshots(server, clients):
 
 class TestAdd:
     def test_add_to_root_along_local(self):
-        s = CssSpace(rid=1, two_d=True)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         assert len(s.vertices) == 2
@@ -61,7 +61,7 @@ class TestAdd:
         assert [e.oid for e in s.vertices[0]] == [Oid(2, 1), Oid(1, 1)]
 
     def test_mismatched_context_rejected(self):
-        s = CssSpace(rid=1, two_d=True)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         bad = op2d(ix, ins("x", 0, 1, 2), Oid(1, 2), ctx={Oid(1, 1)})
         with pytest.raises(ProtocolError):
@@ -73,7 +73,7 @@ class TestAdd:
         # to a hand-built edge of the other side. No jupiter op carries a
         # server stamp, so compare_ops cannot order two ops of one side.
         for owner, second, walked in ((1, Oid(1, 2), Oid(2, 1)), (3, Oid(2, 1), Oid(3, 1))):
-            s = CssSpace(rid=owner, two_d=True)
+            s = CssSpace(owner, OidIndex())
             ix = s.index
             s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
             oracle_link(s, 0, s._new_vertex(mask(ix, [walked])), op2d(ix, ins("w", 0, *walked), walked))
@@ -89,12 +89,12 @@ class TestAdd:
         snap3 = server.spaces[3].snapshot()
         # o3 is global to c3's space, so its edge comes before c3's own o4.
         assert [e.oid for e in snap3.vertices[mask(ix, [O1, O2])]] == [O3, O4]
-        assert snap3.rid == 3 and snap3.two_d
+        assert snap3.rid == 3
 
 
 class TestXform2D:
     def test_op_at_cur_passes_through(self):
-        c1 = JClient(1)
+        c1 = CJClient(1, OidIndex())
         incoming = op2d(c1.space.index, ins("x", 0, 2, 1), Oid(2, 1))
         result = c1.receive(incoming)
         assert result.applied.o == incoming.o
@@ -116,7 +116,7 @@ class TestXform2D:
         assert fwd[3].ctx == mask(server.spaces[2].index, [O1, O2])
 
     def test_missing_dimension_edge_is_integrity_error(self):
-        s = CssSpace(rid=1, two_d=True)
+        s = CssSpace(1, OidIndex())
         s.append(op2d(s.index, ins("x", 0, 1, 1), Oid(1, 1)))
         # An own op located at the root walks the local edge there, and
         # compare_ops cannot order two local ops.
@@ -127,7 +127,7 @@ class TestXform2D:
     def test_cur_with_an_edge_is_integrity_error(self):
         # cur already holds a hand-built global edge, so the walk of a
         # remote op ends at a cur it cannot grow from.
-        s = CssSpace(rid=1, two_d=True)
+        s = CssSpace(1, OidIndex())
         ix = s.index
         s.append(op2d(ix, ins("x", 0, 1, 1), Oid(1, 1)))
         g = op2d(ix, ins("y", 0, 2, 1), Oid(2, 1), ctx={Oid(1, 1)})
@@ -152,7 +152,6 @@ class TestStructure:
         # At most one global edge, first, and one own (local) edge.
         for name, snaps in jupiter_spaces():
             for snap in snaps:
-                assert snap.two_d
                 for edges in snap.vertices.values():
                     sides = [e.oid.cid == snap.rid for e in edges]
                     assert sides in ([], [True], [False], [False, True]), name

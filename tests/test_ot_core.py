@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import EMPTY_STATE, applicable, check_cp1
+from otwb.css_space import OidIndex
 from otwb.ot_core import Element, ListOp, OpKind, apply, to_text, transform
 from otwb.protocols import CJClient, DJReplica
 
@@ -183,7 +184,7 @@ class TestPriority:
         # Origins, and so insert priorities, are client ids, which start at 1.
         for replica in (CJClient, DJReplica):
             with pytest.raises(ValueError, match="client ids start at 1"):
-                replica(0)
+                replica(0, OidIndex())
 
 
 class TestListOpValidation:
@@ -200,6 +201,10 @@ class TestListOpValidation:
             ListOp(OpKind.DEL, position=-1)
         with pytest.raises(ValueError, match="ins needs an element"):
             ListOp(OpKind.INS, position=0)
+        # The string a trace writes is not a kind: apply and transform run any
+        # kind other than ins and nop as a delete.
+        with pytest.raises(ValueError, match="kind must be an OpKind, got 'ins'"):
+            ListOp("ins", Element("x", 1, 1), 0)
 
     def test_replace_validates(self):
         o = ListOp.ins(elem("a"), 0)

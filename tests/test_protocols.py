@@ -6,7 +6,7 @@ from conftest import O1, O2, O3, O4, mask, plain, text_of
 from otwb.css_space import Oid, OidIndex, ProtoOp, ProtocolError
 from otwb.checkers import build_abstract_execution, check_strong_spec
 from otwb.ot_core import Element, ListOp, to_text
-from otwb.protocols import CJClient, CJServer, DJReplica, JClient, JServer
+from otwb.protocols import CJClient, CJServer, DJReplica, JServer
 from otwb.simnet import (
     PROTOCOLS,
     BufferJupiter,
@@ -38,36 +38,36 @@ def remote_ins(replica, glyph, pos, cid, seq, ctx=(), sctx=()):
 
 class TestCJClientDo:
     def test_first_insert_from_empty(self):
-        c1 = CJClient(1)
-        value, msg = c1.do(c1.make_ins("x", 0))
-        assert to_text(value) == "x"
+        c1 = CJClient(1, OidIndex())
+        msg = c1.do(c1.make_ins("x", 0))
+        assert to_text(c1.state) == "x"
         assert msg.oid == Oid(1, 1)
         assert msg.bit == mask(c1.space.index, [Oid(1, 1)])
         assert msg.ctx == 0
         assert msg.sctx == 0
 
     def test_insert_after_remote_context(self):
-        c3 = CJClient(3)
+        c3 = CJClient(3, OidIndex())
         c3.receive(remote_ins(c3, "x", 0, 1, 1))
-        value, msg = c3.do(c3.make_ins("b", 1))
-        assert to_text(value) == "xb"
+        msg = c3.do(c3.make_ins("b", 1))
+        assert to_text(c3.state) == "xb"
         assert msg.ctx == mask(c3.space.index, [O1])
 
     def test_delete_records_the_victim(self):
-        c1 = CJClient(1)
+        c1 = CJClient(1, OidIndex())
         c1.do(c1.make_ins("x", 0))
-        _, msg = c1.do(ListOp.del_(0))
+        msg = c1.do(ListOp.del_(0))
         assert msg.o.element == Element("x", 1, 1)
 
     def test_degenerate_delete_becomes_nop(self):
-        c1 = CJClient(1)
-        value, msg = c1.do(ListOp.del_(0))
-        assert value == ()
+        c1 = CJClient(1, OidIndex())
+        msg = c1.do(ListOp.del_(0))
+        assert c1.state == ()
         assert msg.o == ListOp.nop()
         assert msg.oid == Oid(1, 1)
 
     def test_foreign_element_identity_rejected(self):
-        c1 = CJClient(1)
+        c1 = CJClient(1, OidIndex())
         alien = ListOp.ins(Element("x", 2, 1), 0)
         with pytest.raises(ProtocolError):
             c1.do(alien)
@@ -83,12 +83,12 @@ class TestCJServerReceive:
         assert server_lists == ["x", "", "a", "ba"]
 
     def test_first_op_stamped_empty(self):
-        s = CJServer(2)
+        s = CJServer(2, OidIndex())
         r = s.receive(remote_ins(s, "x", 0, 1, 1))
         assert r.applied.sctx == 0
 
     def test_stamps_and_fans_out_original(self):
-        s = CJServer(3)
+        s = CJServer(3, OidIndex())
         s.receive(remote_ins(s, "x", 0, 1, 1))
         r = s.receive(
             ProtoOp(
@@ -106,7 +106,7 @@ class TestCJServerReceive:
             assert forwarded.o.position == 0  # the original, not a transform
 
     def test_locate_failure_propagates(self):
-        s = CJServer(1)
+        s = CJServer(1, OidIndex())
         bad = remote_ins(s, "x", 0, 1, 2, ctx={Oid(9, 9)})
         with pytest.raises(ProtocolError):
             s.receive(bad)
@@ -114,7 +114,7 @@ class TestCJServerReceive:
 
 class TestCJClientReceive:
     def test_transforms_against_pending_local(self):
-        c3 = CJClient(3)
+        c3 = CJClient(3, OidIndex())
         c3.receive(remote_ins(c3, "x", 0, 1, 1))
         c3.do(c3.make_ins("b", 1))
         r = c3.receive(
@@ -138,7 +138,7 @@ class TestCJClientReceive:
         assert c2_lists == ["x", "ax", "a", "ba", "ba"]  # final read included
 
     def test_op_at_cur_appends_without_ot(self):
-        c1 = CJClient(1)
+        c1 = CJClient(1, OidIndex())
         r = c1.receive(remote_ins(c1, "x", 0, 2, 1))
         assert r.ot_seq == ()
         assert to_text(c1.state) == "x"
@@ -146,11 +146,11 @@ class TestCJClientReceive:
 
 class TestRead:
     def test_empty_replica_reads_empty(self):
-        assert CJClient(1).state == ()
-        assert CJServer(1).state == ()
+        assert CJClient(1, OidIndex()).state == ()
+        assert CJServer(1, OidIndex()).state == ()
 
     def test_c2_intermediate_read(self):
-        c2 = CJClient(2)
+        c2 = CJClient(2, OidIndex())
         c2.receive(remote_ins(c2, "x", 0, 1, 1))
         c2.do(c2.make_ins("a", 0))
         assert to_text(c2.state) == "ax"
@@ -164,21 +164,21 @@ class TestJupiter:
     def test_server_fans_out_transformed(self):
         index = OidIndex()
         s = JServer(3, index)
-        c2 = JClient(2, index=index)
-        c1 = JClient(1, index=index)
-        _, op1 = c1.do(c1.make_ins("x", 0))
+        c2 = CJClient(2, index)
+        c1 = CJClient(1, index)
+        op1 = c1.do(c1.make_ins("x", 0))
         r1 = s.receive(op1)
         c2.receive(r1.fanout[0][1])
-        _, op2 = c1.do(ListOp.del_(0))
+        op2 = c1.do(ListOp.del_(0))
         s.receive(op2)
-        _, op3 = c2.do(c2.make_ins("a", 0))
+        op3 = c2.do(c2.make_ins("a", 0))
         r3 = s.receive(op3)
         # the forwarded operation carries the transformed context {o1,o2}
         for _, fwd in r3.fanout:
             assert fwd.ctx == mask(c1.space.index, [O1, O2])
 
     def test_client_receive_with_ctx_at_cur_needs_no_ot(self):
-        c1 = JClient(1)
+        c1 = CJClient(1, OidIndex())
         r = c1.receive(remote_ins(c1, "x", 0, 2, 1))
         assert r.ot_seq == ()
 
@@ -197,19 +197,19 @@ class TestJupiter:
 
 class TestDJupiter:
     def test_generate_mirrors_client_do(self):
-        r1 = DJReplica(1)
-        value, msg = r1.do(r1.make_ins("x", 0))
-        assert to_text(value) == "x"
+        r1 = DJReplica(1, OidIndex())
+        msg = r1.do(r1.make_ins("x", 0))
+        assert to_text(r1.state) == "x"
         assert msg.ctx == 0
 
     def test_own_operations_never_delivered(self):
-        r1 = DJReplica(1)
-        _, msg = r1.do(r1.make_ins("x", 0))
+        r1 = DJReplica(1, OidIndex())
+        msg = r1.do(r1.make_ins("x", 0))
         with pytest.raises(ProtocolError):
             r1.receive(msg)
 
     def test_out_of_order_delivery_rejected(self):
-        r3 = DJReplica(3)
+        r3 = DJReplica(3, OidIndex())
         later = remote_ins(r3, "y", 0, 2, 1, sctx={O1})
         earlier = remote_ins(r3, "x", 0, 1, 1)
         r3.receive(later)
@@ -217,8 +217,8 @@ class TestDJupiter:
             r3.receive(earlier)
 
     def test_own_operation_delivered_back_names_the_check(self):
-        r1 = DJReplica(1)
-        _, msg = r1.do(r1.make_ins("x", 0))
+        r1 = DJReplica(1, OidIndex())
+        msg = r1.do(r1.make_ins("x", 0))
         with pytest.raises(ProtocolError, match="own operations are never delivered back"):
             r1.receive(msg)
         assert to_text(r1.state) == "x"
@@ -226,7 +226,7 @@ class TestDJupiter:
     def test_delivery_behind_broadcast_order_names_the_check(self):
         # 1:1 was committed before 3:1; then 4:1 arrives stamped as if 1:1
         # had never been committed, though its context is a vertex here.
-        r2 = DJReplica(2)
+        r2 = DJReplica(2, OidIndex())
         r2.receive(remote_ins(r2, "x", 0, 1, 1))
         r2.receive(remote_ins(r2, "y", 0, 3, 1, ctx={O1}, sctx={O1}))
         stale = remote_ins(r2, "z", 0, 4, 1, ctx={O1}, sctx={Oid(3, 1)})
@@ -418,14 +418,14 @@ class TestFanoutDiscipline:
         """Replay a fixed concurrent scenario, returning every
         (incoming op, server result) pair in arrival order."""
         pairs = []
-        _, op1 = make_do(clients[1], "ins", "x", 0)
+        op1 = make_do(clients[1], "ins", "x", 0)
         r = server.receive(op1)
         pairs.append((op1, r))
         for i in (2, 3):
             clients[i].receive(r.fanout[0][1])
-        _, op2 = make_do(clients[1], "del", None, 0)
-        _, op3 = make_do(clients[2], "ins", "a", 0)
-        _, op4 = make_do(clients[3], "ins", "b", 1)
+        op2 = make_do(clients[1], "del", None, 0)
+        op3 = make_do(clients[2], "ins", "a", 0)
+        op4 = make_do(clients[3], "ins", "b", 1)
         for op in (op2, op3, op4):
             pairs.append((op, server.receive(op)))
         return pairs
@@ -437,7 +437,7 @@ class TestFanoutDiscipline:
 
     def test_cjupiter_forwards_the_stamped_original(self):
         index = OidIndex()
-        pairs = self._drive(CJServer(3, index), {i: CJClient(i, index=index) for i in (1, 2, 3)}, self._do)
+        pairs = self._drive(CJServer(3, index), {i: CJClient(i, index) for i in (1, 2, 3)}, self._do)
         for incoming, result in pairs:
             for _, payload in result.fanout:
                 assert payload.oid == incoming.oid
@@ -446,7 +446,7 @@ class TestFanoutDiscipline:
 
     def test_jupiter_forwards_the_transform(self):
         index = OidIndex()
-        pairs = self._drive(JServer(3, index), {i: JClient(i, index=index) for i in (1, 2, 3)}, self._do)
+        pairs = self._drive(JServer(3, index), {i: CJClient(i, index) for i in (1, 2, 3)}, self._do)
         transformed = 0
         for incoming, result in pairs:
             for _, payload in result.fanout:

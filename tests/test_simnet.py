@@ -4,7 +4,11 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -699,3 +703,35 @@ class TestSimulation:
                     assert step in enabled_deliveries(sim)
                 sim.step(step, i)
             assert sim.quiescent()
+
+
+class TestReimport:
+    def test_reimport_frees_every_earlier_copy(self):
+        # Five fresh imports of otwb, each of which verifies podc16, then a
+        # sixth: no class of the first five may stay alive. A class put into
+        # typing's process-wide subscription cache (Sequence[CssSnapshot],
+        # Union[GenerateStep, DeliverStep]) would keep its whole copy alive.
+        script = (
+            "import gc, inspect, sys, weakref\n"
+            "def load():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'otwb']:\n"
+            "        del sys.modules[name]\n"
+            "    import otwb\n"
+            "    otwb.verify(otwb.podc16_schedule())\n"
+            "    return [(f'{name}.{cls.__name__}', weakref.ref(cls))\n"
+            "            for name, mod in sys.modules.items() if name.split('.')[0] == 'otwb'\n"
+            "            for cls in vars(mod).values() if inspect.isclass(cls) and cls.__module__ == name]\n"
+            "refs = [ref for _ in range(5) for ref in load()]\n"
+            "load()\n"
+            "gc.collect()\n"
+            "print(len(refs), sorted({name for name, ref in refs if ref() is not None}))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, alive = proc.stdout.split(" ", 1)
+        assert int(count) >= 5 * 30  # every copy's classes were watched
+        assert alive.strip() == "[]"

@@ -8,7 +8,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import literal_place, oracle_append, oracle_xform, plain
-from otwb.css_space import CssSpace, Oid, ProtoOp, ProtocolError, compare_ops
+from otwb.css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, compare_ops
 from otwb.ot_core import ListOp
 from otwb.simnet import PROTOCOLS, podc16_schedule, random_schedule, run, trace_to_json
 
@@ -28,9 +28,9 @@ def schedules():
 
 
 def snapshot(snap):
-    """A snapshot as plain tuples: rid, cur, two_d label, and its vertices as
-    plain() writes them, sctx included."""
-    return snap.rid, snap.cur, snap.two_d, plain(snap.vertices)
+    """A snapshot as plain tuples: rid, cur, and its vertices as plain()
+    writes them, sctx included."""
+    return snap.rid, snap.cur, plain(snap.vertices)
 
 
 def result(res):
@@ -90,7 +90,7 @@ def outcome(place, rid, op, edges):
 
 
 def by_helper(rid, op, edges):
-    space = CssSpace(rid)
+    space = CssSpace(rid, OidIndex())
     edges = list(edges)
     space._place(0, edges, op)
     return edges.index(op)

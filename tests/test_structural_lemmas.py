@@ -1090,7 +1090,6 @@ class TestStepHistory:
             assert len(history.marks) == len(want[rid])
             assert [(snap.cur, plain(snap.vertices)) for snap in history] == want[rid]
             assert all(snap.index is history.final.index and snap.rid == rid for snap in history)
-            assert all(snap.two_d is (protocol == "jupiter") for snap in history)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_hand_stepped_simulation_keeps_the_histories_run_returns(self, protocol):
