@@ -526,8 +526,14 @@ def check_structural(result: RunResult, jupiter_result: Optional[RunResult] = No
     """Every structural lemma, checked literally against the recorded
     graphs and the server arrival log. Returns one verdict per lemma.
 
-    The two runs' vertex masks are compared directly, so jupiter_result
-    must replay the same schedule; ValueError otherwise."""
+    result is a cjupiter or djupiter run: a jupiter run keeps no n-ary
+    space to check. jupiter_result, if given, is a jupiter run. The two
+    runs' vertex masks are compared directly, so jupiter_result must
+    replay the same schedule. ValueError otherwise."""
+    if result.protocol == "jupiter":
+        raise ValueError("check_structural checks a cjupiter or djupiter run; a jupiter run goes in jupiter_result")
+    if jupiter_result is not None and jupiter_result.protocol != "jupiter":
+        raise ValueError(f"jupiter_result must be a jupiter run, got a {jupiter_result.protocol} run")
     if jupiter_result is not None and (
         jupiter_result.trace.schedule_sha256 != result.trace.schedule_sha256
     ):

@@ -2,9 +2,11 @@
 
 A Schedule fixes an execution completely: which client generates what, and
 in which order the FIFO channels (or the broadcast) deliver. run() replays
-a schedule under one protocol, records a Trace of do/send/receive events
-with vector-time metadata, and returns each space's steps as a StepHistory
-of its marks over its final snapshot. Identical inputs give byte-identical JSON.
+a schedule under one protocol on a Simulation, which writes each
+do/send/receive event of the Trace, with its vector clock, as its step
+runs; a message carries its send event's clock. run() also returns each
+space's steps as a StepHistory of its marks over its final snapshot.
+Identical inputs give byte-identical JSON.
 random_schedule draws seeded schedules over BufferJupiter, a 1D-buffer
 Jupiter that needs ot_core alone. Steps are slotted frozen records, and
 the schedules built here share equal deliveries and equal reads.
@@ -21,7 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .css_space import CssSnapshot, Oid, OidIndex, ProtocolError, StepHistory
+from .css_space import CssSnapshot, Oid, OidIndex, ProtoOp, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, apply, to_text, transform
 from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JServer, Sequencer, _fill_del
 
@@ -190,6 +192,9 @@ class OpRecord(NamedTuple):
     oid: Optional[str] = None
     element: Optional[Element] = None
     pos: Optional[int] = None
+
+
+_READ = OpRecord("read")  # every read's record
 
 
 class TraceEvent(NamedTuple):
@@ -388,9 +393,12 @@ class Simulation:
     Every replica's space shares the run's one OidIndex: bit k is the k-th
     oid generated, so the index follows from the schedule alone.
 
-    step() runs one schedule step and logs it; the log holds only
-    references to immutable values, and events() turns it into trace
-    events with vector clocks in one pass.
+    step() runs one schedule step and appends its trace events to
+    `events` as they happen, with vector clocks (Mattern 1989). A queued
+    message is (its send event's clock, its name, its op), so a receive
+    merges the clock that its message carries. Each oid's token is
+    formatted once, when do mints the oid; every read shares one record,
+    and so do the events that apply one ListOp.
     """
 
     def __init__(self, protocol: str, n_clients: int):
@@ -411,27 +419,59 @@ class Simulation:
         self.clients = {c: client(c, self.index) for c in range(1, n_clients + 1)}
         self.up = {c: collections.deque() for c in self.clients}
         self.down = {c: collections.deque() for c in self.clients}
-        self.log: List[tuple] = []
+        self.events: List[TraceEvent] = []
+        self.clocks = [[0] * (n_clients + 1) for _ in range(n_clients + 1)]  # per replica, ticked in place
+        self.tokens: Dict[Oid, str] = {}
+        # id of an applied ListOp -> (it, its record); holding the op keeps its id from being reused.
+        self.records: Dict[int, Tuple[ListOp, OpRecord]] = {}
         self.messages = 0
 
     def quiescent(self) -> bool:
         return not any(self.up.values()) and not any(self.down.values())
 
-    def _send(self, rid: int, dst: int) -> int:
+    def _event(self, rid: int, kind: str, applied: Optional[ProtoOp], value: Optional[ListState] = None,
+               msg_id: Optional[str] = None, src: Optional[int] = None, dst: Optional[int] = None,
+               ot_seq: Optional[Tuple[str, ...]] = None, carried: Tuple[int, ...] = ()) -> Tuple[int, ...]:
+        """Append rid's next event and return its clock: rid's own clock
+        component ticks, and a receive takes the componentwise maximum with
+        the clock its message carries. `applied` is the op a do or receive
+        applies, None for a read or a send. The records check nothing, so
+        they are built by tuple.__new__."""
+        own = self.clocks[rid]
+        own[rid] += 1
+        # carried[rid] < own[rid], so the maximum keeps the tick.
+        for k, t in enumerate(carried):
+            if t > own[k]:
+                own[k] = t
+        clock = tuple(own)
+        if applied is not None:
+            o, token = applied.o, self.tokens[applied.oid]
+            kept = self.records.get(id(o))
+            if kept is None or kept[1][1] is not token:
+                kept = self.records[id(o)] = (o, _tuple_new(OpRecord, (o.kind._value_, token, o.element, o.position)))
+            record = kept[1]
+        else:
+            record = _READ if kind == "do" else None
+        events = self.events
+        events.append(_tuple_new(TraceEvent, (len(events), rid, kind, clock, record, value, msg_id, src, dst, ot_seq)))
+        return clock
+
+    def _send(self, rid: int, dst: int, op: ProtoOp) -> Tuple[Tuple[int, ...], str, ProtoOp]:
+        """A send event, and the message it puts on a queue."""
         self.messages += 1
-        self.log.append(("send", rid, self.messages, dst))
-        return self.messages
+        name = f"m{self.messages}"
+        return self._event(rid, "send", None, None, name, rid, dst), name, op
 
     def step(self, step: Step, i: int) -> None:
-        """Run step `i` of a schedule; raises ScheduleError if the step
-        cannot run."""
+        """Run step `i` of a schedule and append its events; raises
+        ScheduleError if the step cannot run."""
         if isinstance(step, GenerateStep):
             cid, spec = step.cid, step.op
             if cid not in self.clients:
                 raise ScheduleError(f"step {i}: generate at unknown client c{cid}")
             client = self.clients[cid]
             if spec.kind == "read":
-                self.log.append(("do", cid, None, client.state))
+                self._event(cid, "do", None, client.state)
                 return
             if spec.kind not in ("ins", "del"):
                 raise ScheduleError(f"step {i}: unknown op kind {spec.kind!r}")
@@ -450,8 +490,9 @@ class Simulation:
             else:
                 o = ListOp.del_(spec.pos)
             op = client.do(o)
-            self.log.append(("do", cid, op, client.state))
-            self.up[cid].append((self._send(cid, self.hub_id), op))
+            self.tokens[op.oid] = op.oid.token()
+            self._event(cid, "do", op, client.state)
+            self.up[cid].append(self._send(cid, self.hub_id, op))
             return
         to, frm = step.to, step.frm
         if to == SERVER_ID and frm in self.up:
@@ -464,69 +505,20 @@ class Simulation:
             raise ScheduleError(
                 f"step {i}: delivery to {_replica_name(to)} from an empty channel"
             )
-        msg, op = queue.popleft()
+        clock, name, op = queue.popleft()
         if to != SERVER_ID:
-            result = self.clients[to].receive(op)
-            self.log.append(("receive", to, msg, self.hub_id, op.oid, result))
-            return
-        result = self.hub.receive(op)
-        if self.hub_id == BROADCAST:
-            # The sequencer relays the original message and records nothing.
-            for dst, payload in result.fanout:
-                self.down[dst].append((msg, payload))
+            result, src = self.clients[to].receive(op), self.hub_id
         else:
-            self.log.append(("receive", SERVER_ID, msg, frm, op.oid, result))
-            for dst, payload in result.fanout:
-                self.down[dst].append((self._send(SERVER_ID, dst), payload))
-
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """The log as trace events. Every event ticks its replica's own
-        clock component; a receive takes the componentwise maximum with the
-        clock of the message's send event. Each replica's clock is a list
-        ticked in place, and each event's clock is the one tuple made from
-        it. Each oid's token is formatted once; every read shares one
-        record, and so do the events that apply one ListOp. The records
-        check nothing, so they are built by tuple.__new__, with no Python
-        frame per event."""
-        width = self.n_clients + 1
-        clocks = [[0] * width for _ in range(width)]  # per replica
-        sent: Dict[int, Tuple[Tuple[int, ...], str]] = {}  # message -> its send's clock and name
-        tokens = {o: o.token() for o in self.index.oids}
-        read = OpRecord("read")
-        records: Dict[int, OpRecord] = {}  # id of a logged ListOp -> its record
-        events: List[TraceEvent] = []
-        for entry in self.log:
-            kind, rid = entry[0], entry[1]
-            own = clocks[rid]
-            own[rid] += 1
-            o = value = name = src = dst = ot_seq = None
-            if kind == "receive":
-                their, name = sent[entry[2]]
-                # their[rid] < own[rid], so the maximum keeps the tick.
-                for k, t in enumerate(their):
-                    if t > own[k]:
-                        own[k] = t
-            clock = tuple(own)
-            record = read if kind == "do" else None
-            if kind == "send":
-                _, _, msg, dst = entry
-                name, src = f"m{msg}", rid
-                sent[msg] = (clock, name)
-            elif kind == "do":
-                _, _, op, value = entry
-                if op is not None:
-                    oid, o = op.oid, op.o
-            else:
-                _, _, _, src, oid, result = entry
-                o, value, dst = result.applied.o, result.value, rid
-                ot_seq = tuple(map(tokens.__getitem__, result.ot_seq))
-            if o is not None:
-                token = tokens[oid]
-                record = records.get(id(o))
-                if record is None or record[1] is not token:
-                    record = records[id(o)] = _tuple_new(OpRecord, (o.kind._value_, token, o.element, o.position))
-            events.append(_tuple_new(TraceEvent, (len(events), rid, kind, clock, record, value, name, src, dst, ot_seq)))
-        return tuple(events)
+            result, src = self.hub.receive(op), frm
+            if self.hub_id == BROADCAST:
+                # The sequencer relays the message's clock and name, and records nothing.
+                for dst, payload in result.fanout:
+                    self.down[dst].append((clock, name, payload))
+                return
+        ot_seq = tuple(map(self.tokens.__getitem__, result.ot_seq))
+        self._event(to, "receive", result.applied, result.value, name, src, to, ot_seq, clock)
+        for dst, payload in result.fanout:
+            self.down[dst].append(self._send(SERVER_ID, dst, payload))
 
 
 def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> RunResult:
@@ -542,7 +534,7 @@ def run(protocol: str, schedule: Schedule, record_snapshots: bool = True) -> Run
         protocol=protocol,
         n_clients=schedule.n_clients,
         schedule_sha256=schedule.sha256,
-        events=sim.events(),
+        events=tuple(sim.events),
         prng=schedule.prng,
     )
     holders = {SERVER_ID: sim.hub} if protocol != "djupiter" else {}

@@ -379,6 +379,18 @@ class TestStructural:
         with pytest.raises(ValueError, match="same schedule"):
             check_structural(run("cjupiter", random_schedule(3, 4, 1)), podc16_j)
 
+    def test_protocol_mismatch_rejected(self, podc16_cj, podc16_j, podc16_dj):
+        # A jupiter run keeps no n-ary space, so as `result` every lemma
+        # would hold with nothing checked; as jupiter_result, another run
+        # has no per-client server spaces to take the union of.
+        for jresult in (None, podc16_j):
+            with pytest.raises(ValueError, match="a jupiter run goes in jupiter_result"):
+                check_structural(podc16_j, jresult)
+        for result in (podc16_cj, podc16_dj):
+            for other in (podc16_cj, podc16_dj):
+                with pytest.raises(ValueError, match=f"jupiter_result must be a jupiter run, got a {other.protocol} run"):
+                    check_structural(result, other)
+
     def test_golden_bundle_all_pass(self, podc16_cj, podc16_j):
         verdicts = check_structural(podc16_cj, podc16_j)
         assert {v.check for v in verdicts} == {

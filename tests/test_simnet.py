@@ -588,7 +588,7 @@ def either(x, kind):
 class TestTraceMemberTypes:
     """trace_to_json writes the member types its docstring names, and only
     those. Every event run() makes holds exactly them, so a change to what
-    Simulation.events records fails here rather than as other JSON."""
+    Simulation.step records fails here rather than as other JSON."""
 
     def test_run_makes_only_the_encoded_types(self):
         for name, trace in replayed_traces():
@@ -703,6 +703,20 @@ class TestSimulation:
                     assert step in enabled_deliveries(sim)
                 sim.step(step, i)
             assert sim.quiescent()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_events_are_written_as_steps_run(self, protocol):
+        # Each step appends its own events, with their final clocks, so
+        # after every step the events are a prefix of run's trace.
+        schedules = [podc16_schedule()] + [random_schedule(1 + s % 4, 1 + (s * 7) % 8, seed=s) for s in range(40)]
+        for sched in schedules:
+            trace = run(protocol, sched).trace
+            sim = Simulation(protocol, sched.n_clients)
+            for i, step in enumerate(sched.steps):
+                sim.step(step, i)
+                assert tuple(sim.events) == trace.events[: len(sim.events)], (sched.prng, i)
+            stepped = dataclasses.replace(trace, events=tuple(sim.events))
+            assert trace_to_json(stepped) == trace_to_json(trace)
 
 
 class TestReimport:
