@@ -17,6 +17,7 @@ from __future__ import annotations
 import collections
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -348,14 +349,27 @@ def causal_masks(events: Sequence) -> List[int]:
 
 
 def check_fifo(trace: Trace) -> None:
-    """Per point-to-point channel, receive order must equal send order."""
+    """Per point-to-point channel, receive order must equal send order, and
+    every receive's clock must be at least, in every component, the clock
+    of the send of the message it names; a djupiter relay keeps the name of
+    the message it relays. Raises ProtocolError otherwise."""
     sent: Dict[Tuple[int, int], List[str]] = {}
     received: Dict[Tuple[int, int], List[str]] = {}
+    send_clocks: Dict[str, Tuple[int, ...]] = {}
     for e in trace.events:
         if e.kind == "send":
             sent.setdefault((e.src, e.dst), []).append(e.msg_id)
+            send_clocks[e.msg_id] = e.vclock
         elif e.kind == "receive":
             received.setdefault((e.src, e.dst), []).append(e.msg_id)
+            clock = send_clocks.get(e.msg_id)
+            if clock is None:
+                raise ProtocolError(f"event {e.index} receives {e.msg_id}, which no earlier event sent")
+            if not all(map(operator.ge, e.vclock, clock)):
+                raise ProtocolError(
+                    f"event {e.index} receives {e.msg_id} with clock {list(e.vclock)}, "
+                    f"not at least its send's {list(clock)}"
+                )
     for chan, got in received.items():
         if BROADCAST in chan:
             continue
@@ -614,37 +628,30 @@ class BufferJupiter:
             c: (_BufferEnd(SERVER_ID, c), _BufferEnd(c, SERVER_ID)) for c in range(1, n_clients + 1)
         }
 
-    def enabled(self) -> List[DeliverStep]:
-        """The deliveries that can run now: per client in id order, its
-        up-channel then its down-channel. Generators index into this list,
-        so the order is part of every seeded schedule. Each is the one
-        step its channel's end holds."""
-        return [end.delivery for link in self.links.values() for end in link if end.channel]
-
-    def step(self, step: Step) -> int:
-        """Run one step: apply its op at the replica it runs at, whose id
-        it returns, and send the op on."""
-        if isinstance(step, GenerateStep):
-            rid, spec = step.cid, step.op
-            if spec.kind == "read":
-                return rid
-            own = self.links[rid][0]
-            if spec.kind == "ins":
-                o = ListOp.ins(Element(spec.glyph, rid, own.sent + 1), spec.pos)
-            else:
-                o = _fill_del(ListOp.del_(spec.pos), self.lists[rid])
-            ends = [own]
-        elif step.to != SERVER_ID:
-            rid, (client, server) = step.to, self.links[step.to]
-            o, ends = client.receive(server), []
+    def generate(self, cid: int, spec: OpSpec) -> None:
+        """Apply an ins or a del at client cid and send it to the server."""
+        own = self.links[cid][0]
+        if spec.kind == "ins":
+            o = ListOp.ins(Element(spec.glyph, cid, own.sent + 1), spec.pos)
         else:
-            rid, (client, server) = SERVER_ID, self.links[step.frm]
-            o = server.receive(client)
-            ends = [other for c, (_, other) in self.links.items() if c != step.frm]
-        self.lists[rid] = apply(self.lists[rid], o)
-        for end in ends:
-            end.send(o)
-        return rid
+            o = _fill_del(ListOp.del_(spec.pos), self.lists[cid])
+        self.lists[cid] = apply(self.lists[cid], o)
+        own.send(o)
+
+    def deliver(self, step: DeliverStep) -> None:
+        """Apply the next message of the step's channel at its receiver; the
+        server sends what it applies on to every other client."""
+        to, frm = step.to, step.frm
+        if to != SERVER_ID:
+            client, server = self.links[to]
+            self.lists[to] = apply(self.lists[to], client.receive(server))
+            return
+        client, server = self.links[frm]
+        o = server.receive(client)
+        self.lists[SERVER_ID] = apply(self.lists[SERVER_ID], o)
+        for c, (_, other) in self.links.items():
+            if c != frm:
+                other.send(o)
 
 
 def random_schedule(
@@ -663,42 +670,61 @@ def random_schedule(
     ot_core alone and on none of the three protocols' replays. Every
     delivery is the one step of its channel direction that the
     BufferJupiter holds, and every read the one read step of its client.
-    """
-    if n_updates < 0:
-        raise ScheduleError("updates cannot be negative")
+
+    The draws are PRNG_NAME's: a probability is one random(), and an
+    integer below n is getrandbits(n.bit_length()) redrawn until it is
+    below n, as CPython 3.11's randint and choice draw. ScheduleError for
+    a count or a read_probability out of range."""
+    _whole(n_clients, 1, "n_clients")
+    _whole(n_updates, 0, "n_updates")
     # random.Random(-s) draws what Random(s) draws.
     _whole(seed, 0, "seed")
+    if type(read_probability) not in (int, float) or not 0 <= read_probability <= 1:
+        raise ScheduleError(f"read_probability must be a number in [0, 1], got {read_probability!r}")
     sim = BufferJupiter(n_clients)
     read = OpSpec("read")
-    reads = {c: GenerateStep(c, read) for c in range(1, n_clients + 1)}  # one read step per client
+    reads = [GenerateStep(c, read) for c in range(1, n_clients + 1)]  # one read step per client
+    ends = [end for link in sim.links.values() for end in link]  # per client in id order, up then down
     rng = random.Random(seed)
+    probability, getrandbits = rng.random, rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     steps: List[Step] = []
     generated = 0
     glyphs = 0
     while True:
-        actions: List[object] = sim.enabled()
-        if generated < n_updates:
-            actions += ["generate", "generate"]
-        if not actions:
+        deliverable = [end for end in ends if end.channel]
+        # The deliveries, then two generates while updates are left.
+        n = len(deliverable) + 2 if generated < n_updates else len(deliverable)
+        if not n:
             break
-        if rng.random() < read_probability:
+        if probability() < read_probability:
             # Reads change no state, so they need not run here.
-            steps.append(reads[rng.randint(1, n_clients)])
-        act = rng.choice(actions)
-        if act == "generate":
-            cid = rng.randint(1, n_clients)
-            length = len(sim.lists[cid])
-            if length > 0 and rng.random() < 0.4:
-                spec = OpSpec("del", pos=rng.randint(0, length - 1))
-            else:
-                spec = OpSpec("ins", glyph=GLYPH_POOL[glyphs % len(GLYPH_POOL)], pos=rng.randint(0, length))
-                glyphs += 1
-            act = GenerateStep(cid, spec)
-            generated += 1
-        steps.append(act)
-        sim.step(act)
+            steps.append(reads[below(n_clients)])
+        k = below(n)
+        if k < len(deliverable):
+            step = deliverable[k].delivery
+            steps.append(step)
+            sim.deliver(step)
+            continue
+        cid = 1 + below(n_clients)
+        length = len(sim.lists[cid])
+        if length > 0 and probability() < 0.4:
+            spec = OpSpec("del", pos=below(length))
+        else:
+            spec = OpSpec("ins", glyph=GLYPH_POOL[glyphs % len(GLYPH_POOL)], pos=below(length + 1))
+            glyphs += 1
+        steps.append(GenerateStep(cid, spec))
+        sim.generate(cid, spec)
+        generated += 1
 
-    steps += reads.values()
+    steps += reads
     return Schedule(n_clients, tuple(steps), prng=(PRNG_NAME, seed))
 
 

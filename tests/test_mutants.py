@@ -4,6 +4,7 @@ be caught by some verdict, or be shown equivalent (ROADMAP item 6)."""
 import pytest
 
 from otwb import checkers, css_space, ot_core, simnet
+from otwb.css_space import ProtocolError
 from otwb.ot_core import OpKind
 from otwb.simnet import (
     PROTOCOLS, SERVER_ID, DeliverStep, GenerateStep, Schedule, Simulation, podc16_schedule, random_schedule, run,
@@ -56,11 +57,31 @@ def receive_without_merge(monkeypatch):
     return lambda: monkeypatch.setattr(Simulation, "_event", unmerged)
 
 
+def unchecked_verdicts(schedule):
+    """What verify decides of weak and structural, from replays that
+    check_fifo does not see: each protocol's weak verdict, then the
+    cjupiter/jupiter structural verdicts, as (check, protocol, lemma,
+    satisfied, witness)."""
+    results = {p: run(p, schedule) for p in PROTOCOLS}
+    out = [("weak", p, *weak_outcome(r.trace)) for p, r in results.items()]
+    return out + [("structural", "cjupiter", v.check, v.satisfied, v.witness)
+                  for v in checkers.check_structural(results["cjupiter"], results["jupiter"])]
+
+
+def weak_outcome(trace):
+    v = checkers.check_weak_spec(checkers.build_abstract_execution(trace))
+    return v.check, v.satisfied, v.witness
+
+
+def client_receives(schedule, protocol):
+    return any(e.kind == "receive" and e.replica != SERVER_ID for e in run(protocol, schedule).trace.events)
+
+
 class TestReceiveWithoutClockMerge:
     def test_podc16_weak_spec_fails_under_every_protocol(self, receive_without_merge):
-        before = verdicts(podc16_schedule())
+        before = unchecked_verdicts(podc16_schedule())
         receive_without_merge()
-        after = verdicts(podc16_schedule())
+        after = unchecked_verdicts(podc16_schedule())
         # c2 lists x, which it received, but x's insert is not visible to it.
         witness = {"condition": "1a", "event": 2, "replica": 2, "list": "ax",
                    "missing": [], "extra": ["('x', 1, 1)"]}
@@ -73,11 +94,22 @@ class TestReceiveWithoutClockMerge:
 
     def test_caught_wherever_a_client_receives_an_operation(self, receive_without_merge):
         schedules = corpus()
-        before = {name: verdicts(s) for name, s in schedules.items()}
-        receiving = {name for name, s in schedules.items()
-                     if any(e.kind == "receive" and e.replica != SERVER_ID for e in run("cjupiter", s).trace.events)}
+        receiving = {p: {name for name, s in schedules.items() if client_receives(s, p)} for p in PROTOCOLS}
+        assert all(len(names) == 76 and {"corpus 21", "corpus 77", "corpus 79"} <= names
+                   for names in receiving.values())
         receive_without_merge()
-        caught = set(first_changes(schedules, before))
+        for p, names in receiving.items():
+            for name in names:
+                with pytest.raises(ProtocolError, match="not at least its send's"):
+                    checkers.verify(schedules[name], protocols=(p,))
+
+    def test_weak_spec_misses_three_receiving_schedules(self, receive_without_merge):
+        schedules = corpus()
+        before = {name: [weak_outcome(run(p, s).trace) for p in PROTOCOLS] for name, s in schedules.items()}
+        receiving = {name for name, s in schedules.items() if client_receives(s, "cjupiter")}
+        receive_without_merge()
+        caught = {name for name, s in schedules.items()
+                  if [weak_outcome(run(p, s).trace) for p in PROTOCOLS] != before[name]}
         assert len(receiving) == 76
         # In the three it misses, every insert a client receives is deleted
         # by an op it receives before its next do event, so each do event's

@@ -320,8 +320,14 @@ def buffer_events(schedule):
     sim = BufferJupiter(schedule.n_clients)
     out = {}
     for step in schedule.steps:
-        rid = sim.step(step)
-        out.setdefault(rid, []).append(("do" if isinstance(step, GenerateStep) else "receive", sim.lists[rid]))
+        if isinstance(step, GenerateStep):
+            rid, kind = step.cid, "do"
+            if step.op.kind != "read":
+                sim.generate(rid, step.op)
+        else:
+            rid, kind = step.to, "receive"
+            sim.deliver(step)
+        out.setdefault(rid, []).append((kind, sim.lists[rid]))
     return out
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from conftest import (
     vc_less,
 )
 from otwb import simnet
+from otwb.css_space import ProtocolError
 from otwb.ot_core import Element
 from otwb.simnet import (
     BROADCAST,
@@ -196,6 +198,8 @@ class TestRandomSchedule:
     # a Simulation("jupiter") replay drew, and so does the ladder's top rung.
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @example(n=16, u=128, seed=7, read_probability=0.15)
+    @example(n=1, u=9, seed=3, read_probability=0.15)
+    @example(n=3, u=0, seed=5, read_probability=1.0)
     @given(
         n=st.integers(1, 6),
         u=st.integers(0, 30),
@@ -205,11 +209,32 @@ class TestRandomSchedule:
     def test_matches_the_oracle(self, n, u, seed, read_probability):
         assert random_schedule(n, u, seed, read_probability) == oracle_random_schedule(n, u, seed, read_probability)
 
+    def test_draws_need_no_randint_choice_or_randrange(self, monkeypatch):
+        # Only random() and getrandbits() draw, so the schedule bytes
+        # depend on MT19937's output alone, not on how random.Random
+        # writes its integer draws.
+        shapes = [(1 + s % 4, 1 + (s * 7) % 8, s, 0.15) for s in range(100)]
+        shapes += [(4, 16, s, 0.15) for s in range(10)]
+        shapes += [(3, 12, s, 1.0) for s in range(10)]
+        shapes += [(16, 128, 7, 0.15)]
+        want = [oracle_random_schedule(*shape) for shape in shapes]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_schedule called a random.Random integer draw")
+
+        for name in ("randint", "choice", "randrange"):
+            monkeypatch.setattr(random.Random, name, refuse)
+        assert [random_schedule(*shape) for shape in shapes] == want
+
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ScheduleError):
-            random_schedule(0, 4, seed=1)
-        with pytest.raises(ScheduleError):
-            random_schedule(2, -1, seed=1)
+        # Each would otherwise draw a schedule that schedule_from_json
+        # rejects, draw another count than asked, or end in a TypeError.
+        for args in ((0, 4, 1), (2, -1, 1), (True, 3, 1), (2.0, 3, 1), (2, 2.5, 1), (2, False, 1)):
+            with pytest.raises(ScheduleError, match="^n_clients|^n_updates"):
+                random_schedule(*args)
+        for p in ("x", float("nan"), -0.1, 1.5, True, None):
+            with pytest.raises(ScheduleError, match="^read_probability must be a number in"):
+                random_schedule(2, 3, 1, read_probability=p)
 
     def test_negative_seed_rejected(self):
         # random.Random(-5) draws what Random(5) draws: -5 would be seed 5
@@ -457,6 +482,22 @@ class TestTraceProperties:
             for seed in (1, 8, 23):
                 res = run(protocol, random_schedule(3, 6, seed))
                 check_fifo(res.trace)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_receive_clock_below_its_send_rejected(self, protocol):
+        # Forge each receive in turn with its own replica's component only,
+        # or with a message name that nothing sent; djupiter's receives name
+        # the relayed message's own send.
+        events = run(protocol, podc16_schedule()).trace.events
+        receives = [e for e in events if e.kind == "receive"]
+        assert receives
+        for e in receives:
+            for forged, match in ((e._replace(vclock=tuple(t if k == e.replica else 0 for k, t in enumerate(e.vclock))),
+                                   "not at least its send's"),
+                                  (e._replace(msg_id="m0"), "which no earlier event sent")):
+                trace = Trace(protocol, 3, "", tuple(forged if x is e else x for x in events))
+                with pytest.raises(ProtocolError, match=match):
+                    check_fifo(trace)
 
     def test_vector_clocks_strictly_increase_per_replica(self, podc16_cj):
         per_replica = {}
