@@ -21,11 +21,12 @@ from .checkers import (
     check_weak_spec,
     verify,
 )
-from .css_space import CssSpace, Oid, OidIndex, ProtoOp, ProtocolError, compare_ops
+from .css_space import CssSpace, Oid, OidIndex, ProtoOp, compare_ops
 from .ot_core import (
     Element,
     ListOp,
     OpKind,
+    ProtocolError,
     apply,
     to_text,
     transform,

@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .ot_core import ListOp, ListState, apply, transform
+from .ot_core import ListOp, ListState, ProtocolError, apply, transform
 
 
 class Oid(NamedTuple):
@@ -55,11 +55,6 @@ class Oid(NamedTuple):
 
     def token(self) -> str:
         return f"{self.cid}:{self.seq}"
-
-
-class ProtocolError(Exception):
-    """A protocol integrity violation: broken FIFO, bad context, or an
-    edge/vertex constraint that correct runs can never reach."""
 
 
 class OidIndex:

@@ -1,8 +1,10 @@
 """Single-element list editing: elements, operations, application, and the
 pairwise transformation functions used to reconcile concurrent edits.
 
-Operations are immutable values and every function here is pure, so the
-module is safe for concurrent use from any number of threads.
+Positions are strict: apply rejects an operation that does not target the
+list it is applied to, with ProtocolError, the error every replay fault
+raises. Operations are immutable values and every function here is pure,
+so the module is safe for concurrent use from any number of threads.
 """
 
 from __future__ import annotations
@@ -10,6 +12,12 @@ from __future__ import annotations
 import enum
 from operator import itemgetter
 from typing import NamedTuple, Optional
+
+
+class ProtocolError(Exception):
+    """A protocol integrity violation: broken FIFO, bad context, an
+    operation that does not fit its list, or an edge/vertex constraint
+    that correct runs can never reach."""
 
 
 class OpKind(enum.Enum):
@@ -92,9 +100,6 @@ class ListOp(_ListOpFields):
     def nop(cls) -> "ListOp":
         return cls(OpKind.NOP)
 
-    def with_element(self, element: Element) -> "ListOp":
-        return ListOp(self.kind, element, self.position)
-
     def sig(self) -> str:
         """Short human-readable signature, e.g. Ins(x,0) or Del(_,3)."""
         if self.kind is OpKind.INS:
@@ -117,25 +122,24 @@ def to_text(state: ListState) -> str:
 def apply(state: ListState, o: ListOp) -> ListState:
     """Apply one operation to a list state, returning the new state.
 
-    Out-of-range positions are legal: Ins clamps to the end, Del to the
-    last element. Del on an empty list does nothing.
+    ProtocolError for an Ins past the end, a Del at or past the end (on an
+    empty list too), and an Ins of an element the list already holds.
     """
     kind = o.kind
     if kind is _NOP:
         return state
+    p, n = o.position, len(state)
     if kind is _INS:
         element = o.element
         cid, seq = element[1], element[2]  # origin_cid, origin_seq
         for existing in state:
             if existing[2] == seq and existing[1] == cid:
-                raise ValueError(f"duplicate element {element.token()}")
-        p = min(o.position, len(state))
-        return state[:p] + (element,) + state[p:]
-    # Del
-    if not state:
-        return state
-    p = min(o.position, len(state) - 1)
-    return state[:p] + state[p + 1 :]
+                raise ProtocolError(f"duplicate element {element.token()}")
+        if p <= n:
+            return state[:p] + (element,) + state[p:]
+    elif p < n:  # Del
+        return state[:p] + state[p + 1 :]
+    raise ProtocolError(f"{o.sig()} is out of range for a list of length {n}")
 
 
 _NOP_OP = ListOp.nop()  # immutable, so every degenerate deletion shares it

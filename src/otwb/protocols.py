@@ -23,21 +23,12 @@ class RecvResult(NamedTuple):
     fanout: Tuple[Tuple[int, ProtoOp], ...] = ()  # (destination cid, message)
 
 
-def _fill_del(o: ListOp, state: ListState) -> ListOp:
-    """Record the element a deletion removes; a deletion aimed at an empty
-    list degenerates to Nop so it deletes nothing anywhere."""
-    if o.kind is not OpKind.DEL:
-        return o
-    if not state:
-        return ListOp.nop()
-    return o.with_element(state[min(o.position, len(state) - 1)])
-
-
 class CJClient:
     """A client of either client/server protocol: cjupiter's space holds
     server-stamped operations, jupiter's the server's transformed ones,
     which makes it 2D. It applies, mints identities and records deletes
-    locally; do() returns the operation to send to the server. `index` is
+    locally; do() returns the operation to send to the server, and raises
+    ProtocolError for one that does not fit its list. `index` is
     the run's OidIndex."""
 
     def __init__(self, cid: int, index: OidIndex):
@@ -59,8 +50,9 @@ class CJClient:
             self.seq + 1,
         ):
             raise ProtocolError("inserted element identity does not match this client")
-        o = _fill_del(o, self.state)
-        self.state = apply(self.state, o)
+        before, self.state = self.state, apply(self.state, o)
+        if o.kind is OpKind.DEL:  # record the element it deleted
+            o = ListOp.del_(o.position, before[o.position])
         self.seq += 1
         oid = Oid(self.cid, self.seq)
         op = ProtoOp(o, oid, self.space.index.bit(oid), self.space.cur)

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .css_space import CssSnapshot, Oid, OidIndex, ProtoOp, ProtocolError, StepHistory
 from .ot_core import Element, ListOp, ListState, apply, to_text, transform
-from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JServer, Sequencer, _fill_del
+from .protocols import SERVER_ID, CJClient, CJServer, DJReplica, JServer, Sequencer
 
 SCHEDULE_FORMAT = 1
 TRACE_FORMAT = 1
@@ -630,12 +630,13 @@ class BufferJupiter:
 
     def generate(self, cid: int, spec: OpSpec) -> None:
         """Apply an ins or a del at client cid and send it to the server."""
-        own = self.links[cid][0]
+        own, before = self.links[cid][0], self.lists[cid]
         if spec.kind == "ins":
             o = ListOp.ins(Element(spec.glyph, cid, own.sent + 1), spec.pos)
+            self.lists[cid] = apply(before, o)
         else:
-            o = _fill_del(ListOp.del_(spec.pos), self.lists[cid])
-        self.lists[cid] = apply(self.lists[cid], o)
+            self.lists[cid] = apply(before, ListOp.del_(spec.pos))
+            o = ListOp.del_(spec.pos, before[spec.pos])
         own.send(o)
 
     def deliver(self, step: DeliverStep) -> None:

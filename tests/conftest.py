@@ -76,11 +76,11 @@ def mask(index, oids):
 
 
 def applicable(o, state):
-    """True iff o's position targets state without clamping.
+    """True iff o's position targets state, so that apply accepts it.
 
     Convergence of a transformed pair is only guaranteed for operations
-    generated against the state they apply to; clamped positions fall
-    outside that contract.
+    generated against the state they apply to; apply rejects any other
+    position with ProtocolError.
     """
     if o.kind is OpKind.INS:
         return o.position <= len(state)

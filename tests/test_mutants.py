@@ -1,9 +1,11 @@
 """Deliberately broken replays, each a test-only monkeypatch: a mutant must
 be caught by some verdict, or be shown equivalent (ROADMAP item 6)."""
 
+from collections import Counter
+
 import pytest
 
-from otwb import checkers, css_space, ot_core, simnet
+from otwb import checkers, cli, css_space, ot_core, protocols, simnet
 from otwb.css_space import ProtocolError
 from otwb.ot_core import OpKind
 from otwb.simnet import (
@@ -20,6 +22,18 @@ def corpus():
     return schedules
 
 
+def corpus_and_wide():
+    """corpus() and the `wide` shapes of seeds 0-99: 201 schedules."""
+    return {**corpus(), **{f"wide {s}": random_schedule(4, 16, seed=s) for s in range(100)}}
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    """corpus_and_wide(), and each schedule's verdicts."""
+    schedules = corpus_and_wide()
+    return schedules, {name: verdicts(s) for name, s in schedules.items()}
+
+
 def verdicts(schedule):
     """Every verdict of verify, in its order, as (check, protocol, lemma,
     satisfied, witness)."""
@@ -29,20 +43,44 @@ def verdicts(schedule):
 
 def first_changes(schedules, before):
     """Per schedule whose verdicts differ from `before`, the (check,
-    protocol) of the first verdict that differs."""
+    protocol) of the first verdict that differs, or the error that verify
+    raises instead, as "ErrorClass: message"."""
     changed = {}
     for name, schedule in schedules.items():
-        after = verdicts(schedule)
+        try:
+            after = verdicts(schedule)
+        except (ProtocolError, simnet.ScheduleError) as exc:
+            changed[name] = f"{type(exc).__name__}: {exc}"
+            continue
         diff = [a[:2] for a, b in zip(after, before[name]) if a != b]
         if diff:
             changed[name] = diff[0]
     return changed
 
 
-def patch_transform(monkeypatch, mutant):
+def tally(changes):
+    """How many schedules first_changes names each (check, protocol), or
+    each error class, for."""
+    return Counter(c if isinstance(c, tuple) else c.split(":")[0] for c in changes.values())
+
+
+def patch_transform(monkeypatch, mutant, modules=(ot_core, css_space, simnet)):
     # Every module that imported transform holds its own name for it.
-    for module in (ot_core, css_space, simnet):
+    for module in modules:
         monkeypatch.setattr(module, "transform", mutant)
+
+
+def mutant(applies, moved=lambda o1: o1):
+    """transform, but o1 becomes moved(o1) wherever applies(o1, o2)."""
+    transform = ot_core.transform
+    return lambda o1, o2: moved(o1) if applies(o1, o2) else transform(o1, o2)
+
+
+INS, DEL = OpKind.INS, OpKind.DEL
+# Two deletions, o1 past o2: o1 forgets to shift left, so it can aim past its list's end.
+DEL_DEL_UNSHIFTED = mutant(lambda o1, o2: o1.kind is o2.kind is DEL and o1.position > o2.position)
+# An insert past a deletion: the same forgotten shift.
+INS_DEL_UNSHIFTED = mutant(lambda o1, o2: o1.kind is INS and o2.kind is DEL and o1.position > o2.position)
 
 
 @pytest.fixture
@@ -123,18 +161,17 @@ class TestTransformMutants:
         # Nop, so it deletes a second element.
         schedules = corpus()
         before = {name: verdicts(s) for name, s in schedules.items()}
-        transform = ot_core.transform
-
-        def del_del_kept(o1, o2):
-            if o1.kind is o2.kind is OpKind.DEL and o1.position == o2.position:
-                return o1
-            return transform(o1, o2)
-
-        patch_transform(monkeypatch, del_del_kept)
-        weak, convergence = ("weak", "cjupiter"), ("convergence", "cjupiter")
+        patch_transform(monkeypatch, mutant(lambda o1, o2: o1.kind is o2.kind is DEL and o1.position == o2.position))
+        # The second deletion aims past the end of a shorter list, which
+        # apply rejects, wherever a replay reaches one.
+        weak = ("weak", "cjupiter")
         assert first_changes(schedules, before) == {
-            "corpus 9": weak, "corpus 17": weak, "corpus 35": weak, "corpus 42": weak,
-            "corpus 43": weak, "corpus 65": weak, "corpus 90": convergence,
+            "corpus 9": weak, "corpus 42": weak,
+            "corpus 17": "ProtocolError: Del(d,1) is out of range for a list of length 1",
+            "corpus 35": "ProtocolError: Del(b,1) is out of range for a list of length 1",
+            "corpus 43": "ProtocolError: Del(b,3) is out of range for a list of length 3",
+            "corpus 65": "ProtocolError: Del(a,1) is out of range for a list of length 1",
+            "corpus 90": "ProtocolError: Del(b,0) is out of range for a list of length 0",
         }
 
     def test_flipped_insert_tie_break_is_the_run_with_clients_renamed(self, monkeypatch):
@@ -167,3 +204,85 @@ class TestTransformMutants:
         failed = {(name, v[0]) for name, vs in got.items() for v in vs if not v[3]}
         assert {check for _, check in failed} == {"strong"}
         assert ("podc16", "strong") not in failed  # podc16 renamed meets the strong spec
+
+
+def record_misfits(monkeypatch):
+    """Patch apply where the replays and materialize read it, so that it
+    first records each operation that does not fit its list; returns the
+    list it records them in."""
+    misfits = []
+    apply = ot_core.apply
+
+    def recording(state, o):
+        if o.kind is INS and o.position > len(state) or o.kind is DEL and o.position >= len(state):
+            misfits.append(o)
+        return apply(state, o)
+
+    for module in (css_space, protocols, simnet):
+        monkeypatch.setattr(module, "apply", recording)
+    return misfits
+
+
+CONVERGENCE, WEAK, STRUCTURAL = ("convergence", "cjupiter"), ("weak", "cjupiter"), ("structural", "cjupiter")
+
+
+class TestOvershootMutants:
+    # A transform that forgets a left shift sends apply a position past
+    # its list's end. apply rejects it, so verify raises ProtocolError on
+    # exactly the schedules where some apply gets one; on the rest, a
+    # verdict changes or none does.
+    @pytest.mark.parametrize("mutant, rejected, other", [
+        (DEL_DEL_UNSHIFTED, 77, {CONVERGENCE: 26, WEAK: 1}),
+        (INS_DEL_UNSHIFTED, 126, {CONVERGENCE: 1}),
+    ], ids=["del-del", "ins-del"])
+    def test_verify_rejects_every_schedule_that_overshoots(self, baseline, monkeypatch, mutant, rejected, other):
+        schedules, before = baseline
+        patch_transform(monkeypatch, mutant)
+        misfits = record_misfits(monkeypatch)
+        changes, overshooting = {}, set()
+        for name, schedule in schedules.items():
+            misfits.clear()
+            changes.update(first_changes({name: schedule}, before))
+            if misfits:
+                overshooting.add(name)
+        raised = {name for name, change in changes.items() if isinstance(change, str)}
+        assert raised == overshooting
+        assert tally(changes) == {"ProtocolError": rejected, **other}
+        assert all(" is out of range for a list of length " in changes[name] for name in raised)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "--schedule", "builtin:podc16"], "Ins(b,2) is out of range for a list of length 1"),
+        (["fuzz", "--seeds", "4"], "seed 3: Ins(d,2) is out of range for a list of length 1"),
+    ], ids=["run", "fuzz"])
+    def test_cli_exits_3_with_one_line(self, monkeypatch, capsys, argv, line):
+        # fuzz draws its schedules after the patch, so the mutant goes only
+        # where the replays read transform.
+        patch_transform(monkeypatch, INS_DEL_UNSHIFTED, (css_space,))
+        assert cli.main(argv) == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"protocol error: {line}\n")
+
+
+class TestNeighbourMutants:
+    # Three off-by-ones next to a real rule. None sends apply a position
+    # past its list's end. A replica's list can still fall short of the
+    # position that a schedule step was drawn for, which Simulation.step
+    # reports as a ScheduleError.
+    @pytest.mark.parametrize("mutant, first", [
+        # An insert at a deleted position shifted left; at 0 it cannot be.
+        (mutant(lambda o1, o2: o1.kind is INS and o2.kind is DEL and o1.position == o2.position > 0,
+                lambda o1: o1._replace(position=o1.position - 1)),
+         {CONVERGENCE: 90, WEAK: 3, STRUCTURAL: 2}),
+        # A deletion at an inserted position, not shifted right.
+        (mutant(lambda o1, o2: o1.kind is DEL and o2.kind is INS and o1.position == o2.position),
+         {CONVERGENCE: 110, WEAK: 4, STRUCTURAL: 1, "ScheduleError": 4}),
+        # An insert one past a concurrent insert, not shifted right.
+        (mutant(lambda o1, o2: o1.kind is o2.kind is INS and o1.position == o2.position + 1),
+         {CONVERGENCE: 131, WEAK: 3, "ScheduleError": 2}),
+    ], ids=["ins-del-shifted-left", "del-ins-unshifted", "ins-ins-next-unshifted"])
+    def test_caught_without_overshooting(self, baseline, monkeypatch, mutant, first):
+        schedules, before = baseline
+        patch_transform(monkeypatch, mutant)
+        misfits = record_misfits(monkeypatch)
+        assert tally(first_changes(schedules, before)) == first
+        assert misfits == []

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import EMPTY_STATE, applicable, check_cp1
 from otwb.css_space import OidIndex
-from otwb.ot_core import Element, ListOp, OpKind, apply, to_text, transform
+from otwb.ot_core import Element, ListOp, OpKind, ProtocolError, apply, to_text, transform
 from otwb.protocols import CJClient, DJReplica
 
 
@@ -28,35 +28,28 @@ class TestApply:
         st = state_of("x")
         assert apply(st, ListOp.nop()) == st
 
-    def test_delete_clamps_to_last_element(self):
-        # Derived from the clamp rule min(p, len-1) on a 5-element list.
-        st = state_of("a", "b", "c", "d", "e")
-        assert to_text(apply(st, ListOp.del_(5))) == "abcd"
-
-    def test_insert_clamps_to_end(self):
-        st = state_of("a", "b")
-        assert to_text(apply(st, ListOp.ins(elem("z"), 7))) == "abz"
-
-    def test_delete_on_empty_list_is_noop(self):
-        assert apply(EMPTY_STATE, ListOp.del_(0)) == EMPTY_STATE
-
-    def test_position_clamping_oracle(self):
-        # Brute-force oracle: apply(s, o) equals apply with the position
-        # pre-clamped into range, for every state length and position.
+    def test_out_of_range_positions_rejected(self):
+        # Brute-force oracle: on every list of up to 4 elements, an Ins at
+        # 0..len and a Del at 0..len-1 splice the list; every other
+        # position, a Del on the empty list included, is a ProtocolError.
         for length in range(5):
             st = state_of(*"abcde"[:length])
             for p in range(7):
-                ins = ListOp.ins(elem("z"), p)
-                clamped_ins = ListOp.ins(elem("z"), min(p, length))
-                assert apply(st, ins) == apply(st, clamped_ins)
-                if length > 0:
-                    dl = ListOp.del_(p)
-                    clamped_dl = ListOp.del_(min(p, length - 1))
-                    assert apply(st, dl) == apply(st, clamped_dl)
+                ins, dl = ListOp.ins(elem("z"), p), ListOp.del_(p)
+                if p <= length:
+                    assert apply(st, ins) == st[:p] + (elem("z"),) + st[p:]
+                else:
+                    with pytest.raises(ProtocolError, match=rf"Ins\(z,{p}\) is out of range for a list of length {length}$"):
+                        apply(st, ins)
+                if p < length:
+                    assert apply(st, dl) == st[:p] + st[p + 1 :]
+                else:
+                    with pytest.raises(ProtocolError, match=rf"Del\(_,{p}\) is out of range for a list of length {length}$"):
+                        apply(st, dl)
 
     def test_duplicate_insert_rejected(self):
         st = (elem("x", cid=1, seq=1),)
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolError, match="duplicate element y@1:1"):
             apply(st, ListOp.ins(elem("y", cid=1, seq=1), 0))
 
 
@@ -155,13 +148,14 @@ class TestCp1:
                     continue
                 assert check_cp1(o1, o2, st), (o1.sig(), o2.sig(), to_text(st))
 
-    def test_clamped_operations_fall_outside_the_guarantee(self):
-        # A deletion aimed past the end of an empty list diverges against a
-        # concurrent insert; the applicability guard is what excludes it.
+    def test_inapplicable_pair_rejected(self):
+        # A deletion aimed at an empty list is outside the guarantee; the
+        # applicability guard excludes it, and apply rejects it.
         o1 = ListOp.ins(elem("u"), 0)
         o2 = ListOp.del_(0)
         assert not applicable(o2, EMPTY_STATE)
-        assert not check_cp1(o1, o2, EMPTY_STATE)
+        with pytest.raises(ProtocolError, match="out of range"):
+            check_cp1(o1, o2, EMPTY_STATE)
 
 
 class TestPriority:
@@ -222,6 +216,6 @@ class TestListOpValidation:
     def test_del_element_filled_later(self):
         d = ListOp.del_(2)
         assert d.element is None
-        filled = d.with_element(elem("k"))
+        filled = d._replace(element=elem("k"))
         assert filled.element == elem("k")
         assert filled.position == 2

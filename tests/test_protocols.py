@@ -59,12 +59,18 @@ class TestCJClientDo:
         msg = c1.do(ListOp.del_(0))
         assert msg.o.element == Element("x", 1, 1)
 
-    def test_degenerate_delete_becomes_nop(self):
+    def test_delete_past_the_end_rejected(self):
+        # A delete must name an element of the client's list, an empty
+        # list included: do sends no Nop in its place, and leaves the
+        # client as it was.
         c1 = CJClient(1, OidIndex())
-        msg = c1.do(ListOp.del_(0))
-        assert c1.state == ()
-        assert msg.o == ListOp.nop()
-        assert msg.oid == Oid(1, 1)
+        for length in range(3):
+            for pos in (length, length + 2):
+                before = (c1.state, c1.seq, c1.space.cur)
+                with pytest.raises(ProtocolError, match=rf"^Del\(_,{pos}\) is out of range for a list of length {length}$"):
+                    c1.do(ListOp.del_(pos))
+                assert (c1.state, c1.seq, c1.space.cur) == before
+            c1.do(c1.make_ins("x", 0))
 
     def test_foreign_element_identity_rejected(self):
         c1 = CJClient(1, OidIndex())

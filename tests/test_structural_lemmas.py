@@ -5,6 +5,7 @@ each lemma shown to fire on a hand-broken space."""
 import collections
 import copy
 import dataclasses
+import re
 from collections import namedtuple
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     O1,
+    O2,
     O3,
     O4,
     causal_pairs,
@@ -39,7 +41,7 @@ from otwb.checkers import (
     check_structural,
     check_weak_spec,
 )
-from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, StepHistory
+from otwb.css_space import CssSnapshot, Oid, OidIndex, ProtocolError, ProtoOp, StepHistory, materialize
 from otwb.ot_core import Element, ListOp
 from otwb.simnet import (
     PROTOCOLS,
@@ -291,6 +293,23 @@ class TestLemmasFire:
             "elements": ["a@1:1", "b@2:1"],
         }
 
+    def test_vertex_compatibility_rejects_an_edge_past_its_source_list(self, podc16_cj, podc16_j):
+        # The server's edge Del(x,1) out of {1:1, 2:1}, whose list is "ax",
+        # moved one past the end: materialize rejects it, and the verdict
+        # carries its error.
+        snap = podc16_cj.css_final[0]
+        src = mask(snap.index, [O1, O3])
+        (edge,) = snap.vertices[src]
+        assert edge.o.sig() == "Del(x,1)"
+        moved = edge._replace(o=edge.o._replace(position=2))
+        broken = CssSnapshot(snap.rid, snap.cur, {**snap.vertices, src: (moved,)}, snap.index)
+        error = "Del(x,2) is out of range for a list of length 2"
+        with pytest.raises(ProtocolError, match=re.escape(error)):
+            materialize(broken)
+        verdict = structural_on(podc16_cj, podc16_j, broken)["vertex_compatibility"]
+        assert not verdict.satisfied
+        assert verdict.witness == {"replica": 0, "error": error}
+
     def test_vertex_compatibility_checks_each_distinct_space(self, podc16_cj, podc16_j):
         # Replica 2's space differs from the others' only in one edge's
         # label, which makes {1,2,3} replay to "bca" instead of "abc".
@@ -351,12 +370,12 @@ class TestLemmasFire:
         }
 
 
-def relabel(snap, vertex, oid, position):
-    """snap with the ListOp position of oid's edge out of `vertex` (an oid
+def relabel(snap, vertex, oid, **fields):
+    """snap with the ListOp fields of oid's edge out of `vertex` (an oid
     set) changed; the edge keeps its oid, bit and contexts."""
     key = mask(snap.index, vertex)
     edges = tuple(
-        e._replace(o=e.o._replace(position=position))
+        e._replace(o=e.o._replace(**fields))
         if e.oid == oid else e
         for e in snap.vertices[key]
     )
@@ -368,10 +387,11 @@ class TestLabelOnlyDifference:
     spaces to every lemma that compares spaces edge by edge."""
 
     def test_space_isomorphism(self, podc16_cj, podc16_j):
-        # Ins(b,1) -> Ins(b,2) at {1:1}, whose list is "x": both insert b
-        # last, so every vertex replays to the same list.
+        # Del(x,0) -> Del(y,0) at {1:1}: apply does not read the element
+        # that a deletion records, so every vertex replays to the same list.
         broken = copy.copy(podc16_cj)
-        broken.css_final = {**podc16_cj.css_final, 1: relabel(podc16_cj.css_final[1], oids(1), O4, 2)}
+        y = Element("y", 9, 9)
+        broken.css_final = {**podc16_cj.css_final, 1: relabel(podc16_cj.css_final[1], oids(1), O2, element=y)}
         failed = {v.check: v.witness for v in check_structural(broken, podc16_j) if not v.satisfied}
         assert failed == {"space_isomorphism": {
             "replicas": [0, 1], "only_first": [], "only_second": [], "edges_differ": [["1:1"]]}}
@@ -380,7 +400,7 @@ class TestLabelOnlyDifference:
         # Only the server's space for client 2 holds o3 at {1:1}.
         broken = copy.copy(podc16_j)
         final = podc16_j.cscw_server_final
-        broken.cscw_server_final = {**final, 2: relabel(final[2], oids(1), O3, 1)}
+        broken.cscw_server_final = {**final, 2: relabel(final[2], oids(1), O3, position=1)}
         failed = {v.check: v.witness for v in check_structural(podc16_cj, broken) if not v.satisfied}
         assert failed == {"server_union": {
             "vertices_only_union": [], "vertices_only_css": [],
@@ -391,7 +411,7 @@ class TestLabelOnlyDifference:
         # receipt of o1, is the first to show it.
         broken = copy.copy(podc16_j)
         steps = podc16_j.cscw_client_steps
-        broken.cscw_client_steps = {**steps, 2: history_with(steps[2], relabel(steps[2].final, oids(), O1, 1).vertices)}
+        broken.cscw_client_steps = {**steps, 2: history_with(steps[2], relabel(steps[2].final, oids(), O1, position=1).vertices)}
         failed = {v.check: v.witness for v in check_structural(podc16_cj, broken) if not v.satisfied}
         assert failed == {"client_subgraph": {"client": 2, "step": 1, "extra_edges": ["1:1"]}}
 
