@@ -28,6 +28,20 @@ class TestApply:
         st = state_of("x")
         assert apply(st, ListOp.nop()) == st
 
+    def test_delete_past_the_end_rejected(self):
+        st = state_of("a", "b", "c", "d", "e")
+        with pytest.raises(ProtocolError, match=r"Del\(_,5\) is out of range for a list of length 5$"):
+            apply(st, ListOp.del_(5))
+
+    def test_insert_past_the_end_rejected(self):
+        st = state_of("a", "b")
+        with pytest.raises(ProtocolError, match=r"Ins\(z,7\) is out of range for a list of length 2$"):
+            apply(st, ListOp.ins(elem("z"), 7))
+
+    def test_delete_on_empty_list_rejected(self):
+        with pytest.raises(ProtocolError, match=r"Del\(_,0\) is out of range for a list of length 0$"):
+            apply(EMPTY_STATE, ListOp.del_(0))
+
     def test_out_of_range_positions_rejected(self):
         # Brute-force oracle: on every list of up to 4 elements, an Ins at
         # 0..len and a Del at 0..len-1 splice the list; every other
